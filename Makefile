@@ -8,12 +8,13 @@
 # suite under -race, the service chaos harness (seeded disk faults +
 # kill/restart) under -race, the distributed-fabric chaos suite (peer
 # SIGKILL, network faults, coordinator kill+resume, steal races) under
-# -race, and the fleet population engine (generator determinism,
-# feasibility pre-pass, multi-mode byte identity, kill+resume) under -race.
+# -race, the fleet population engine (generator determinism, feasibility
+# pre-pass, multi-mode byte identity, kill+resume) under -race, and the
+# benchmark's own tests, which check its output against committed digests.
 
 GO ?= go
 
-.PHONY: build test check vet race fuzz-smoke stress sweep-race telemetry-race durability-race oracle-race service-race chaos-race fabric-race fleet-race bench-sweep bench-guard
+.PHONY: build test check vet race fuzz-smoke stress sweep-race telemetry-race durability-race oracle-race service-race chaos-race fabric-race fleet-race perfbench bench-sweep bench-guard
 
 build:
 	$(GO) build ./...
@@ -35,6 +36,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzParamsDecode -fuzztime=10s .
 	$(GO) test -run=^$$ -fuzz=FuzzShardPlanDecode -fuzztime=10s ./internal/fabric/
 	$(GO) test -run=^$$ -fuzz=FuzzFleetSpecDecode -fuzztime=10s ./internal/fleet/
+	$(GO) test -run=^$$ -fuzz=FuzzRecorderStream -fuzztime=10s ./internal/daq/
 
 stress:
 	$(GO) test -race -run 'Chaos|SpawnMidRun' -v ./internal/kernel/
@@ -97,6 +99,12 @@ fabric-race:
 fleet-race:
 	$(GO) test -race -count=1 -v ./internal/fleet/
 
+# The benchmark module's tests: every workload runs at a small size and its
+# output must match perfbench/digests.json, so a simulator change that
+# alters results fails here instead of leaving the digests stale.
+perfbench:
+	cd perfbench && $(GO) test ./...
+
 # Worker-count ladder (1/2/4/NumCPU) over the full Table 2 grid, plus
 # fabric legs coordinating 1/2/4 in-process peers, recorded to
 # BENCH_sweep.json (also verifies every merge against the serial
@@ -111,5 +119,5 @@ bench-sweep:
 bench-guard:
 	$(GO) run ./cmd/benchsweep -guard -baseline BENCH_sweep.json
 
-check: vet race fuzz-smoke stress sweep-race telemetry-race durability-race oracle-race service-race chaos-race fabric-race fleet-race bench-guard
+check: vet race fuzz-smoke stress sweep-race telemetry-race durability-race oracle-race service-race chaos-race fabric-race fleet-race perfbench bench-guard
 	@echo "check: all tiers passed"

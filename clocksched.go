@@ -651,6 +651,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	spec.Watchdog = cfg.Watchdog.internal()
 	spec.WatchdogSlack = sim.Duration(slack / time.Microsecond)
 	spec.Telemetry = cfg.Telemetry.registry()
+	spec.Stream = !cfg.CaptureTrace
 
 	out, err := expt.RunContext(ctx, spec)
 	if err != nil {
@@ -673,7 +674,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	res.Telemetry = RunTelemetry{
 		EventsFired: out.Kernel.Engine().Fired(),
-		Quanta:      len(out.Kernel.UtilLog()),
+		Quanta:      out.Kernel.Quanta(),
 		DAQSamples:  out.DAQ.Samples,
 	}
 	// The spec carries the unwrapped policy (the watchdog wraps a local

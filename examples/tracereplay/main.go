@@ -89,13 +89,9 @@ func measure(tr *trace.Trace) (measurement, error) {
 	if err != nil {
 		return measurement{}, err
 	}
-	sum := 0
-	for _, u := range k.UtilLog() {
-		sum += u.PP10K
-	}
 	return measurement{
 		energy:  cap.Energy(),
-		util:    float64(sum) / float64(len(k.UtilLog())) / 10000,
+		util:    k.MeanUtil(),
 		changes: k.SpeedChanges(),
 	}, nil
 }

@@ -6,6 +6,7 @@ import (
 
 	"clocksched/internal/cpu"
 	"clocksched/internal/fault"
+	"clocksched/internal/metrics"
 	"clocksched/internal/policy"
 	"clocksched/internal/sim"
 )
@@ -51,31 +52,44 @@ func TestFaultedRunIsDeterministic(t *testing.T) {
 		TraceDropProb:       0.02,
 		TraceDelayProb:      0.02,
 	}
-	run := func() (*RunOutcome, []sim.Duration) {
-		out, err := Run(mpegFaultSpec(plan))
+	// deadlines is what a run's collector holds: the late records plus the
+	// total and per-stream counts.
+	type deadlines struct {
+		late                []metrics.Deadline
+		count, frame, audio int
+	}
+	run := func(stream bool) (*RunOutcome, deadlines) {
+		spec := mpegFaultSpec(plan)
+		spec.Stream = stream
+		out, err := Run(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var lates []sim.Duration
-		for _, d := range out.Workload.Metrics().Deadlines() {
-			lates = append(lates, d.Late())
+		col := out.Workload.Metrics()
+		return out, deadlines{col.Late(), col.Count(), col.CountFor("frame"), col.CountFor("audio")}
+	}
+	a, aDeadlines := run(false)
+	// The second run streams its measurement: a plan with sample faults
+	// must keep the retained timeline and draw the same fault schedule.
+	for _, stream := range []bool{false, true} {
+		b, bDeadlines := run(stream)
+		if a.Faults != b.Faults {
+			t.Errorf("stream=%v: same seed+plan, different fault schedules:\n%+v\n%+v", stream, a.Faults, b.Faults)
 		}
-		return out, lates
+		if a.EnergyJ != b.EnergyJ || a.AvgPowerW != b.AvgPowerW || a.MeanUtil != b.MeanUtil {
+			t.Errorf("stream=%v: same seed+plan, different measurements: %v/%v/%v vs %v/%v/%v", stream,
+				a.EnergyJ, a.AvgPowerW, a.MeanUtil, b.EnergyJ, b.AvgPowerW, b.MeanUtil)
+		}
+		if a.DAQ.EnergyJ != b.DAQ.EnergyJ || a.DAQ.PeakW != b.DAQ.PeakW || a.DAQ.Samples != b.DAQ.Samples {
+			t.Errorf("stream=%v: same seed+plan, different DAQ captures", stream)
+		}
+		if !reflect.DeepEqual(aDeadlines, bDeadlines) {
+			t.Errorf("stream=%v: same seed+plan, different deadline outcomes", stream)
+		}
 	}
-	a, aLates := run()
-	b, bLates := run()
-	if a.Faults != b.Faults {
-		t.Errorf("same seed+plan, different fault schedules:\n%+v\n%+v", a.Faults, b.Faults)
-	}
-	if a.EnergyJ != b.EnergyJ || a.AvgPowerW != b.AvgPowerW || a.MeanUtil != b.MeanUtil {
-		t.Errorf("same seed+plan, different measurements: %v/%v/%v vs %v/%v/%v",
-			a.EnergyJ, a.AvgPowerW, a.MeanUtil, b.EnergyJ, b.AvgPowerW, b.MeanUtil)
-	}
-	if a.DAQ.EnergyJ != b.DAQ.EnergyJ || a.DAQ.PeakW != b.DAQ.PeakW || a.DAQ.Samples != b.DAQ.Samples {
-		t.Error("same seed+plan, different DAQ captures")
-	}
-	if !reflect.DeepEqual(aLates, bLates) {
-		t.Error("same seed+plan, different deadline outcomes")
+	if aDeadlines.count == 0 || len(aDeadlines.late) == 0 {
+		t.Errorf("faulted run recorded %d deadlines, %d late; want both non-zero",
+			aDeadlines.count, len(aDeadlines.late))
 	}
 }
 

@@ -148,6 +148,7 @@ func RunGrid(env Env, cells []GridCell, keepUtil bool) ([]Cell, error) {
 			Run: func(ctx context.Context) (any, error) {
 				s := spec()
 				s.Telemetry = env.Telemetry
+				s.Stream = !keepUtil
 				out, err := RunContext(ctx, s)
 				if err != nil {
 					return nil, err

@@ -169,11 +169,7 @@ func SchedulerOverhead() (OverheadResult, error) {
 		if err := k.Run(sim.Second); err != nil {
 			return 0, err
 		}
-		sum := 0
-		for _, u := range k.UtilLog() {
-			sum += u.PP10K
-		}
-		return sum / len(k.UtilLog()), nil
+		return k.UtilSum() / k.Quanta(), nil
 	}
 	with, err := run(kernel.DefaultConfig().SchedOverhead)
 	if err != nil {

@@ -76,6 +76,15 @@ type RunSpec struct {
 	// plumbing: it never influences the simulation and is excluded from
 	// spec hashing.
 	Telemetry *telemetry.Registry
+	// Stream measures the run online instead of keeping its raw records:
+	// the power timeline goes straight into a daq.Fold, and the kernel
+	// keeps no per-quantum utilization log. The digest is bit-identical
+	// either way, but the outcome's Kernel.Recorder() and Kernel.UtilLog()
+	// then hold nothing to query. A plan with per-sample DAQ faults still
+	// retains the timeline, since its readings must be drawn after the run.
+	// Like Telemetry it never changes results and is excluded from spec
+	// hashing.
+	Stream bool
 }
 
 // RunOutcome bundles everything a measurement run produced.
@@ -222,6 +231,7 @@ func RunContext(ctx context.Context, spec RunSpec) (*RunOutcome, error) {
 	cfg.CheckCancel = spec.Cancel
 	cfg.Telemetry = spec.Telemetry
 	cfg.EventCap = spec.EventCap
+	cfg.RetainUtilLog = !spec.Stream
 	if in, ok := pol.(interface {
 		Instrument(*telemetry.Registry)
 	}); ok && spec.Telemetry != nil {
@@ -244,6 +254,18 @@ func RunContext(ctx context.Context, spec RunSpec) (*RunOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
+	dcfg := daq.DefaultConfig()
+	dcfg.Faults = inj
+	dcfg.Telemetry = spec.Telemetry
+	var fold *daq.Fold
+	if spec.Stream && !dcfg.SampleFaults() {
+		if fold, err = daq.NewFold(0, length, dcfg); err != nil {
+			return nil, err
+		}
+		if err := k.Recorder().Stream(fold.Add); err != nil {
+			return nil, err
+		}
+	}
 	if err := w.Install(k); err != nil {
 		return nil, err
 	}
@@ -251,10 +273,12 @@ func RunContext(ctx context.Context, spec RunSpec) (*RunOutcome, error) {
 		return nil, err
 	}
 
-	dcfg := daq.DefaultConfig()
-	dcfg.Faults = inj
-	dcfg.Telemetry = spec.Telemetry
-	sum, err := daq.Integrate(k.Recorder(), 0, length, dcfg)
+	var sum daq.Summary
+	if fold != nil {
+		sum, err = fold.Summary()
+	} else {
+		sum, err = daq.Integrate(k.Recorder(), 0, length, dcfg)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -268,13 +292,7 @@ func RunContext(ctx context.Context, spec RunSpec) (*RunOutcome, error) {
 		Watchdog:  wd,
 		EnergyJ:   sum.EnergyJ,
 		AvgPowerW: sum.AvgPowerW,
-	}
-	if log := k.UtilLog(); len(log) > 0 {
-		sum := 0
-		for _, u := range log {
-			sum += u.PP10K
-		}
-		out.MeanUtil = float64(sum) / float64(len(log)) / 10000
+		MeanUtil:  k.MeanUtil(),
 	}
 	spec.Telemetry.Emit("run.done",
 		telemetry.F("workload", spec.Workload),

@@ -124,7 +124,10 @@ func PlayUntilExhaustion(seed uint64) ([]ExhaustionResult, error) {
 			return nil, err
 		}
 		// Convert the recorded timeline into a repeating load pattern.
-		points := run.Kernel.Recorder().Points()
+		points, err := run.Kernel.Recorder().Points()
+		if err != nil {
+			return nil, err
+		}
 		end := run.Kernel.Recorder().End()
 		pattern := make([]battery.LoadPhase, 0, len(points))
 		for i, p := range points {

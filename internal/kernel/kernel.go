@@ -52,6 +52,11 @@ type Config struct {
 	// single largest allocation of a sweep cell. AnalyzeLog works either
 	// way and reports identical numbers.
 	RetainSchedLog bool
+	// RetainUtilLog keeps the per-quantum []UtilSample record for
+	// UtilLog(). By default the kernel only tallies the quantum count and
+	// the utilization sum (Quanta, UtilSum, MeanUtil), which is all a digest
+	// needs; a 60 s run would otherwise keep 6000 samples per cell.
+	RetainUtilLog bool
 	// Faults, when non-nil, injects hardware and kernel misbehaviour:
 	// failed clock changes, extended PLL stalls, timer jitter, and
 	// dropped or delayed scheduler-log records. Nil injects nothing and
@@ -144,6 +149,8 @@ type Kernel struct {
 	schedLog      []SchedEntry
 	logStats      logTally
 	utilLog       []UtilSample
+	quanta        int
+	utilSum       int
 	speedChanges  int
 	failedChanges int
 	voltChanges   int
@@ -272,14 +279,33 @@ func (k *Kernel) Step() cpu.Step { return k.step }
 // Voltage returns the current core voltage.
 func (k *Kernel) Voltage() cpu.Voltage { return k.volt }
 
-// Recorder returns the power timeline. It is complete only after Run.
+// Recorder returns the power timeline. It is complete only after Run; a
+// caller that switched it to streaming (power.Recorder.Stream) receives the
+// timeline through its sink instead.
 func (k *Kernel) Recorder() *power.Recorder { return k.rec }
 
 // SchedLog returns the scheduler activity log.
 func (k *Kernel) SchedLog() []SchedEntry { return k.schedLog }
 
-// UtilLog returns the per-quantum utilization log.
+// UtilLog returns the per-quantum utilization log; it is empty unless
+// Config.RetainUtilLog was set.
 func (k *Kernel) UtilLog() []UtilSample { return k.utilLog }
+
+// Quanta returns how many scheduling quanta have ended.
+func (k *Kernel) Quanta() int { return k.quanta }
+
+// UtilSum returns the sum of every ended quantum's utilization, in parts per
+// 10000.
+func (k *Kernel) UtilSum() int { return k.utilSum }
+
+// MeanUtil returns the average per-quantum utilization in [0,1], zero
+// before the first quantum ends.
+func (k *Kernel) MeanUtil() float64 {
+	if k.quanta == 0 {
+		return 0
+	}
+	return float64(k.utilSum) / float64(k.quanta) / 10000
+}
 
 // SpeedChanges returns how many clock-step changes the policy made.
 func (k *Kernel) SpeedChanges() int { return k.speedChanges }
@@ -359,14 +385,10 @@ func (k *Kernel) Run(until sim.Time) error {
 	if k.cfg.EventCap > 0 {
 		k.eng.MaxEvents = k.cfg.EventCap
 	}
-	// Preallocate the utilization log (one sample per quantum, so the
-	// final size is known up front) and hint the power timeline's density
-	// (a handful of mode changes per quantum in the common case).
-	quanta := int((until - k.eng.Now()) / k.cfg.Quantum)
-	if n := quanta + 2; cap(k.utilLog) < n {
-		k.utilLog = make([]UtilSample, len(k.utilLog), n)
+	if k.cfg.RetainUtilLog {
+		// One sample per quantum, so the final size is known up front.
+		k.utilLog = make([]UtilSample, 0, int((until-k.eng.Now())/k.cfg.Quantum)+2)
 	}
-	k.rec.Grow(quanta*2 + 16)
 	// Arm the periodic clock interrupt.
 	if _, err := k.eng.At(k.eng.Now()+k.cfg.Quantum, k.tickFn); err != nil {
 		return err
@@ -474,7 +496,11 @@ func (k *Kernel) tick(now sim.Time) {
 	if util > 10000 {
 		util = 10000
 	}
-	k.utilLog = append(k.utilLog, UtilSample{At: now, PP10K: util, StepAt: k.step})
+	k.quanta++
+	k.utilSum += util
+	if k.cfg.RetainUtilLog {
+		k.utilLog = append(k.utilLog, UtilSample{At: now, PP10K: util, StepAt: k.step})
+	}
 	k.busyQuantum = 0
 	k.telQuanta.Inc()
 	k.telUtil.Observe(float64(util) / 10000)

@@ -41,6 +41,14 @@ func newKernel(t *testing.T, cfg Config) (*sim.Engine, *Kernel) {
 	return eng, k
 }
 
+// utilConfig is the default configuration with the per-quantum utilization
+// log retained, for tests that inspect individual quanta.
+func utilConfig() Config {
+	cfg := DefaultConfig()
+	cfg.RetainUtilLog = true
+	return cfg
+}
+
 func TestNewValidation(t *testing.T) {
 	eng := &sim.Engine{}
 	if _, err := New(nil, DefaultConfig()); err == nil {
@@ -76,7 +84,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestIdleRun(t *testing.T) {
-	_, k := newKernel(t, DefaultConfig())
+	_, k := newKernel(t, utilConfig())
 	if err := k.Run(sim.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +110,7 @@ func TestIdleRun(t *testing.T) {
 }
 
 func TestBusyRun(t *testing.T) {
-	_, k := newKernel(t, DefaultConfig())
+	_, k := newKernel(t, utilConfig())
 	if _, err := k.Spawn(busyLoop{burst: cpu.Burst{Core: 1_000_000}}); err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +191,7 @@ func TestFrequencyScalesComputeTime(t *testing.T) {
 
 func TestPartialUtilization(t *testing.T) {
 	// 4 ms busy then 6 ms sleep, aligned with quanta: utilization ≈ 40%.
-	_, k := newKernel(t, DefaultConfig())
+	_, k := newKernel(t, utilConfig())
 	if _, err := k.Spawn(&periodic{onDur: 4 * sim.Millisecond, offDur: 6 * sim.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +421,7 @@ func TestWakeIsIdempotent(t *testing.T) {
 }
 
 func TestSpinUntilCountsBusy(t *testing.T) {
-	_, k := newKernel(t, DefaultConfig())
+	_, k := newKernel(t, utilConfig())
 	phase := 0
 	prog := ProgramFunc{ProgName: "spinner", Fn: func(now sim.Time) Action {
 		switch phase {
@@ -659,5 +667,37 @@ func TestManyProcessesConservation(t *testing.T) {
 	}
 	if total < sim.Second-30*sim.Millisecond || total > sim.Second {
 		t.Errorf("total CPU time = %v over 1s wall", total)
+	}
+}
+
+// TestUtilTallyMatchesLog checks that the running quantum tally agrees with
+// the retained utilization log, and that without RetainUtilLog the kernel
+// keeps no log but tallies the same figures.
+func TestUtilTallyMatchesLog(t *testing.T) {
+	run := func(cfg Config) *Kernel {
+		_, k := newKernel(t, cfg)
+		k.Spawn(&periodic{onDur: 4 * sim.Millisecond, offDur: 7 * sim.Millisecond})
+		if err := k.Run(sim.Second); err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	kept, tallied := run(utilConfig()), run(DefaultConfig())
+	sum := 0
+	for _, u := range kept.UtilLog() {
+		sum += u.PP10K
+	}
+	if kept.Quanta() != len(kept.UtilLog()) || kept.UtilSum() != sum {
+		t.Errorf("tally %d quanta / %d PP10K, log %d / %d", kept.Quanta(), kept.UtilSum(), len(kept.UtilLog()), sum)
+	}
+	if want := float64(sum) / float64(len(kept.UtilLog())) / 10000; kept.MeanUtil() != want {
+		t.Errorf("MeanUtil = %v, want %v", kept.MeanUtil(), want)
+	}
+	if len(tallied.UtilLog()) != 0 {
+		t.Errorf("kernel without RetainUtilLog kept %d samples", len(tallied.UtilLog()))
+	}
+	if tallied.Quanta() != kept.Quanta() || tallied.UtilSum() != kept.UtilSum() {
+		t.Errorf("retention changed the tally: %d/%d vs %d/%d",
+			tallied.Quanta(), tallied.UtilSum(), kept.Quanta(), kept.UtilSum())
 	}
 }

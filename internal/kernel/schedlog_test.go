@@ -94,7 +94,7 @@ func TestSchedLogCap(t *testing.T) {
 		t.Errorf("capped log disturbed scheduling: CPU time %v", got)
 	}
 	// Utilization accounting is independent of the log cap.
-	if got := len(k.UtilLog()); got != 100 {
-		t.Errorf("utilization log has %d samples", got)
+	if got := k.Quanta(); got != 100 {
+		t.Errorf("kernel counted %d quanta", got)
 	}
 }

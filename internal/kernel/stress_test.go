@@ -62,7 +62,7 @@ func TestKernelChaos(t *testing.T) {
 	const wall = 20 * sim.Second
 	run := func(seed uint64) (total sim.Duration, energy float64) {
 		eng := &sim.Engine{}
-		cfg := DefaultConfig()
+		cfg := utilConfig()
 		cfg.Policy = &chaosPolicy{rng: sim.NewRNG(seed + 1000)}
 		k, err := New(eng, cfg)
 		if err != nil {

@@ -7,54 +7,120 @@ package metrics
 
 import (
 	"fmt"
-	"strings"
 
 	"clocksched/internal/sim"
 )
 
 // Deadline is one timing obligation an application reported: work that was
-// due at Due and actually completed at Done.
+// due at Due and actually completed at Done. It belongs to a stream of
+// like obligations ("frame", "audio", "speech", …) and is numbered within
+// it; Name formats the two into the obligation's display name.
 type Deadline struct {
-	Name string
-	Due  sim.Time
-	Done sim.Time
+	Stream string
+	Seq    int
+	// chunk is one more than the sub-sequence number of a chunked
+	// obligation ("speech-2-chunk-7"); zero when there is none.
+	chunk int
+	Due   sim.Time
+	Done  sim.Time
+}
+
+// Name returns the obligation's display name, e.g. "frame-12" or
+// "speech-2-chunk-7". It is formatted on demand, so recording a deadline
+// costs no string formatting.
+func (d Deadline) Name() string {
+	if d.chunk > 0 {
+		return fmt.Sprintf("%s-%d-chunk-%d", d.Stream, d.Seq, d.chunk-1)
+	}
+	return fmt.Sprintf("%s-%d", d.Stream, d.Seq)
 }
 
 // Late returns how far past its due time the work completed (≤ 0 if on
 // time).
 func (d Deadline) Late() sim.Duration { return d.Done - d.Due }
 
-// Collector accumulates deadlines and derived statistics. The zero value is
-// ready to use.
+// streamTally is the running digest of one deadline stream.
+type streamTally struct {
+	stream  string
+	count   int
+	maxLate sim.Duration
+}
+
+// Collector accumulates deadlines and derived statistics. It counts every
+// deadline, keeps a per-stream count and worst lateness, and retains only
+// the late records — a run reports thousands of deadlines, of which a few
+// percent miss. Every statistic below is exact. The zero value is ready to
+// use.
 type Collector struct {
-	deadlines []Deadline
+	count   int
+	streams []streamTally // a handful per workload; searched linearly
+	late    []Deadline
 	// OnRecord, when set, observes each deadline as it is recorded. The
 	// run harness uses it to feed the watchdog's miss detector without
 	// policies importing this package.
 	OnRecord func(Deadline)
 }
 
-// Record notes one completed obligation.
-func (c *Collector) Record(name string, due, done sim.Time) {
-	d := Deadline{Name: name, Due: due, Done: done}
-	c.deadlines = append(c.deadlines, d)
+// Record notes one completed obligation, number seq of stream.
+func (c *Collector) Record(stream string, seq int, due, done sim.Time) {
+	c.record(Deadline{Stream: stream, Seq: seq, Due: due, Done: done})
+}
+
+// RecordChunk notes one completed chunk of obligation seq of stream.
+func (c *Collector) RecordChunk(stream string, seq, chunk int, due, done sim.Time) {
+	c.record(Deadline{Stream: stream, Seq: seq, chunk: chunk + 1, Due: due, Done: done})
+}
+
+func (c *Collector) record(d Deadline) {
+	c.count++
+	t := c.tally(d.Stream)
+	t.count++
+	if l := d.Late(); l > 0 {
+		if l > t.maxLate {
+			t.maxLate = l
+		}
+		c.late = append(c.late, d)
+	}
 	if c.OnRecord != nil {
 		c.OnRecord(d)
 	}
 }
 
-// Deadlines returns everything recorded.
-func (c *Collector) Deadlines() []Deadline { return c.deadlines }
+// tally returns stream's digest, creating it on first use.
+func (c *Collector) tally(stream string) *streamTally {
+	for i := range c.streams {
+		if c.streams[i].stream == stream {
+			return &c.streams[i]
+		}
+	}
+	c.streams = append(c.streams, streamTally{stream: stream})
+	return &c.streams[len(c.streams)-1]
+}
+
+// Late returns the recorded obligations that completed after their due
+// time, in recording order. On-time records are counted, not retained.
+func (c *Collector) Late() []Deadline { return c.late }
 
 // Count returns the number of recorded deadlines.
-func (c *Collector) Count() int { return len(c.deadlines) }
+func (c *Collector) Count() int { return c.count }
+
+// CountFor returns the number of recorded deadlines of one stream.
+func (c *Collector) CountFor(stream string) int {
+	for _, t := range c.streams {
+		if t.stream == stream {
+			return t.count
+		}
+	}
+	return 0
+}
 
 // Misses returns the obligations that completed more than slack after their
 // due time. The paper's inelastic-constraint assumption corresponds to a
-// small perceptual slack.
+// small perceptual slack. Only late records are retained, so a negative
+// slack counts as zero.
 func (c *Collector) Misses(slack sim.Duration) []Deadline {
 	var out []Deadline
-	for _, d := range c.deadlines {
+	for _, d := range c.late {
 		if d.Late() > slack {
 			out = append(out, d)
 		}
@@ -63,7 +129,15 @@ func (c *Collector) Misses(slack sim.Duration) []Deadline {
 }
 
 // MissCount returns len(Misses(slack)).
-func (c *Collector) MissCount(slack sim.Duration) int { return len(c.Misses(slack)) }
+func (c *Collector) MissCount(slack sim.Duration) int {
+	n := 0
+	for _, d := range c.late {
+		if d.Late() > slack {
+			n++
+		}
+	}
+	return n
+}
 
 // MaxLateness returns the largest lateness observed (zero if everything was
 // early or nothing was recorded).
@@ -71,17 +145,14 @@ func (c *Collector) MaxLateness() sim.Duration {
 	return c.MaxLatenessFor("")
 }
 
-// MaxLatenessFor returns the largest lateness among deadlines whose name
-// starts with prefix (all deadlines for the empty prefix). Zero if nothing
-// matched or everything was early.
-func (c *Collector) MaxLatenessFor(prefix string) sim.Duration {
+// MaxLatenessFor returns the largest lateness in one deadline stream (all
+// streams for the empty name). Zero if nothing matched or everything was
+// early.
+func (c *Collector) MaxLatenessFor(stream string) sim.Duration {
 	var max sim.Duration
-	for _, d := range c.deadlines {
-		if !strings.HasPrefix(d.Name, prefix) {
-			continue
-		}
-		if l := d.Late(); l > max {
-			max = l
+	for _, t := range c.streams {
+		if (stream == "" || t.stream == stream) && t.maxLate > max {
+			max = t.maxLate
 		}
 	}
 	return max
@@ -91,9 +162,9 @@ func (c *Collector) MaxLatenessFor(prefix string) sim.Duration {
 // streams — the paper's audio/video synchronization measure: when the video
 // stream runs late while the audio stream stays on schedule, the clip is
 // audibly out of sync.
-func (c *Collector) Desync(prefixA, prefixB string) sim.Duration {
-	a := c.MaxLatenessFor(prefixA)
-	b := c.MaxLatenessFor(prefixB)
+func (c *Collector) Desync(streamA, streamB string) sim.Duration {
+	a := c.MaxLatenessFor(streamA)
+	b := c.MaxLatenessFor(streamB)
 	if a > b {
 		return a - b
 	}
@@ -102,10 +173,10 @@ func (c *Collector) Desync(prefixA, prefixB string) sim.Duration {
 
 // MissRate returns the fraction of deadlines missed by more than slack.
 func (c *Collector) MissRate(slack sim.Duration) float64 {
-	if len(c.deadlines) == 0 {
+	if c.count == 0 {
 		return 0
 	}
-	return float64(c.MissCount(slack)) / float64(len(c.deadlines))
+	return float64(c.MissCount(slack)) / float64(c.count)
 }
 
 // Summary formats the collector for reports.

@@ -182,8 +182,8 @@ func TestRecorderCollapsesNoChange(t *testing.T) {
 	r := NewRecorder(DefaultModel(), activeState())
 	r.SetState(100, activeState())
 	r.SetState(200, activeState())
-	if len(r.Points()) != 1 {
-		t.Errorf("recorder kept %d points for a constant timeline, want 1", len(r.Points()))
+	if pts, _ := r.Points(); len(pts) != 1 {
+		t.Errorf("recorder kept %d points for a constant timeline, want 1", len(pts))
 	}
 }
 
@@ -203,8 +203,8 @@ func TestRecorderSameInstantRevision(t *testing.T) {
 	r2 := NewRecorder(m, activeState())
 	r2.SetState(100, napSt)
 	r2.SetState(100, activeState())
-	if len(r2.Points()) != 1 {
-		t.Errorf("same-instant revert kept %d points, want 1", len(r2.Points()))
+	if pts, _ := r2.Points(); len(pts) != 1 {
+		t.Errorf("same-instant revert kept %d points, want 1", len(pts))
 	}
 }
 
@@ -355,5 +355,41 @@ func TestPowerMonotoneInStepProperty(t *testing.T) {
 				t.Errorf("power not increasing at %v", s)
 			}
 		}
+	}
+}
+
+// TestStreamedRecorderRefusesQueries pins the streaming recorder's
+// structured errors: a streamed timeline cannot be queried after the fact,
+// and a closed or already-flushed recorder cannot stream again.
+func TestStreamedRecorderRefusesQueries(t *testing.T) {
+	var segs int
+	r := NewRecorder(DefaultModel(), activeState())
+	if err := r.Stream(nil); err == nil {
+		t.Error("nil sink accepted")
+	}
+	if err := r.Stream(func(from, to sim.Time, w float64) { segs++ }); err != nil {
+		t.Fatal(err)
+	}
+	r.SetState(100, State{Step: cpu.MaxStep, V: cpu.VHigh, Mode: ModeNap})
+	if err := r.Finish(200); err != nil {
+		t.Fatal(err)
+	}
+	if segs != 2 {
+		t.Errorf("sink saw %d segments, want 2", segs)
+	}
+	if _, err := r.Points(); !errors.Is(err, ErrStreamed) {
+		t.Errorf("Points err = %v, want ErrStreamed", err)
+	}
+	if _, err := r.Energy(0, 200); !errors.Is(err, ErrStreamed) {
+		t.Errorf("Energy err = %v, want ErrStreamed", err)
+	}
+	if _, err := r.PowerAt(150); !errors.Is(err, ErrStreamed) {
+		t.Errorf("PowerAt err = %v, want ErrStreamed", err)
+	}
+	if err := r.Finish(200); !errors.Is(err, ErrClosed) {
+		t.Errorf("second Finish of a streamed timeline err = %v, want ErrClosed", err)
+	}
+	if err := r.Stream(func(sim.Time, sim.Time, float64) {}); !errors.Is(err, ErrClosed) {
+		t.Errorf("Stream after Finish err = %v, want ErrClosed", err)
 	}
 }

@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"clocksched/internal/cpu"
 	"clocksched/internal/kernel"
 	"clocksched/internal/metrics"
@@ -111,8 +109,9 @@ func (c *Chess) Install(k *kernel.Kernel) error {
 				},
 				// The reply should appear promptly once the search's time
 				// allotment expires.
-				name: fmt.Sprintf("reply-%d", e.Arg),
-				due:  e.At + plan + 500*sim.Millisecond,
+				stream: "reply",
+				seq:    int(e.Arg),
+				due:    e.At + plan + 500*sim.Millisecond,
 			}
 		},
 	}

@@ -69,12 +69,7 @@ func TestFeedbackIgnoresUnknownEvents(t *testing.T) {
 	runAt(t, f, cpu.MaxStep, 2*sim.Second)
 	// Exactly one spike deadline among the loop's own records; the unknown
 	// event must contribute nothing.
-	spikes := 0
-	for _, d := range f.Metrics().Deadlines() {
-		if len(d.Name) >= 5 && d.Name[:5] == "spike" {
-			spikes++
-		}
-	}
+	spikes := f.Metrics().CountFor("spike")
 	if spikes != 1 {
 		t.Errorf("recorded %d spike deadlines, want 1", spikes)
 	}
@@ -179,12 +174,7 @@ func TestMPEGDropModeShedsFramesWhenSlow(t *testing.T) {
 		t.Error("drop-tolerant player dropped nothing at 59MHz")
 	}
 	// Dropped + rendered ≈ total frames.
-	rendered := 0
-	for _, d := range m.Metrics().Deadlines() {
-		if len(d.Name) > 5 && d.Name[:5] == "frame" {
-			rendered++
-		}
-	}
+	rendered := m.Metrics().CountFor("frame")
 	total := 10 * cfg.FPS
 	if got := rendered + m.DroppedFrames(); got < total-2 || got > total {
 		t.Errorf("rendered %d + dropped %d = %d, want ≈%d",

@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"clocksched/internal/cpu"
 	"clocksched/internal/kernel"
 	"clocksched/internal/metrics"
@@ -132,7 +130,8 @@ func (e *TalkingEditor) Install(k *kernel.Kernel) error {
 			case "ui":
 				return response{
 					actions: []kernel.Action{kernel.Compute(editorUIBurst.Scale(float64(ev.Arg) / 10))},
-					name:    fmt.Sprintf("ui-%d", int64(ev.At)/1000),
+					stream:  "ui",
+					seq:     int(ev.At / 1000),
 					due:     ev.At + editorUIDeadline,
 				}
 			case "openfile":
@@ -148,8 +147,9 @@ func (e *TalkingEditor) Install(k *kernel.Kernel) error {
 							k.Wake(synthProc)
 						}),
 					},
-					name: fmt.Sprintf("open-%d", passage),
-					due:  ev.At + editorUIDeadline,
+					stream: "open",
+					seq:    passage,
+					due:    ev.At + editorUIDeadline,
 				}
 			default:
 				return response{}
@@ -239,7 +239,7 @@ func (d *dectalk) Next(now sim.Time) kernel.Action {
 		// Chunk synthesized: record its playback deadline.
 		d.synthesizing = false
 		due := d.playStart + sim.Time(d.chunk)*speechChunk
-		d.col.Record(fmt.Sprintf("speech-%d-chunk-%d", d.job.passage, d.chunk), due, now)
+		d.col.RecordChunk("speech", d.job.passage, d.chunk, due, now)
 		d.chunk++
 	}
 }

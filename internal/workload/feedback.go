@@ -181,8 +181,9 @@ func (f *Feedback) Install(k *kernel.Kernel) error {
 				actions: []kernel.Action{
 					kernel.Compute(disturbanceBurst.Scale(float64(e.Arg) / 10)),
 				},
-				name: fmt.Sprintf("spike-%d", seq),
-				due:  e.At + disturbanceDeadline,
+				stream: "spike",
+				seq:    seq,
+				due:    e.At + disturbanceDeadline,
 			}
 		},
 	}
@@ -232,7 +233,7 @@ func (f *feedbackLoop) Next(now sim.Time) kernel.Action {
 	if f.cfg.Deadlines != nil {
 		f.cfg.Deadlines.Complete(f.job)
 	}
-	f.col.Record(fmt.Sprintf("loop-%d", f.iter), f.due, now)
+	f.col.Record("loop", f.iter, f.due, now)
 	f.iter++
 	// The feedback law, in pure integer arithmetic so adaptation is exact
 	// across platforms: a response consuming ≥90% of the period means the

@@ -206,7 +206,7 @@ func (v *mpegVideo) Next(now sim.Time) kernel.Action {
 	if v.cfg.Deadlines != nil {
 		v.cfg.Deadlines.Complete(v.job)
 	}
-	v.col.Record(fmt.Sprintf("frame-%d", v.frame), deadline, now)
+	v.col.Record("frame", v.frame, deadline, now)
 	v.frame++
 	slack := deadline - now
 	switch {
@@ -259,7 +259,7 @@ func (a *mpegAudio) Next(now sim.Time) kernel.Action {
 		return kernel.Compute(audioBurst)
 	}
 	a.playing = false
-	a.col.Record(fmt.Sprintf("audio-%d", a.chunk), due, now)
+	a.col.Record("audio", a.chunk, due, now)
 	a.chunk++
 	if due > now {
 		return kernel.SleepUntil(due)

@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"clocksched/internal/cpu"
 	"clocksched/internal/kernel"
 	"clocksched/internal/metrics"
@@ -105,19 +103,22 @@ func (w *Web) Install(k *kernel.Kernel) error {
 			case "open":
 				return response{
 					actions: []kernel.Action{kernel.Compute(webOpenBurst.Scale(float64(e.Arg) / 10))},
-					name:    fmt.Sprintf("open-%d", seq),
+					stream:  "open",
+					seq:     seq,
 					due:     e.At + webOpenDeadline,
 				}
 			case "scroll":
 				return response{
 					actions: []kernel.Action{kernel.Compute(webScrollBurst.Scale(float64(e.Arg) / 10))},
-					name:    fmt.Sprintf("scroll-%d", seq),
+					stream:  "scroll",
+					seq:     seq,
 					due:     e.At + webScrollDeadline,
 				}
 			case "back":
 				return response{
 					actions: []kernel.Action{kernel.Compute(webBackBurst)},
-					name:    fmt.Sprintf("back-%d", seq),
+					stream:  "back",
+					seq:     seq,
 					due:     e.At + webScrollDeadline,
 				}
 			default:

@@ -15,6 +15,7 @@ func runAt(t *testing.T, w Workload, step cpu.Step, length sim.Duration) *kernel
 	eng := &sim.Engine{}
 	cfg := kernel.DefaultConfig()
 	cfg.InitialStep = step
+	cfg.RetainUtilLog = true
 	k, err := kernel.New(eng, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -29,19 +30,6 @@ func runAt(t *testing.T, w Workload, step cpu.Step, length sim.Duration) *kernel
 		t.Fatal(err)
 	}
 	return k
-}
-
-// meanUtil returns the average utilization over the run, in [0,1].
-func meanUtil(k *kernel.Kernel) float64 {
-	log := k.UtilLog()
-	if len(log) == 0 {
-		return 0
-	}
-	sum := 0
-	for _, u := range log {
-		sum += u.PP10K
-	}
-	return float64(sum) / float64(len(log)) / 10000
 }
 
 // frameSlack is the perceptual slack for MPEG frames: half a frame period.
@@ -81,17 +69,12 @@ func TestMPEGAtFullSpeedMeetsDeadlines(t *testing.T) {
 	}
 	// 15 fps for 20 s: 300 frames (the last may be cut off by the run
 	// end) plus audio chunks.
-	frames := 0
-	for _, d := range m.Metrics().Deadlines() {
-		if len(d.Name) > 5 && d.Name[:5] == "frame" {
-			frames++
-		}
-	}
+	frames := m.Metrics().CountFor("frame")
 	if frames < 295 || frames > 300 {
 		t.Errorf("rendered %d frames, want ≈300", frames)
 	}
 	// Figure 9: utilization ≈ 70-78% at 206.4 MHz.
-	if u := meanUtil(k); u < 0.62 || u > 0.82 {
+	if u := k.MeanUtil(); u < 0.62 || u > 0.82 {
 		t.Errorf("utilization at 206.4MHz = %.3f, want ≈0.70-0.75", u)
 	}
 }
@@ -106,7 +89,7 @@ func TestMPEGAt132MeetsDeadlinesWithHighUtilization(t *testing.T) {
 		t.Errorf("missed %d deadlines at 132.7MHz (the paper's sweet spot)", got)
 	}
 	// Figure 9: utilization ≈ 87-95% at 132.7 MHz.
-	if u := meanUtil(k); u < 0.85 || u > 0.99 {
+	if u := k.MeanUtil(); u < 0.85 || u > 0.99 {
 		t.Errorf("utilization at 132.7MHz = %.3f, want ≈0.9", u)
 	}
 }
@@ -145,7 +128,7 @@ func TestMPEGUtilizationPlateau(t *testing.T) {
 		cfg := DefaultMPEGConfig()
 		cfg.Length = 15 * sim.Second
 		m, _ := NewMPEG(cfg)
-		return meanUtil(runAt(t, m, step, 0))
+		return runAt(t, m, step, 0).MeanUtil()
 	}
 	u7 := util(cpu.Step(7))
 	u8 := util(cpu.Step(8))
@@ -200,7 +183,7 @@ func TestWebWorkload(t *testing.T) {
 	}
 	// Web browsing is mostly reading: low average utilization, but the
 	// Java polling loop keeps it from being zero.
-	if u := meanUtil(k); u < 0.02 || u > 0.40 {
+	if u := k.MeanUtil(); u < 0.02 || u > 0.40 {
 		t.Errorf("web utilization = %.3f, want low but nonzero", u)
 	}
 }
@@ -302,12 +285,7 @@ func TestEditorWorkload(t *testing.T) {
 			got, misses[0])
 	}
 	// Both passages produce speech chunks.
-	chunks := 0
-	for _, d := range e.Metrics().Deadlines() {
-		if len(d.Name) > 6 && d.Name[:6] == "speech" {
-			chunks++
-		}
-	}
+	chunks := e.Metrics().CountFor("speech")
 	if chunks < 70 { // 18s + 22s of speech at 2 chunks/s
 		t.Errorf("only %d speech chunks recorded", chunks)
 	}
@@ -339,7 +317,7 @@ func TestRectWaveShape(t *testing.T) {
 	}
 	k := runAt(t, w, cpu.MaxStep, 0)
 	// Mean utilization ≈ 0.9.
-	if u := meanUtil(k); u < 0.88 || u > 0.92 {
+	if u := k.MeanUtil(); u < 0.88 || u > 0.92 {
 		t.Errorf("rect wave utilization = %.3f, want ≈0.9", u)
 	}
 	// The quantum log alternates 9 busy, 1 idle.
