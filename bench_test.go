@@ -343,3 +343,33 @@ func BenchmarkSweepCached(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEncodeResult measures the result codec per cell: one 5 s MPEG
+// cell's Result to its canonical bytes, as a cache put, a journal commit
+// and the sweep envelope each pay.
+func BenchmarkEncodeResult(b *testing.B) {
+	res := codecSample(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := encodeResult(res); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodeResult measures the reverse, as a cache hit, a journal
+// replay and a fabric shard verification each pay.
+func BenchmarkDecodeResult(b *testing.B) {
+	enc, err := encodeResult(codecSample(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := decodeResult(enc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -6,7 +6,6 @@ import (
 
 	"clocksched/internal/cpu"
 	"clocksched/internal/fault"
-	"clocksched/internal/metrics"
 	"clocksched/internal/policy"
 	"clocksched/internal/sim"
 )
@@ -52,10 +51,10 @@ func TestFaultedRunIsDeterministic(t *testing.T) {
 		TraceDropProb:       0.02,
 		TraceDelayProb:      0.02,
 	}
-	// deadlines is what a run's collector holds: the late records plus the
-	// total and per-stream counts.
+	// deadlines is what a run's collector holds: the late deadlines'
+	// lateness plus the total and per-stream counts.
 	type deadlines struct {
-		late                []metrics.Deadline
+		late                []sim.Duration
 		count, frame, audio int
 	}
 	run := func(stream bool) (*RunOutcome, deadlines) {

@@ -47,14 +47,14 @@ type streamTally struct {
 }
 
 // Collector accumulates deadlines and derived statistics. It counts every
-// deadline, keeps a per-stream count and worst lateness, and retains only
-// the late records — a run reports thousands of deadlines, of which a few
-// percent miss. Every statistic below is exact. The zero value is ready to
-// use.
+// deadline, keeps a per-stream count and worst lateness, and of each late
+// deadline only how late it was: a 60 s Table 2 cell records 1500
+// deadlines, of which 75 (at 206.4 MHz) to about 220 (at 132.7 MHz) are
+// late. Every statistic below is exact. The zero value is ready to use.
 type Collector struct {
 	count   int
 	streams []streamTally // a handful per workload; searched linearly
-	late    []Deadline
+	late    []sim.Duration
 	// OnRecord, when set, observes each deadline as it is recorded. The
 	// run harness uses it to feed the watchdog's miss detector without
 	// policies importing this package.
@@ -79,7 +79,7 @@ func (c *Collector) record(d Deadline) {
 		if l > t.maxLate {
 			t.maxLate = l
 		}
-		c.late = append(c.late, d)
+		c.late = append(c.late, l)
 	}
 	if c.OnRecord != nil {
 		c.OnRecord(d)
@@ -97,9 +97,9 @@ func (c *Collector) tally(stream string) *streamTally {
 	return &c.streams[len(c.streams)-1]
 }
 
-// Late returns the recorded obligations that completed after their due
-// time, in recording order. On-time records are counted, not retained.
-func (c *Collector) Late() []Deadline { return c.late }
+// Late returns the lateness of every deadline that completed after its due
+// time, in recording order. On-time deadlines are counted, not retained.
+func (c *Collector) Late() []sim.Duration { return c.late }
 
 // Count returns the number of recorded deadlines.
 func (c *Collector) Count() int { return c.count }
@@ -114,25 +114,14 @@ func (c *Collector) CountFor(stream string) int {
 	return 0
 }
 
-// Misses returns the obligations that completed more than slack after their
-// due time. The paper's inelastic-constraint assumption corresponds to a
-// small perceptual slack. Only late records are retained, so a negative
-// slack counts as zero.
-func (c *Collector) Misses(slack sim.Duration) []Deadline {
-	var out []Deadline
-	for _, d := range c.late {
-		if d.Late() > slack {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// MissCount returns len(Misses(slack)).
+// MissCount returns the number of deadlines that completed more than slack
+// after their due time. The paper's inelastic-constraint assumption
+// corresponds to a small perceptual slack. Only late deadlines are
+// retained, so a negative slack counts as zero.
 func (c *Collector) MissCount(slack sim.Duration) int {
 	n := 0
-	for _, d := range c.late {
-		if d.Late() > slack {
+	for _, l := range c.late {
+		if l > slack {
 			n++
 		}
 	}

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -49,12 +50,8 @@ func TestCollectorMisses(t *testing.T) {
 	if got := c.MissRate(0); got != 2.0/3 {
 		t.Errorf("MissRate = %v", got)
 	}
-	misses := c.Misses(0)
-	if len(misses) != 2 || misses[0].Name() != "frame-2" {
-		t.Errorf("Misses = %+v", misses)
-	}
-	if len(c.Late()) != 2 || c.CountFor("frame") != 3 {
-		t.Errorf("Late() = %+v, CountFor(frame) = %d", c.Late(), c.CountFor("frame"))
+	if late := c.Late(); len(late) != 2 || late[0] != 5 || late[1] != 50 || c.CountFor("frame") != 3 {
+		t.Errorf("Late() = %v, CountFor(frame) = %d", late, c.CountFor("frame"))
 	}
 }
 
@@ -109,21 +106,20 @@ func TestDesync(t *testing.T) {
 
 func TestDeadlineNames(t *testing.T) {
 	var c Collector
+	var names []string
+	c.OnRecord = func(d Deadline) { names = append(names, d.Name()) }
 	c.Record("frame", 12, 100, 200)
 	c.RecordChunk("speech", 2, 0, 100, 200)
-	c.RecordChunk("speech", 2, 7, 100, 200)
-	var names []string
-	for _, d := range c.Late() {
-		names = append(names, d.Name())
-	}
+	c.RecordChunk("speech", 2, 7, 100, 50)
 	if got := strings.Join(names, " "); got != "frame-12 speech-2-chunk-0 speech-2-chunk-7" {
 		t.Errorf("names = %q", got)
 	}
 }
 
 // TestCollectorMatchesFullRecord checks the tallying collector against a
-// reference that keeps every record: counts, per-stream counts, misses at
-// every non-negative slack, worst lateness and desync must all agree.
+// reference that keeps every record: counts, per-stream counts, the late
+// deadlines' lateness, misses at every non-negative slack and worst
+// lateness must all agree.
 func TestCollectorMatchesFullRecord(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	streams := []string{"frame", "audio", "speech"}
@@ -141,6 +137,15 @@ func TestCollectorMatchesFullRecord(t *testing.T) {
 		if c.Count() != len(all) || observed != len(all) {
 			t.Fatalf("Count = %d, observed %d, want %d", c.Count(), observed, len(all))
 		}
+		var late []sim.Duration
+		for _, d := range all {
+			if l := d.Late(); l > 0 {
+				late = append(late, l)
+			}
+		}
+		if !slices.Equal(c.Late(), late) {
+			t.Errorf("Late() = %v, want %v", c.Late(), late)
+		}
 		for _, slack := range []sim.Duration{0, 1, 50, 500} {
 			want := 0
 			for _, d := range all {
@@ -148,7 +153,7 @@ func TestCollectorMatchesFullRecord(t *testing.T) {
 					want++
 				}
 			}
-			if got := c.MissCount(slack); got != want || len(c.Misses(slack)) != want {
+			if got := c.MissCount(slack); got != want {
 				t.Errorf("MissCount(%v) = %d, want %d", slack, got, want)
 			}
 		}

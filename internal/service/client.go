@@ -281,8 +281,20 @@ func (c *Client) ResultBytes(ctx context.Context, id string) ([]byte, error) {
 	if resp.StatusCode/100 != 2 {
 		return nil, decodeError(resp)
 	}
-	return io.ReadAll(resp.Body)
+	// Size the read from Content-Length so it does not grow by doubling;
+	// the peer sets that header, so the pre-allocation is capped, and the
+	// body is read to EOF whatever it claims.
+	var b bytes.Buffer
+	if n := resp.ContentLength; n > 0 {
+		b.Grow(int(min(n, maxResultPrealloc)) + bytes.MinRead)
+	}
+	_, err = b.ReadFrom(resp.Body)
+	return b.Bytes(), err
 }
+
+// maxResultPrealloc caps how much of a result's announced Content-Length
+// ResultBytes allocates before reading; a larger body grows as it arrives.
+const maxResultPrealloc = 16 << 20
 
 // Result fetches and decodes a finished job's SweepResult.
 func (c *Client) Result(ctx context.Context, id string) (*clocksched.SweepResult, error) {
@@ -355,8 +367,10 @@ func (c *Client) eventsOnce(ctx context.Context, id string, fn func(Event) error
 		return false, false, decodeError(resp)
 	}
 
+	// Events are short JSON lines: start from bufio's small default buffer
+	// and let a rare long line grow it to 1 MiB.
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	sc.Buffer(nil, 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
 		if idStr, ok := strings.CutPrefix(line, "id: "); ok {

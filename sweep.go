@@ -1,13 +1,12 @@
 package clocksched
 
 import (
-	"bytes"
+	"cmp"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"time"
 
 	"clocksched/internal/sim"
@@ -587,6 +586,7 @@ func encodeResult(r *Result) ([]byte, error) {
 		StallTime:       r.StallTime,
 		ContextSwitches: r.ContextSwitches,
 		IdleShare:       r.IdleShare,
+		Residency:       make([]residencyWire, 0, len(r.TimeAtMHz)),
 		Trace:           r.trace,
 		Faults:          r.Faults,
 		Watchdog:        r.Watchdog,
@@ -595,18 +595,14 @@ func encodeResult(r *Result) ([]byte, error) {
 	for mhz, d := range r.TimeAtMHz {
 		w.Residency = append(w.Residency, residencyWire{MHz: mhz, D: d})
 	}
-	sort.Slice(w.Residency, func(i, j int) bool { return w.Residency[i].MHz < w.Residency[j].MHz })
-	var b bytes.Buffer
-	if err := gob.NewEncoder(&b).Encode(w); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
+	slices.SortFunc(w.Residency, func(a, b residencyWire) int { return cmp.Compare(a.MHz, b.MHz) })
+	return codec.encode(&w)
 }
 
 // decodeResult reverses encodeResult.
 func decodeResult(b []byte) (*Result, error) {
 	var w resultWire
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
+	if err := codec.decode(b, &w); err != nil {
 		return nil, err
 	}
 	r := &Result{
@@ -622,7 +618,7 @@ func decodeResult(b []byte) (*Result, error) {
 		StallTime:       w.StallTime,
 		ContextSwitches: w.ContextSwitches,
 		IdleShare:       w.IdleShare,
-		TimeAtMHz:       map[float64]time.Duration{},
+		TimeAtMHz:       make(map[float64]time.Duration, len(w.Residency)),
 		trace:           w.Trace,
 		Faults:          w.Faults,
 		Watchdog:        w.Watchdog,
