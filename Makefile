@@ -1,17 +1,17 @@
 # Build and verification tiers. `make check` is the full local gate: static
 # vetting, the complete test suite under the race detector, short fuzz
 # smokes of the trace parser, the journal replayer, the job-spec decoder,
-# the policy-registry wire form, the result codec, and the fabric shard-plan
-# ledger, the kernel stress tests under -race, the parallel-sweep
-# determinism proof under -race, the durability (checkpoint/resume/retry)
-# suite under -race, the oracle/policy-zoo differential suite under -race,
-# the sweep-service suite under -race, the service chaos harness (seeded
-# disk faults + kill/restart) under -race, the distributed-fabric chaos
-# suite (peer SIGKILL, network faults, coordinator kill+resume, steal races)
-# under -race, the fleet population engine (generator determinism,
-# feasibility pre-pass, multi-mode byte identity, kill+resume) under -race,
-# and the benchmark's own tests, which check its output against committed
-# digests.
+# the policy-registry wire form, the result codec, the sweep-result
+# envelope codec, and the fabric shard-plan ledger, the kernel stress
+# tests under -race, the parallel-sweep determinism proof under -race, the
+# durability (checkpoint/resume/retry) suite under -race, the
+# oracle/policy-zoo differential suite under -race, the sweep-service
+# suite under -race, the service chaos harness (seeded disk faults +
+# kill/restart) under -race, the distributed-fabric chaos suite (peer
+# SIGKILL, network faults, coordinator kill+resume, steal races) under
+# -race, the fleet population engine (generator determinism, feasibility
+# pre-pass, multi-mode byte identity, kill+resume) under -race, and the
+# benchmark's own tests, which check its output against committed digests.
 
 GO ?= go
 
@@ -36,6 +36,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzTokenFileParse -fuzztime=10s ./internal/service/
 	$(GO) test -run=^$$ -fuzz=FuzzParamsDecode -fuzztime=10s .
 	$(GO) test -run=^$$ -fuzz=FuzzResultCodec -fuzztime=10s .
+	$(GO) test -run=^$$ -fuzz=FuzzSweepResultCodec -fuzztime=10s .
 	$(GO) test -run=^$$ -fuzz=FuzzShardPlanDecode -fuzztime=10s ./internal/fabric/
 	$(GO) test -run=^$$ -fuzz=FuzzFleetSpecDecode -fuzztime=10s ./internal/fleet/
 	$(GO) test -run=^$$ -fuzz=FuzzRecorderStream -fuzztime=10s ./internal/daq/

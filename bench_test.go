@@ -373,3 +373,50 @@ func BenchmarkDecodeResult(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEncodeSweepResult measures the canonical envelope of a 100-cell
+// Table 2 result, as a sweepd job's stored result and a fabric shard each
+// pay.
+func BenchmarkEncodeSweepResult(b *testing.B) {
+	res := table2Result(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := EncodeSweepResult(res); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodeSweepResult measures the reverse, as a fabric
+// coordinator's shard verification and a sweepd client each pay.
+func BenchmarkDecodeSweepResult(b *testing.B) {
+	enc, err := EncodeSweepResult(table2Result(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeSweepResult(enc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPolicyRefGob measures one registry reference's gob round trip,
+// which every cell of an envelope pays inside its spec.
+func BenchmarkPolicyRefGob(b *testing.B) {
+	ref := PolicyRef{Name: "constant", Params: map[string]float64{"mhz": 132.7, "low_voltage": 1}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		enc, err := ref.GobEncode()
+		if err != nil {
+			b.Fatal(err)
+		}
+		var back PolicyRef
+		if err := back.GobDecode(enc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

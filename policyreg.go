@@ -1,8 +1,6 @@
 package clocksched
 
 import (
-	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -316,17 +314,13 @@ func (r PolicyRef) GobEncode() ([]byte, error) {
 	for i, k := range w.Keys {
 		w.Vals[i] = r.Params[k]
 	}
-	var b bytes.Buffer
-	if err := gob.NewEncoder(&b).Encode(w); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
+	return refCodec.encode(&w)
 }
 
 // GobDecode reverses GobEncode.
 func (r *PolicyRef) GobDecode(data []byte) error {
 	var w policyRefWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
+	if err := refCodec.decode(data, &w); err != nil {
 		return err
 	}
 	if len(w.Keys) != len(w.Vals) {

@@ -105,8 +105,8 @@ func FuzzResultCodec(f *testing.F) {
 	})
 }
 
-// TestResultCodecConcurrent shares the codec's pools between goroutines;
-// run it under -race.
+// TestResultCodecConcurrent shares the codecs' pools, the Result's and the
+// sweep envelope's, between goroutines; run it under -race.
 func TestResultCodecConcurrent(t *testing.T) {
 	base := codecSample(t)
 	var wg sync.WaitGroup
@@ -141,6 +141,28 @@ func TestResultCodecConcurrent(t *testing.T) {
 				}
 				if fresh, err := freshEncode(&w); err != nil || !bytes.Equal(pooled, fresh) {
 					t.Errorf("goroutine %d: pooled encode differs from a fresh encoder's", g)
+					return
+				}
+				if i%5 != 0 {
+					continue
+				}
+				sr := envelopeSample(g+i/5, 1, 2, 3, byte(g), byte(i), r.EnergyJoules, "failed")
+				env, err := EncodeSweepResult(sr)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if want, err := plainEncodeSweepResult(sr); err != nil || !bytes.Equal(env, want) {
+					t.Errorf("goroutine %d: EncodeSweepResult differs from a fresh encoder's", g)
+					return
+				}
+				srBack, err := DecodeSweepResult(env)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if again, err := EncodeSweepResult(srBack); err != nil || !bytes.Equal(again, env) {
+					t.Errorf("goroutine %d: sweep envelope round trip is not canonical (err %v)", g, err)
 					return
 				}
 			}
@@ -183,68 +205,134 @@ func TestResultCodecAllocs(t *testing.T) {
 // id the process gave it.
 type codecProbe struct{ N int }
 
+// typeIDSample is the sweep result the type-id subprocess tests encode:
+// cells with Results, with errors, and with registry references.
+func typeIDSample() *SweepResult { return envelopeSample(6, 1, 2, 3, 0x24, 1, 1.5, "failed") }
+
 // TestResultCodecTypeIDsChild is the subprocess half of
-// TestResultCodecDecodeFirstKeepsTypeIDs: it optionally decodes a Result
-// first, then prints the gob bytes of a probe value and of a Result. It
-// skips unless the parent set the environment variable.
+// TestResultCodecDecodeFirstKeepsTypeIDs. Its first gob action is the one
+// CLOCKSCHED_CODEC_CHILD names, on the input CLOCKSCHED_CODEC_CHILD_INPUT
+// holds; then it prints the gob bytes of a probe value, a sweep result, a
+// Result and a policy reference. With CLOCKSCHED_CODEC_CHILD_PLAIN set it
+// leaves every pooled codec cold and encodes and decodes sweep results
+// with the plain reference code, as the package did before its codecs
+// were pooled. It skips unless the parent set the environment.
 func TestResultCodecTypeIDsChild(t *testing.T) {
-	first, ok := os.LookupEnv("CLOCKSCHED_CODEC_CHILD_DECODE")
+	first, ok := os.LookupEnv("CLOCKSCHED_CODEC_CHILD")
 	if !ok {
 		t.Skip("subprocess helper; run via TestResultCodecDecodeFirstKeepsTypeIDs")
 	}
-	if first != "" {
-		b, err := hex.DecodeString(first)
-		if err != nil {
-			t.Fatal(err)
+	encodeSweep, decodeSweep := EncodeSweepResult, DecodeSweepResult
+	if os.Getenv("CLOCKSCHED_CODEC_CHILD_PLAIN") != "" {
+		for _, o := range []*sync.Once{&codec.once, &refCodec.once, &cellCodec.once, &envCodec.once} {
+			o.Do(func() {})
 		}
-		if _, err := decodeResult(b); err != nil {
-			t.Fatal(err)
-		}
+		encodeSweep, decodeSweep = plainEncodeSweepResult, plainDecodeSweepResult
 	}
-	var probe bytes.Buffer
-	if err := gob.NewEncoder(&probe).Encode(codecProbe{N: 7}); err != nil {
-		t.Fatal(err)
-	}
-	res, err := encodeResult(&Result{EnergyJoules: 1.5, TimeAtMHz: map[float64]time.Duration{59: time.Second}})
+	in, err := hex.DecodeString(os.Getenv("CLOCKSCHED_CODEC_CHILD_INPUT"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fmt.Printf("probe %x\nresult %x\n", probe.Bytes(), res)
+	var out []string
+	emit := func(name string, b []byte, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, fmt.Sprintf("%s %x", name, b))
+	}
+	switch first {
+	case "none":
+	case "decode-result":
+		_, err = decodeResult(in)
+	case "decode-sweep":
+		_, err = decodeSweep(in)
+	case "decode-ref":
+		err = new(PolicyRef).GobDecode(in)
+	case "encode-errors", "encode-errors-flat":
+		r := typeIDSample()
+		for i := range r.Cells {
+			r.Cells[i].Result, r.Cells[i].Err = nil, fmt.Errorf("cell %d failed", i)
+			if first == "encode-errors-flat" {
+				r.Cells[i].Config.Policy.Ref = nil
+			}
+		}
+		b, err := encodeSweep(r)
+		emit("errors", b, err)
+	default:
+		t.Fatalf("unknown first action %q", first)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var probe bytes.Buffer
+	emit("probe", probe.Bytes(), gob.NewEncoder(&probe).Encode(codecProbe{N: 7}))
+	sweep, err := encodeSweep(typeIDSample())
+	emit("sweep", sweep, err)
+	res, err := encodeResult(&Result{EnergyJoules: 1.5, TimeAtMHz: map[float64]time.Duration{59: time.Second}})
+	emit("result", res, err)
+	ref, err := PolicyRef{Name: "constant", Params: map[string]float64{"mhz": 59}}.GobEncode()
+	emit("ref", ref, err)
+	again, err := encodeSweep(typeIDSample())
+	emit("sweep", again, err)
+	fmt.Printf("codec-child-output\n%s\ncodec-child-end\n", strings.Join(out, "\n"))
 }
 
-// TestResultCodecDecodeFirstKeepsTypeIDs runs a process whose first gob
-// action is decoding a Result — a fabric coordinator verifying a shard, a
-// daemon serving a disk-cache hit — beside one that decodes nothing. gob
-// numbers types as a process first encodes them, so if the decode had
-// registered resultWire's types, every type encoded later would carry a
+// TestResultCodecDecodeFirstKeepsTypeIDs runs child processes whose first
+// gob action is decoding a Result, a sweep result or a policy reference (a
+// fabric coordinator verifying a shard, a daemon serving a disk-cache hit),
+// or encoding a sweep result whose cells all failed (so no Result is
+// encoded before the envelope), with and without registry references, and
+// compares each with a sibling that
+// takes the same first action on plain gob. gob numbers types as a process
+// first encodes them, so if a pooled codec registered a type sooner or
+// later than plain gob does, every type encoded after it would carry a
 // different id and different bytes.
 func TestResultCodecDecodeFirstKeepsTypeIDs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test")
 	}
-	b, err := encodeResult(codecSample(t))
+	result, err := encodeResult(codecSample(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(decodeFirst string) string {
+	sweep, err := EncodeSweepResult(typeIDSample())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := PolicyRef{Name: "past-peg-peg", Params: map[string]float64{"lo_percent": 90, "voltage_scale": 1}}.GobEncode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(first string, input []byte, plain bool) string {
 		child := exec.Command(os.Args[0], "-test.run=^TestResultCodecTypeIDsChild$", "-test.v")
-		child.Env = append(os.Environ(), "CLOCKSCHED_CODEC_CHILD_DECODE="+decodeFirst)
+		child.Env = append(os.Environ(), "CLOCKSCHED_CODEC_CHILD="+first, "CLOCKSCHED_CODEC_CHILD_INPUT="+hex.EncodeToString(input))
+		if plain {
+			child.Env = append(child.Env, "CLOCKSCHED_CODEC_CHILD_PLAIN=1")
+		}
 		out, err := child.CombinedOutput()
 		if err != nil {
-			t.Fatalf("child: %v\n%s", err, out)
+			t.Fatalf("child %s (plain %v): %v\n%s", first, plain, err, out)
 		}
-		var lines []string
-		for _, l := range strings.Split(string(out), "\n") {
-			if strings.HasPrefix(l, "probe ") || strings.HasPrefix(l, "result ") {
-				lines = append(lines, l)
-			}
+		_, body, ok := strings.Cut(string(out), "codec-child-output\n")
+		body, _, end := strings.Cut(body, "\ncodec-child-end")
+		if !ok || !end {
+			t.Fatalf("child %s (plain %v) printed no output:\n%s", first, plain, out)
 		}
-		if len(lines) != 2 {
-			t.Fatalf("child printed no probe and result:\n%s", out)
-		}
-		return strings.Join(lines, "\n")
+		return body
 	}
-	if plain, decodeFirst := run(""), run(hex.EncodeToString(b)); plain != decodeFirst {
-		t.Errorf("decoding a Result first changed gob's type ids:\nencode only:\n%s\ndecode first:\n%s", plain, decodeFirst)
+	for _, c := range []struct {
+		first string
+		input []byte
+	}{
+		{"none", nil},
+		{"decode-result", result},
+		{"decode-sweep", sweep},
+		{"decode-ref", ref},
+		{"encode-errors", nil},
+		{"encode-errors-flat", nil},
+	} {
+		if pooled, plain := run(c.first, c.input, false), run(c.first, c.input, true); pooled != plain {
+			t.Errorf("first action %s: pooled codecs gave gob types other ids than plain gob:\npooled:\n%s\nplain:\n%s", c.first, pooled, plain)
+		}
 	}
 }

@@ -3,14 +3,13 @@ package clocksched
 // The sweep wire formats: a JSON job specification (SweepSpec) that lets a
 // sweep cross a process boundary — a client submits the spec, the sweep
 // daemon reconstructs and runs it — and a canonical binary envelope for a
-// completed SweepResult. Both carry sim.Version, so a spec or result
-// produced against one behavioural revision of the simulator can never be
-// silently mixed with another: the daemon rejects mismatched specs, and
-// cached or journaled results are already keyed on the version.
+// completed SweepResult (sweepenvelope.go). Both carry sim.Version, so a
+// spec or result produced against one behavioural revision of the
+// simulator can never be silently mixed with another: the daemon rejects
+// mismatched specs, and cached or journaled results are already keyed on
+// the version.
 
 import (
-	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -204,87 +203,4 @@ func (s SweepSpec) Config() (SweepConfig, error) {
 		cfg.Cells = append(cfg.Cells, cs.config())
 	}
 	return cfg, nil
-}
-
-// sweepCellEnvelope is one cell of the canonical SweepResult wire form:
-// the resolved cell spec plus either the cell's canonically encoded Result
-// or its error text.
-type sweepCellEnvelope struct {
-	Spec   CellSpec
-	Result []byte
-	Error  string
-}
-
-// sweepResultEnvelope is the canonical serialization of a whole
-// SweepResult. It covers the measurement content only — grid shape, each
-// cell's resolved configuration, result bytes, and error — and excludes
-// runtime provenance (cache/replay flags, attempt counts, pool
-// telemetry), so a resumed, cached, or remotely executed sweep of a spec
-// encodes byte-identically to an uninterrupted local run of the same
-// spec.
-type sweepResultEnvelope struct {
-	SimVersion string
-	NW, NP, NS int
-	Cells      []sweepCellEnvelope
-}
-
-// EncodeSweepResult serializes the sweep result canonically: equal
-// measurement content produces equal bytes, whatever mix of fresh runs,
-// cache hits, and journal replays produced it. The sweep service stores
-// and serves these bytes; DecodeSweepResult reverses them.
-func EncodeSweepResult(r *SweepResult) ([]byte, error) {
-	env := sweepResultEnvelope{
-		SimVersion: sim.Version,
-		NW:         r.nw, NP: r.np, NS: r.ns,
-		Cells: make([]sweepCellEnvelope, len(r.Cells)),
-	}
-	for i, c := range r.Cells {
-		ce := sweepCellEnvelope{Spec: newCellSpec(c.Config)}
-		switch {
-		case c.Err != nil:
-			ce.Error = c.Err.Error()
-		case c.Result != nil:
-			enc, err := encodeResult(c.Result)
-			if err != nil {
-				return nil, fmt.Errorf("clocksched: encoding cell %d: %w", i, err)
-			}
-			ce.Result = enc
-		}
-		env.Cells[i] = ce
-	}
-	var b bytes.Buffer
-	if err := gob.NewEncoder(&b).Encode(env); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
-}
-
-// DecodeSweepResult reverses EncodeSweepResult. Cell errors come back as
-// plain errors carrying the original text (their concrete types do not
-// cross the wire), and runtime provenance — Cached/Replayed/Attempts and
-// the pool telemetry — is zero, because the envelope never carried it.
-func DecodeSweepResult(b []byte) (*SweepResult, error) {
-	var env sweepResultEnvelope
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&env); err != nil {
-		return nil, fmt.Errorf("clocksched: decoding sweep result: %w", err)
-	}
-	r := &SweepResult{
-		Cells: make([]SweepCell, len(env.Cells)),
-		nw:    env.NW, np: env.NP, ns: env.NS,
-	}
-	for i, ce := range env.Cells {
-		cell := SweepCell{Config: ce.Spec.config()}
-		switch {
-		case ce.Error != "":
-			cell.Err = errors.New(ce.Error)
-		case ce.Result != nil:
-			res, err := decodeResult(ce.Result)
-			if err != nil {
-				return nil, fmt.Errorf("clocksched: decoding cell %d: %w", i, err)
-			}
-			cell.Result = res
-		}
-		r.Cells[i] = cell
-	}
-	return r, nil
 }

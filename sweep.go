@@ -573,6 +573,13 @@ type resultWire struct {
 // encodeResult serializes a Result canonically: equal Results produce
 // equal bytes.
 func encodeResult(r *Result) ([]byte, error) {
+	w := newResultWire(r)
+	return codec.encode(&w)
+}
+
+// newResultWire projects r onto its wire form, residency sorted by
+// frequency.
+func newResultWire(r *Result) resultWire {
 	w := resultWire{
 		EnergyJoules:    r.EnergyJoules,
 		AvgPowerWatts:   r.AvgPowerWatts,
@@ -596,7 +603,7 @@ func encodeResult(r *Result) ([]byte, error) {
 		w.Residency = append(w.Residency, residencyWire{MHz: mhz, D: d})
 	}
 	slices.SortFunc(w.Residency, func(a, b residencyWire) int { return cmp.Compare(a.MHz, b.MHz) })
-	return codec.encode(&w)
+	return w
 }
 
 // decodeResult reverses encodeResult.
