@@ -2,8 +2,9 @@
 # vetting, the complete test suite under the race detector, short fuzz
 # smokes of the trace parser, the journal replayer, the job-spec decoder,
 # the policy-registry wire form, the result codec, the sweep-result
-# envelope codec, and the fabric shard-plan ledger, the kernel stress
-# tests under -race, the parallel-sweep determinism proof under -race, the
+# envelope codec, the fabric shard-plan ledger, and the cache-key hasher
+# against its fmt reference, the kernel stress tests under -race, the
+# parallel-sweep determinism proof under -race, the
 # durability (checkpoint/resume/retry) suite under -race, the
 # oracle/policy-zoo differential suite under -race, the sweep-service
 # suite under -race, the service chaos harness (seeded disk faults +
@@ -40,6 +41,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzShardPlanDecode -fuzztime=10s ./internal/fabric/
 	$(GO) test -run=^$$ -fuzz=FuzzFleetSpecDecode -fuzztime=10s ./internal/fleet/
 	$(GO) test -run=^$$ -fuzz=FuzzRecorderStream -fuzztime=10s ./internal/daq/
+	$(GO) test -run=^$$ -fuzz=FuzzHasherField -fuzztime=10s ./internal/sim/
 
 stress:
 	$(GO) test -race -run 'Chaos|SpawnMidRun' -v ./internal/kernel/

@@ -91,3 +91,36 @@ func TestEncodeSweepResultAllocBytes(t *testing.T) {
 		t.Errorf("EncodeSweepResult allocates %d B per cell, want at most %d", perCell, limit)
 	}
 }
+
+// TestEventDrivenCellAllocBytes guards an event-driven cell's set-up cost:
+// a 2 s Web session under OA through RunContext must allocate at most
+// 16 KiB. The session fires a handful of the 190 s trace's events, so
+// replay must schedule the trace lazily; building a closure and an engine
+// node for every event up front, re-growing the zoo's job queue after
+// each retire and hashing the cache key through fmt cost about 37 KiB.
+func TestEventDrivenCellAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments allocations")
+	}
+	const runs, limit = 8, 16 << 10
+	p, err := NewPolicy("oa", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Workload: Web, Policy: p, Seed: 7, Duration: 2 * time.Second}
+	run := func() {
+		if _, err := RunContext(context.Background(), cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm up lazily built tables
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	if perCell := (after.TotalAlloc - before.TotalAlloc) / runs; perCell > limit {
+		t.Errorf("a 2 s Web cell under OA allocates %d B, want at most %d", perCell, limit)
+	}
+}

@@ -420,3 +420,24 @@ func BenchmarkPolicyRefGob(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEventDrivenCell measures one fleet-sized cell of an interactive
+// workload: a 2 s Web session cut from the 190 s trace, under the OA and
+// BKP zoo policies and the paper's PAST peg-peg.
+func BenchmarkEventDrivenCell(b *testing.B) {
+	for _, name := range []string{"oa", "bkp", "past-peg-peg"} {
+		b.Run(name, func(b *testing.B) {
+			p, err := NewPolicy(name, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := Config{Workload: Web, Policy: p, Seed: 7, Duration: 2 * time.Second}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := RunContext(context.Background(), cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

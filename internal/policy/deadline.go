@@ -91,17 +91,23 @@ func (d *DeadlineScheduler) Pending() int { return len(d.jobs) }
 
 // retire deducts an estimate of the cycles executed during the last quantum
 // from the earliest-due jobs: busy time × the clock rate that was in
-// effect.
+// effect. The drained prefix is compacted away in place: re-slicing past
+// it would shed capacity from the front and make every later Submit
+// reallocate the queue.
 func (d *DeadlineScheduler) retire(utilPP10K int, s cpu.Step) {
 	busyMicros := int64(utilPP10K) * int64(d.Quantum) / FullUtil
 	cycles := busyMicros * s.KHz() / 1000
-	for len(d.jobs) > 0 && cycles > 0 {
-		if d.jobs[0].Cycles > cycles {
-			d.jobs[0].Cycles -= cycles
-			return
+	done := 0
+	for done < len(d.jobs) && cycles > 0 {
+		if d.jobs[done].Cycles > cycles {
+			d.jobs[done].Cycles -= cycles
+			break
 		}
-		cycles -= d.jobs[0].Cycles
-		d.jobs = d.jobs[1:]
+		cycles -= d.jobs[done].Cycles
+		done++
+	}
+	if done > 0 {
+		d.jobs = d.jobs[:copy(d.jobs, d.jobs[done:])]
 	}
 }
 

@@ -114,7 +114,7 @@ func (z *ZooScheduler) Submit(cycles int64, due sim.Time) int {
 			}
 		}
 		z.jobs = kept
-		z.history = nil
+		z.history = z.history[:0]
 	}
 	z.nextID++
 	if cycles <= 0 {
@@ -136,17 +136,22 @@ func (z *ZooScheduler) Complete(id int) {
 }
 
 // retire deducts the cycles executed during the last quantum from the
-// earliest-due jobs, exactly as DeadlineScheduler does.
+// earliest-due jobs, exactly as DeadlineScheduler does, and compacts the
+// drained prefix away in place so the queue keeps its capacity.
 func (z *ZooScheduler) retire(utilPP10K int, s cpu.Step) {
 	busyMicros := int64(utilPP10K) * int64(z.Quantum) / FullUtil
 	cycles := busyMicros * s.KHz() / 1000
-	for len(z.jobs) > 0 && cycles > 0 {
-		if z.jobs[0].cycles > cycles {
-			z.jobs[0].cycles -= cycles
-			return
+	done := 0
+	for done < len(z.jobs) && cycles > 0 {
+		if z.jobs[done].cycles > cycles {
+			z.jobs[done].cycles -= cycles
+			break
 		}
-		cycles -= z.jobs[0].cycles
-		z.jobs = z.jobs[1:]
+		cycles -= z.jobs[done].cycles
+		done++
+	}
+	if done > 0 {
+		z.jobs = z.jobs[:copy(z.jobs, z.jobs[done:])]
 	}
 }
 
@@ -231,7 +236,7 @@ func (z *ZooScheduler) requiredKHz(now sim.Time) int64 {
 			}
 		}
 		if len(z.jobs) == 0 {
-			z.history = nil
+			z.history = z.history[:0]
 			return 0
 		}
 		keepFrom := now - sim.Time(int64(math.Ceil((math.E-1)*float64(int64(maxDue-now)))))

@@ -130,6 +130,11 @@ type Engine struct {
 	halted bool
 	err    error
 
+	// reserved holds the sequence-number ranges handed out by Reserve;
+	// held counts the seqs in them not yet scheduled by AtReserved.
+	reserved []reservation
+	held     int
+
 	// MaxEvents, when non-zero, bounds how many events a run may fire.
 	// Exceeding it records an ErrEventCap failure and halts the run: a
 	// runaway schedule (an event loop re-arming itself at the same
@@ -163,8 +168,9 @@ func (e *Engine) Now() Time { return e.now }
 // tests and for diagnosing runaway schedules.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending reports the number of events still queued.
-func (e *Engine) Pending() int { return len(e.queue) }
+// Pending reports the number of events still queued, counting each
+// sequence number held by Reserve as the event it stands for.
+func (e *Engine) Pending() int { return len(e.queue) + e.held }
 
 // recycle returns a fired or cancelled node to the free list for the next
 // At. The generation bump invalidates every Handle still pointing at it.
@@ -177,25 +183,97 @@ func (e *Engine) recycle(s *scheduled) {
 // At schedules fn to fire at absolute time t. Scheduling at the current time
 // is allowed — the event fires before time advances further.
 func (e *Engine) At(t Time, fn Event) (Handle, error) {
+	if err := e.checkEvent(t, fn); err != nil {
+		return Handle{}, err
+	}
+	h := e.schedule(t, e.seq, fn)
+	e.seq++
+	return h, nil
+}
+
+// ErrNotReserved is returned by AtReserved for a sequence number that
+// Reserve did not hand out, or that an earlier AtReserved already used.
+var ErrNotReserved = errors.New("sim: sequence number not reserved")
+
+// reservation is one block of sequence numbers handed out by Reserve;
+// bit i of used is set once base+i has been scheduled.
+type reservation struct {
+	base, n uint64
+	used    []uint64
+}
+
+// Reserve sets aside n consecutive sequence numbers, exactly those the
+// next n calls to At would have taken, and returns the first. An event
+// later scheduled with AtReserved(t, base+i, fn) orders against every
+// other event as if At(t, fn) had been called now: it ties at its instant
+// in the order it was reserved, not the order it was scheduled. This lets
+// a caller with a long, time-ordered list of future events (a replayed
+// input trace) schedule each one only when its predecessor fires, while
+// the run fires in exactly the order of scheduling them all up front.
+// Held numbers count in Pending.
+func (e *Engine) Reserve(n int) (base uint64) {
+	base = e.seq
+	if n <= 0 {
+		return base
+	}
+	e.seq += uint64(n)
+	e.reserved = append(e.reserved, reservation{
+		base: base, n: uint64(n), used: make([]uint64, (n+63)/64),
+	})
+	e.held += n
+	e.telDepth.Set(float64(e.Pending()))
+	return base
+}
+
+// AtReserved schedules fn at absolute time t under a sequence number held
+// by Reserve. It rejects a past t, a nil fn, and a seq that was never
+// reserved or has already been used.
+func (e *Engine) AtReserved(t Time, seq uint64, fn Event) (Handle, error) {
+	if err := e.checkEvent(t, fn); err != nil {
+		return Handle{}, err
+	}
+	for i := range e.reserved {
+		r := &e.reserved[i]
+		if seq < r.base || seq-r.base >= r.n {
+			continue
+		}
+		off := seq - r.base
+		word, bit := off/64, uint64(1)<<(off%64)
+		if r.used[word]&bit != 0 {
+			break
+		}
+		r.used[word] |= bit
+		e.held--
+		return e.schedule(t, seq, fn), nil
+	}
+	return Handle{}, fmt.Errorf("%w: %d", ErrNotReserved, seq)
+}
+
+// checkEvent validates a time and callback for At and AtReserved.
+func (e *Engine) checkEvent(t Time, fn Event) error {
 	if t < e.now {
-		return Handle{}, fmt.Errorf("%w: at %v, now %v", ErrPast, t, e.now)
+		return fmt.Errorf("%w: at %v, now %v", ErrPast, t, e.now)
 	}
 	if fn == nil {
-		return Handle{}, errors.New("sim: nil event")
+		return errors.New("sim: nil event")
 	}
+	return nil
+}
+
+// schedule queues fn at (t, seq) on a recycled node when one is free.
+func (e *Engine) schedule(t Time, seq uint64, fn Event) Handle {
 	var s *scheduled
 	if n := len(e.free); n > 0 {
 		s = e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
-		s.at, s.seq, s.fn = t, e.seq, fn
+		s.at, s.seq, s.fn = t, seq, fn
 	} else {
-		s = &scheduled{at: t, seq: e.seq, fn: fn}
+		s = &scheduled{at: t, seq: seq, fn: fn}
 	}
-	e.seq++
 	e.queue.push(s)
-	e.telDepth.Set(float64(len(e.queue)))
-	return Handle{e: s, gen: s.gen}, nil
+	e.telDepth.Set(float64(e.Pending()))
+	return Handle{e: s, gen: s.gen}
 }
 
 // After schedules fn to fire d microseconds from now. A non-positive delay
@@ -216,7 +294,7 @@ func (e *Engine) Cancel(h Handle) bool {
 	}
 	e.queue.remove(s.index)
 	e.recycle(s)
-	e.telDepth.Set(float64(len(e.queue)))
+	e.telDepth.Set(float64(e.Pending()))
 	return true
 }
 
@@ -249,14 +327,14 @@ func (e *Engine) Step() bool {
 	}
 	if e.MaxEvents > 0 && e.fired >= e.MaxEvents {
 		e.Fail(fmt.Errorf("%w: %d events fired by %v with %d still pending",
-			ErrEventCap, e.fired, e.now, len(e.queue)))
+			ErrEventCap, e.fired, e.now, e.Pending()))
 		return false
 	}
 	s := e.queue.popMin()
 	e.now = s.at
 	e.fired++
 	e.telFired.Inc()
-	e.telDepth.Set(float64(len(e.queue)))
+	e.telDepth.Set(float64(e.Pending()))
 	fn := s.fn
 	// Recycle before firing: fn may schedule new events, and the bumped
 	// generation already protects the node from the firing event's own

@@ -4,7 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"strings"
+	"hash"
+	"strconv"
 )
 
 // Version identifies the behavioural revision of the simulation module: the
@@ -33,8 +34,13 @@ const Version = "clocksched-sim/4"
 // encoding and digests them into a content-addressed cache key. Two specs
 // hash equal exactly when every field was written with the same name and
 // value in the same order, so a key is stable across processes and runs.
+//
+// The encoding is the concatenation of fmt.Sprintf("%s=%v;", name, value)
+// over the fields, streamed into one SHA-256 digest through a fixed
+// scratch array rather than built up as a string first.
 type Hasher struct {
-	b strings.Builder
+	d       hash.Hash
+	scratch [256]byte // fits a policy or fault-plan rendering
 }
 
 // NewHasher starts a key for the given domain (e.g. "clocksched.Config"),
@@ -47,7 +53,7 @@ func NewHasher(domain string) *Hasher {
 // so cache-invalidation tests can prove that a version bump changes every
 // key; production callers use NewHasher.
 func NewHasherAt(domain, version string) *Hasher {
-	h := &Hasher{}
+	h := &Hasher{d: sha256.New()}
 	h.Field("domain", domain)
 	h.Field("version", version)
 	return h
@@ -58,12 +64,31 @@ func NewHasherAt(domain, version string) *Hasher {
 // pointers and maps have no canonical %v rendering and must be flattened by
 // the caller before hashing.
 func (h *Hasher) Field(name string, v any) *Hasher {
-	fmt.Fprintf(&h.b, "%s=%v;", name, v)
+	b := append(h.scratch[:0], name...)
+	b = append(b, '=')
+	// Exact built-in types render as %v does without fmt's reflection;
+	// everything else, named types and Stringers included, still goes
+	// through fmt.
+	switch x := v.(type) {
+	case string:
+		b = append(b, x...)
+	case int64:
+		b = strconv.AppendInt(b, x, 10)
+	case uint64:
+		b = strconv.AppendUint(b, x, 10)
+	case int:
+		b = strconv.AppendInt(b, int64(x), 10)
+	case bool:
+		b = strconv.AppendBool(b, x)
+	default:
+		b = fmt.Append(b, v)
+	}
+	b = append(b, ';')
+	h.d.Write(b) // a hash.Hash's Write never fails
 	return h
 }
 
 // Sum returns the hex SHA-256 digest of everything written so far.
 func (h *Hasher) Sum() string {
-	sum := sha256.Sum256([]byte(h.b.String()))
-	return hex.EncodeToString(sum[:])
+	return hex.EncodeToString(h.d.Sum(h.scratch[:0]))
 }

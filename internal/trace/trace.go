@@ -88,6 +88,13 @@ type Recorder struct {
 // NewRecorder starts recording a session under the given name.
 func NewRecorder(name string) *Recorder { return &Recorder{name: name} }
 
+// NewRecorderCap starts recording a session that is expected to hold at
+// most n events; the trace then grows in one allocation, not by doubling.
+// More than n events is still legal.
+func NewRecorderCap(name string, n int) *Recorder {
+	return &Recorder{name: name, events: make([]Event, 0, n)}
+}
+
 // Add records one event. Events may arrive out of order (from multiple
 // sources); Finish sorts them.
 func (r *Recorder) Add(at sim.Time, kind string, arg int64) {

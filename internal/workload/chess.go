@@ -27,12 +27,17 @@ var chessBoardBurst = cpu.Burst{Core: 5_000_000, Mem: 150_000, Cache: 40_000}
 // Opening-book replies are near-instant lookups.
 const chessBookTime = 120 * sim.Millisecond
 
+// chessTraceMaxEvents bounds DefaultChessTrace's event count: eight book
+// moves (gaps ≥ 2 s, so the ninth comes no earlier than 18 s), then at
+// most 39 moves before 210 s with gaps ≥ 5 s.
+const chessTraceMaxEvents = 8 + 39
+
 // DefaultChessTrace generates the deterministic game: "usermove" events
 // whose Arg is the move number. Early moves come quickly (both sides in
 // book); later ones follow long novice think times.
 func DefaultChessTrace(seed uint64) *trace.Trace {
 	rng := sim.NewRNG(seed)
-	rec := trace.NewRecorder("chess")
+	rec := trace.NewRecorderCap("chess", chessTraceMaxEvents)
 	now := 2 * sim.Second
 	move := int64(1)
 	for now < 210*sim.Second {

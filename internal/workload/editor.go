@@ -50,12 +50,16 @@ const soundDriverPeriod = 100 * sim.Millisecond
 
 const editorUIDeadline = 500 * sim.Millisecond
 
+// editorTraceEvents is DefaultEditorTrace's event count: six dialogue
+// taps and a file open, then four taps and a second open.
+const editorTraceEvents = 6 + 1 + 4 + 1
+
 // DefaultEditorTrace generates the deterministic 70 s session. Kinds:
 // "ui" (dialogue interaction, arg = weight in tenths) and "openfile"
 // (arg = file length in seconds of speech).
 func DefaultEditorTrace(seed uint64) *trace.Trace {
 	rng := sim.NewRNG(seed)
-	rec := trace.NewRecorder("talking-editor")
+	rec := trace.NewRecorderCap("talking-editor", editorTraceEvents)
 	// Phase 1: navigate the file dialogue to the short text file.
 	now := sim.Time(1 * sim.Second)
 	for i := 0; i < 6; i++ {

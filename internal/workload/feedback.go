@@ -102,12 +102,16 @@ var disturbanceBurst = cpu.Burst{Core: 2_500_000, Mem: 60_000, Cache: 16_000}
 // disturbanceDeadline is how promptly a disturbance must be absorbed.
 const disturbanceDeadline = 150 * sim.Millisecond
 
+// feedbackTraceMaxEvents bounds DefaultFeedbackTrace's event count: spikes
+// from 2 s to before 48 s, at least 3 s apart.
+const feedbackTraceMaxEvents = 16
+
 // DefaultFeedbackTrace generates the deterministic disturbance schedule:
 // "spike" events (arg = magnitude in tenths of disturbanceBurst) every few
 // seconds across a 50 s session.
 func DefaultFeedbackTrace(seed uint64) *trace.Trace {
 	rng := sim.NewRNG(seed)
-	rec := trace.NewRecorder("feedback")
+	rec := trace.NewRecorderCap("feedback", feedbackTraceMaxEvents)
 	now := 2 * sim.Second
 	for now < 48*sim.Second {
 		rec.Add(now, "spike", 5+rng.Int63n(11))

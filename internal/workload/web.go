@@ -34,13 +34,18 @@ const (
 	webScrollDeadline = 250 * sim.Millisecond
 )
 
+// webTraceMaxEvents bounds DefaultWebTrace's event count: the opening
+// page, at most 34 article scrolls (0.5 s to 85 s, each gap ≥ 2.5 s), back
+// and open, then at most 49 report scrolls (88.5 s to 185 s, gaps ≥ 2 s).
+const webTraceMaxEvents = 1 + 34 + 2 + 49
+
 // DefaultWebTrace generates the deterministic 190 s browsing session.
 // Event kinds: "open" (arg = page weight in tenths, 10 = the news article,
 // 15 = the table-heavy TN-56), "scroll" (arg = distance weight in tenths),
 // "back".
 func DefaultWebTrace(seed uint64) *trace.Trace {
 	rng := sim.NewRNG(seed)
-	rec := trace.NewRecorder("web")
+	rec := trace.NewRecorderCap("web", webTraceMaxEvents)
 	now := 500 * sim.Millisecond
 	rec.Add(now, "open", 10) // the www.news.com article about the Itsy
 

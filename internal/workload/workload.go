@@ -103,21 +103,57 @@ func (p *eventDriven) deliver(k *kernel.Kernel, proc *kernel.Process, e trace.Ev
 	k.Wake(proc)
 }
 
-// installTrace schedules every event of tr to be delivered to p at its
+// installTrace arranges for every event of tr to be delivered to p at its
 // recorded time, reproducing the paper's millisecond-accurate replay.
+//
+// Replay is lazy: a 2 s session cut from a 190 s trace fires a handful of
+// its events, so only event 0 is scheduled up front and each event
+// schedules its successor as it fires. The successor takes a sequence
+// number reserved at install time, so it ties against other events at its
+// instant exactly as it would have had the whole trace been scheduled
+// here, and the engine's Pending count includes the events not yet
+// scheduled. Events are read from tr as they fire, so tr must not change
+// once installed.
 func installTrace(k *kernel.Kernel, p *eventDriven, proc *kernel.Process, tr *trace.Trace) error {
 	if err := tr.Validate(); err != nil {
 		return err
 	}
-	for _, e := range tr.Events {
-		e := e
-		if _, err := k.Engine().At(e.At, func(sim.Time) {
-			p.deliver(k, proc, e)
-		}); err != nil {
-			return err
+	if len(tr.Events) == 0 {
+		return nil
+	}
+	eng := k.Engine()
+	r := &replay{k: k, p: p, proc: proc, events: tr.Events, base: eng.Reserve(len(tr.Events))}
+	r.fire = r.step
+	_, err := eng.AtReserved(tr.Events[0].At, r.base, r.fire)
+	return err
+}
+
+// replay is the cursor of one lazily scheduled trace: next is the index of
+// the event whose delivery is queued, fire the prebound closure that
+// delivers it.
+type replay struct {
+	k      *kernel.Kernel
+	p      *eventDriven
+	proc   *kernel.Process
+	events []trace.Event
+	base   uint64
+	next   int
+	fire   sim.Event
+}
+
+// step delivers the queued event after scheduling its successor, which
+// Validate's time order guarantees is not in the past.
+func (r *replay) step(sim.Time) {
+	i := r.next
+	r.next++
+	if r.next < len(r.events) {
+		eng := r.k.Engine()
+		if _, err := eng.AtReserved(r.events[r.next].At, r.base+uint64(r.next), r.fire); err != nil {
+			eng.Fail(err)
+			return
 		}
 	}
-	return nil
+	r.p.deliver(r.k, r.proc, r.events[i])
 }
 
 // errReinstall is returned when Install is called twice.

@@ -6,6 +6,7 @@ import (
 	"clocksched/internal/cpu"
 	"clocksched/internal/kernel"
 	"clocksched/internal/sim"
+	"clocksched/internal/trace"
 )
 
 // runAt installs w into a fresh kernel at a fixed clock step and runs it
@@ -211,6 +212,33 @@ func TestWebTraceDeterministic(t *testing.T) {
 		}
 		if identical {
 			t.Error("different seeds gave identical traces")
+		}
+	}
+}
+
+// TestDefaultTracesFitTheirCapacity checks the event-count bounds the
+// default trace generators pre-size their recorders with: a trace that
+// outgrew its bound would still be correct, but would pay the doubling
+// reallocations the bound exists to avoid.
+func TestDefaultTracesFitTheirCapacity(t *testing.T) {
+	gens := []struct {
+		name  string
+		gen   func(uint64) *trace.Trace
+		bound int
+		exact bool
+	}{
+		{"web", DefaultWebTrace, webTraceMaxEvents, false},
+		{"chess", DefaultChessTrace, chessTraceMaxEvents, false},
+		{"editor", DefaultEditorTrace, editorTraceEvents, true},
+		{"feedback", DefaultFeedbackTrace, feedbackTraceMaxEvents, false},
+	}
+	for _, g := range gens {
+		for seed := uint64(0); seed < 2000; seed++ {
+			tr := g.gen(seed)
+			n := len(tr.Events)
+			if n > g.bound || cap(tr.Events) != g.bound || (g.exact && n != g.bound) {
+				t.Fatalf("%s seed %d: %d events, capacity %d, bound %d", g.name, seed, n, cap(tr.Events), g.bound)
+			}
 		}
 	}
 }

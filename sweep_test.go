@@ -237,6 +237,51 @@ func TestCacheKeyChangesWithVersionAndSpec(t *testing.T) {
 	}
 }
 
+// TestCacheKeyGolden pins the content address of a spread of cells: every
+// workload kind, built-in and registry policies (float parameters
+// included), a seed past the int64 range, fault plans, a watchdog and a
+// captured trace. A cache key that moves orphans every cached result and
+// journal record, so the hashed byte stream must not change without a
+// sim.Version bump.
+func TestCacheKeyGolden(t *testing.T) {
+	build := func(name string, params map[string]float64) Policy {
+		t.Helper()
+		p, err := NewPolicy(name, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	cases := []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Workload: MPEG, Policy: PASTPegPeg(), Seed: 1, Duration: time.Second},
+			"b36049dfbc4de93847b8912a46d93cd4c36c07cc982b4b9daf9ab5832bb197bc"},
+		{Config{Workload: Web, Policy: build("oa", nil), Seed: 7, Duration: 2 * time.Second},
+			"b16e59a61d4c5da28a84442ae4d8a4f35c56b602b989d209727cb1563dd0d713"},
+		{Config{Workload: Chess, Policy: build("avr", map[string]float64{"slack_quanta": 5}), Seed: 3, Duration: 2 * time.Second},
+			"4d727839671ac5db6208a195076865a4070d0dc871b51d8dc8c94bd7e4a65e2e"},
+		{Config{Workload: TalkingEditor, Policy: ConstantPolicy(132.7, true), Seed: 2},
+			"7156191d9413bd59236cbb1ff4349515626364f611b2e0aa833deca58ac5850c"},
+		{Config{Workload: RectWave, Policy: PeringAvgN(9, One, Double), Seed: 1<<63 + 5, Duration: 20 * time.Second},
+			"55ecbe697791457961079bcd5dc1f0f70464acdc2b017363783c7abdf709365a"},
+		{Config{Workload: Feedback, Policy: build("constant", map[string]float64{"mhz": 132.7, "low_voltage": 1}), Seed: 11, Duration: 3 * time.Second},
+			"3f179c0539887fa3d3494ac02010393db8552c9e0620ce6e4639ab9c712d1081"},
+		{Config{Workload: MPEG, Policy: PASTPegPeg(), Seed: 4, Duration: 5 * time.Second, DeadlineSlack: 50 * time.Millisecond,
+			Faults:   &FaultPlan{ClockChangeFailProb: 0.01, SampleDropProb: 0.005, TimerJitterProb: 0.02},
+			Watchdog: &WatchdogConfig{Window: 30, MaxReversals: 6}},
+			"1bd2d8274a2b94365948ffbca861daa28064d2836ac81fd57a8c3b0ce829165e"},
+		{Config{Workload: Web, Policy: build("bkp", nil), Seed: 9, Duration: 2 * time.Second, CaptureTrace: true},
+			"701ffc08e5366313c5276ffa3f983c402dc445a192445673d69a66795875afa8"},
+	}
+	for i, c := range cases {
+		if got := cacheKey(c.cfg); got != c.want {
+			t.Errorf("case %d (%s): cacheKey = %s, want %s", i, c.cfg.Workload, got, c.want)
+		}
+	}
+}
+
 func TestResultWireRoundTrip(t *testing.T) {
 	res, err := Run(Config{
 		Workload:     MPEG,
