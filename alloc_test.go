@@ -16,7 +16,7 @@ import (
 // here.
 func TestTable2CellAllocBytes(t *testing.T) {
 	const runs, limit = 4, 128 << 10
-	cfg := Config{Workload: MPEG, Policy: PASTPegPeg(), Seed: 1, Duration: 60 * time.Second}
+	cfg := Config{Workload: MPEG, Policy: mustPolicy(t, "past-peg-peg", nil), Seed: 1, Duration: 60 * time.Second}
 	run := func() {
 		if _, err := RunContext(context.Background(), cfg); err != nil {
 			t.Fatal(err)

@@ -198,13 +198,13 @@ func BenchmarkIdealDVSComparison(b *testing.B) {
 // PAST predictor on MPEG — the paper's observation that most policy
 // combinations behave equivalently (and poorly).
 func BenchmarkAblationSpeedSetters(b *testing.B) {
-	for _, setter := range []SpeedSetter{One, Double, Peg} {
+	for code, setter := range []SpeedSetter{One, Double, Peg} { // setter codes 0, 1, 2
 		b.Run(string(setter), func(b *testing.B) {
 			var energy float64
 			for i := 0; i < b.N; i++ {
 				res, err := Run(Config{
 					Workload: MPEG,
-					Policy:   PeringAvgN(0, setter, setter),
+					Policy:   mustPolicy(b, "pering-avg-n", map[string]float64{"n": 0, "up": float64(code), "down": float64(code)}),
 					Duration: 10 * time.Second,
 				})
 				if err != nil {
@@ -226,7 +226,7 @@ func BenchmarkAblationAvgN(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := Run(Config{
 					Workload: MPEG,
-					Policy:   PeringAvgN(n, Peg, Peg),
+					Policy:   mustPolicy(b, "pering-avg-n", map[string]float64{"n": float64(n)}),
 					Duration: 10 * time.Second,
 				})
 				if err != nil {
@@ -311,7 +311,7 @@ func BenchmarkBurstDuration(b *testing.B) {
 func BenchmarkSweepTable2(b *testing.B) {
 	run := func(b *testing.B, workers int) {
 		for i := 0; i < b.N; i++ {
-			res, err := Sweep(context.Background(), table2Sweep(workers))
+			res, err := Sweep(context.Background(), table2Sweep(b, workers))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -331,7 +331,7 @@ func BenchmarkSweepCached(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := table2Sweep(1)
+	cfg := table2Sweep(b, 1)
 	cfg.Cache = cache
 	if _, err := Sweep(context.Background(), cfg); err != nil {
 		b.Fatal(err)

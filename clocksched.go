@@ -11,9 +11,11 @@
 // returning energy, deadline behaviour, and stability metrics. The
 // simulation is virtual-time and bit-for-bit repeatable from its seed.
 //
+//	best, err := clocksched.NewPolicy("past-peg-peg", nil)
+//	...
 //	res, err := clocksched.Run(clocksched.Config{
 //	    Workload: clocksched.MPEG,
-//	    Policy:   clocksched.PASTPegPeg(),
+//	    Policy:   best,
 //	})
 //
 // Lower layers (the experiment harness regenerating every table and figure
@@ -69,8 +71,10 @@ const (
 	Peg    SpeedSetter = "peg"    // jump to the extreme step
 )
 
-// Policy specifies a clock scheduling policy. The JSON field tags define
-// the policy's wire form inside a SweepSpec, so a policy built by one
+// Policy specifies a clock scheduling policy. Build one by name through the
+// policy registry (NewPolicy); a literal of the resolved fields is the flat
+// form that specs written before the registry carry. The JSON field tags
+// define that flat wire form inside a SweepSpec, so a policy built by one
 // process (a client submitting a job) reconstructs identically in another
 // (the sweep daemon).
 type Policy struct {
@@ -127,51 +131,6 @@ type Policy struct {
 	// policyreg.go. Excluded from the flat JSON field form (the registry
 	// form replaces the whole object).
 	Ref *PolicyRef `json:"-"`
-}
-
-// ConstantPolicy returns the baseline policy: a fixed clock and voltage.
-//
-// Deprecated: use the policy registry — NewPolicy("constant",
-// map[string]float64{"mhz": mhz, "low_voltage": 1}) or the equivalent
-// PolicyRef wire form — which covers these presets and every future
-// policy family uniformly. The constructor remains for compatibility and
-// produces an identical simulation.
-func ConstantPolicy(mhz float64, lowVoltage bool) Policy {
-	return Policy{Constant: true, MHz: mhz, LowVoltage: lowVoltage}
-}
-
-// PASTPegPeg returns the best policy the paper found: PAST prediction,
-// peg-peg speed setting, scale up above 98% and down below 93%.
-//
-// Deprecated: use NewPolicy("past-peg-peg", nil); see ConstantPolicy.
-func PASTPegPeg() Policy {
-	return Policy{AvgN: 0, Up: Peg, Down: Peg, LoPercent: 93, HiPercent: 98}
-}
-
-// PeringAvgN returns the AVG_N policy with Pering et al.'s 50%/70% bounds
-// and the given speed setters.
-//
-// Deprecated: use NewPolicy("pering-avg-n", ...) with setter codes 0 (one),
-// 1 (double), 2 (peg); see ConstantPolicy.
-func PeringAvgN(n int, up, down SpeedSetter) Policy {
-	return Policy{AvgN: n, Up: up, Down: down, LoPercent: 50, HiPercent: 70}
-}
-
-// DeadlinePolicy returns the application-informed deadline scheduler of the
-// paper's future-work section.
-//
-// Deprecated: use NewPolicy("deadline", ...); see ConstantPolicy.
-func DeadlinePolicy(voltageScale bool) Policy {
-	return Policy{Deadline: true, VoltageScale: voltageScale}
-}
-
-// ProportionalPolicy returns the ondemand-ancestor proportional governor:
-// PAST-class prediction (AVG_N) scaled directly into a step against the
-// target utilization.
-//
-// Deprecated: use NewPolicy("proportional", ...); see ConstantPolicy.
-func ProportionalPolicy(n, targetPercent int) Policy {
-	return Policy{Proportional: true, AvgN: n, TargetPercent: targetPercent}
 }
 
 // Name describes the policy in the paper's style.
@@ -478,7 +437,7 @@ func (cfg Config) withDefaults() Config {
 		cfg.Workload = MPEG
 	}
 	if cfg.Policy == (Policy{}) {
-		cfg.Policy = ConstantPolicy(206.4, false)
+		cfg.Policy = Policy{Constant: true, MHz: 206.4}
 	}
 	if cfg.DeadlineSlack == 0 {
 		cfg.DeadlineSlack = 33 * time.Millisecond

@@ -52,7 +52,7 @@ func TestRunDefaults(t *testing.T) {
 func TestRunBestPolicy(t *testing.T) {
 	res, err := Run(Config{
 		Workload: MPEG,
-		Policy:   PASTPegPeg(),
+		Policy:   mustPolicy(t, "past-peg-peg", nil),
 		Duration: 10 * time.Second,
 	})
 	if err != nil {
@@ -73,30 +73,30 @@ func TestRunBestPolicy(t *testing.T) {
 }
 
 func TestRunSavesEnergyAtLowerConstantSpeed(t *testing.T) {
-	at := func(mhz float64, lowV bool) float64 {
+	at := func(params map[string]float64) float64 {
 		res, err := Run(Config{
 			Workload: MPEG,
-			Policy:   ConstantPolicy(mhz, lowV),
+			Policy:   mustPolicy(t, "constant", params),
 			Duration: 10 * time.Second,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Misses != 0 {
-			t.Fatalf("missed %d deadlines at %v MHz", res.Misses, mhz)
+			t.Fatalf("missed %d deadlines at %v", res.Misses, params)
 		}
 		return res.EnergyJoules
 	}
-	full := at(206.4, false)
-	sweet := at(132.7, false)
-	lowV := at(132.7, true)
+	full := at(nil)
+	sweet := at(map[string]float64{"mhz": 132.7})
+	lowV := at(map[string]float64{"mhz": 132.7, "low_voltage": 1})
 	if !(lowV < sweet && sweet < full) {
 		t.Errorf("energy ordering violated: %v, %v, %v", full, sweet, lowV)
 	}
 }
 
 func TestRunDeterministic(t *testing.T) {
-	cfg := Config{Workload: MPEG, Policy: PASTPegPeg(), Seed: 7, Duration: 5 * time.Second}
+	cfg := Config{Workload: MPEG, Policy: mustPolicy(t, "past-peg-peg", nil), Seed: 7, Duration: 5 * time.Second}
 	a, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(Config{Duration: -time.Second}); err == nil {
 		t.Error("negative duration accepted")
 	}
-	if _, err := Run(Config{Policy: ConstantPolicy(206.4, true)}); err == nil {
+	if _, err := Run(Config{Policy: Policy{Constant: true, MHz: 206.4, LowVoltage: true}}); err == nil {
 		t.Error("1.23V at 206.4MHz accepted")
 	}
 	if _, err := Run(Config{Policy: Policy{AvgN: -1, Up: Peg, Down: Peg, LoPercent: 50, HiPercent: 70}}); err == nil {
@@ -150,18 +150,17 @@ func TestRunValidation(t *testing.T) {
 
 func TestPolicyNames(t *testing.T) {
 	cases := map[string]Policy{
-		"Constant @ 206.4MHz, 1.5V":  ConstantPolicy(206.4, false),
-		"Constant @ 132.7MHz, 1.23V": ConstantPolicy(132.7, true),
-		"PAST, peg-peg, 93%-98%":     PASTPegPeg(),
-		"AVG_9, one-double, 50%-70%": PeringAvgN(9, One, Double),
+		"Constant @ 206.4MHz, 1.5V":  mustPolicy(t, "constant", nil),
+		"Constant @ 132.7MHz, 1.23V": mustPolicy(t, "constant", map[string]float64{"mhz": 132.7, "low_voltage": 1}),
+		"PAST, peg-peg, 93%-98%":     mustPolicy(t, "past-peg-peg", nil),
+		"AVG_9, one-double, 50%-70%": mustPolicy(t, "pering-avg-n", map[string]float64{"n": 9, "up": 0, "down": 1}),
 	}
 	for want, p := range cases {
 		if got := p.Name(); got != want {
 			t.Errorf("Name = %q, want %q", got, want)
 		}
 	}
-	vs := PASTPegPeg()
-	vs.VoltageScale = true
+	vs := mustPolicy(t, "past-peg-peg", map[string]float64{"voltage_scale": 1})
 	if !strings.Contains(vs.Name(), "voltage scaling") {
 		t.Errorf("Name = %q", vs.Name())
 	}
@@ -222,9 +221,10 @@ func TestResultConsistency(t *testing.T) {
 }
 
 func TestRunDeadlinePolicy(t *testing.T) {
+	p := mustPolicy(t, "deadline", map[string]float64{"voltage_scale": 1})
 	res, err := Run(Config{
 		Workload: MPEG,
-		Policy:   DeadlinePolicy(true),
+		Policy:   p,
 		Duration: 10 * time.Second,
 	})
 	if err != nil {
@@ -247,15 +247,15 @@ func TestRunDeadlinePolicy(t *testing.T) {
 	if res.VoltageChanges == 0 {
 		t.Error("voltage scaling never engaged")
 	}
-	if DeadlinePolicy(true).Name() != "DEADLINE, voltage scaling" {
-		t.Errorf("Name = %q", DeadlinePolicy(true).Name())
+	if p.Name() != "DEADLINE, voltage scaling" {
+		t.Errorf("Name = %q", p.Name())
 	}
 }
 
 func TestRunProportionalPolicy(t *testing.T) {
 	res, err := Run(Config{
 		Workload: MPEG,
-		Policy:   ProportionalPolicy(0, 70),
+		Policy:   mustPolicy(t, "proportional", map[string]float64{"n": 0, "target_percent": 70}),
 		Duration: 10 * time.Second,
 	})
 	if err != nil {
@@ -264,10 +264,10 @@ func TestRunProportionalPolicy(t *testing.T) {
 	if res.ClockChanges == 0 {
 		t.Error("proportional governor never moved")
 	}
-	if got := ProportionalPolicy(3, 70).Name(); got != "PROPORTIONAL(AVG_3, 70%)" {
+	if got := mustPolicy(t, "proportional", map[string]float64{"n": 3, "target_percent": 70}).Name(); got != "PROPORTIONAL(AVG_3, 70%)" {
 		t.Errorf("Name = %q", got)
 	}
-	if _, err := Run(Config{Policy: ProportionalPolicy(0, 0)}); err == nil {
+	if _, err := Run(Config{Policy: Policy{Proportional: true}}); err == nil {
 		t.Error("zero target accepted")
 	}
 	if _, err := Run(Config{Policy: Policy{Proportional: true, AvgN: -1, TargetPercent: 70}}); err == nil {
@@ -280,7 +280,7 @@ func TestRunFaultedDeterministic(t *testing.T) {
 	// fault schedule included.
 	cfg := Config{
 		Workload: MPEG,
-		Policy:   PASTPegPeg(),
+		Policy:   mustPolicy(t, "past-peg-peg", nil),
 		Seed:     7,
 		Duration: 5 * time.Second,
 		Faults: &FaultPlan{
@@ -315,7 +315,7 @@ func TestRunFaultedDeterministic(t *testing.T) {
 
 func TestRunNilPlanMatchesUnfaulted(t *testing.T) {
 	// Disabling the fault layer must not perturb an existing seeded run.
-	cfg := Config{Workload: MPEG, Policy: PASTPegPeg(), Seed: 7, Duration: 5 * time.Second}
+	cfg := Config{Workload: MPEG, Policy: mustPolicy(t, "past-peg-peg", nil), Seed: 7, Duration: 5 * time.Second}
 	plain, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -334,7 +334,7 @@ func TestRunNilPlanMatchesUnfaulted(t *testing.T) {
 func TestRunFaultReportAndWatchdogReport(t *testing.T) {
 	res, err := Run(Config{
 		Workload: MPEG,
-		Policy:   PASTPegPeg(),
+		Policy:   mustPolicy(t, "past-peg-peg", nil),
 		Seed:     1,
 		Duration: 10 * time.Second,
 		Faults:   &FaultPlan{ClockChangeFailProb: 0.01},
@@ -358,7 +358,7 @@ func TestRunFaultReportAndWatchdogReport(t *testing.T) {
 func TestRunWatchdogNeedsPolicy(t *testing.T) {
 	_, err := Run(Config{
 		Workload: MPEG,
-		Policy:   ConstantPolicy(206.4, false),
+		Policy:   mustPolicy(t, "constant", nil),
 		Duration: time.Second,
 		Watchdog: &WatchdogConfig{},
 	})

@@ -68,7 +68,7 @@ func fabricLeg(n int, serial *clocksched.SweepResult, serialTime time.Duration) 
 	}
 
 	start := time.Now()
-	res, err := co.Run(context.Background(), clocksched.NewSweepSpec(table2Config(0)))
+	res, err := co.Run(context.Background(), clocksched.NewSweepSpec(referenceGrid(0)))
 	legTime := time.Since(start)
 	if err != nil {
 		return run{}, err
@@ -203,27 +203,16 @@ type report struct {
 
 const singleCPUNote = "single-CPU host: multi-worker legs measure scheduling overhead, not parallel speedup"
 
-func table2Config(workers int) clocksched.SweepConfig {
-	best := clocksched.PASTPegPeg()
-	bestVS := clocksched.PASTPegPeg()
-	bestVS.VoltageScale = true
-	seeds := make([]uint64, 10)
-	for i := range seeds {
-		seeds[i] = uint64(i + 1)
+// referenceGrid is the reference grid every leg runs: the Table 2 sweep
+// over seeds 1..10 on the given worker count.
+func referenceGrid(workers int) clocksched.SweepConfig {
+	cfg, err := clocksched.Table2Config(1, 10)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchsweep:", err)
+		os.Exit(1)
 	}
-	return clocksched.SweepConfig{
-		Workloads: []clocksched.Workload{clocksched.MPEG},
-		Policies: []clocksched.Policy{
-			clocksched.ConstantPolicy(206.4, false),
-			clocksched.ConstantPolicy(132.7, false),
-			clocksched.ConstantPolicy(132.7, true),
-			best,
-			bestVS,
-		},
-		Seeds:    seeds,
-		Workers:  workers,
-		FailFast: true,
-	}
+	cfg.Workers = workers
+	return cfg
 }
 
 // ladder is the deduplicated, ascending worker-count schedule.
@@ -245,11 +234,11 @@ func ladder(extra int) []int {
 // figure does not carry first-touch costs (heap growth, page faults) that
 // would make every later leg look spuriously faster than the baseline.
 func timeSerial() (*clocksched.SweepResult, time.Duration, error) {
-	if _, err := clocksched.Sweep(context.Background(), table2Config(1)); err != nil {
+	if _, err := clocksched.Sweep(context.Background(), referenceGrid(1)); err != nil {
 		return nil, 0, err
 	}
 	start := time.Now()
-	res, err := clocksched.Sweep(context.Background(), table2Config(1))
+	res, err := clocksched.Sweep(context.Background(), referenceGrid(1))
 	return res, time.Since(start), err
 }
 
@@ -353,7 +342,7 @@ func main() {
 	}
 	ok := true
 	for i, w := range counts {
-		cfg := table2Config(w)
+		cfg := referenceGrid(w)
 		cfg.CellTimeout = *cellTimeout
 		cfg.Retries = *retries
 		// The durability knobs attach to the final (widest) leg only, so a

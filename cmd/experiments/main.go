@@ -14,7 +14,7 @@
 //	experiments -list
 //	experiments -out /tmp/repro -seed 3 -workers 4
 //	experiments -nocache   # recompute every cell
-//	experiments -peers http://node1:8900,http://node2:8900   # fleet-coordinated table2
+//	experiments -peers http://node1:8900,http://node2:8900   # fabric-coordinated table2
 //	experiments -only fleet                                  # 10k-device population sweep
 //	experiments -only fleet -peers http://node1:8900,http://node2:8900
 //
@@ -37,7 +37,9 @@ import (
 	"syscall"
 	"time"
 
+	"clocksched"
 	"clocksched/internal/expt"
+	"clocksched/internal/fleet"
 	"clocksched/internal/sweep"
 	"clocksched/internal/telemetry"
 )
@@ -63,13 +65,13 @@ func main() {
 		remote = flag.String("remote", "",
 			"submit grid work to a sweepd daemon at this base URL (e.g. http://localhost:8900) instead of simulating locally")
 		peers = flag.String("peers", "",
-			"comma-separated sweepd base URLs: coordinate the grid across the fleet via the fabric (shards, leases, work-stealing)")
+			"comma-separated sweepd base URLs: coordinate the grid across these peers via the fabric (shards, leases, work-stealing)")
 		peerToken = flag.String("peer-token", "", "bearer token sent to every -peers daemon")
 	)
 	flag.Parse()
 
 	if *list {
-		for _, e := range expt.Registry() {
+		for _, e := range catalogue() {
 			fmt.Printf("%-12s %s\n", e.Name, e.Paper)
 		}
 		return
@@ -78,6 +80,13 @@ func main() {
 	// run holds the defers (telemetry drain, journal close) so they fire on
 	// every exit path, including an interrupt; os.Exit would skip them.
 	os.Exit(run(outDir, only, seed, workers, nocache, resume, cellTimeout, retries, telAddr, progress, remote, peers, peerToken))
+}
+
+// catalogue lists every experiment in run order: expt.Registry's paper and
+// extension entries, then the two that need layers above expt — the zoo
+// (the policy registry) and the fleet (the population engine).
+func catalogue() []expt.Experiment {
+	return append(expt.Registry(), expt.ZooExperiment(clocksched.PolicyZoo()), fleet.Experiment())
 }
 
 func run(outDir, only *string, seed *uint64, workers *int, nocache, resume *bool,
@@ -91,12 +100,12 @@ func run(outDir, only *string, seed *uint64, workers *int, nocache, resume *bool
 		return runRemote(*remote, *outDir, *only, *seed, *progress)
 	}
 	if *peers != "" {
-		return runFleet(*peers, *peerToken, *outDir, *only, *seed, *progress)
+		return runPeers(*peers, *peerToken, *outDir, *only, *seed, *progress)
 	}
 
-	experiments := expt.Registry()
+	experiments := catalogue()
 	if *only != "" {
-		e, ok := expt.Find(strings.ToLower(*only))
+		e, ok := expt.Find(experiments, strings.ToLower(*only))
 		if !ok {
 			fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q (try -list)\n", *only)
 			return 2

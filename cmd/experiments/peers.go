@@ -1,12 +1,12 @@
 package main
 
-// Fleet execution: -peers runs the Table 2 grid — or, with -only fleet,
+// Peer execution: -peers runs the Table 2 grid — or, with -only fleet,
 // the population-scale fleet experiment — through the fabric coordinator
 // from this process: shards leased across the listed sweepd daemons,
-// stolen from stragglers near the tail, and executed locally when the
-// whole fleet is unreachable. The merge is byte-identical to a local
-// Sweep, so the fleet is purely a throughput decision; 100k+ device
-// populations are the -only fleet -peers sweet spot.
+// stolen from stragglers near the tail, and executed locally when every
+// peer is unreachable. The merge is byte-identical to a local Sweep, so
+// the peers are purely a throughput decision; 100k+ device populations
+// are the -only fleet -peers sweet spot.
 
 import (
 	"context"
@@ -34,11 +34,11 @@ func splitPeers(s string) []string {
 	return out
 }
 
-// runFleet coordinates the Table 2 grid across the peer fleet. Fabric
-// state (lease ledger, committed shards) lives under <out>/fabric, so an
+// runPeers coordinates the Table 2 grid across the peers. Fabric state
+// (lease ledger, committed shards) lives under <out>/fabric, so an
 // interrupted run resumes from its committed shards on the next
 // invocation.
-func runFleet(peerList, token, outDir, only string, seed uint64, progress bool) int {
+func runPeers(peerList, token, outDir, only string, seed uint64, progress bool) int {
 	if only == "fleet" {
 		return runFleetPopulation(peerList, token, outDir, seed, progress)
 	}
@@ -71,7 +71,12 @@ func runFleet(peerList, token, outDir, only string, seed uint64, progress bool) 
 		return 1
 	}
 
-	spec := clocksched.NewSweepSpec(remoteTable2Config(seed))
+	t2, err := clocksched.Table2Config(seed, expt.Table2Runs)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		return 1
+	}
+	spec := clocksched.NewSweepSpec(t2)
 	fmt.Printf("==> table2 (fleet of %d peer(s)) — %d cells\n", len(peers), spec.NumCells())
 	res, err := co.Run(ctx, spec)
 	if err != nil {
@@ -90,16 +95,7 @@ func runFleet(peerList, token, outDir, only string, seed uint64, progress bool) 
 		fmt.Fprintln(os.Stderr, "experiments: fleet table2:", err)
 		return 1
 	}
-	summary := expt.RenderTable2(rows)
-	fmt.Print(summary)
-
-	artifact := filepath.Join(outDir, "table2_fleet.txt")
-	if err := os.WriteFile(artifact, []byte(summary), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		return 1
-	}
-	fmt.Printf("\nartifact written to %s\n", artifact)
-	return 0
+	return writeArtifact(outDir, "table2_fleet.txt", expt.RenderTable2(rows))
 }
 
 // runFleetPopulation coordinates the standing fleet experiment across the
@@ -139,13 +135,5 @@ func runFleetPopulation(peerList, token, outDir string, seed uint64, progress bo
 		}
 		return 1
 	}
-	summary := pop.Render()
-	fmt.Print(summary)
-	artifact := filepath.Join(outDir, "fleet_fleet.txt")
-	if err := os.WriteFile(artifact, []byte(summary), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		return 1
-	}
-	fmt.Printf("\nartifact written to %s\n", artifact)
-	return 0
+	return writeArtifact(outDir, "fleet_fleet.txt", pop.Render())
 }

@@ -16,77 +16,19 @@ import (
 	"clocksched"
 	"clocksched/internal/expt"
 	"clocksched/internal/service"
-	"clocksched/internal/stats"
 )
 
-// table2Algorithms names the grid's policy axis in presentation order; the
-// positions match remoteTable2Config's Policies slice.
-var table2Algorithms = []string{
-	"Constant Speed @ 206.4 MHz, 1.5 Volts",
-	"Constant Speed @ 132.7 MHz, 1.5 Volts",
-	"Constant Speed @ 132.7 MHz, 1.23 Volts",
-	"PAST, Peg-Peg, Thresholds: >98% up, <93% down, 1.5 Volts",
-	"PAST, Peg-Peg, Thresholds: >98% up, <93% down, Voltage Scaling @ 162.2 MHz",
-}
-
-// remoteTable2Config builds the Table 2 grid through the public API: five
-// policies × Table2Runs seeds of the 60-second MPEG workload, seeds starting
-// at the -seed flag (default 1, matching the local table).
-func remoteTable2Config(seed uint64) clocksched.SweepConfig {
-	best := clocksched.PASTPegPeg()
-	bestVS := clocksched.PASTPegPeg()
-	bestVS.VoltageScale = true
-	seeds := make([]uint64, expt.Table2Runs)
-	for i := range seeds {
-		seeds[i] = seed + uint64(i)
-	}
-	return clocksched.SweepConfig{
-		Workloads: []clocksched.Workload{clocksched.MPEG},
-		Policies: []clocksched.Policy{
-			clocksched.ConstantPolicy(206.4, false),
-			clocksched.ConstantPolicy(132.7, false),
-			clocksched.ConstantPolicy(132.7, true),
-			best,
-			bestVS,
-		},
-		Seeds:    seeds,
-		FailFast: true,
-	}
-}
-
-// foldTable2 reduces the remote sweep result to the paper's Table 2 rows:
-// a 95% CI over per-run energy, total deadline misses beyond the perceptual
-// slack, and the mean clock-change count.
+// foldTable2 reduces a clocksched.Table2Config sweep result to the paper's
+// Table 2 rows through the local table's own fold.
 func foldTable2(res *clocksched.SweepResult) ([]expt.Table2Row, error) {
-	rows := make([]expt.Table2Row, 0, len(table2Algorithms))
-	for pi, name := range table2Algorithms {
-		energies := make([]float64, 0, expt.Table2Runs)
-		misses := 0
-		changes := 0
-		for si := 0; si < expt.Table2Runs; si++ {
-			cell := res.CellAt(0, pi, si)
-			if cell == nil {
-				return nil, fmt.Errorf("remote result missing cell (policy %d, seed %d)", pi, si)
-			}
-			if cell.Err != nil {
-				return nil, fmt.Errorf("remote cell (policy %d, seed %d): %w", pi, si, cell.Err)
-			}
-			energies = append(energies, cell.Result.EnergyJoules)
-			misses += cell.Result.Misses
-			changes += cell.Result.ClockChanges
+	cells := make([]expt.Cell, len(res.Cells))
+	for i, c := range res.Cells {
+		if c.Err != nil || c.Result == nil {
+			return nil, fmt.Errorf("remote cell %d failed: %v", i, c.Err)
 		}
-		ci95, err := stats.CI95(energies)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, expt.Table2Row{
-			Algorithm:    name,
-			Energy:       ci95,
-			Misses:       misses,
-			SpeedChanges: float64(changes) / expt.Table2Runs,
-		})
+		cells[i] = expt.Cell{EnergyJ: c.Result.EnergyJoules, Misses: c.Result.Misses, SpeedChanges: c.Result.ClockChanges}
 	}
-	return rows, nil
+	return expt.FoldTable2(cells)
 }
 
 // runRemote submits the Table 2 grid to a sweepd daemon, follows the job's
@@ -106,7 +48,12 @@ func runRemote(base, outDir, only string, seed uint64, progress bool) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	spec := clocksched.NewSweepSpec(remoteTable2Config(seed))
+	cfg, err := clocksched.Table2Config(seed, expt.Table2Runs)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		return 1
+	}
+	spec := clocksched.NewSweepSpec(cfg)
 	client := &service.Client{Base: base}
 
 	st, err := client.Submit(ctx, spec)
@@ -152,10 +99,14 @@ func runRemote(base, outDir, only string, seed uint64, progress bool) int {
 		fmt.Fprintln(os.Stderr, "experiments: remote table2:", err)
 		return 1
 	}
-	summary := expt.RenderTable2(rows)
-	fmt.Print(summary)
+	return writeArtifact(outDir, "table2_remote.txt", expt.RenderTable2(rows))
+}
 
-	artifact := filepath.Join(outDir, "table2_remote.txt")
+// writeArtifact prints a rendered summary and writes it to <outDir>/<name>,
+// returning the process exit code.
+func writeArtifact(outDir, name, summary string) int {
+	fmt.Print(summary)
+	artifact := filepath.Join(outDir, name)
 	if err := os.WriteFile(artifact, []byte(summary), 0o644); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		return 1

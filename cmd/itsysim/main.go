@@ -206,9 +206,9 @@ func parsePolicy(spec string) (clocksched.Policy, error) {
 	if parts[0] == "deadline" {
 		switch {
 		case len(parts) == 1:
-			return clocksched.DeadlinePolicy(false), nil
+			return clocksched.Policy{Deadline: true}, nil
 		case len(parts) == 2 && parts[1] == "vs":
-			return clocksched.DeadlinePolicy(true), nil
+			return clocksched.Policy{Deadline: true, VoltageScale: true}, nil
 		default:
 			return clocksched.Policy{}, fmt.Errorf("deadline policy wants deadline[:vs], got %q", spec)
 		}
@@ -225,7 +225,7 @@ func parsePolicy(spec string) (clocksched.Policy, error) {
 		if err != nil {
 			return clocksched.Policy{}, fmt.Errorf("bad target %q", parts[1])
 		}
-		p := clocksched.ProportionalPolicy(n, target)
+		p := clocksched.Policy{Proportional: true, AvgN: n, TargetPercent: target}
 		if len(parts) == 3 {
 			if parts[2] != "vs" {
 				return clocksched.Policy{}, fmt.Errorf("unknown option %q", parts[2])
@@ -249,7 +249,7 @@ func parsePolicy(spec string) (clocksched.Policy, error) {
 			}
 			lowV = true
 		}
-		return clocksched.ConstantPolicy(mhz, lowV), nil
+		return clocksched.Policy{Constant: true, MHz: mhz, LowVoltage: lowV}, nil
 	}
 
 	if len(parts) < 3 || len(parts) > 4 {

@@ -28,7 +28,7 @@ func TestParsePolicyInterval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := clocksched.PASTPegPeg()
+	want := clocksched.Policy{Up: clocksched.Peg, Down: clocksched.Peg, LoPercent: 93, HiPercent: 98}
 	if p != want {
 		t.Errorf("parsed %+v, want %+v", p, want)
 	}

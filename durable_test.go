@@ -18,14 +18,15 @@ import (
 // twelve seeds of the 2-second rect wave — small cells, so a sweep makes
 // visible progress quickly, but enough of them that a kill always lands
 // mid-run.
-func durableGrid() SweepConfig {
+func durableGrid(tb testing.TB) SweepConfig {
+	tb.Helper()
 	seeds := make([]uint64, 12)
 	for i := range seeds {
 		seeds[i] = uint64(i + 1)
 	}
 	return SweepConfig{
 		Workloads: []Workload{RectWave},
-		Policies:  []Policy{PASTPegPeg()},
+		Policies:  []Policy{mustPolicy(tb, "past-peg-peg", nil)},
 		Seeds:     seeds,
 		Duration:  2 * time.Second,
 	}
@@ -44,7 +45,7 @@ func TestSweepKillAndResumeChild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := durableGrid()
+	cfg := durableGrid(t)
 	cfg.Workers = 1
 	cfg.Cache = cache
 	cfg.Journal = filepath.Join(dir, "sweep.wal")
@@ -105,7 +106,7 @@ func TestSweepKillAndResume(t *testing.T) {
 	}
 
 	// The uninterrupted reference, computed fresh in this process.
-	ref, err := Sweep(context.Background(), durableGrid())
+	ref, err := Sweep(context.Background(), durableGrid(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestSweepKillAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	tel := NewTelemetry()
-	cfg := durableGrid()
+	cfg := durableGrid(t)
 	cfg.Cache = cache
 	cfg.Journal = filepath.Join(dir, "sweep.wal")
 	cfg.Resume = true
@@ -170,7 +171,7 @@ func TestSweepKillAndResume(t *testing.T) {
 // reproducible run over run, with results identical to a fault-free sweep.
 func TestSweepRetriesInjectedFaults(t *testing.T) {
 	mk := func() SweepConfig {
-		cfg := durableGrid()
+		cfg := durableGrid(t)
 		// Per quantum boundary: a 2s cell rolls ~200 times, so 0.001 is
 		// roughly a 20% abort chance per attempt — aborts happen, budgets
 		// hold.
@@ -206,7 +207,7 @@ func TestSweepRetriesInjectedFaults(t *testing.T) {
 	// Recovered results equal the fault-free sweep's: the abort stream is
 	// separate from every other RNG stream, so a surviving attempt is
 	// bit-identical to a run that was never at risk.
-	clean, err := Sweep(context.Background(), durableGrid())
+	clean, err := Sweep(context.Background(), durableGrid(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestSweepRetriesInjectedFaults(t *testing.T) {
 // completes every cell and reports the failures as structured, grid-ordered
 // cell errors rather than dying on the first one.
 func TestSweepDegradesToStructuredErrors(t *testing.T) {
-	cfg := durableGrid()
+	cfg := durableGrid(t)
 	cfg.Seeds = cfg.Seeds[:4]
 	cfg.Faults = &FaultPlan{CellAbortProb: 1}
 	cfg.Retries = 1
@@ -257,7 +258,7 @@ func TestSweepDegradesToStructuredErrors(t *testing.T) {
 
 // TestSweepDurabilityValidation covers the configuration cross-checks.
 func TestSweepDurabilityValidation(t *testing.T) {
-	base := durableGrid()
+	base := durableGrid(t)
 
 	noCache := base
 	noCache.Journal = filepath.Join(t.TempDir(), "w.wal")

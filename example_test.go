@@ -12,9 +12,13 @@ import (
 
 // Run the paper's best heuristic policy against the MPEG workload.
 func ExampleRun() {
+	best, err := clocksched.NewPolicy("past-peg-peg", nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 	res, err := clocksched.Run(clocksched.Config{
 		Workload: clocksched.MPEG,
-		Policy:   clocksched.PASTPegPeg(),
+		Policy:   best,
 		Seed:     1,
 		Duration: 10 * time.Second,
 	})
@@ -30,26 +34,26 @@ func ExampleRun() {
 	// visited 206.4 MHz: true
 }
 
-// Compare a constant baseline against an interval policy.
-func ExampleConstantPolicy() {
-	baseline, err := clocksched.Run(clocksched.Config{
-		Workload: clocksched.MPEG,
-		Policy:   clocksched.ConstantPolicy(206.4, false),
-		Seed:     1,
-		Duration: 10 * time.Second,
-	})
-	if err != nil {
-		log.Fatal(err)
+// Build constant-speed policies by registry name and compare the full
+// speed baseline against the MPEG clip's sweet spot.
+func ExampleNewPolicy() {
+	run := func(mhz float64) *clocksched.Result {
+		p, err := clocksched.NewPolicy("constant", map[string]float64{"mhz": mhz})
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := clocksched.Run(clocksched.Config{
+			Workload: clocksched.MPEG,
+			Policy:   p,
+			Seed:     1,
+			Duration: 10 * time.Second,
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res
 	}
-	sweet, err := clocksched.Run(clocksched.Config{
-		Workload: clocksched.MPEG,
-		Policy:   clocksched.ConstantPolicy(132.7, false),
-		Seed:     1,
-		Duration: 10 * time.Second,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
+	baseline, sweet := run(206.4), run(132.7)
 	fmt.Printf("132.7 MHz saves energy: %v\n", sweet.EnergyJoules < baseline.EnergyJoules)
 	fmt.Printf("and still misses nothing: %v\n", sweet.Misses == 0)
 	// Output:
@@ -57,11 +61,20 @@ func ExampleConstantPolicy() {
 	// and still misses nothing: true
 }
 
-// Policies are described in the paper's own naming style.
+// Policies are described in the paper's own naming style. Speed setters
+// travel as codes: 0 one, 1 double, 2 peg.
 func ExamplePolicy_Name() {
-	fmt.Println(clocksched.PASTPegPeg().Name())
-	fmt.Println(clocksched.PeringAvgN(9, clocksched.One, clocksched.One).Name())
-	fmt.Println(clocksched.ConstantPolicy(132.7, true).Name())
+	for _, ref := range []clocksched.PolicyRef{
+		{Name: "past-peg-peg"},
+		{Name: "pering-avg-n", Params: map[string]float64{"n": 9, "up": 0, "down": 0}},
+		{Name: "constant", Params: map[string]float64{"mhz": 132.7, "low_voltage": 1}},
+	} {
+		p, err := ref.Build()
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Println(p.Name())
+	}
 	// Output:
 	// PAST, peg-peg, 93%-98%
 	// AVG_9, one-one, 50%-70%

@@ -20,9 +20,13 @@ func main() {
 
 	var ideal float64
 	for _, mhz := range clocksched.ClockStepsMHz() {
+		p, err := clocksched.NewPolicy("constant", map[string]float64{"mhz": mhz})
+		if err != nil {
+			log.Fatal(err)
+		}
 		res, err := clocksched.Run(clocksched.Config{
 			Workload: clocksched.MPEG,
-			Policy:   clocksched.ConstantPolicy(mhz, false),
+			Policy:   p,
 			Duration: 30 * time.Second,
 			Seed:     1,
 		})

@@ -21,19 +21,24 @@ import (
 )
 
 func main() {
-	setters := []clocksched.SpeedSetter{clocksched.One, clocksched.Double, clocksched.Peg}
-
 	var policies []clocksched.Policy
-	for _, n := range []int{0, 1, 3, 5, 7, 9, 10} {
-		for _, up := range setters {
-			for _, down := range setters {
-				policies = append(policies, clocksched.PeringAvgN(n, up, down))
+	add := func(name string, params map[string]float64) {
+		p, err := clocksched.NewPolicy(name, params)
+		if err != nil {
+			log.Fatal(err)
+		}
+		policies = append(policies, p)
+	}
+	// Speed setters travel as codes: 0 one, 1 double, 2 peg.
+	for _, n := range []float64{0, 1, 3, 5, 7, 9, 10} {
+		for up := 0.0; up <= 2; up++ {
+			for down := 0.0; down <= 2; down++ {
+				add("pering-avg-n", map[string]float64{"n": n, "up": up, "down": down})
 			}
 		}
 	}
-	policies = append(policies,
-		clocksched.ConstantPolicy(206.4, false),
-		clocksched.ConstantPolicy(132.7, false))
+	add("constant", map[string]float64{"mhz": 206.4})
+	add("constant", map[string]float64{"mhz": 132.7})
 
 	sweep, err := clocksched.Sweep(context.Background(), clocksched.SweepConfig{
 		Workloads: []clocksched.Workload{clocksched.MPEG},

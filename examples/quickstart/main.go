@@ -12,7 +12,11 @@ import (
 )
 
 func main() {
-	measure := func(p clocksched.Policy) *clocksched.Result {
+	measure := func(name string, params map[string]float64) *clocksched.Result {
+		p, err := clocksched.NewPolicy(name, params)
+		if err != nil {
+			log.Fatal(err)
+		}
 		res, err := clocksched.Run(clocksched.Config{
 			Workload: clocksched.MPEG,
 			Policy:   p,
@@ -28,8 +32,8 @@ func main() {
 	}
 
 	fmt.Println("MPEG, 60 seconds, simulated Itsy:")
-	baseline := measure(clocksched.ConstantPolicy(206.4, false))
-	best := measure(clocksched.PASTPegPeg())
+	baseline := measure("constant", nil)
+	best := measure("past-peg-peg", nil)
 
 	saving := (baseline.EnergyJoules - best.EnergyJoules) / baseline.EnergyJoules * 100
 	fmt.Printf("\nThe best heuristic saves %.1f%% energy without missing a deadline —\n", saving)

@@ -25,8 +25,11 @@ type Experiment struct {
 	Run func(env Env) (summary string, artifacts []Artifact, err error)
 }
 
-// Registry lists every experiment, in the paper's presentation order
-// followed by the extensions.
+// Registry lists every experiment this package can run on its own, in the
+// paper's presentation order followed by the extensions. The zoo and fleet
+// experiments need layers above this package (the policy registry, the
+// fleet engine), so cmd/experiments appends them: ZooExperiment and
+// fleet.Experiment.
 func Registry() []Experiment {
 	return []Experiment{
 		{"figure3", "Fig 3: utilization, 10ms quanta, 206.4MHz", runFigure3},
@@ -51,14 +54,12 @@ func Registry() []Experiment {
 		{"sa2", "§2.1: SA-2 voltage-scaling arithmetic", runSA2},
 		{"dvs", "§2.1 projection: policies on an ideal DVS core", runDVS},
 		{"weiser", "§3: Weiser trace-driven OPT/FUTURE/PAST scoring", runWeiser},
-		{"zoo", "optimality gap: every registered policy vs the offline oracle", runZoo},
-		{"fleet", "population-scale sweep: the policy zoo across a simulated device fleet", runFleet},
 	}
 }
 
-// Find returns the named experiment.
-func Find(name string) (Experiment, bool) {
-	for _, e := range Registry() {
+// Find returns the named experiment from the list.
+func Find(experiments []Experiment, name string) (Experiment, bool) {
+	for _, e := range experiments {
 		if e.Name == name {
 			return e, true
 		}
@@ -316,15 +317,6 @@ func runWeiser(env Env) (string, []Artifact, error) {
 	}
 	text := RenderWeiser(rows)
 	return text, []Artifact{{Name: "weiser.txt", Content: text}}, nil
-}
-
-func runZoo(env Env) (string, []Artifact, error) {
-	rows, err := ZooComparison(env, 0)
-	if err != nil {
-		return "", nil, err
-	}
-	text := RenderZoo(rows)
-	return text, []Artifact{{Name: "zoo.txt", Content: text}}, nil
 }
 
 // IndexHTML builds a small results index linking every artifact, with SVG

@@ -1,15 +1,19 @@
-package expt
+// The registry tests live in an external test package so the end-to-end
+// run can append the zoo and fleet experiments, whose layers sit above
+// expt, exactly as cmd/experiments does.
+package expt_test
 
 import (
 	"strings"
 	"testing"
+
+	"clocksched"
+	"clocksched/internal/expt"
+	"clocksched/internal/fleet"
 )
 
 func TestRegistryComplete(t *testing.T) {
-	reg := Registry()
-	if len(reg) != 24 {
-		t.Fatalf("%d experiments registered", len(reg))
-	}
+	reg := expt.Registry()
 	seen := map[string]bool{}
 	for _, e := range reg {
 		if e.Name == "" || e.Paper == "" || e.Run == nil {
@@ -32,17 +36,17 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestFind(t *testing.T) {
-	if _, ok := Find("table1"); !ok {
+	if _, ok := expt.Find(expt.Registry(), "table1"); !ok {
 		t.Error("table1 not found")
 	}
-	if _, ok := Find("nope"); ok {
+	if _, ok := expt.Find(expt.Registry(), "nope"); ok {
 		t.Error("bogus name found")
 	}
 }
 
-// TestRegistryRunsEverything executes every registered experiment end to
-// end (the full paper reproduction) and checks each produces a summary and
-// at least one artifact.
+// TestRegistryRunsEverything executes every experiment end to end (the
+// full paper reproduction, then the zoo and fleet experiments) and checks
+// each produces a summary and at least one artifact.
 func TestRegistryRunsEverything(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full reproduction")
@@ -50,10 +54,10 @@ func TestRegistryRunsEverything(t *testing.T) {
 	// The fleet experiment defaults to a 10k-device population; a few
 	// hundred devices exercise the same code end to end in test time.
 	t.Setenv("CLOCKSCHED_FLEET_DEVICES", "120")
-	for _, e := range Registry() {
-		e := e
+	all := append(expt.Registry(), expt.ZooExperiment(clocksched.PolicyZoo()), fleet.Experiment())
+	for _, e := range all {
 		t.Run(e.Name, func(t *testing.T) {
-			summary, artifacts, err := e.Run(DefaultEnv(1))
+			summary, artifacts, err := e.Run(expt.DefaultEnv(1))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,7 +77,7 @@ func TestRegistryRunsEverything(t *testing.T) {
 }
 
 func TestIndexHTML(t *testing.T) {
-	html := IndexHTML([]string{"table2.txt", "figure9.svg"})
+	html := expt.IndexHTML([]string{"table2.txt", "figure9.svg"})
 	for _, want := range []string{
 		"<!DOCTYPE html>", `href="table2.txt"`, `img src="figure9.svg"`,
 	} {
@@ -88,7 +92,11 @@ func TestIndexHTML(t *testing.T) {
 }
 
 func TestFigure9CompareArtifact(t *testing.T) {
-	_, arts, err := runFigure9(DefaultEnv(1))
+	e, ok := expt.Find(expt.Registry(), "figure9")
+	if !ok {
+		t.Fatal("figure9 not registered")
+	}
+	_, arts, err := e.Run(expt.DefaultEnv(1))
 	if err != nil {
 		t.Fatal(err)
 	}

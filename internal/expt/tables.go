@@ -155,10 +155,6 @@ func Table2Grid() ([]GridCell, error) {
 // independent deterministic simulation and the merge is ordered by grid
 // index.
 func Table2Env(env Env) ([]Table2Row, error) {
-	configs, err := table2Specs()
-	if err != nil {
-		return nil, err
-	}
 	grid, err := Table2Grid()
 	if err != nil {
 		return nil, err
@@ -166,6 +162,22 @@ func Table2Env(env Env) ([]Table2Row, error) {
 	cells, err := RunGrid(env, grid, false)
 	if err != nil {
 		return nil, fmt.Errorf("table 2: %w", err)
+	}
+	return FoldTable2(cells)
+}
+
+// FoldTable2 reduces the Table 2 grid's cells, in Table2Grid order, to the
+// table's rows: a 95% CI over per-run energy, total deadline misses, and
+// the mean clock-change count. Only EnergyJ, Misses and SpeedChanges are
+// read, so a sweep run elsewhere (clocksched.Table2Config) folds through
+// the same code.
+func FoldTable2(cells []Cell) ([]Table2Row, error) {
+	configs, err := table2Specs()
+	if err != nil {
+		return nil, err
+	}
+	if len(cells) != len(configs)*Table2Runs {
+		return nil, fmt.Errorf("table 2: %d cells, want %d", len(cells), len(configs)*Table2Runs)
 	}
 	rows := make([]Table2Row, 0, len(configs))
 	for ci, c := range configs {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"clocksched/internal/cpu"
 	"clocksched/internal/policy"
@@ -30,41 +29,32 @@ import (
 // feasible schedule can therefore never score below the oracle, and the
 // table's "×opt" column is a true optimality gap.
 //
-// The policy list is injected by the root clocksched package at init
-// (SetPolicyZoo) because the experiment layer cannot import the registry —
-// the root package sits above it.
+// The experiment layer cannot import the policy registry — the root
+// clocksched package sits above it — so callers pass the policy list in
+// (clocksched.PolicyZoo enumerates the registry).
 
-// ZooPolicy is one injected comparison policy: a registry name plus a
-// RunSpec builder (fresh per call, since kernel policies carry state).
+// ZooPolicy is one comparison policy: a registry name plus a RunSpec
+// builder (fresh per call, since kernel policies carry state).
 type ZooPolicy struct {
 	Name string
 	Spec func() (RunSpec, error)
 }
 
-var zooInjected struct {
-	sync.Mutex
-	list func() []ZooPolicy
-}
-
-// SetPolicyZoo installs the registered-policy enumeration used by the zoo
-// experiment. The root package calls this from init; later calls replace
-// the hook (tests may narrow the set).
-func SetPolicyZoo(list func() []ZooPolicy) {
-	zooInjected.Lock()
-	defer zooInjected.Unlock()
-	zooInjected.list = list
-}
-
-func policyZoo() ([]ZooPolicy, error) {
-	zooInjected.Lock()
-	defer zooInjected.Unlock()
-	if zooInjected.list == nil {
-		return nil, fmt.Errorf("expt: policy zoo not injected; import the clocksched package")
+// ZooExperiment is the zoo experiment's catalogue entry, comparing the
+// given policies.
+func ZooExperiment(zoo []ZooPolicy) Experiment {
+	return Experiment{
+		Name:  "zoo",
+		Paper: "optimality gap: every registered policy vs the offline oracle",
+		Run: func(env Env) (string, []Artifact, error) {
+			rows, err := ZooComparison(env, zoo, 0)
+			if err != nil {
+				return "", nil, err
+			}
+			text := RenderZoo(rows)
+			return text, []Artifact{{Name: "zoo.txt", Content: text}}, nil
+		},
 	}
-	zoo := zooInjected.list()
-	sorted := append([]ZooPolicy(nil), zoo...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a].Name < sorted[b].Name })
-	return sorted, nil
 }
 
 // ZooSlackQuanta is the deadline slack granted to each trace interval's
@@ -90,18 +80,16 @@ type ZooRow struct {
 	Norm         float64 // TraceEnergy / oracle's TraceEnergy (the gap)
 }
 
-// ZooComparison runs the optimality-gap grid: all injected policies × the
+// ZooComparison runs the optimality-gap grid: the given policies × the
 // four application workloads, plus the oracle row per workload. Rows come
 // back grouped by workload in FigureWorkloads order, oracle first, then
 // policies sorted by name.
-func ZooComparison(env Env, duration sim.Duration) ([]ZooRow, error) {
+func ZooComparison(env Env, zoo []ZooPolicy, duration sim.Duration) ([]ZooRow, error) {
 	if duration <= 0 {
 		duration = 30 * sim.Second
 	}
-	zoo, err := policyZoo()
-	if err != nil {
-		return nil, err
-	}
+	zoo = append([]ZooPolicy(nil), zoo...)
+	sort.Slice(zoo, func(a, b int) bool { return zoo[a].Name < zoo[b].Name })
 
 	// Builders must be deterministic, so one eager dry run per policy turns
 	// any construction error into an immediate failure instead of a grid

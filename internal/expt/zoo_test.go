@@ -1,7 +1,7 @@
-// The zoo acceptance tests live in an external test package: importing the
-// root clocksched package installs the registry enumeration hook
-// (expt.SetPolicyZoo) exactly as cmd/experiments does, without creating an
-// import cycle in the library itself.
+// The zoo acceptance tests live in an external test package: they import
+// the root clocksched package for its registry enumeration
+// (clocksched.PolicyZoo), exactly as cmd/experiments does, without creating
+// an import cycle in the library itself.
 package expt_test
 
 import (
@@ -22,7 +22,7 @@ import (
 // family alike — and the oracle itself misses nothing (ZooComparison fails
 // internally otherwise, via VerifySchedule).
 func TestZooComparisonAcceptance(t *testing.T) {
-	rows, err := expt.ZooComparison(expt.DefaultEnv(1), 0)
+	rows, err := expt.ZooComparison(expt.DefaultEnv(1), clocksched.PolicyZoo(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +94,11 @@ func TestZooOptSpeedsNeverBeatsOracle(t *testing.T) {
 // table" half of the acceptance criterion: two uncached runs of the same
 // environment must produce identical rows and an identical rendering.
 func TestZooComparisonDeterministic(t *testing.T) {
-	a, err := expt.ZooComparison(expt.DefaultEnv(1), 0)
+	a, err := expt.ZooComparison(expt.DefaultEnv(1), clocksched.PolicyZoo(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := expt.ZooComparison(expt.DefaultEnv(1), 0)
+	b, err := expt.ZooComparison(expt.DefaultEnv(1), clocksched.PolicyZoo(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

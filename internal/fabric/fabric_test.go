@@ -25,10 +25,19 @@ func fabricGrid(n int) clocksched.SweepConfig {
 	}
 	return clocksched.SweepConfig{
 		Workloads: []clocksched.Workload{clocksched.RectWave},
-		Policies:  []clocksched.Policy{clocksched.PASTPegPeg()},
+		Policies:  []clocksched.Policy{bestPolicy()},
 		Seeds:     seeds,
 		Duration:  2 * time.Second,
 	}
+}
+
+// bestPolicy is the paper's best policy, PAST peg-peg, from the registry.
+func bestPolicy() clocksched.Policy {
+	p, err := clocksched.NewPolicy("past-peg-peg", nil)
+	if err != nil {
+		panic(err)
+	}
+	return p
 }
 
 // serialBytes runs the spec uninterrupted in-process and returns its

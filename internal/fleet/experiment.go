@@ -56,6 +56,18 @@ func ExperimentSpec(seed uint64, devices int) (Spec, error) {
 	return spec, nil
 }
 
+// Experiment is the standing fleet experiment's catalogue entry.
+// cmd/experiments lists it after expt.Registry's entries.
+func Experiment() expt.Experiment {
+	return expt.Experiment{
+		Name:  "fleet",
+		Paper: "population-scale sweep: the policy zoo across a simulated device fleet",
+		Run:   runExperiment,
+	}
+}
+
+// runExperiment runs ExperimentSpec over ExperimentDevices locally and
+// renders the population summary to fleet.txt.
 func runExperiment(env expt.Env) (string, []expt.Artifact, error) {
 	spec, err := ExperimentSpec(env.Seed, ExperimentDevices())
 	if err != nil {
@@ -91,8 +103,4 @@ func runExperiment(env expt.Env) (string, []expt.Artifact, error) {
 	}
 	text := pop.Render()
 	return text, []expt.Artifact{{Name: "fleet.txt", Content: text}}, nil
-}
-
-func init() {
-	expt.SetFleetExperiment(runExperiment)
 }

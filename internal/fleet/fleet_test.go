@@ -58,9 +58,13 @@ func testSpec(tb testing.TB) Spec {
 }
 
 func TestSpecValidateStructuredErrors(t *testing.T) {
+	best, err := clocksched.NewPolicy("past-peg-peg", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	base := func() Spec {
 		s := NewSpec(10, 1)
-		s.Policies = []clocksched.Policy{clocksched.PASTPegPeg()}
+		s.Policies = []clocksched.Policy{best}
 		return s
 	}
 	cases := []struct {
@@ -169,8 +173,12 @@ func TestGenerateDeviceDeterministic(t *testing.T) {
 }
 
 func TestGenerateDeviceMixCoverage(t *testing.T) {
+	best, err := clocksched.NewPolicy("past-peg-peg", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := NewSpec(2000, 11)
-	s.Policies = []clocksched.Policy{clocksched.PASTPegPeg()}
+	s.Policies = []clocksched.Policy{best}
 	counts := map[clocksched.Workload]int{}
 	for i := 0; i < s.Devices; i++ {
 		counts[s.GenerateDevice(i).Workload]++

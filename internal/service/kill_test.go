@@ -26,7 +26,7 @@ func killGrid() clocksched.SweepConfig {
 	}
 	return clocksched.SweepConfig{
 		Workloads: []clocksched.Workload{clocksched.RectWave},
-		Policies:  []clocksched.Policy{clocksched.PASTPegPeg()},
+		Policies:  []clocksched.Policy{bestPolicy()},
 		Seeds:     seeds,
 		Duration:  2 * time.Second,
 	}

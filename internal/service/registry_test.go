@@ -19,10 +19,12 @@ import (
 // exactly what an uninterrupted local Sweep of the same grid encodes.
 func TestRegisteredPolicyThroughService(t *testing.T) {
 	err := clocksched.RegisterPolicy("svc-test-past", func(ps clocksched.Params) (clocksched.Policy, error) {
-		p := clocksched.PASTPegPeg()
-		p.LoPercent = ps.Int("lo_percent", p.LoPercent)
-		p.HiPercent = ps.Int("hi_percent", p.HiPercent)
-		return p, nil
+		return clocksched.Policy{
+			Up:        clocksched.Peg,
+			Down:      clocksched.Peg,
+			LoPercent: ps.Int("lo_percent", 93),
+			HiPercent: ps.Int("hi_percent", 98),
+		}, nil
 	})
 	if err != nil && !strings.Contains(err.Error(), "already registered") {
 		t.Fatal(err)

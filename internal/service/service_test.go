@@ -27,10 +27,19 @@ func testGrid(seeds int) clocksched.SweepConfig {
 	}
 	return clocksched.SweepConfig{
 		Workloads: []clocksched.Workload{clocksched.RectWave},
-		Policies:  []clocksched.Policy{clocksched.PASTPegPeg()},
+		Policies:  []clocksched.Policy{bestPolicy()},
 		Seeds:     ss,
 		Duration:  2 * time.Second,
 	}
+}
+
+// bestPolicy is the paper's best policy, PAST peg-peg, from the registry.
+func bestPolicy() clocksched.Policy {
+	p, err := clocksched.NewPolicy("past-peg-peg", nil)
+	if err != nil {
+		panic(err)
+	}
+	return p
 }
 
 func testSpec(seeds int) clocksched.SweepSpec {

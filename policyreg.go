@@ -6,23 +6,25 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"clocksched/internal/expt"
 )
 
-// This file is the extensible policy registry: the open-ended replacement
-// for the package's original closed constructor set. A policy is named by a
-// PolicyRef — a registry name plus a flat numeric parameter map — and
-// materialized through the builder registered under that name. The five
-// paper policies are pre-registered below; future families (OA, AVR, BKP,
-// the optimal-schedule oracle) plug in from their own files with
+// This file is the extensible policy registry, the one way to name a
+// policy. A policy is named by a PolicyRef — a registry name plus a flat
+// numeric parameter map — and materialized through the builder registered
+// under that name. The five paper policies and the deadline-feasible zoo
+// (OA, AVR, BKP) are pre-registered below; further families plug in with
 // RegisterPolicy and need no changes to clocksched.go.
 //
 // A Policy built from a ref keeps the ref alongside its resolved fields, so
 // it serializes in the compact {"name": ..., "params": ...} wire form
 // inside a SweepSpec and reconstructs through the receiving process's
 // registry. Its Name(), validation, and execution are exactly those of the
-// resolved fields: a ref-built PAST-peg-peg is indistinguishable at run
-// time from the deprecated PASTPegPeg() constructor's output, so Table 2
-// rows and result semantics are stable across the two forms.
+// resolved fields: NewPolicy("past-peg-peg", nil) runs identically to the
+// flat literal Policy{Up: Peg, Down: Peg, LoPercent: 93, HiPercent: 98}
+// that specs written before the registry carry, so Table 2 rows and result
+// semantics are stable across the two forms.
 
 // PolicyRef names a registered policy and its parameters. The zero Params
 // map selects every default. Params values are plain float64s so the ref
@@ -89,7 +91,8 @@ func RegisteredPolicies() []string {
 // NewPolicy materializes the named registered policy. The returned Policy
 // carries the ref, so it serializes in the {"name", "params"} wire form and
 // its cache identity includes the registry name. Unknown names and unknown
-// or out-of-domain parameters are errors.
+// or out-of-domain parameters are errors: every built policy must pass
+// Validate, so a bad parameter fails here rather than when a cell runs.
 func NewPolicy(name string, params map[string]float64) (Policy, error) {
 	policyReg.RLock()
 	build := policyReg.m[name]
@@ -104,6 +107,9 @@ func NewPolicy(name string, params map[string]float64) (Policy, error) {
 		return Policy{}, fmt.Errorf("clocksched: building policy %q: %w", name, err)
 	}
 	if err := ps.err(); err != nil {
+		return Policy{}, fmt.Errorf("clocksched: building policy %q: %w", name, err)
+	}
+	if err := p.Validate(); err != nil {
 		return Policy{}, fmt.Errorf("clocksched: building policy %q: %w", name, err)
 	}
 	ref := &PolicyRef{Name: name}
@@ -138,20 +144,24 @@ func (p Params) Get(name string, def float64) float64 {
 	return def
 }
 
-// Bool reads a 0/1-coded parameter.
+// Bool reads a 0/1-coded parameter, erroring via err() on any other value.
 func (p Params) Bool(name string, def bool) bool {
 	d := 0.0
 	if def {
 		d = 1
 	}
-	return p.Get(name, d) != 0
+	v := p.Get(name, d)
+	if v != 0 && v != 1 {
+		p.used[fmt.Sprintf("\x00parameter %q must be 0 or 1", name)] = true // poison: reported by err
+	}
+	return v != 0
 }
 
 // Int reads an integer-valued parameter, erroring via err() on fractions.
 func (p Params) Int(name string, def int) int {
 	v := p.Get(name, float64(def))
 	if v != float64(int(v)) {
-		p.used["\x00frac:"+name] = true // poison: reported by err
+		p.used[fmt.Sprintf("\x00parameter %q must be an integer", name)] = true // poison: reported by err
 	}
 	return int(v)
 }
@@ -165,8 +175,8 @@ func (p Params) err() error {
 		}
 	}
 	for k := range p.used {
-		if strings.HasPrefix(k, "\x00frac:") {
-			bad = append(bad, fmt.Sprintf("parameter %q must be an integer", strings.TrimPrefix(k, "\x00frac:")))
+		if msg, ok := strings.CutPrefix(k, "\x00"); ok {
+			bad = append(bad, msg)
 		}
 	}
 	if len(bad) == 0 {
@@ -198,36 +208,27 @@ func setterFromCode(code int) (SpeedSetter, error) {
 //	past-peg-peg   lo_percent (93), hi_percent (98), voltage_scale (0/1)
 //	pering-avg-n   n (12), up (2), down (2) [setter codes], voltage_scale
 //	deadline       voltage_scale (0/1)
-//	proportional   n (12), target_percent (80), voltage_scale (0/1)
+//	proportional   n (12), target_percent (80)
 //	oa             slack_quanta (3), voltage_scale (0/1)
 //	avr            slack_quanta (3), voltage_scale (0/1)
 //	bkp            slack_quanta (3), voltage_scale (0/1)
 func init() {
 	zoo := func(name string) {
 		mustRegister(name, func(ps Params) (Policy, error) {
-			p := Policy{
-				Zoo:          name,
-				SlackQuanta:  ps.Int("slack_quanta", 3),
-				VoltageScale: ps.Bool("voltage_scale", false),
-			}
-			if err := p.Validate(); err != nil {
-				return Policy{}, err
-			}
-			return p, nil
+			return Policy{Zoo: name, SlackQuanta: ps.Int("slack_quanta", 3), VoltageScale: ps.Bool("voltage_scale", false)}, nil
 		})
 	}
 	zoo("oa")
 	zoo("avr")
 	zoo("bkp")
 	mustRegister("constant", func(ps Params) (Policy, error) {
-		return ConstantPolicy(ps.Get("mhz", 206.4), ps.Bool("low_voltage", false)), nil
+		return Policy{Constant: true, MHz: ps.Get("mhz", 206.4), LowVoltage: ps.Bool("low_voltage", false)}, nil
 	})
+	// The paper's best policy: PAST prediction, peg-peg speed setting,
+	// scale up above 98% and down below 93%.
 	mustRegister("past-peg-peg", func(ps Params) (Policy, error) {
-		p := PASTPegPeg()
-		p.LoPercent = ps.Int("lo_percent", p.LoPercent)
-		p.HiPercent = ps.Int("hi_percent", p.HiPercent)
-		p.VoltageScale = ps.Bool("voltage_scale", false)
-		return p, nil
+		return Policy{Up: Peg, Down: Peg, LoPercent: ps.Int("lo_percent", 93), HiPercent: ps.Int("hi_percent", 98),
+			VoltageScale: ps.Bool("voltage_scale", false)}, nil
 	})
 	mustRegister("pering-avg-n", func(ps Params) (Policy, error) {
 		up, err := setterFromCode(ps.Int("up", 2))
@@ -238,16 +239,40 @@ func init() {
 		if err != nil {
 			return Policy{}, fmt.Errorf("down: %w", err)
 		}
-		p := PeringAvgN(ps.Int("n", 12), up, down)
-		p.VoltageScale = ps.Bool("voltage_scale", false)
-		return p, nil
+		// Pering et al.'s 50%/70% hysteresis bounds.
+		return Policy{AvgN: ps.Int("n", 12), Up: up, Down: down, LoPercent: 50, HiPercent: 70,
+			VoltageScale: ps.Bool("voltage_scale", false)}, nil
 	})
 	mustRegister("deadline", func(ps Params) (Policy, error) {
-		return DeadlinePolicy(ps.Bool("voltage_scale", false)), nil
+		return Policy{Deadline: true, VoltageScale: ps.Bool("voltage_scale", false)}, nil
 	})
 	mustRegister("proportional", func(ps Params) (Policy, error) {
-		return ProportionalPolicy(ps.Int("n", 12), ps.Int("target_percent", 80)), nil
+		return Policy{Proportional: true, AvgN: ps.Int("n", 12), TargetPercent: ps.Int("target_percent", 80)}, nil
 	})
+}
+
+// PolicyZoo enumerates every registered policy, each at its default
+// parameters, for the zoo experiment's comparison against the offline
+// optimal schedule (expt.ZooComparison). The experiment layer sits below
+// this package and cannot read the registry itself, so its callers pass
+// this list in. The registry is read at call time, so policies registered
+// by other packages or tests join the comparison.
+func PolicyZoo() []expt.ZooPolicy {
+	names := RegisteredPolicies()
+	zoo := make([]expt.ZooPolicy, 0, len(names))
+	for _, name := range names {
+		zoo = append(zoo, expt.ZooPolicy{
+			Name: name,
+			Spec: func() (expt.RunSpec, error) {
+				p, err := NewPolicy(name, nil)
+				if err != nil {
+					return expt.RunSpec{}, err
+				}
+				return p.build()
+			},
+		})
+	}
+	return zoo
 }
 
 // MarshalJSON emits the registry wire form {"name", "params"} for a

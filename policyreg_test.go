@@ -19,8 +19,22 @@ func registerForTest(t *testing.T, name string, b PolicyBuilder) {
 	}
 }
 
+// mustPolicy builds a registered policy, failing the test on error.
+func mustPolicy(tb testing.TB, name string, params map[string]float64) Policy {
+	tb.Helper()
+	p, err := NewPolicy(name, params)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
+// pastPegPegFlat is the flat field form of past-peg-peg: the literal that
+// specs written before the registry carry.
+var pastPegPegFlat = Policy{Up: Peg, Down: Peg, LoPercent: 93, HiPercent: 98}
+
 // stripRef returns the policy's resolved fields alone, for comparing a
-// registry-built policy against its constructor-built equivalent.
+// registry-built policy against its flat-form equivalent.
 func stripRef(p Policy) Policy {
 	p.Ref = nil
 	return p
@@ -40,22 +54,22 @@ func TestRegistryHasPaperPolicies(t *testing.T) {
 }
 
 // TestNewPolicyMatchesConstructors pins the compatibility contract: each
-// pre-registered name with default parameters resolves to exactly the
-// fields the deprecated constructor produces, so Name() strings, Table 2
-// rows, and run results are identical across the two forms.
+// pre-registered name resolves to exactly the flat field literal the
+// package's retired constructors returned, so Name() strings, Table 2 rows,
+// and run results are identical across the two wire forms.
 func TestNewPolicyMatchesConstructors(t *testing.T) {
 	cases := []struct {
 		name   string
 		params map[string]float64
 		want   Policy
 	}{
-		{"constant", nil, ConstantPolicy(206.4, false)},
-		{"constant", map[string]float64{"mhz": 132.7, "low_voltage": 1}, ConstantPolicy(132.7, true)},
-		{"past-peg-peg", nil, PASTPegPeg()},
-		{"pering-avg-n", nil, PeringAvgN(12, Peg, Peg)},
-		{"pering-avg-n", map[string]float64{"n": 4, "up": 1, "down": 0}, PeringAvgN(4, Double, One)},
-		{"deadline", map[string]float64{"voltage_scale": 1}, DeadlinePolicy(true)},
-		{"proportional", nil, ProportionalPolicy(12, 80)},
+		{"constant", nil, Policy{Constant: true, MHz: 206.4}},
+		{"constant", map[string]float64{"mhz": 132.7, "low_voltage": 1}, Policy{Constant: true, MHz: 132.7, LowVoltage: true}},
+		{"past-peg-peg", nil, pastPegPegFlat},
+		{"pering-avg-n", nil, Policy{AvgN: 12, Up: Peg, Down: Peg, LoPercent: 50, HiPercent: 70}},
+		{"pering-avg-n", map[string]float64{"n": 4, "up": 1, "down": 0}, Policy{AvgN: 4, Up: Double, Down: One, LoPercent: 50, HiPercent: 70}},
+		{"deadline", map[string]float64{"voltage_scale": 1}, Policy{Deadline: true, VoltageScale: true}},
+		{"proportional", nil, Policy{Proportional: true, AvgN: 12, TargetPercent: 80}},
 	}
 	for _, c := range cases {
 		got, err := NewPolicy(c.name, c.params)
@@ -70,26 +84,69 @@ func TestNewPolicyMatchesConstructors(t *testing.T) {
 			t.Errorf("NewPolicy(%q, %v) = %+v, want %+v", c.name, c.params, stripRef(got), c.want)
 		}
 		if got.Name() != c.want.Name() {
-			t.Errorf("NewPolicy(%q).Name() = %q, constructor says %q", c.name, got.Name(), c.want.Name())
+			t.Errorf("NewPolicy(%q).Name() = %q, flat form says %q", c.name, got.Name(), c.want.Name())
 		}
 	}
 }
 
+// TestNewPolicyAllocs guards the build path: validating every built policy
+// must not allocate on success. The ceilings are the counts measured
+// before NewPolicy validated: the params bookkeeping map, the policy
+// reference, and, with parameters, its copied map.
+func TestNewPolicyAllocs(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		params map[string]float64
+		max    float64
+	}{
+		{"past-peg-peg", nil, 3},
+		{"constant", map[string]float64{"mhz": 132.7, "low_voltage": 1}, 5},
+		{"bkp", map[string]float64{"slack_quanta": 5}, 5},
+	} {
+		got := testing.AllocsPerRun(100, func() {
+			if _, err := NewPolicy(c.name, c.params); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > c.max {
+			t.Errorf("NewPolicy(%q, %v) allocates %v times, want at most %v", c.name, c.params, got, c.max)
+		}
+	}
+}
+
+// TestNewPolicyRejectsBadInput pins admission-time rejection: an unknown
+// name, an unknown or malformed parameter, and one out-of-domain parameter
+// per built-in policy must each fail NewPolicy itself, and the JSON decode
+// of a SweepSpec naming it, rather than the cell that would later run it.
 func TestNewPolicyRejectsBadInput(t *testing.T) {
-	if _, err := NewPolicy("no-such-policy", nil); err == nil || !strings.Contains(err.Error(), "unknown policy") {
-		t.Errorf("unknown name: err = %v", err)
-	}
-	if _, err := NewPolicy("past-peg-peg", map[string]float64{"lo_pct": 90}); err == nil ||
-		!strings.Contains(err.Error(), `unknown parameter "lo_pct"`) {
-		t.Errorf("misspelled parameter must not silently default: err = %v", err)
-	}
-	if _, err := NewPolicy("pering-avg-n", map[string]float64{"n": 2.5}); err == nil ||
-		!strings.Contains(err.Error(), "must be an integer") {
-		t.Errorf("fractional integer parameter: err = %v", err)
-	}
-	if _, err := NewPolicy("pering-avg-n", map[string]float64{"up": 7}); err == nil ||
-		!strings.Contains(err.Error(), "speed-setter code") {
-		t.Errorf("bad setter code: err = %v", err)
+	for _, c := range []struct {
+		ref  PolicyRef
+		want string
+	}{
+		{PolicyRef{Name: "no-such-policy"}, "unknown policy"},
+		{PolicyRef{Name: "past-peg-peg", Params: map[string]float64{"lo_pct": 90}}, `unknown parameter "lo_pct"`},
+		{PolicyRef{Name: "pering-avg-n", Params: map[string]float64{"n": 2.5}}, "must be an integer"},
+		{PolicyRef{Name: "pering-avg-n", Params: map[string]float64{"up": 7}}, "speed-setter code"},
+		{PolicyRef{Name: "constant", Params: map[string]float64{"mhz": -5}}, "positive MHz"},
+		{PolicyRef{Name: "past-peg-peg", Params: map[string]float64{"lo_percent": 99, "hi_percent": 10}}, "bounds 99%-10%"},
+		{PolicyRef{Name: "pering-avg-n", Params: map[string]float64{"n": -1}}, "negative AVG_N"},
+		{PolicyRef{Name: "deadline", Params: map[string]float64{"voltage_scale": 2}}, `"voltage_scale" must be 0 or 1`},
+		{PolicyRef{Name: "proportional", Params: map[string]float64{"target_percent": 0}}, "target 0%"},
+		{PolicyRef{Name: "oa", Params: map[string]float64{"slack_quanta": -1}}, "negative zoo slack"},
+		{PolicyRef{Name: "avr", Params: map[string]float64{"slack_quanta": -2}}, "negative zoo slack"},
+		{PolicyRef{Name: "bkp", Params: map[string]float64{"voltage_scale": 0.5}}, `"voltage_scale" must be 0 or 1`},
+	} {
+		if _, err := c.ref.Build(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("NewPolicy(%q, %v): err = %v, want %q", c.ref.Name, c.ref.Params, err, c.want)
+		}
+		ref, err := json.Marshal(c.ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var spec SweepSpec
+		if err := json.Unmarshal([]byte(`{"policies":[`+string(ref)+`]}`), &spec); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("SweepSpec naming %s: decode err = %v, want %q", ref, err, c.want)
+		}
 	}
 	if err := RegisterPolicy("", func(Params) (Policy, error) { return Policy{}, nil }); err == nil {
 		t.Error("empty name registered")
@@ -103,9 +160,8 @@ func TestNewPolicyRejectsBadInput(t *testing.T) {
 }
 
 // TestPolicyJSONWireForms pins both encodings: a ref-built policy travels
-// as {"name", "params"} and reconstructs through the registry; a
-// constructor-built policy keeps the flat field form specs used before the
-// registry existed.
+// as {"name", "params"} and reconstructs through the registry; a policy
+// literal keeps the flat field form specs used before the registry existed.
 func TestPolicyJSONWireForms(t *testing.T) {
 	ref, err := NewPolicy("past-peg-peg", map[string]float64{"lo_percent": 90, "voltage_scale": 1})
 	if err != nil {
@@ -126,13 +182,13 @@ func TestPolicyJSONWireForms(t *testing.T) {
 		t.Errorf("ref round trip: %+v != %+v", back, ref)
 	}
 
-	flat := PeringAvgN(8, Double, Peg)
+	flat := Policy{AvgN: 8, Up: Double, Down: Peg, LoPercent: 50, HiPercent: 70}
 	b, err = json.Marshal(flat)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(string(b), `"name"`) {
-		t.Fatalf("constructor policy wire form = %s, want flat fields", b)
+		t.Fatalf("literal policy wire form = %s, want flat fields", b)
 	}
 	var flatBack Policy
 	if err := json.Unmarshal(b, &flatBack); err != nil {
@@ -159,7 +215,7 @@ func TestSweepSpecPolicyRefRoundTrip(t *testing.T) {
 	}
 	cfg := SweepConfig{
 		Workloads: []Workload{RectWave},
-		Policies:  []Policy{ref, PASTPegPeg()},
+		Policies:  []Policy{ref, pastPegPegFlat},
 		Seeds:     []uint64{1, 2},
 		Duration:  time.Second,
 	}
@@ -253,11 +309,11 @@ func TestCacheKeyDistinguishesRef(t *testing.T) {
 
 // TestRegisteredOnlyPolicyThroughSweep is the acceptance path for the open
 // registry: a policy family that exists only via RegisterPolicy — never a
-// constructor, never a clocksched.go edit — runs through Sweep and
+// clocksched.go edit — runs through Sweep and
 // produces exactly the measurements of the equivalent hand-built fields.
 func TestRegisteredOnlyPolicyThroughSweep(t *testing.T) {
 	registerForTest(t, "test-past-tight", func(ps Params) (Policy, error) {
-		p := PASTPegPeg()
+		p := pastPegPegFlat
 		p.LoPercent = ps.Int("lo_percent", 85)
 		p.HiPercent = ps.Int("hi_percent", 95)
 		return p, nil

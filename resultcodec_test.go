@@ -19,7 +19,7 @@ var raceEnabled bool
 // codecSample is one 5 s MPEG cell's Result, the size of a short sweep cell.
 func codecSample(tb testing.TB) *Result {
 	tb.Helper()
-	res, err := Run(Config{Workload: MPEG, Policy: PASTPegPeg(), Seed: 1, Duration: 5 * time.Second})
+	res, err := Run(Config{Workload: MPEG, Policy: mustPolicy(tb, "past-peg-peg", nil), Seed: 1, Duration: 5 * time.Second})
 	if err != nil {
 		tb.Fatal(err)
 	}

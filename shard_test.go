@@ -12,7 +12,7 @@ func shardSpec(t *testing.T) SweepSpec {
 	t.Helper()
 	return NewSweepSpec(SweepConfig{
 		Workloads: []Workload{MPEG, RectWave},
-		Policies:  []Policy{ConstantPolicy(206.4, false), PASTPegPeg()},
+		Policies:  []Policy{mustPolicy(t, "constant", nil), mustPolicy(t, "past-peg-peg", nil)},
 		Seeds:     []uint64{1, 2, 3},
 		Duration:  time.Second,
 		FailFast:  true,

@@ -13,10 +13,11 @@ import (
 // specSweepConfig is a small, fault-bearing sweep used by the wire-format
 // tests: cheap enough to simulate for real, rich enough to exercise the
 // optional spec fields.
-func specSweepConfig() SweepConfig {
+func specSweepConfig(tb testing.TB) SweepConfig {
+	tb.Helper()
 	return SweepConfig{
 		Workloads:     []Workload{RectWave, MPEG},
-		Policies:      []Policy{PASTPegPeg(), ConstantPolicy(206.4, false)},
+		Policies:      []Policy{mustPolicy(tb, "past-peg-peg", nil), mustPolicy(tb, "constant", nil)},
 		Seeds:         []uint64{1, 2},
 		Duration:      2 * time.Second,
 		DeadlineSlack: 33 * time.Millisecond,
@@ -28,7 +29,7 @@ func specSweepConfig() SweepConfig {
 }
 
 func TestSweepSpecJSONRoundTrip(t *testing.T) {
-	cfg := specSweepConfig()
+	cfg := specSweepConfig(t)
 	spec := NewSweepSpec(cfg)
 	if spec.SimVersion != SimVersion() {
 		t.Fatalf("NewSweepSpec stamped %q, want %q", spec.SimVersion, SimVersion())
@@ -69,9 +70,9 @@ func TestSweepSpecJSONRoundTrip(t *testing.T) {
 func TestSweepSpecExplicitCells(t *testing.T) {
 	cfg := SweepConfig{
 		Cells: []Config{
-			{Workload: RectWave, Policy: PASTPegPeg(), Seed: 7, Duration: time.Second,
+			{Workload: RectWave, Policy: mustPolicy(t, "past-peg-peg", nil), Seed: 7, Duration: time.Second,
 				Faults: &FaultPlan{SampleDropProb: 0.25}},
-			{Workload: MPEG, Policy: DeadlinePolicy(true), Seed: 9, Duration: 2 * time.Second},
+			{Workload: MPEG, Policy: mustPolicy(t, "deadline", map[string]float64{"voltage_scale": 1}), Seed: 9, Duration: 2 * time.Second},
 		},
 	}
 	raw, err := json.Marshal(NewSweepSpec(cfg))
@@ -98,7 +99,7 @@ func TestSweepSpecExplicitCells(t *testing.T) {
 }
 
 func TestSweepSpecVersionMismatch(t *testing.T) {
-	spec := NewSweepSpec(specSweepConfig())
+	spec := NewSweepSpec(specSweepConfig(t))
 	for _, v := range []string{"", "clocksched-sim/0", SimVersion() + "-dev"} {
 		spec.SimVersion = v
 		if _, err := spec.Config(); !errors.Is(err, ErrVersionMismatch) {
@@ -136,9 +137,9 @@ func TestDurationJSONForms(t *testing.T) {
 // once entirely from cache — and requires byte-identical envelopes: the
 // encoding must not leak how each cell's result was obtained.
 func TestSweepResultEncodingCanonical(t *testing.T) {
-	cfg := specSweepConfig()
+	cfg := specSweepConfig(t)
 	cfg.Workloads = []Workload{RectWave}
-	cfg.Policies = []Policy{PASTPegPeg()}
+	cfg.Policies = []Policy{mustPolicy(t, "past-peg-peg", nil)}
 	cache, err := NewSweepCache(0, "")
 	if err != nil {
 		t.Fatalf("cache: %v", err)
@@ -194,7 +195,7 @@ func TestSweepResultEncodingCanonical(t *testing.T) {
 func TestSweepResultEncodingCarriesErrors(t *testing.T) {
 	cfg := SweepConfig{
 		Cells: []Config{
-			{Workload: RectWave, Policy: PASTPegPeg(), Seed: 1, Duration: time.Second,
+			{Workload: RectWave, Policy: mustPolicy(t, "past-peg-peg", nil), Seed: 1, Duration: time.Second,
 				Faults: &FaultPlan{CellAbortProb: 1}},
 		},
 	}

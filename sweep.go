@@ -348,6 +348,41 @@ func (cfg SweepConfig) Validate() error {
 	return errors.Join(verrs...)
 }
 
+// Table2Config is the paper's Table 2 grid as a sweep: the 60-second MPEG
+// workload under three constant-speed baselines and PAST peg-peg without
+// and with voltage scaling, each built through the policy registry, over n
+// consecutive seeds starting at seed. FailFast is set, since one failed
+// cell spoils a confidence interval.
+func Table2Config(seed uint64, n int) (SweepConfig, error) {
+	if n < 1 {
+		return SweepConfig{}, fmt.Errorf("clocksched: Table2Config needs at least one seed, got %d", n)
+	}
+	var policies []Policy
+	for _, ref := range []PolicyRef{
+		{Name: "constant", Params: map[string]float64{"mhz": 206.4}},
+		{Name: "constant", Params: map[string]float64{"mhz": 132.7}},
+		{Name: "constant", Params: map[string]float64{"mhz": 132.7, "low_voltage": 1}},
+		{Name: "past-peg-peg"},
+		{Name: "past-peg-peg", Params: map[string]float64{"voltage_scale": 1}},
+	} {
+		p, err := ref.Build()
+		if err != nil {
+			return SweepConfig{}, err
+		}
+		policies = append(policies, p)
+	}
+	seeds := make([]uint64, n)
+	for i := range seeds {
+		seeds[i] = seed + uint64(i)
+	}
+	return SweepConfig{
+		Workloads: []Workload{MPEG},
+		Policies:  policies,
+		Seeds:     seeds,
+		FailFast:  true,
+	}, nil
+}
+
 // Sweep executes the batch. Every cell is validated before anything runs,
 // so a malformed grid fails fast with every problem joined into one error.
 //

@@ -15,38 +15,25 @@ import (
 
 // table2Sweep is the full Table 2 measurement grid as a public sweep: five
 // policies × ten seeds of the 60-second MPEG workload.
-func table2Sweep(workers int) SweepConfig {
-	best := PASTPegPeg()
-	bestVS := PASTPegPeg()
-	bestVS.VoltageScale = true
-	seeds := make([]uint64, 10)
-	for i := range seeds {
-		seeds[i] = uint64(i + 1)
+func table2Sweep(tb testing.TB, workers int) SweepConfig {
+	tb.Helper()
+	cfg, err := Table2Config(1, 10)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	return SweepConfig{
-		Workloads: []Workload{MPEG},
-		Policies: []Policy{
-			ConstantPolicy(206.4, false),
-			ConstantPolicy(132.7, false),
-			ConstantPolicy(132.7, true),
-			best,
-			bestVS,
-		},
-		Seeds:    seeds,
-		Workers:  workers,
-		FailFast: true,
-	}
+	cfg.Workers = workers
+	return cfg
 }
 
 // TestSweepDeterministicMerge is the tentpole guarantee: a 4-worker sweep
 // of the full Table 2 grid is byte-identical to the serial sweep, cell by
 // cell, under the canonical encoding.
 func TestSweepDeterministicMerge(t *testing.T) {
-	serial, err := Sweep(context.Background(), table2Sweep(1))
+	serial, err := Sweep(context.Background(), table2Sweep(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Sweep(context.Background(), table2Sweep(4))
+	parallel, err := Sweep(context.Background(), table2Sweep(t, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +59,7 @@ func TestSweepDeterministicMerge(t *testing.T) {
 func TestSweepCellAt(t *testing.T) {
 	cfg := SweepConfig{
 		Workloads: []Workload{MPEG, RectWave},
-		Policies:  []Policy{ConstantPolicy(206.4, false), PASTPegPeg()},
+		Policies:  []Policy{mustPolicy(t, "constant", nil), mustPolicy(t, "past-peg-peg", nil)},
 		Seeds:     []uint64{1, 2},
 		Duration:  2 * time.Second,
 		Workers:   2,
@@ -89,7 +76,7 @@ func TestSweepCellAt(t *testing.T) {
 	if c == nil {
 		t.Fatal("CellAt(1,1,0) = nil")
 	}
-	if c.Config.Workload != RectWave || !reflect.DeepEqual(c.Config.Policy, PASTPegPeg()) || c.Config.Seed != 1 {
+	if c.Config.Workload != RectWave || !reflect.DeepEqual(c.Config.Policy, mustPolicy(t, "past-peg-peg", nil)) || c.Config.Seed != 1 {
 		t.Errorf("CellAt(1,1,0) resolved to %+v", c.Config)
 	}
 	if c != &res.Cells[(1*2+1)*2+0] {
@@ -153,7 +140,7 @@ func TestSweepCacheHitsAndStats(t *testing.T) {
 	}
 	cfg := SweepConfig{
 		Workloads: []Workload{MPEG},
-		Policies:  []Policy{PASTPegPeg()},
+		Policies:  []Policy{mustPolicy(t, "past-peg-peg", nil)},
 		Seeds:     []uint64{1, 2, 3},
 		Duration:  2 * time.Second,
 		Cache:     cache,
@@ -211,17 +198,17 @@ func TestSweepCacheHitsAndStats(t *testing.T) {
 }
 
 func TestCacheKeyChangesWithVersionAndSpec(t *testing.T) {
-	base := Config{Workload: MPEG, Policy: PASTPegPeg(), Seed: 1, Duration: time.Second}
+	base := Config{Workload: MPEG, Policy: mustPolicy(t, "past-peg-peg", nil), Seed: 1, Duration: time.Second}
 	if cacheKeyAt("sim/1", base) == cacheKeyAt("sim/2", base) {
 		t.Error("simulation version bump did not invalidate the key")
 	}
 	vary := []Config{
-		{Workload: Web, Policy: PASTPegPeg(), Seed: 1, Duration: time.Second},
-		{Workload: MPEG, Policy: PeringAvgN(9, One, Double), Seed: 1, Duration: time.Second},
-		{Workload: MPEG, Policy: PASTPegPeg(), Seed: 2, Duration: time.Second},
-		{Workload: MPEG, Policy: PASTPegPeg(), Seed: 1, Duration: 2 * time.Second},
-		{Workload: MPEG, Policy: PASTPegPeg(), Seed: 1, Duration: time.Second, CaptureTrace: true},
-		{Workload: MPEG, Policy: PASTPegPeg(), Seed: 1, Duration: time.Second,
+		{Workload: Web, Policy: mustPolicy(t, "past-peg-peg", nil), Seed: 1, Duration: time.Second},
+		{Workload: MPEG, Policy: mustPolicy(t, "pering-avg-n", map[string]float64{"n": 9, "up": 0, "down": 1}), Seed: 1, Duration: time.Second},
+		{Workload: MPEG, Policy: mustPolicy(t, "past-peg-peg", nil), Seed: 2, Duration: time.Second},
+		{Workload: MPEG, Policy: mustPolicy(t, "past-peg-peg", nil), Seed: 1, Duration: 2 * time.Second},
+		{Workload: MPEG, Policy: mustPolicy(t, "past-peg-peg", nil), Seed: 1, Duration: time.Second, CaptureTrace: true},
+		{Workload: MPEG, Policy: mustPolicy(t, "past-peg-peg", nil), Seed: 1, Duration: time.Second,
 			Faults: &FaultPlan{ClockChangeFailProb: 0.1}},
 	}
 	seen := map[string]int{cacheKey(base): -1}
@@ -244,31 +231,27 @@ func TestCacheKeyChangesWithVersionAndSpec(t *testing.T) {
 // journal record, so the hashed byte stream must not change without a
 // sim.Version bump.
 func TestCacheKeyGolden(t *testing.T) {
-	build := func(name string, params map[string]float64) Policy {
-		t.Helper()
-		p, err := NewPolicy(name, params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
+	build := func(name string, params map[string]float64) Policy { return mustPolicy(t, name, params) }
+	// The flat-form cases are the literals specs written before the
+	// registry carry.
+	pastPegPeg := Policy{Up: Peg, Down: Peg, LoPercent: 93, HiPercent: 98}
 	cases := []struct {
 		cfg  Config
 		want string
 	}{
-		{Config{Workload: MPEG, Policy: PASTPegPeg(), Seed: 1, Duration: time.Second},
+		{Config{Workload: MPEG, Policy: pastPegPeg, Seed: 1, Duration: time.Second},
 			"b36049dfbc4de93847b8912a46d93cd4c36c07cc982b4b9daf9ab5832bb197bc"},
 		{Config{Workload: Web, Policy: build("oa", nil), Seed: 7, Duration: 2 * time.Second},
 			"b16e59a61d4c5da28a84442ae4d8a4f35c56b602b989d209727cb1563dd0d713"},
 		{Config{Workload: Chess, Policy: build("avr", map[string]float64{"slack_quanta": 5}), Seed: 3, Duration: 2 * time.Second},
 			"4d727839671ac5db6208a195076865a4070d0dc871b51d8dc8c94bd7e4a65e2e"},
-		{Config{Workload: TalkingEditor, Policy: ConstantPolicy(132.7, true), Seed: 2},
+		{Config{Workload: TalkingEditor, Policy: Policy{Constant: true, MHz: 132.7, LowVoltage: true}, Seed: 2},
 			"7156191d9413bd59236cbb1ff4349515626364f611b2e0aa833deca58ac5850c"},
-		{Config{Workload: RectWave, Policy: PeringAvgN(9, One, Double), Seed: 1<<63 + 5, Duration: 20 * time.Second},
+		{Config{Workload: RectWave, Policy: Policy{AvgN: 9, Up: One, Down: Double, LoPercent: 50, HiPercent: 70}, Seed: 1<<63 + 5, Duration: 20 * time.Second},
 			"55ecbe697791457961079bcd5dc1f0f70464acdc2b017363783c7abdf709365a"},
 		{Config{Workload: Feedback, Policy: build("constant", map[string]float64{"mhz": 132.7, "low_voltage": 1}), Seed: 11, Duration: 3 * time.Second},
 			"3f179c0539887fa3d3494ac02010393db8552c9e0620ce6e4639ab9c712d1081"},
-		{Config{Workload: MPEG, Policy: PASTPegPeg(), Seed: 4, Duration: 5 * time.Second, DeadlineSlack: 50 * time.Millisecond,
+		{Config{Workload: MPEG, Policy: pastPegPeg, Seed: 4, Duration: 5 * time.Second, DeadlineSlack: 50 * time.Millisecond,
 			Faults:   &FaultPlan{ClockChangeFailProb: 0.01, SampleDropProb: 0.005, TimerJitterProb: 0.02},
 			Watchdog: &WatchdogConfig{Window: 30, MaxReversals: 6}},
 			"1bd2d8274a2b94365948ffbca861daa28064d2836ac81fd57a8c3b0ce829165e"},
@@ -285,7 +268,7 @@ func TestCacheKeyGolden(t *testing.T) {
 func TestResultWireRoundTrip(t *testing.T) {
 	res, err := Run(Config{
 		Workload:     MPEG,
-		Policy:       PASTPegPeg(),
+		Policy:       mustPolicy(t, "past-peg-peg", nil),
 		Seed:         3,
 		Duration:     2 * time.Second,
 		CaptureTrace: true,
@@ -350,7 +333,7 @@ func TestSweepProgress(t *testing.T) {
 func TestSweepCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Sweep(ctx, table2Sweep(2))
+	_, err := Sweep(ctx, table2Sweep(t, 2))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
@@ -426,9 +409,17 @@ func TestTraceSeqEarlyStop(t *testing.T) {
 }
 
 func ExampleSweep() {
+	var policies []Policy
+	for _, name := range []string{"constant", "past-peg-peg"} {
+		p, err := NewPolicy(name, nil)
+		if err != nil {
+			panic(err)
+		}
+		policies = append(policies, p)
+	}
 	res, err := Sweep(context.Background(), SweepConfig{
 		Workloads: []Workload{MPEG},
-		Policies:  []Policy{ConstantPolicy(206.4, false), PASTPegPeg()},
+		Policies:  policies,
 		Seeds:     []uint64{1},
 		Duration:  10 * time.Second,
 		FailFast:  true,

@@ -238,7 +238,7 @@ func gobUintSize(x uint64) int {
 func checkEnvelopeAssembly(warm *codecWarmup) bool {
 	rich := sweepResultEnvelope{SimVersion: sim.Version, NW: 1, NS: -300}
 	for i := 0; i < 130; i++ {
-		ce := sweepCellEnvelope{Spec: CellSpec{Workload: MPEG, Policy: PASTPegPeg(), Seed: uint64(i) << 20, Duration: Duration(time.Second)}}
+		ce := sweepCellEnvelope{Spec: CellSpec{Workload: MPEG, Policy: Policy{Up: Peg, Down: Peg, LoPercent: 93, HiPercent: 98}, Seed: uint64(i) << 20, Duration: Duration(time.Second)}}
 		switch i % 3 {
 		case 0:
 			ce.Result = bytes.Repeat([]byte{byte(i)}, 200)

@@ -40,7 +40,7 @@ func envelopeSample(n int, nw, np, ns int, kinds, refParams byte, energy float64
 	r := &SweepResult{nw: nw, np: np, ns: ns}
 	params := []string{"mhz", "low_voltage", "lo_percent"}
 	for i := 0; i < n; i++ {
-		c := SweepCell{Config: Config{Workload: Workloads()[i%len(Workloads())], Policy: PASTPegPeg(), Seed: uint64(i) * 977, Duration: time.Duration(i) * time.Millisecond}}
+		c := SweepCell{Config: Config{Workload: Workloads()[i%len(Workloads())], Policy: pastPegPegFlat, Seed: uint64(i) * 977, Duration: time.Duration(i) * time.Millisecond}}
 		if k := (int(refParams) + i) % 5; k < 4 {
 			ref := &PolicyRef{Name: fmt.Sprintf("ref-%d", i%7)}
 			for j := 0; j < k; j++ {

@@ -18,7 +18,7 @@ import (
 func TestRunTelemetrySummary(t *testing.T) {
 	res, err := Run(Config{
 		Workload: MPEG,
-		Policy:   PASTPegPeg(),
+		Policy:   mustPolicy(t, "past-peg-peg", nil),
 		Seed:     1,
 		Duration: 2 * time.Second,
 	})
@@ -60,7 +60,7 @@ func TestRunTelemetrySummary(t *testing.T) {
 func TestTelemetryIsObservational(t *testing.T) {
 	cfg := Config{
 		Workload: MPEG,
-		Policy:   PASTPegPeg(),
+		Policy:   mustPolicy(t, "past-peg-peg", nil),
 		Seed:     7,
 		Duration: 2 * time.Second,
 	}
@@ -99,7 +99,7 @@ func TestTelemetryIsObservational(t *testing.T) {
 // The Telemetry field must not split the sweep cache: equal cells hash
 // equal whether or not a registry is attached.
 func TestTelemetryExcludedFromCacheKey(t *testing.T) {
-	base := Config{Workload: MPEG, Policy: PASTPegPeg(), Seed: 1, Duration: time.Second}
+	base := Config{Workload: MPEG, Policy: mustPolicy(t, "past-peg-peg", nil), Seed: 1, Duration: time.Second}
 	withTel := base
 	withTel.Telemetry = NewTelemetry()
 	if cacheKey(base) != cacheKey(withTel) {
@@ -151,7 +151,7 @@ func TestSweepTelemetryServed(t *testing.T) {
 	sweep := func() *SweepResult {
 		res, err := Sweep(context.Background(), SweepConfig{
 			Workloads: []Workload{MPEG},
-			Policies:  []Policy{PASTPegPeg()},
+			Policies:  []Policy{mustPolicy(t, "past-peg-peg", nil)},
 			Seeds:     []uint64{1, 2, 3},
 			Duration:  time.Second,
 			Workers:   2,
