@@ -77,7 +77,7 @@ func main() {
 		return
 	}
 
-	// run holds the defers (telemetry drain, journal close) so they fire on
+	// run holds the defers (telemetry drain, signal stop) so they fire on
 	// every exit path, including an interrupt; os.Exit would skip them.
 	os.Exit(run(outDir, only, seed, workers, nocache, resume, cellTimeout, retries, telAddr, progress, remote, peers, peerToken))
 }
@@ -149,29 +149,31 @@ func run(outDir, only *string, seed *uint64, workers *int, nocache, resume *bool
 		env.Telemetry = reg
 	}
 	if !*nocache {
-		cache, err := expt.NewCellCache(0, filepath.Join(*outDir, "cache"))
+		// One cell store for the whole run: every grid experiment and the
+		// fleet share the cache and the journal, under disjoint keys. Each
+		// completed cell is committed to the journal; relaunching with
+		// -resume replays them from the cache instead of re-simulating. The
+		// journal is truncated (or recovered) once here; each grid then
+		// reopens it with resume.
+		cache, err := clocksched.NewSweepCache(0, filepath.Join(*outDir, "cache"))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments: cache:", err)
 			return 1
 		}
 		env.Cache = cache
-		// Each completed cell is committed to the journal; relaunching with
-		// -resume replays them from the cache instead of re-simulating.
-		jr, err := sweep.OpenCellJournal(filepath.Join(*outDir, "sweep.wal"), *resume)
+		env.Journal = filepath.Join(*outDir, "sweep.wal")
+		jr, err := sweep.OpenCellJournal(env.Journal, *resume)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments: journal:", err)
 			return 1
 		}
-		defer jr.Close()
-		jr.Instrument(env.Telemetry)
 		if *resume {
 			fmt.Fprintf(os.Stderr, "experiments: resume: %d cell(s) recovered from journal\n", jr.Recovered())
 		}
-		env.Journal = jr
-		// Experiments that own their durable state (the fleet experiment's
-		// result cache + fleet.wal) anchor it in the same output directory.
-		env.DataDir = *outDir
-		env.Resume = *resume
+		if err := jr.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "experiments: journal:", err)
+			return 1
+		}
 	} else if *resume {
 		fmt.Fprintln(os.Stderr, "experiments: -resume needs the cell cache (drop -nocache)")
 		return 2

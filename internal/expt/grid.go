@@ -27,13 +27,12 @@ type Env struct {
 	// every cell's simulation stack. Purely observational: results are
 	// bit-identical with or without it.
 	Telemetry *telemetry.Registry
-	// Stats, when non-nil, is filled with the pool statistics of the last
-	// grid run.
-	Stats *sweep.PoolStats
-	// Journal, when non-nil (with Cache), durably commits each completed
-	// cell so an interrupted experiment regeneration can resume, replaying
-	// committed cells from the disk cache.
-	Journal *sweep.CellJournal
+	// Journal, when non-empty (with Cache), is the path of the cell
+	// journal that durably commits each completed cell, so an interrupted
+	// experiment regeneration can resume, replaying committed cells from
+	// the disk cache. Each grid opens it with resume and closes it when
+	// done: truncating it for a fresh run is the caller's job, done once.
+	Journal string
 	// CellTimeout, when positive, bounds each cell attempt's wall time.
 	CellTimeout time.Duration
 	// Retries and RetryBase configure per-cell retry of transient failures
@@ -44,16 +43,6 @@ type Env struct {
 	// (see sweep.Options.OnProgress). A resumed run's counts start at the
 	// journal-replayed cell count.
 	Progress func(done, total int)
-	// DataDir, when non-empty, is a durable scratch directory for
-	// experiments that keep their own cell caches and journals. Cache and
-	// Journal above carry grid-cell payloads, so experiments sweeping the
-	// public clocksched.Sweep path (the fleet experiment) cannot share
-	// them; they open result-typed state under DataDir instead.
-	DataDir string
-	// Resume tells DataDir-owning experiments to replay the journal left
-	// by an interrupted run instead of truncating it, mirroring the
-	// Journal field's semantics for grid experiments.
-	Resume bool
 }
 
 // DefaultEnv is the serial environment the pre-batch API ran under: one
@@ -133,6 +122,14 @@ func projectCell(out *RunOutcome, keepUtil bool) Cell {
 // error aborts the grid. keepUtil retains each cell's per-quantum
 // utilization log (needed by the figure panels, costly for big grids).
 func RunGrid(env Env, cells []GridCell, keepUtil bool) ([]Cell, error) {
+	var jr *sweep.CellJournal
+	if env.Journal != "" {
+		var err error
+		if jr, err = sweep.OpenCellJournal(env.Journal, true); err != nil {
+			return nil, err
+		}
+		defer jr.Close()
+	}
 	jobs := make([]sweep.Job, len(cells))
 	for i, c := range cells {
 		key := ""
@@ -161,10 +158,10 @@ func RunGrid(env Env, cells []GridCell, keepUtil bool) ([]Cell, error) {
 		Workers:     env.Workers,
 		FailFast:    true,
 		Cache:       env.Cache,
+		Codec:       cellCodec,
 		OnProgress:  env.Progress,
 		Telemetry:   env.Telemetry,
-		Stats:       env.Stats,
-		Journal:     env.Journal,
+		Journal:     jr,
 		CellTimeout: env.CellTimeout,
 		Retry:       sweep.RetryPolicy{Max: env.Retries, Base: env.RetryBase, Seed: env.Seed},
 	})
@@ -182,28 +179,24 @@ func RunGrid(env Env, cells []GridCell, keepUtil bool) ([]Cell, error) {
 	return res, nil
 }
 
-// NewCellCache builds a sweep cache for grid cells: maxEntries in memory
-// (non-positive selects the default), plus a disk layer under dir when it
-// is non-empty.
-func NewCellCache(maxEntries int, dir string) (*sweep.Cache, error) {
-	return sweep.NewCache(maxEntries, dir, sweep.Codec{
-		Encode: func(v any) ([]byte, error) {
-			cell, ok := v.(Cell)
-			if !ok {
-				return nil, fmt.Errorf("expt: caching %T, want Cell", v)
-			}
-			var b bytes.Buffer
-			if err := gob.NewEncoder(&b).Encode(cell); err != nil {
-				return nil, err
-			}
-			return b.Bytes(), nil
-		},
-		Decode: func(b []byte) (any, error) {
-			var cell Cell
-			if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&cell); err != nil {
-				return nil, err
-			}
-			return cell, nil
-		},
-	})
+// cellCodec is how RunGrid stores a Cell in the sweep cache.
+var cellCodec = sweep.Codec{
+	Encode: func(v any) ([]byte, error) {
+		cell, ok := v.(Cell)
+		if !ok {
+			return nil, fmt.Errorf("expt: caching %T, want Cell", v)
+		}
+		var b bytes.Buffer
+		if err := gob.NewEncoder(&b).Encode(cell); err != nil {
+			return nil, err
+		}
+		return b.Bytes(), nil
+	},
+	Decode: func(b []byte) (any, error) {
+		var cell Cell
+		if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&cell); err != nil {
+			return nil, err
+		}
+		return cell, nil
+	},
 }

@@ -48,9 +48,6 @@ type Config struct {
 	// Transport, when non-nil, is threaded under every peer client — the
 	// chaos suite's fault.NetInjector seam.
 	Transport http.RoundTripper
-	// NewClient, when non-nil, overrides peer-client construction
-	// entirely (tests inject per-peer transports).
-	NewClient func(base string) *service.Client
 
 	// Dir roots the coordinator's durable state: the lease ledger
 	// (fabric.wal), committed shard results (shard-<i>.bin), and local
@@ -206,21 +203,14 @@ func New(cfg Config) (*Coordinator, error) {
 		reg: reg,
 	}
 	for _, base := range cfg.Peers {
-		co.peers = append(co.peers, &peerState{base: base, client: co.newClient(base)})
+		co.peers = append(co.peers, &peerState{base: base, client: &service.Client{
+			Base:           base,
+			Token:          cfg.Token,
+			Transport:      cfg.Transport,
+			RequestTimeout: cfg.RequestTimeout,
+		}})
 	}
 	return co, nil
-}
-
-func (c *Coordinator) newClient(base string) *service.Client {
-	if c.cfg.NewClient != nil {
-		return c.cfg.NewClient(base)
-	}
-	return &service.Client{
-		Base:           base,
-		Token:          c.cfg.Token,
-		Transport:      c.cfg.Transport,
-		RequestTimeout: c.cfg.RequestTimeout,
-	}
 }
 
 // Metrics returns the coordinator's registry (per-peer dispatch,
@@ -556,7 +546,7 @@ func (c *Coordinator) commit(s *shardState, b []byte, by string) error {
 		c.reg.Counter(mDuplicates).Inc()
 		return errAlreadyDone
 	}
-	if err := writeFileAtomic(c.shardBinPath(s.index), b, c.cfg.FS); err != nil {
+	if err := journal.WriteFileAtomic(c.shardBinPath(s.index), b, c.cfg.FS); err != nil {
 		c.mu.Unlock()
 		return fmt.Errorf("fabric: storing shard %d: %w", s.index, err)
 	}
@@ -581,39 +571,6 @@ func (c *Coordinator) commit(s *shardState, b []byte, by string) error {
 	c.report(done, total)
 	_ = by
 	return nil
-}
-
-// writeFileAtomic mirrors the service's durable result write: temp file,
-// fsync, rename, all through the injectable surface.
-func writeFileAtomic(path string, b []byte, fs journal.FS) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	var werr error
-	if fs == nil {
-		_, werr = tmp.Write(b)
-	} else {
-		_, werr = fs.Write(tmp, b)
-	}
-	if werr == nil {
-		if fs == nil {
-			werr = tmp.Sync()
-		} else {
-			werr = fs.Sync(tmp)
-		}
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return werr
-	}
-	if fs == nil {
-		return os.Rename(tmp.Name(), path)
-	}
-	return fs.Rename(tmp.Name(), path)
 }
 
 // stop reports whether the runners should exit, under c.mu.

@@ -1,10 +1,8 @@
 package fleet
 
 import (
-	"context"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strconv"
 	"time"
 
@@ -73,31 +71,22 @@ func runExperiment(env expt.Env) (string, []expt.Artifact, error) {
 	if err != nil {
 		return "", nil, err
 	}
-	ctx := env.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
+	// The fleet's cells share the run's cell cache and journal with the
+	// grid experiments (their keys are disjoint), so a killed run resumes
+	// the fleet like any grid. The journal is never truncated here: the
+	// caller starts each run's journal once, fresh or resumed.
 	rc := RunConfig{
 		Workers:     env.Workers,
+		Cache:       env.Cache,
+		Journal:     env.Journal,
+		Resume:      env.Journal != "",
 		CellTimeout: env.CellTimeout,
 		Retries:     env.Retries,
 		RetryBase:   env.RetryBase,
 		Progress:    env.Progress,
 		Telemetry:   env.Telemetry,
 	}
-	// env.Cache/env.Journal carry grid-cell payloads, which this sweep
-	// cannot share; a DataDir instead anchors fleet-owned durable state so
-	// a killed run resumes from its own journal + result cache.
-	if env.DataDir != "" {
-		cache, err := clocksched.NewSweepCache(0, filepath.Join(env.DataDir, "fleet-cache"))
-		if err != nil {
-			return "", nil, fmt.Errorf("fleet: cache: %w", err)
-		}
-		rc.Cache = cache
-		rc.Journal = filepath.Join(env.DataDir, "fleet.wal")
-		rc.Resume = env.Resume
-	}
-	pop, err := Run(ctx, spec, rc)
+	pop, err := Run(env.Ctx, spec, rc)
 	if err != nil {
 		return "", nil, err
 	}

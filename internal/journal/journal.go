@@ -302,12 +302,6 @@ func (w *Writer) syncLocked() error {
 	return nil
 }
 
-// Rewrite atomically replaces the journal at path with a fresh one holding
-// exactly the given payloads, in order; see RewriteFS.
-func Rewrite(path string, payloads [][]byte) error {
-	return RewriteFS(path, payloads, nil)
-}
-
 // RewriteFS atomically replaces the journal at path with a fresh one
 // holding exactly the given payloads, in order, routing durable writes
 // through fs (nil selects the real filesystem). The new log is assembled
@@ -318,15 +312,8 @@ func Rewrite(path string, payloads [][]byte) error {
 // This is the primitive under journal compaction: the caller replays the
 // old log, decides which records are still live, and rewrites.
 func RewriteFS(path string, payloads [][]byte, fs FS) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".rewrite-*")
-	if err != nil {
-		return fmt.Errorf("journal: rewrite: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op once the rename lands
-
-	bw := bufio.NewWriter(fileWriter{fs: fs, f: tmp})
-	werr := func() error {
+	err := writeAtomic(path, filepath.Base(path)+".tmp-*", fs, true, func(w io.Writer) error {
+		bw := bufio.NewWriter(w)
 		if _, err := bw.Write(fileMagic); err != nil {
 			return err
 		}
@@ -335,27 +322,63 @@ func RewriteFS(path string, payloads [][]byte, fs FS) error {
 				return err
 			}
 		}
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		return fsSync(fs, tmp)
-	}()
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return fmt.Errorf("journal: rewrite: %w", werr)
-	}
-	if err := fsRename(fs, tmp.Name(), path); err != nil {
+		return bw.Flush()
+	})
+	if err != nil {
 		return fmt.Errorf("journal: rewrite: %w", err)
 	}
 	// Best-effort directory sync so the rename itself survives power loss;
 	// filesystems that cannot fsync a directory still got the atomic rename.
-	if d, err := os.Open(dir); err == nil {
+	if d, err := os.Open(filepath.Dir(path)); err == nil {
 		_ = d.Sync()
 		_ = d.Close()
 	}
 	return nil
+}
+
+// WriteFileAtomic replaces the file at path with b, routing the durable
+// writes through fs (nil selects the real filesystem): a same-directory
+// temporary file is written, fsynced, and renamed over path, so a reader
+// sees the old file or the complete new one, never a torn mix.
+func WriteFileAtomic(path string, b []byte, fs FS) error {
+	return writeAtomic(path, filepath.Base(path)+".tmp-*", fs, true,
+		func(w io.Writer) error { _, err := w.Write(b); return err })
+}
+
+// ReplaceFile is WriteFileAtomic without the fsync, and with a short
+// ".tmp-*" temporary name: a reader still never sees a torn file, but a
+// power loss may lose the new contents. It is for regenerable state
+// written once per cell, such as sweep cache entries, which the cell
+// journal verifies before trusting.
+func ReplaceFile(path string, b []byte, fs FS) error {
+	return writeAtomic(path, ".tmp-*", fs, false,
+		func(w io.Writer) error { _, err := w.Write(b); return err })
+}
+
+// writeAtomic is the write-to-temporary-then-rename sequence under
+// RewriteFS, WriteFileAtomic and ReplaceFile: fill writes the new contents
+// through fs into a temporary file named by pattern beside path, fsynced
+// when sync is set; a failure at any step leaves path untouched and no
+// temporary file behind.
+func writeAtomic(path, pattern string, fs FS, sync bool, fill func(w io.Writer) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), pattern)
+	if err != nil {
+		return err
+	}
+	err = fill(fileWriter{fs: fs, f: tmp})
+	if err == nil && sync {
+		err = fsSync(fs, tmp)
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsRename(fs, tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // Close syncs and closes the file. Further appends return ErrClosed.

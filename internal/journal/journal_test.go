@@ -93,7 +93,7 @@ func TestRewrite(t *testing.T) {
 	}
 
 	live := [][]byte{[]byte("keep-a"), {}, []byte("keep-b")}
-	if err := Rewrite(path, live); err != nil {
+	if err := RewriteFS(path, live, nil); err != nil {
 		t.Fatalf("Rewrite: %v", err)
 	}
 

@@ -1093,7 +1093,7 @@ func (s *Server) execute(ctx context.Context, j *job) {
 	case sweepErr == nil:
 		enc, err := clocksched.EncodeSweepResult(res)
 		if err == nil {
-			err = writeFileAtomic(s.resultPath(j.id), enc, s.cfg.FS)
+			err = journal.WriteFileAtomic(s.resultPath(j.id), enc, s.cfg.FS)
 		}
 		if err != nil {
 			s.finishJob(j, StateFailed, fmt.Sprintf("storing result: %v", err))
@@ -1233,40 +1233,6 @@ func (s *Server) closeManifest() error {
 	s.manifestMu.Lock()
 	defer s.manifestMu.Unlock()
 	return s.manifest.Close()
-}
-
-// writeFileAtomic writes bytes via a same-directory temp file, fsync, and
-// rename, so the destination is never observable half-written. A non-nil
-// fs routes the write, fsync, and rename through the injectable surface.
-func writeFileAtomic(path string, b []byte, fs journal.FS) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	var werr error
-	if fs == nil {
-		_, werr = tmp.Write(b)
-	} else {
-		_, werr = fs.Write(tmp, b)
-	}
-	if werr == nil {
-		if fs == nil {
-			werr = tmp.Sync()
-		} else {
-			werr = fs.Sync(tmp)
-		}
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return werr
-	}
-	if fs == nil {
-		return os.Rename(tmp.Name(), path)
-	}
-	return fs.Rename(tmp.Name(), path)
 }
 
 // scopes snapshots the metric export set: the service registry, any extra

@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,13 +11,16 @@ import (
 	"sync/atomic"
 	"time"
 
+	"clocksched/internal/journal"
 	"clocksched/internal/telemetry"
 )
 
 // Codec serializes cached values. The cache stores encoded bytes — in
 // memory and on disk — and decodes on every hit, so a hit can never alias a
 // value another cell is still mutating, and a disk entry written by one
-// process is readable by the next.
+// process is readable by the next. The cache itself is codec-free: each Get
+// and Put names the codec of its value type, so one cache (and one disk
+// directory) can hold entries of several types under disjoint keys.
 type Codec struct {
 	Encode func(v any) ([]byte, error)
 	Decode func(b []byte) (any, error)
@@ -34,13 +36,13 @@ type CacheStats struct {
 	Bytes    int64 // encoded bytes held in memory
 }
 
-// Cache is a content-addressed result cache: a bounded in-memory LRU with
-// an optional on-disk layer. It is safe for concurrent use.
+// Cache is a content-addressed byte store: a bounded in-memory LRU of
+// encoded entries with an optional on-disk layer. It is safe for concurrent
+// use.
 type Cache struct {
-	codec      Codec
 	dir        string // "" disables the disk layer
 	maxEntries int
-	fs         FS // injectable write/rename surface; nil = real filesystem
+	fs         journal.FS // injectable write/rename surface; nil = real filesystem
 
 	mu      sync.Mutex
 	ll      *list.List // front = most recently used
@@ -85,7 +87,7 @@ func (c *Cache) Instrument(reg *telemetry.Registry) {
 // through the injectable filesystem surface. Call it before the cache sees
 // traffic — it exists so the chaos tests can make the disk layer
 // misbehave; production caches leave the default (real) filesystem.
-func (c *Cache) SetFS(fs FS) {
+func (c *Cache) SetFS(fs journal.FS) {
 	if c == nil {
 		return
 	}
@@ -102,14 +104,11 @@ type cacheEntry struct {
 // non-positive size.
 const DefaultCacheEntries = 1024
 
-// NewCache builds a cache holding at most maxEntries encoded results in
+// NewCache builds a cache holding at most maxEntries encoded entries in
 // memory (non-positive selects DefaultCacheEntries). A non-empty dir adds a
 // persistent disk layer under it — one file per key, written atomically —
 // created on demand.
-func NewCache(maxEntries int, dir string, codec Codec) (*Cache, error) {
-	if codec.Encode == nil || codec.Decode == nil {
-		return nil, errors.New("sweep: cache needs both codec halves")
-	}
+func NewCache(maxEntries int, dir string) (*Cache, error) {
 	if maxEntries <= 0 {
 		maxEntries = DefaultCacheEntries
 	}
@@ -119,7 +118,6 @@ func NewCache(maxEntries int, dir string, codec Codec) (*Cache, error) {
 		}
 	}
 	return &Cache{
-		codec:      codec,
 		dir:        dir,
 		maxEntries: maxEntries,
 		ll:         list.New(),
@@ -127,18 +125,13 @@ func NewCache(maxEntries int, dir string, codec Codec) (*Cache, error) {
 	}, nil
 }
 
-// Get looks the key up in memory, then on disk. A disk hit is promoted into
-// memory. The decoded value, a hit flag, and any decode error are returned;
-// a missing entry is (nil, false, nil).
-func (c *Cache) Get(key string) (any, bool, error) {
-	v, _, ok, err := c.GetWithBytes(key)
-	return v, ok, err
-}
-
-// GetWithBytes is Get, additionally returning the entry's encoded bytes on
-// a hit — the representation the journal layer hashes to verify a replayed
-// cell. The bytes are the cache's own copy and must not be mutated.
-func (c *Cache) GetWithBytes(key string) (any, []byte, bool, error) {
+// Get looks the key up in memory, then on disk, and decodes the entry with
+// codec. A disk hit is promoted into memory. It returns the decoded value,
+// the entry's encoded bytes — what the journal layer hashes to verify a
+// replayed cell; the cache's own copy, not to be mutated — and a hit flag.
+// A missing entry is (nil, nil, false, nil); a disk entry that fails to
+// decode is quarantined and reported as a miss.
+func (c *Cache) Get(key string, codec Codec) (any, []byte, bool, error) {
 	tel := c.tel.Load()
 	var t0 time.Time
 	if tel != nil {
@@ -150,7 +143,7 @@ func (c *Cache) GetWithBytes(key string) (any, []byte, bool, error) {
 		b := el.Value.(*cacheEntry).b
 		c.stats.Hits++
 		c.mu.Unlock()
-		v, err := c.codec.Decode(b)
+		v, err := codec.Decode(b)
 		if err != nil {
 			return nil, nil, false, err
 		}
@@ -165,7 +158,7 @@ func (c *Cache) GetWithBytes(key string) (any, []byte, bool, error) {
 	if c.dir != "" {
 		b, err := os.ReadFile(c.path(key))
 		if err == nil {
-			v, derr := c.codec.Decode(b)
+			v, derr := codec.Decode(b)
 			if derr == nil {
 				c.insert(key, b, true)
 				if tel != nil {
@@ -199,20 +192,14 @@ func (c *Cache) GetWithBytes(key string) (any, []byte, bool, error) {
 	return nil, nil, false, nil
 }
 
-// Put encodes v and stores it under key, in memory and (when configured) on
-// disk.
-func (c *Cache) Put(key string, v any) error {
-	_, err := c.PutEncoded(key, v)
-	return err
-}
-
-// PutEncoded is Put, additionally returning the encoded bytes it stored —
-// what the journal layer hashes when committing the cell.
-func (c *Cache) PutEncoded(key string, v any) ([]byte, error) {
+// Put encodes v with codec and stores the bytes under key, in memory and
+// (when configured) on disk. It returns the encoded bytes — what the
+// journal layer hashes when committing the cell.
+func (c *Cache) Put(key string, v any, codec Codec) ([]byte, error) {
 	if tel := c.tel.Load(); tel != nil {
 		defer tel.putH.ObserveSince(time.Now())
 	}
-	b, err := c.codec.Encode(v)
+	b, err := codec.Encode(v)
 	if err != nil {
 		return nil, fmt.Errorf("sweep: encoding cache entry: %w", err)
 	}
@@ -223,35 +210,9 @@ func (c *Cache) PutEncoded(key string, v any) ([]byte, error) {
 	// Atomic write: a crashed or concurrent writer never leaves a torn
 	// file for Get to misread. (Under an injected torn rename the entry
 	// file can hold a prefix — which Get's decode-or-quarantine path treats
-	// as a miss, so a faulted write still only costs a re-run.)
-	path := c.path(key)
-	tmp, err := os.CreateTemp(c.dir, ".tmp-*")
-	if err != nil {
-		return nil, fmt.Errorf("sweep: cache write: %w", err)
-	}
-	werr := func() error {
-		if c.fs == nil {
-			_, err := tmp.Write(b)
-			return err
-		}
-		_, err := c.fs.Write(tmp, b)
-		return err
-	}()
-	if werr != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return nil, fmt.Errorf("sweep: cache write: %w", werr)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return nil, fmt.Errorf("sweep: cache write: %w", err)
-	}
-	rename := os.Rename
-	if c.fs != nil {
-		rename = c.fs.Rename
-	}
-	if err := rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	// as a miss, so a faulted write still only costs a re-run.) No fsync:
+	// the journal verifies an entry before trusting it.
+	if err := journal.ReplaceFile(c.path(key), b, c.fs); err != nil {
 		return nil, fmt.Errorf("sweep: cache write: %w", err)
 	}
 	return b, nil
@@ -264,13 +225,6 @@ func (c *Cache) Stats() CacheStats {
 	s := c.stats
 	s.Entries = c.ll.Len()
 	return s
-}
-
-// Len reports the number of in-memory entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
 }
 
 // insert stores encoded bytes at the LRU front, evicting from the back past

@@ -37,12 +37,6 @@ import (
 	"clocksched/internal/telemetry"
 )
 
-// FS is the injectable filesystem surface the durability layer's writes
-// run through — an alias of journal.FS so one injector (the chaos tests
-// use *fault.DiskInjector) serves journal, cache, and service alike. Nil
-// means the real filesystem.
-type FS = journal.FS
-
 // attemptKey carries the zero-based retry attempt through the context into
 // the cell closure, so a deterministic simulation can salt its
 // fault-injection streams per attempt — giving each retry an independent
@@ -144,11 +138,11 @@ type CellJournal struct {
 }
 
 // CompactThreshold is the resumed-journal size (bytes of valid prefix)
-// above which OpenCellJournal rewrites the log down to one record per live
-// cell. Long-lived journals accumulate duplicate commits — cache hits
-// re-journal, re-runs re-commit — and replaying an unbounded log on every
-// resume is wasted work. A var, not a const, so tests (and unusual
-// deployments) can lower it.
+// above which OpenCellJournal rewrites a log holding duplicate records
+// down to one record per live cell. Long-lived journals accumulate
+// duplicate commits — cache hits re-journal, re-runs re-commit — and
+// replaying an unbounded log on every resume is wasted work. A var, not a
+// const, so tests (and unusual deployments) can lower it.
 var CompactThreshold int64 = 1 << 20
 
 // journalTel bundles the journal's pre-resolved instruments.
@@ -170,13 +164,16 @@ func OpenCellJournal(path string, resume bool) (*CellJournal, error) {
 // not a valid cell record means the file is some other journal (or a format
 // break) and fails the open rather than silently resuming wrong.
 //
-// A resumed journal whose valid prefix exceeds CompactThreshold is
-// compacted before appending resumes: the log is atomically rewritten with
-// one record per live cell (latest hash, first-commit order), dropping
-// duplicate commits and the already-truncated tail. Compaction preserves
-// exactly the recovered cell set — it changes the file, never the
-// semantics — and Compacted reports that it happened.
-func OpenCellJournalFS(path string, resume bool, fs FS) (*CellJournal, error) {
+// A resumed journal whose valid prefix exceeds CompactThreshold and that
+// holds more records than live cells is compacted before appending
+// resumes: the log is atomically rewritten with one record per live cell
+// (latest hash, first-commit order), dropping duplicate commits and the
+// already-truncated tail. A log of distinct records is left alone, however
+// large: rewriting it would drop nothing, and every reopen would pay for
+// the fsynced copy. Compaction preserves exactly the recovered cell set —
+// it changes the file, never the semantics — and Compacted reports that it
+// happened.
+func OpenCellJournalFS(path string, resume bool, fs journal.FS) (*CellJournal, error) {
 	done := map[string]string{}
 	var order []string // first-commit order of distinct keys
 	parse := func(p []byte) error {
@@ -201,7 +198,7 @@ func OpenCellJournalFS(path string, resume bool, fs FS) (*CellJournal, error) {
 			return nil, err
 		}
 		torn = stats.Torn
-		if stats.ValidBytes > CompactThreshold {
+		if stats.ValidBytes > CompactThreshold && stats.Records > len(order) {
 			payloads := make([][]byte, 0, len(order))
 			for _, k := range order {
 				rec, err := json.Marshal(cellRecord{K: k, H: done[k]})
@@ -346,6 +343,7 @@ func (jr *CellJournal) Close() error {
 // journal, deadline budget, retry policy, and the pre-resolved instruments.
 type cellRunner struct {
 	cache       *Cache
+	codec       Codec
 	journal     *CellJournal
 	timeout     time.Duration
 	retry       RetryPolicy
@@ -366,13 +364,13 @@ func (cr *cellRunner) run(ctx context.Context, i int, j Job) Outcome {
 	// believed. A mismatch — evicted entry, corruption, codec drift — falls
 	// through to an ordinary re-run, which reproduces the same result.
 	if h, ok := cr.journal.Completed(j.Key); ok && cr.cache != nil && j.Key != "" {
-		if v, enc, hit, err := cr.cache.GetWithBytes(j.Key); err == nil && hit && hashBytes(enc) == h {
+		if v, enc, hit, err := cr.cache.Get(j.Key, cr.codec); err == nil && hit && hashBytes(enc) == h {
 			return Outcome{Value: v, Cached: true, Replayed: true}
 		}
 	}
 
 	if cr.cache != nil && j.Key != "" {
-		if v, enc, hit, err := cr.cache.GetWithBytes(j.Key); err == nil && hit {
+		if v, enc, hit, err := cr.cache.Get(j.Key, cr.codec); err == nil && hit {
 			// A plain cache hit also completes the cell; journal it so a
 			// later resume replays instead of depending on cache policy.
 			_ = cr.journal.Commit(j.Key, enc)
@@ -394,7 +392,7 @@ func (cr *cellRunner) run(ctx context.Context, i int, j Job) Outcome {
 		}
 		if err == nil {
 			if cr.cache != nil && j.Key != "" {
-				if enc, perr := cr.cache.PutEncoded(j.Key, v); perr == nil {
+				if enc, perr := cr.cache.Put(j.Key, v, cr.codec); perr == nil {
 					_ = cr.journal.Commit(j.Key, enc)
 				}
 			}

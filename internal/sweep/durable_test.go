@@ -200,7 +200,7 @@ func TestJournalCommitAndResumeReplays(t *testing.T) {
 	}
 
 	// First run: everything simulates and commits.
-	c1, err := NewCache(8, cacheDir, jsonCodec())
+	c1, err := NewCache(8, cacheDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestJournalCommitAndResumeReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	var s1 PoolStats
-	out1, err := Run(context.Background(), mk(true), Options{Workers: 2, Cache: c1, Journal: jr1, Stats: &s1})
+	out1, err := Run(context.Background(), mk(true), Options{Workers: 2, Cache: c1, Codec: jsonCodec(), Journal: jr1, Stats: &s1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestJournalCommitAndResumeReplays(t *testing.T) {
 
 	// Second process: resume replays every cell from the journal + cache
 	// without invoking a single closure.
-	c2, err := NewCache(8, cacheDir, jsonCodec())
+	c2, err := NewCache(8, cacheDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestJournalCommitAndResumeReplays(t *testing.T) {
 	}
 	var s2 PoolStats
 	out2, err := Run(context.Background(), mk(false), Options{
-		Workers: 2, Cache: c2, Journal: jr2, Telemetry: reg, Stats: &s2,
+		Workers: 2, Cache: c2, Codec: jsonCodec(), Journal: jr2, Telemetry: reg, Stats: &s2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +280,7 @@ func TestResumeProgressStartsAtReplayedCount(t *testing.T) {
 
 	// First process: run only the first four cells (a truncated grid), as
 	// an interrupted sweep would have.
-	c1, err := NewCache(8, cacheDir, jsonCodec())
+	c1, err := NewCache(8, cacheDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,13 +288,13 @@ func TestResumeProgressStartsAtReplayedCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(context.Background(), mk()[:4], Options{Workers: 2, Cache: c1, Journal: jr1}); err != nil {
+	if _, err := Run(context.Background(), mk()[:4], Options{Workers: 2, Cache: c1, Codec: jsonCodec(), Journal: jr1}); err != nil {
 		t.Fatal(err)
 	}
 	jr1.Close()
 
 	// Second process: resume over the full grid.
-	c2, err := NewCache(8, cacheDir, jsonCodec())
+	c2, err := NewCache(8, cacheDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestResumeProgressStartsAtReplayedCount(t *testing.T) {
 	var mu sync.Mutex
 	var calls [][2]int
 	_, err = Run(context.Background(), mk(), Options{
-		Workers: 2, Cache: c2, Journal: jr2,
+		Workers: 2, Cache: c2, Codec: jsonCodec(), Journal: jr2,
 		OnProgress: func(done, total int) {
 			mu.Lock()
 			calls = append(calls, [2]int{done, total})
@@ -343,7 +343,7 @@ func TestJournalHashMismatchReruns(t *testing.T) {
 	wal := filepath.Join(dir, "sweep.wal")
 	cacheDir := filepath.Join(dir, "cache")
 
-	c1, err := NewCache(8, cacheDir, jsonCodec())
+	c1, err := NewCache(8, cacheDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestJournalHashMismatchReruns(t *testing.T) {
 		t.Fatal(err)
 	}
 	jobs := []Job{{Key: "k", Run: func(context.Context) (any, error) { return 7, nil }}}
-	if _, err := Run(context.Background(), jobs, Options{Workers: 1, Cache: c1, Journal: jr1}); err != nil {
+	if _, err := Run(context.Background(), jobs, Options{Workers: 1, Cache: c1, Codec: jsonCodec(), Journal: jr1}); err != nil {
 		t.Fatal(err)
 	}
 	jr1.Close()
@@ -368,7 +368,7 @@ func TestJournalHashMismatchReruns(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2, err := NewCache(8, cacheDir, jsonCodec())
+	c2, err := NewCache(8, cacheDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +379,7 @@ func TestJournalHashMismatchReruns(t *testing.T) {
 	defer jr2.Close()
 	var ran atomic.Bool
 	jobs2 := []Job{{Key: "k", Run: func(context.Context) (any, error) { ran.Store(true); return 7, nil }}}
-	out, err := Run(context.Background(), jobs2, Options{Workers: 1, Cache: c2, Journal: jr2})
+	out, err := Run(context.Background(), jobs2, Options{Workers: 1, Cache: c2, Codec: jsonCodec(), Journal: jr2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,11 +397,11 @@ func TestJournalHashMismatchReruns(t *testing.T) {
 func TestPlainCacheHitIsJournalled(t *testing.T) {
 	dir := t.TempDir()
 	wal := filepath.Join(dir, "sweep.wal")
-	c, err := NewCache(8, "", jsonCodec())
+	c, err := NewCache(8, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put("warm", 5); err != nil {
+	if _, err := c.Put("warm", 5, jsonCodec()); err != nil {
 		t.Fatal(err)
 	}
 	jr, err := OpenCellJournal(wal, false)
@@ -413,7 +413,7 @@ func TestPlainCacheHitIsJournalled(t *testing.T) {
 		t.Error("warm cell ran")
 		return nil, nil
 	}}}
-	out, err := Run(context.Background(), jobs, Options{Workers: 1, Cache: c, Journal: jr})
+	out, err := Run(context.Background(), jobs, Options{Workers: 1, Cache: c, Codec: jsonCodec(), Journal: jr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,6 +558,52 @@ func TestCellJournalCompactionRoundTrip(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		if _, ok := again.Completed(fmt.Sprintf("k%d", i)); !ok {
 			t.Errorf("cell k%d lost across compaction round trip", i)
+		}
+	}
+}
+
+// TestCellJournalCompactsOnlyDuplicates: a resumed journal over the
+// threshold is rewritten only when it holds more records than live cells.
+// A log of distinct keys stays the same file at the same size; one with a
+// duplicate commit is still compacted.
+func TestCellJournalCompactsOnlyDuplicates(t *testing.T) {
+	defer func(v int64) { CompactThreshold = v }(CompactThreshold)
+	CompactThreshold = 64
+	for _, tc := range []struct {
+		keys    []string
+		compact bool
+	}{
+		{[]string{"k0", "k1", "k2", "k3", "k4", "k5"}, false},
+		{[]string{"k0", "k1", "k2", "k3", "k4", "k0"}, true},
+	} {
+		wal := filepath.Join(t.TempDir(), "sweep.wal")
+		jr, err := OpenCellJournal(wal, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range tc.keys {
+			if err := jr.Commit(k, []byte(fmt.Sprint(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		jr.Close()
+		before, err := os.Stat(wal)
+		if err != nil || before.Size() <= CompactThreshold {
+			t.Fatalf("journal not over the threshold: %v", err)
+		}
+		jr, err = OpenCellJournal(wal, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jr.Close()
+		after, err := os.Stat(wal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rewritten := !os.SameFile(before, after) || after.Size() != before.Size()
+		if jr.Compacted() != tc.compact || rewritten != tc.compact {
+			t.Errorf("keys %v: compacted %v, rewritten %v (%d -> %d bytes), want %v",
+				tc.keys, jr.Compacted(), rewritten, before.Size(), after.Size(), tc.compact)
 		}
 	}
 }

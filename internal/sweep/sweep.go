@@ -48,6 +48,9 @@ type Options struct {
 	// with non-empty keys. Cache failures are never fatal: a broken entry
 	// just re-runs the cell.
 	Cache *Cache
+	// Codec encodes and decodes the jobs' values for Cache; Run rejects a
+	// Cache given without one.
+	Codec Codec
 	// OnProgress, when non-nil, is called after each cell completes (hit,
 	// run, or failed) with the number done and the grid total. A resumed
 	// sweep reports its journal-replayed cells in one initial call before
@@ -123,8 +126,12 @@ var ErrSkipped = errors.New("sweep: cell skipped")
 // (wrapped with its grid index) under FailFast; otherwise the errors.Join
 // of every cell failure. Context cancellation is joined in as well, so
 // errors.Is(err, context.Canceled) works. The outcome slice is always
-// complete and indexable, even on error.
+// complete and indexable, even on error — except when a Cache comes
+// without a Codec, a misconfiguration Run reports before running anything.
 func Run(ctx context.Context, jobs []Job, opts Options) ([]Outcome, error) {
+	if opts.Cache != nil && (opts.Codec.Encode == nil || opts.Codec.Decode == nil) {
+		return nil, errors.New("sweep: Cache needs a Codec with both halves")
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -156,6 +163,7 @@ func Run(ctx context.Context, jobs []Job, opts Options) ([]Outcome, error) {
 
 	runner := &cellRunner{
 		cache:       opts.Cache,
+		codec:       opts.Codec,
 		journal:     opts.Journal,
 		timeout:     opts.CellTimeout,
 		retry:       opts.Retry,
@@ -187,7 +195,7 @@ func Run(ctx context.Context, jobs []Job, opts Options) ([]Outcome, error) {
 			if !ok {
 				continue
 			}
-			if v, enc, hit, err := opts.Cache.GetWithBytes(j.Key); err == nil && hit && hashBytes(enc) == h {
+			if v, enc, hit, err := opts.Cache.Get(j.Key, opts.Codec); err == nil && hit && hashBytes(enc) == h {
 				out[i] = Outcome{Value: v, Cached: true, Replayed: true}
 				ran[i], skip[i] = true, true
 				done++

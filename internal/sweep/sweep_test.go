@@ -233,11 +233,11 @@ func TestRunProgressOutsideLock(t *testing.T) {
 // PoolStats agree with the outcomes.
 func TestRunTelemetryAndStats(t *testing.T) {
 	reg := telemetry.New()
-	c, err := NewCache(64, "", jsonCodec())
+	c, err := NewCache(64, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put("warm", 7); err != nil {
+	if _, err := c.Put("warm", 7, jsonCodec()); err != nil {
 		t.Fatal(err)
 	}
 	boom := errors.New("boom")
@@ -251,6 +251,7 @@ func TestRunTelemetryAndStats(t *testing.T) {
 	_, err = Run(context.Background(), jobs, Options{
 		Workers:   3,
 		Cache:     c,
+		Codec:     jsonCodec(),
 		Telemetry: reg,
 		Stats:     &stats,
 	})
@@ -294,20 +295,20 @@ func TestRunEmptyGrid(t *testing.T) {
 }
 
 func TestCacheHitsAndLRU(t *testing.T) {
-	c, err := NewCache(2, "", jsonCodec())
+	c, err := NewCache(2, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := c.Put(fmt.Sprintf("k%d", i), i); err != nil {
+		if _, err := c.Put(fmt.Sprintf("k%d", i), i, jsonCodec()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// k0 is evicted (capacity 2), k1 and k2 live.
-	if _, ok, _ := c.Get("k0"); ok {
+	if _, _, ok, _ := c.Get("k0", jsonCodec()); ok {
 		t.Error("k0 survived eviction")
 	}
-	v, ok, err := c.Get("k2")
+	v, _, ok, err := c.Get("k2", jsonCodec())
 	if err != nil || !ok || v.(int) != 2 {
 		t.Fatalf("k2 = %v/%v/%v", v, ok, err)
 	}
@@ -319,19 +320,19 @@ func TestCacheHitsAndLRU(t *testing.T) {
 
 func TestCacheDiskLayer(t *testing.T) {
 	dir := t.TempDir()
-	c1, err := NewCache(8, dir, jsonCodec())
+	c1, err := NewCache(8, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c1.Put("answer", 42); err != nil {
+	if _, err := c1.Put("answer", 42, jsonCodec()); err != nil {
 		t.Fatal(err)
 	}
 	// A fresh cache over the same directory — a later process — hits disk.
-	c2, err := NewCache(8, dir, jsonCodec())
+	c2, err := NewCache(8, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, ok, err := c2.Get("answer")
+	v, _, ok, err := c2.Get("answer", jsonCodec())
 	if err != nil || !ok || v.(int) != 42 {
 		t.Fatalf("disk layer: %v/%v/%v", v, ok, err)
 	}
@@ -339,7 +340,7 @@ func TestCacheDiskLayer(t *testing.T) {
 		t.Errorf("stats %+v", s)
 	}
 	// Second read is a memory hit.
-	if _, ok, _ := c2.Get("answer"); !ok {
+	if _, _, ok, _ := c2.Get("answer", jsonCodec()); !ok {
 		t.Error("promotion to memory failed")
 	}
 	if s := c2.Stats(); s.DiskHits != 1 || s.Hits != 2 {
@@ -349,11 +350,11 @@ func TestCacheDiskLayer(t *testing.T) {
 
 func TestCacheCorruptDiskEntryIsAMiss(t *testing.T) {
 	dir := t.TempDir()
-	c, err := NewCache(8, dir, jsonCodec())
+	c, err := NewCache(8, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put("k", 7); err != nil {
+	if _, err := c.Put("k", 7, jsonCodec()); err != nil {
 		t.Fatal(err)
 	}
 	// Find the entry file and corrupt it, then read through a cold cache.
@@ -364,13 +365,13 @@ func TestCacheCorruptDiskEntryIsAMiss(t *testing.T) {
 	if err := os.WriteFile(files[0], []byte("not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cold, err := NewCache(8, dir, jsonCodec())
+	cold, err := NewCache(8, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := telemetry.New()
 	cold.Instrument(reg)
-	if _, ok, err := cold.Get("k"); ok || err != nil {
+	if _, _, ok, err := cold.Get("k", jsonCodec()); ok || err != nil {
 		t.Fatalf("corrupt entry: ok=%v err=%v", ok, err)
 	}
 	// The corrupt file is quarantined — deleted so it cannot shadow a fresh
@@ -385,16 +386,16 @@ func TestCacheCorruptDiskEntryIsAMiss(t *testing.T) {
 		t.Errorf("%s = %v, want 1", telemetry.MCacheCorrupt, got)
 	}
 	// After quarantine the key re-Puts cleanly and reads back.
-	if err := cold.Put("k", 8); err != nil {
+	if _, err := cold.Put("k", 8, jsonCodec()); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok, err := cold.Get("k"); err != nil || !ok || v.(int) != 8 {
+	if v, _, ok, err := cold.Get("k", jsonCodec()); err != nil || !ok || v.(int) != 8 {
 		t.Fatalf("post-quarantine readback: %v/%v/%v", v, ok, err)
 	}
 }
 
 func TestRunUsesCache(t *testing.T) {
-	c, err := NewCache(8, "", jsonCodec())
+	c, err := NewCache(8, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,13 +413,13 @@ func TestRunUsesCache(t *testing.T) {
 		}
 		return jobs
 	}
-	if _, err := Run(context.Background(), mk(), Options{Workers: 2, Cache: c}); err != nil {
+	if _, err := Run(context.Background(), mk(), Options{Workers: 2, Cache: c, Codec: jsonCodec()}); err != nil {
 		t.Fatal(err)
 	}
 	if runs.Load() != 4 {
 		t.Fatalf("cold sweep ran %d cells", runs.Load())
 	}
-	out, err := Run(context.Background(), mk(), Options{Workers: 2, Cache: c})
+	out, err := Run(context.Background(), mk(), Options{Workers: 2, Cache: c, Codec: jsonCodec()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,5 +430,18 @@ func TestRunUsesCache(t *testing.T) {
 		if !o.Cached || o.Value.(int) != i {
 			t.Fatalf("cell %d = %+v", i, o)
 		}
+	}
+}
+
+// TestRunRejectsCacheWithoutCodec: the cache stores bytes only, so a sweep
+// handing Run a cache must say how its values encode.
+func TestRunRejectsCacheWithoutCodec(t *testing.T) {
+	c, err := NewCache(8, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := []Job{{Key: "k", Run: func(context.Context) (any, error) { t.Error("cell ran"); return 1, nil }}}
+	if _, err := Run(context.Background(), jobs, Options{Cache: c}); err == nil {
+		t.Fatal("Run accepted a Cache without a Codec")
 	}
 }

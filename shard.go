@@ -13,77 +13,21 @@ package clocksched
 
 import "fmt"
 
-// cellSpecs expands the spec's grid into per-cell specs in grid order —
-// workload-major, exactly mirroring SweepConfig.grid — with the shared
-// settings copied onto every axis-built cell. An explicit-cells spec
-// returns its cells unchanged.
+// cellSpecs expands the spec's grid into per-cell specs in grid order:
+// SweepConfig's own expansion, projected back through the lossless
+// newCellSpec/config pair.
 func (s SweepSpec) cellSpecs() []CellSpec {
-	if len(s.Cells) > 0 {
-		cells := make([]CellSpec, len(s.Cells))
-		copy(cells, s.Cells)
-		return cells
-	}
-	ws := s.Workloads
-	if len(ws) == 0 {
-		ws = []Workload{""}
-	}
-	ps := s.Policies
-	if len(ps) == 0 {
-		ps = []Policy{{}}
-	}
-	seeds := s.Seeds
-	if len(seeds) == 0 {
-		seeds = []uint64{0}
-	}
-	cells := make([]CellSpec, 0, len(ws)*len(ps)*len(seeds))
-	for _, w := range ws {
-		for _, p := range ps {
-			for _, sd := range seeds {
-				cells = append(cells, CellSpec{
-					Workload:      w,
-					Policy:        p,
-					Seed:          sd,
-					Duration:      s.Duration,
-					DeadlineSlack: s.DeadlineSlack,
-					CaptureTrace:  s.CaptureTrace,
-					Faults:        s.Faults,
-					Watchdog:      s.Watchdog,
-				})
-			}
-		}
-	}
+	cfg := s.config()
+	cells := make([]CellSpec, 0, cfg.GridSize())
+	cfg.eachCell(func(c Config) { cells = append(cells, newCellSpec(c)) })
 	return cells
-}
-
-// dims reports the spec's axis dimensions as SweepConfig.grid would:
-// empty axes contribute their single default value, and an explicit-cells
-// spec is dimensionless (0, 0, 0).
-func (s SweepSpec) dims() (nw, np, ns int) {
-	if len(s.Cells) > 0 {
-		return 0, 0, 0
-	}
-	nw, np, ns = len(s.Workloads), len(s.Policies), len(s.Seeds)
-	if nw == 0 {
-		nw = 1
-	}
-	if np == 0 {
-		np = 1
-	}
-	if ns == 0 {
-		ns = 1
-	}
-	return nw, np, ns
 }
 
 // NumCells reports the spec's grid size: the axis cross product, or the
 // explicit Cells length. It does not check the version stamp — counting
 // cells is shape arithmetic, not execution.
 func (s SweepSpec) NumCells() int {
-	if len(s.Cells) > 0 {
-		return len(s.Cells)
-	}
-	nw, np, ns := s.dims()
-	return nw * np * ns
+	return s.config().GridSize()
 }
 
 // Shard returns the sub-spec covering grid cells [lo, hi) as an
@@ -91,13 +35,13 @@ func (s SweepSpec) NumCells() int {
 // failure-handling knobs. Running the shard anywhere produces exactly the
 // cells a full run would produce at those grid positions.
 func (s SweepSpec) Shard(lo, hi int) (SweepSpec, error) {
-	total := s.NumCells()
-	if lo < 0 || hi > total || lo >= hi {
-		return SweepSpec{}, fmt.Errorf("clocksched: shard [%d, %d) out of grid [0, %d)", lo, hi, total)
+	cells := s.cellSpecs()
+	if lo < 0 || hi > len(cells) || lo >= hi {
+		return SweepSpec{}, fmt.Errorf("clocksched: shard [%d, %d) out of grid [0, %d)", lo, hi, len(cells))
 	}
 	return SweepSpec{
 		SimVersion:  s.SimVersion,
-		Cells:       s.cellSpecs()[lo:hi],
+		Cells:       cells[lo:hi],
 		FailFast:    s.FailFast,
 		CellTimeout: s.CellTimeout,
 		Retries:     s.Retries,
@@ -112,8 +56,9 @@ func (s SweepSpec) Shard(lo, hi int) (SweepSpec, error) {
 // is summed; it is runtime provenance and never crosses the canonical
 // encoding anyway.
 func MergeShardResults(spec SweepSpec, shards []*SweepResult) (*SweepResult, error) {
-	total := spec.NumCells()
-	nw, np, ns := spec.dims()
+	cfg := spec.config()
+	total := cfg.GridSize()
+	nw, np, ns := cfg.eachCell(nil)
 	merged := &SweepResult{
 		Cells: make([]SweepCell, 0, total),
 		nw:    nw, np: np, ns: ns,

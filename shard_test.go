@@ -3,6 +3,7 @@ package clocksched
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -66,6 +67,34 @@ func TestSpecDefaultAxes(t *testing.T) {
 	}
 	if len(sub.Cells) != 1 || sub.Cells[0].Duration != Duration(time.Second) {
 		t.Fatalf("default-axes shard = %+v", sub.Cells)
+	}
+}
+
+// TestSpecShardMatchesGrid: sharding a whole spec and mapping its cells
+// back to Configs reproduces SweepConfig.grid exactly, for axis-built and
+// explicit specs, and NumCells agrees with GridSize.
+func TestSpecShardMatchesGrid(t *testing.T) {
+	pol, faults, wd := mustPolicy(t, "past-peg-peg", nil), &FaultPlan{ClockChangeFailProb: 0.01}, &WatchdogConfig{Window: 30}
+	for _, cfg := range []SweepConfig{
+		{Workloads: []Workload{MPEG, RectWave}, Policies: []Policy{pol, {}}, Seeds: []uint64{1, 2, 3},
+			Duration: time.Second, DeadlineSlack: time.Millisecond, CaptureTrace: true, Faults: faults, Watchdog: wd},
+		{Policies: []Policy{pol}, Duration: time.Second},
+		{Cells: []Config{{Workload: Web, Policy: pol, Seed: 4}, {Workload: MPEG, Seed: 9, Faults: faults, Watchdog: wd}}},
+	} {
+		want, _, _, _ := cfg.grid()
+		spec := NewSweepSpec(cfg)
+		if n, g := spec.NumCells(), cfg.GridSize(); n != g || n != len(want) {
+			t.Fatalf("NumCells = %d, GridSize = %d, grid has %d cells", n, g, len(want))
+		}
+		sub, err := spec.Shard(0, spec.NumCells())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, cs := range sub.Cells {
+			if got := cs.config(); !reflect.DeepEqual(got, want[i]) {
+				t.Errorf("cell %d = %+v, grid has %+v", i, got, want[i])
+			}
+		}
 	}
 }
 

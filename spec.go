@@ -185,6 +185,12 @@ func (s SweepSpec) Config() (SweepConfig, error) {
 		return SweepConfig{}, fmt.Errorf("%w: spec %q, this process %q",
 			ErrVersionMismatch, s.SimVersion, sim.Version)
 	}
+	return s.config(), nil
+}
+
+// config is Config without the version check: the spec's grid as a
+// SweepConfig, which shape arithmetic and sharding expand through grid.
+func (s SweepSpec) config() SweepConfig {
 	cfg := SweepConfig{
 		Workloads:     append([]Workload(nil), s.Workloads...),
 		Policies:      append([]Policy(nil), s.Policies...),
@@ -202,5 +208,5 @@ func (s SweepSpec) Config() (SweepConfig, error) {
 	for _, cs := range s.Cells {
 		cfg.Cells = append(cfg.Cells, cs.config())
 	}
-	return cfg, nil
+	return cfg
 }

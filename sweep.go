@@ -5,10 +5,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"slices"
 	"time"
 
+	"clocksched/internal/journal"
 	"clocksched/internal/sim"
 	"clocksched/internal/sweep"
 )
@@ -104,11 +104,7 @@ type SweepConfig struct {
 // writes, fsyncs, and renames. The internal chaos-test disk injector
 // implements it; so does any test double. A nil DiskFS always means the
 // real filesystem.
-type DiskFS interface {
-	Write(f *os.File, p []byte) (int, error)
-	Sync(f *os.File) error
-	Rename(oldpath, newpath string) error
-}
+type DiskFS = journal.FS
 
 // SweepCell is one completed cell of a sweep.
 type SweepCell struct {
@@ -266,12 +262,19 @@ func (r *SweepResult) Stats() SweepStats {
 	return s
 }
 
-// grid expands the configuration into its cell list and axis dimensions.
-func (cfg SweepConfig) grid() ([]Config, int, int, int) {
+// eachCell calls fn with each cell of the grid in grid order — workload-
+// major, with the shared settings copied onto every axis-built cell — and
+// returns the axis dimensions: an empty axis contributes its single default
+// value, and an explicit-cells grid is dimensionless (0, 0, 0). A nil fn
+// only measures the grid.
+func (cfg SweepConfig) eachCell(fn func(Config)) (nw, np, ns int) {
 	if len(cfg.Cells) > 0 {
-		cells := make([]Config, len(cfg.Cells))
-		copy(cells, cfg.Cells)
-		return cells, 0, 0, 0
+		if fn != nil {
+			for _, c := range cfg.Cells {
+				fn(c)
+			}
+		}
+		return 0, 0, 0
 	}
 	ws := cfg.Workloads
 	if len(ws) == 0 {
@@ -285,11 +288,13 @@ func (cfg SweepConfig) grid() ([]Config, int, int, int) {
 	if len(seeds) == 0 {
 		seeds = []uint64{0}
 	}
-	cells := make([]Config, 0, len(ws)*len(ps)*len(seeds))
+	if fn == nil {
+		return len(ws), len(ps), len(seeds)
+	}
 	for _, w := range ws {
 		for _, p := range ps {
 			for _, s := range seeds {
-				cells = append(cells, Config{
+				fn(Config{
 					Workload:      w,
 					Policy:        p,
 					Seed:          s,
@@ -302,15 +307,25 @@ func (cfg SweepConfig) grid() ([]Config, int, int, int) {
 			}
 		}
 	}
-	return cells, len(ws), len(ps), len(seeds)
+	return len(ws), len(ps), len(seeds)
+}
+
+// grid expands the configuration into its cell list and axis dimensions.
+func (cfg SweepConfig) grid() ([]Config, int, int, int) {
+	cells := make([]Config, 0, cfg.GridSize())
+	nw, np, ns := cfg.eachCell(func(c Config) { cells = append(cells, c) })
+	return cells, nw, np, ns
 }
 
 // GridSize reports how many cells the sweep will run: the axis cross
 // product, or the explicit Cells length. Zero means an empty (invalid)
 // grid.
 func (cfg SweepConfig) GridSize() int {
-	cells, _, _, _ := cfg.grid()
-	return len(cells)
+	if len(cfg.Cells) > 0 {
+		return len(cfg.Cells)
+	}
+	nw, np, ns := cfg.eachCell(nil)
+	return nw * np * ns
 }
 
 // Validate checks the whole sweep configuration eagerly — every cell of
@@ -425,15 +440,12 @@ func Sweep(ctx context.Context, cfg SweepConfig) (*SweepResult, error) {
 			},
 		}
 	}
-	var inner *sweep.Cache
-	if cfg.Cache != nil {
-		inner = cfg.Cache.inner
-	}
 	var pstats sweep.PoolStats
 	outs, err := sweep.Run(ctx, jobs, sweep.Options{
 		Workers:     cfg.Workers,
 		FailFast:    cfg.FailFast,
-		Cache:       inner,
+		Cache:       cfg.Cache,
+		Codec:       resultCacheCodec,
 		OnProgress:  cfg.Progress,
 		Telemetry:   cfg.Telemetry.registry(),
 		Stats:       &pstats,
@@ -484,63 +496,31 @@ func Sweep(ctx context.Context, cfg SweepConfig) (*SweepResult, error) {
 // full cell configuration together with the simulation version, so any
 // change to the simulation (a sim.Version bump) or to the cell spec misses
 // cleanly rather than serving stale results. It is safe for concurrent use
-// and can be shared across sweeps.
-type SweepCache struct {
-	inner *sweep.Cache
-}
+// and can be shared across sweeps — and with the experiment harness's grid
+// cells, whose keys live in a disjoint hash domain.
+type SweepCache = sweep.Cache
 
 // SweepCacheStats counts cache traffic.
-type SweepCacheStats struct {
-	Hits     int // served from memory or disk
-	DiskHits int // subset of Hits that came off disk
-	Misses   int
-	Corrupt  int   // corrupt disk entries quarantined (deleted) as misses
-	Entries  int   // live in-memory entries
-	Bytes    int64 // encoded bytes held in memory
-}
+type SweepCacheStats = sweep.CacheStats
 
 // NewSweepCache builds a cache holding at most maxEntries results in
 // memory (non-positive selects a default of 1024). A non-empty dir adds a
 // persistent disk layer under it — one file per cell, written atomically —
 // so repeated sweeps across process restarts skip already-measured cells.
 func NewSweepCache(maxEntries int, dir string) (*SweepCache, error) {
-	inner, err := sweep.NewCache(maxEntries, dir, sweep.Codec{
-		Encode: func(v any) ([]byte, error) {
-			r, ok := v.(*Result)
-			if !ok {
-				return nil, fmt.Errorf("clocksched: caching %T, want *Result", v)
-			}
-			return encodeResult(r)
-		},
-		Decode: func(b []byte) (any, error) {
-			return decodeResult(b)
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &SweepCache{inner: inner}, nil
+	return sweep.NewCache(maxEntries, dir)
 }
 
-// SetFS routes the cache's disk writes through an injectable filesystem
-// surface (see DiskFS). Call it once, before the cache sees traffic; the
-// sweep service does this at boot when chaos faults are armed. Production
-// caches leave the default (real) filesystem.
-func (c *SweepCache) SetFS(fs DiskFS) {
-	c.inner.SetFS(fs)
-}
-
-// Stats reports the cache's traffic counters.
-func (c *SweepCache) Stats() SweepCacheStats {
-	s := c.inner.Stats()
-	return SweepCacheStats{
-		Hits:     s.Hits,
-		DiskHits: s.DiskHits,
-		Misses:   s.Misses,
-		Corrupt:  s.Corrupt,
-		Entries:  s.Entries,
-		Bytes:    s.Bytes,
-	}
+// resultCacheCodec is how Sweep stores a cell's *Result in a SweepCache.
+var resultCacheCodec = sweep.Codec{
+	Encode: func(v any) ([]byte, error) {
+		r, ok := v.(*Result)
+		if !ok {
+			return nil, fmt.Errorf("clocksched: caching %T, want *Result", v)
+		}
+		return encodeResult(r)
+	},
+	Decode: func(b []byte) (any, error) { return decodeResult(b) },
 }
 
 // cacheKey is the content address of one cell's Result under the current
