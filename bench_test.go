@@ -324,6 +324,42 @@ func BenchmarkSweepTable2(b *testing.B) {
 	b.Run("parallel", func(b *testing.B) { run(b, runtime.GOMAXPROCS(0)) })
 }
 
+// guardFloor is BenchmarkSerialGuard's floor in cells/s: half the 584.2
+// cells/s once recorded for this grid on one worker. That is loose enough
+// not to trip on host noise (identical sweeps vary 2× within a minute on a
+// shared VM) and tight enough to catch a hot-path regression that halves
+// throughput.
+const guardFloor = 292.1
+
+// BenchmarkSerialGuard is the serial-throughput regression guard that
+// `make bench-guard` runs once: the Table 2 reference grid on one worker,
+// timed after an untimed warm-up so the figure carries no first-touch
+// costs (heap growth, page faults), failing below guardFloor.
+func BenchmarkSerialGuard(b *testing.B) {
+	if raceEnabled {
+		b.Skip("the race detector slows the simulator far below the floor")
+	}
+	cfg := table2Sweep(b, 1)
+	if _, err := Sweep(context.Background(), cfg); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	cells := 0
+	for i := 0; i < b.N; i++ {
+		res, err := Sweep(context.Background(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cells += len(res.Cells)
+	}
+	rate := float64(cells) / b.Elapsed().Seconds()
+	b.ReportMetric(rate, "cells/s")
+	if rate < guardFloor {
+		b.Fatalf("serial throughput %.1f cells/s below the floor of %.1f cells/s", rate, guardFloor)
+	}
+	b.Logf("serial throughput %.1f cells/s (floor %.1f cells/s)", rate, guardFloor)
+}
+
 // BenchmarkSweepCached measures a fully warm cache: every cell served by
 // decode instead of simulation.
 func BenchmarkSweepCached(b *testing.B) {

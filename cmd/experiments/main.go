@@ -14,6 +14,7 @@
 //	experiments -list
 //	experiments -out /tmp/repro -seed 3 -workers 4
 //	experiments -nocache   # recompute every cell
+//	experiments -peers http://localhost:8900                 # table2 on one sweepd
 //	experiments -peers http://node1:8900,http://node2:8900   # fabric-coordinated table2
 //	experiments -only fleet                                  # 10k-device population sweep
 //	experiments -only fleet -peers http://node1:8900,http://node2:8900
@@ -62,8 +63,6 @@ func main() {
 			"serve live telemetry on this address (e.g. :8080): /metrics, /metrics.json, /debug/vars, /debug/pprof")
 		progress = flag.Bool("progress", false,
 			"print per-cell completion counts for grid experiments; resumed runs start at the replayed count")
-		remote = flag.String("remote", "",
-			"submit grid work to a sweepd daemon at this base URL (e.g. http://localhost:8900) instead of simulating locally")
 		peers = flag.String("peers", "",
 			"comma-separated sweepd base URLs: coordinate the grid across these peers via the fabric (shards, leases, work-stealing)")
 		peerToken = flag.String("peer-token", "", "bearer token sent to every -peers daemon")
@@ -79,7 +78,7 @@ func main() {
 
 	// run holds the defers (telemetry drain, signal stop) so they fire on
 	// every exit path, including an interrupt; os.Exit would skip them.
-	os.Exit(run(outDir, only, seed, workers, nocache, resume, cellTimeout, retries, telAddr, progress, remote, peers, peerToken))
+	os.Exit(run(outDir, only, seed, workers, nocache, resume, cellTimeout, retries, telAddr, progress, peers, peerToken))
 }
 
 // catalogue lists every experiment in run order: expt.Registry's paper and
@@ -90,15 +89,8 @@ func catalogue() []expt.Experiment {
 }
 
 func run(outDir, only *string, seed *uint64, workers *int, nocache, resume *bool,
-	cellTimeout *time.Duration, retries *int, telAddr *string, progress *bool, remote, peers, peerToken *string) int {
+	cellTimeout *time.Duration, retries *int, telAddr *string, progress *bool, peers, peerToken *string) int {
 
-	if *remote != "" && *peers != "" {
-		fmt.Fprintln(os.Stderr, "experiments: -remote and -peers are mutually exclusive (one daemon vs a coordinated fleet)")
-		return 2
-	}
-	if *remote != "" {
-		return runRemote(*remote, *outDir, *only, *seed, *progress)
-	}
 	if *peers != "" {
 		return runPeers(*peers, *peerToken, *outDir, *only, *seed, *progress)
 	}

@@ -37,10 +37,10 @@ func TestCatalogueOrder(t *testing.T) {
 	}
 }
 
-// TestRemoteTable2MatchesLocal backs runRemote's promise that a -remote or
-// -peers run renders Table 2 exactly as the local table experiment does:
-// folding a sweep of clocksched.Table2Config yields the local rows, and
-// both render to the same bytes.
+// TestRemoteTable2MatchesLocal backs runPeers' promise that a -peers run,
+// over one sweepd or many, renders Table 2 exactly as the local table
+// experiment does: folding a sweep of clocksched.Table2Config yields the
+// local rows, and both render to the same bytes.
 func TestRemoteTable2MatchesLocal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the Table 2 grid twice")

@@ -5,8 +5,9 @@ package main
 // from this process: shards leased across the listed sweepd daemons,
 // stolen from stragglers near the tail, and executed locally when every
 // peer is unreachable. The merge is byte-identical to a local Sweep, so
-// the peers are purely a throughput decision; 100k+ device populations
-// are the -only fleet -peers sweet spot.
+// the peers are purely a throughput decision, and one daemon in the list
+// is the plain remote run; 100k+ device populations are the -only fleet
+// -peers sweet spot.
 
 import (
 	"context"
@@ -67,7 +68,7 @@ func runPeers(peerList, token, outDir, only string, seed uint64, progress bool) 
 	}
 	co, err := fabric.New(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments: fleet:", err)
+		fmt.Fprintln(os.Stderr, "experiments: fabric:", err)
 		return 1
 	}
 
@@ -136,4 +137,30 @@ func runFleetPopulation(peerList, token, outDir string, seed uint64, progress bo
 		return 1
 	}
 	return writeArtifact(outDir, "fleet_fleet.txt", pop.Render())
+}
+
+// foldTable2 reduces a clocksched.Table2Config sweep result to the paper's
+// Table 2 rows through the local table's own fold.
+func foldTable2(res *clocksched.SweepResult) ([]expt.Table2Row, error) {
+	cells := make([]expt.Cell, len(res.Cells))
+	for i, c := range res.Cells {
+		if c.Err != nil || c.Result == nil {
+			return nil, fmt.Errorf("cell %d failed: %v", i, c.Err)
+		}
+		cells[i] = expt.Cell{EnergyJ: c.Result.EnergyJoules, Misses: c.Result.Misses, SpeedChanges: c.Result.ClockChanges}
+	}
+	return expt.FoldTable2(cells)
+}
+
+// writeArtifact prints a rendered summary and writes it to <outDir>/<name>,
+// returning the process exit code.
+func writeArtifact(outDir, name, summary string) int {
+	fmt.Print(summary)
+	artifact := filepath.Join(outDir, name)
+	if err := os.WriteFile(artifact, []byte(summary), 0o644); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		return 1
+	}
+	fmt.Printf("\nartifact written to %s\n", artifact)
+	return 0
 }

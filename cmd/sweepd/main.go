@@ -27,7 +27,8 @@
 // this one; see DESIGN.md §16).
 //
 // Submit work with curl (see the README quickstart) or programmatically
-// via the service client used by `experiments -remote`. SIGTERM drains:
+// via service.Client, which the fabric behind `experiments -peers` uses
+// to reach each daemon. SIGTERM drains:
 // admission stops, running jobs finish (up to -drain-timeout, then they
 // are checkpoint-cancelled), queued jobs stay durably queued for the next
 // start.

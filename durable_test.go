@@ -256,6 +256,34 @@ func TestSweepDegradesToStructuredErrors(t *testing.T) {
 	}
 }
 
+// TestSweepDuplicateKeyNotReplayed pins what Replayed means: committed by a
+// previous run's journal. A fresh durable sweep whose second cell repeats
+// the first's key serves it from the cache, but nothing was replayed.
+func TestSweepDuplicateKeyNotReplayed(t *testing.T) {
+	dir := t.TempDir()
+	cache, err := NewSweepCache(0, filepath.Join(dir, "cache"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := Config{Workload: RectWave, Policy: mustPolicy(t, "past-peg-peg", nil), Seed: 1, Duration: 2 * time.Second}
+	res, err := Sweep(context.Background(), SweepConfig{
+		Cells:   []Config{c, c},
+		Workers: 1,
+		Cache:   cache,
+		Journal: filepath.Join(dir, "sweep.wal"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tel := res.Telemetry; tel.Ran != 1 || tel.Cached != 1 || tel.Replayed != 0 {
+		t.Errorf("telemetry = %+v, want Ran 1, Cached 1, Replayed 0", tel)
+	}
+	if !res.Cells[1].Cached || res.Cells[1].Replayed {
+		t.Errorf("duplicate cell: Cached %v, Replayed %v; want a plain cache hit",
+			res.Cells[1].Cached, res.Cells[1].Replayed)
+	}
+}
+
 // TestSweepDurabilityValidation covers the configuration cross-checks.
 func TestSweepDurabilityValidation(t *testing.T) {
 	base := durableGrid(t)

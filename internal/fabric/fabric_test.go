@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"path/filepath"
 	"sync"
@@ -114,43 +115,55 @@ func TestFabricNoPeersRunsLocally(t *testing.T) {
 	}
 }
 
+// TestFabricTwoPeersByteIdentical runs one 8-cell grid as 4 shards of 2
+// cells across 1, 2 and 4 peers: every merge is byte-identical to the
+// serial sweep, progress only climbs, and every shard is dispatched once.
 func TestFabricTwoPeersByteIdentical(t *testing.T) {
 	spec := clocksched.NewSweepSpec(fabricGrid(8))
 	want := serialBytes(t, spec)
-	p1 := startPeer(t, service.Config{Workers: 2})
-	p2 := startPeer(t, service.Config{Workers: 2})
+	for _, n := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("peers=%d", n), func(t *testing.T) {
+			peers := make([]string, n)
+			for i := range peers {
+				peers[i] = startPeer(t, service.Config{Workers: 2})
+			}
 
-	var mu sync.Mutex
-	lastDone := 0
-	got, co := runFabric(t, Config{
-		Peers:      []string{p1, p2},
-		ShardCells: 2,
-		StealAfter: -1, // exact dispatch accounting below
-		PollInterval: 5 * time.Millisecond,
-		Progress: func(done, total int) {
+			var mu sync.Mutex
+			lastDone := 0
+			got, co := runFabric(t, Config{
+				Peers:        peers,
+				ShardCells:   2,
+				StealAfter:   -1, // exact dispatch accounting below
+				PollInterval: 5 * time.Millisecond,
+				Progress: func(done, total int) {
+					mu.Lock()
+					defer mu.Unlock()
+					if done <= lastDone || total != 8 {
+						t.Errorf("progress went backwards or wrong total: %d/%d after %d", done, total, lastDone)
+					}
+					lastDone = done
+				},
+			}, spec)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%d-peer fabric differs from the serial sweep", n)
+			}
 			mu.Lock()
 			defer mu.Unlock()
-			if done <= lastDone || total != 8 {
-				t.Errorf("progress went backwards or wrong total: %d/%d after %d", done, total, lastDone)
+			if lastDone != 8 {
+				t.Errorf("final progress %d, want 8", lastDone)
 			}
-			lastDone = done
-		},
-	}, spec)
-	if !bytes.Equal(got, want) {
-		t.Fatal("two-peer fabric differs from the serial sweep")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if lastDone != 8 {
-		t.Errorf("final progress %d, want 8", lastDone)
-	}
-	reg := co.Metrics()
-	dispatched := reg.Counter(mDispatch(p1)).Value() + reg.Counter(mDispatch(p2)).Value()
-	if dispatched != 4 {
-		t.Errorf("dispatched %v shards, want 4", dispatched)
-	}
-	if reg.Counter(mLocalRuns).Value() != 0 {
-		t.Errorf("healthy fleet still ran shards locally")
+			reg := co.Metrics()
+			var dispatched int64
+			for _, p := range peers {
+				dispatched += reg.Counter(mDispatch(p)).Value()
+			}
+			if dispatched != 4 {
+				t.Errorf("dispatched %v shards, want 4", dispatched)
+			}
+			if reg.Counter(mLocalRuns).Value() != 0 {
+				t.Errorf("healthy fleet still ran shards locally")
+			}
+		})
 	}
 }
 

@@ -11,10 +11,12 @@ package sweep
 //     bytes has been fsynced. The record is written only after the cache
 //     write, so a committed cell always had its bytes on disk at commit
 //     time.
-//   - The cache is verified, never trusted. On resume a journalled cell is
-//     replayed only if the cache still produces bytes whose hash matches
-//     the journal record; any mismatch (evicted file, corrupt entry, codec
-//     drift) silently re-runs the cell. Since every run is a deterministic
+//   - The cache is verified, never trusted, on resume. A journalled cell
+//     is replayed only if the cache still produces bytes whose hash
+//     matches the journal record. On a mismatch the cell goes to the
+//     workers like any other: an entry that still decodes is served as a
+//     plain cache hit and re-committed under its new hash, and one that
+//     is missing or corrupt is re-run. Since every run is a deterministic
 //     simulation, a re-run reproduces the identical bytes — resume
 //     correctness never depends on cache durability.
 //   - Backoff is seeded. Retry delays derive from (seed, cell index,
@@ -351,22 +353,14 @@ type cellRunner struct {
 	telDeadline *telemetry.Counter
 }
 
-// run executes cell i: journal replay, cache lookup, then the retry loop.
-// Cache and journal failures are swallowed — durability accelerates and
-// protects, it never gates a result.
+// run executes cell i: cache lookup, then the retry loop. Journal replay
+// is Run's resume prescan alone, so a cell whose key this same run already
+// committed comes back as a plain cache hit, never as Replayed. Cache and
+// journal failures are swallowed — durability accelerates and protects, it
+// never gates a result.
 func (cr *cellRunner) run(ctx context.Context, i int, j Job) Outcome {
 	if err := ctx.Err(); err != nil {
 		return Outcome{Err: err}
-	}
-
-	// Journal replay: the journal proves the cell completed in a previous
-	// run; the cache must still produce bytes with the committed hash to be
-	// believed. A mismatch — evicted entry, corruption, codec drift — falls
-	// through to an ordinary re-run, which reproduces the same result.
-	if h, ok := cr.journal.Completed(j.Key); ok && cr.cache != nil && j.Key != "" {
-		if v, enc, hit, err := cr.cache.Get(j.Key, cr.codec); err == nil && hit && hashBytes(enc) == h {
-			return Outcome{Value: v, Cached: true, Replayed: true}
-		}
 	}
 
 	if cr.cache != nil && j.Key != "" {

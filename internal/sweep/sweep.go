@@ -240,8 +240,6 @@ func Run(ctx context.Context, jobs []Job, opts Options) ([]Outcome, error) {
 				switch {
 				case o.Err != nil:
 					telFailed.Inc()
-				case o.Replayed:
-					telReplayed.Inc()
 				case o.Cached:
 					telCached.Inc()
 				default:

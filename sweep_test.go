@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -25,33 +27,40 @@ func table2Sweep(tb testing.TB, workers int) SweepConfig {
 	return cfg
 }
 
-// TestSweepDeterministicMerge is the tentpole guarantee: a 4-worker sweep
-// of the full Table 2 grid is byte-identical to the serial sweep, cell by
-// cell, under the canonical encoding.
+// TestSweepDeterministicMerge is the tentpole guarantee: a sweep of the
+// full Table 2 grid on 2, 4 or NumCPU workers is byte-identical to the
+// serial sweep, cell by cell, under the canonical encoding.
 func TestSweepDeterministicMerge(t *testing.T) {
 	serial, err := Sweep(context.Background(), table2Sweep(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Sweep(context.Background(), table2Sweep(t, 4))
-	if err != nil {
-		t.Fatal(err)
+	if len(serial.Cells) != 50 {
+		t.Fatalf("serial grid size %d, want 50", len(serial.Cells))
 	}
-	if len(serial.Cells) != 50 || len(parallel.Cells) != 50 {
-		t.Fatalf("grid sizes %d/%d, want 50", len(serial.Cells), len(parallel.Cells))
-	}
-	for i := range serial.Cells {
-		a, err := encodeResult(serial.Cells[i].Result)
+	counts := []int{2, 4, runtime.NumCPU()}
+	slices.Sort(counts)
+	for _, workers := range slices.Compact(counts) {
+		parallel, err := Sweep(context.Background(), table2Sweep(t, workers))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := encodeResult(parallel.Cells[i].Result)
-		if err != nil {
-			t.Fatal(err)
+		if len(parallel.Cells) != 50 {
+			t.Fatalf("%d-worker grid size %d, want 50", workers, len(parallel.Cells))
 		}
-		if !bytes.Equal(a, b) {
-			t.Fatalf("cell %d (%s seed %d) differs between 1 and 4 workers",
-				i, serial.Cells[i].Config.Policy.Name(), serial.Cells[i].Config.Seed)
+		for i := range serial.Cells {
+			a, err := encodeResult(serial.Cells[i].Result)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := encodeResult(parallel.Cells[i].Result)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Fatalf("cell %d (%s seed %d) differs between 1 and %d workers",
+					i, serial.Cells[i].Config.Policy.Name(), serial.Cells[i].Config.Seed, workers)
+			}
 		}
 	}
 }
