@@ -1,5 +1,6 @@
-# Build and verification tiers. `make check` is the full local gate: static
-# vetting, the complete test suite under the race detector (which covers
+# Build and verification tiers. `make check` is the full local gate: a
+# gofmt check that fails on any unformatted file, static vetting, the
+# complete test suite under the race detector (which covers
 # the kernel stress tests, the parallel-sweep determinism proof, the
 # durability, oracle, service, chaos, fabric and fleet suites, and the
 # subprocess kill-and-resume tests), short fuzz smokes of the trace parser,
@@ -11,13 +12,18 @@
 
 GO ?= go
 
-.PHONY: build test check vet race fuzz-smoke perfbench bench-guard
+.PHONY: build test check fmt vet race fuzz-smoke perfbench bench-guard
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# gofmt -l lists every file whose formatting differs; any output, or a
+# file gofmt cannot parse, fails.
+fmt:
+	@out="$$(gofmt -l .)" && test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -52,5 +58,5 @@ perfbench:
 bench-guard:
 	$(GO) test -run '^$$' -bench '^BenchmarkSerialGuard$$' -benchtime 1x -count 1 .
 
-check: vet race fuzz-smoke perfbench bench-guard
+check: fmt vet race fuzz-smoke perfbench bench-guard
 	@echo "check: all tiers passed"

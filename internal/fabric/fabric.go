@@ -86,9 +86,6 @@ type Config struct {
 	// shard is handed to the local fallback for good. Non-positive
 	// selects 3.
 	MaxRemoteAttempts int
-	// PollInterval is the status-poll cadence inside a lease.
-	// Non-positive selects 100ms.
-	PollInterval time.Duration
 	// RequestTimeout is the per-request deadline on peer calls.
 	// Non-positive selects 10s.
 	RequestTimeout time.Duration
@@ -122,9 +119,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxRemoteAttempts <= 0 {
 		c.MaxRemoteAttempts = 3
 	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = 100 * time.Millisecond
-	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 10 * time.Second
 	}
@@ -138,6 +132,10 @@ const maxShardHolders = 3
 // takeRetry is the idle runner's re-scan cadence while nothing is
 // eligible for it.
 const takeRetry = 10 * time.Millisecond
+
+// streamRetry is a lease's cadence for re-opening its job's event stream
+// after any error but a 404; the heartbeat alone ends the lease.
+const streamRetry = 250 * time.Millisecond
 
 // shardState is the in-memory state of one shard.
 type shardState struct {
@@ -154,7 +152,8 @@ type shardState struct {
 	lastActivity time.Time       // dispatch or last observed progress
 	adoptPeer    string          // journaled lease to adopt on resume
 	adoptJob     string
-	lastErr      string // most recent remote failure text, for diagnostics
+	lastErr      string        // most recent remote failure text, for diagnostics
+	committed    chan struct{} // closed by commit; ends the shard's open leases
 }
 
 func (s *shardState) cells() int { return s.hi - s.lo }
@@ -180,6 +179,7 @@ type Coordinator struct {
 	doneCells int
 	replayed  int // cells recovered from the ledger at startup
 	fatal     error
+	cancelRun context.CancelFunc // ends the run's context; see fail
 	ledger    *journal.Writer
 	reg       *telemetry.Registry
 }
@@ -265,6 +265,9 @@ func (c *Coordinator) Run(ctx context.Context, spec clocksched.SweepSpec) (*cloc
 	if err := c.plan(spec, total); err != nil {
 		return nil, err
 	}
+	// Set before any runner starts, so fail reads it without the lock.
+	ctx, c.cancelRun = context.WithCancel(ctx)
+	defer c.cancelRun()
 	defer func() {
 		c.mu.Lock()
 		led := c.ledger
@@ -275,15 +278,12 @@ func (c *Coordinator) Run(ctx context.Context, spec clocksched.SweepSpec) (*cloc
 		}
 	}()
 
-	c.mu.Lock()
-	replayed := c.replayed
-	done, rem := c.doneCells, c.remaining
-	c.mu.Unlock()
-	if replayed > 0 {
-		c.report(done, total)
+	// No runner has started yet, so plan's counts are read unlocked.
+	if c.replayed > 0 {
+		c.report(c.doneCells, total)
 	}
 
-	if rem > 0 {
+	if c.remaining > 0 {
 		var wg sync.WaitGroup
 		for _, p := range c.peers {
 			wg.Add(1)
@@ -322,7 +322,7 @@ func (c *Coordinator) Run(ctx context.Context, spec clocksched.SweepSpec) (*cloc
 	if err != nil {
 		return nil, &service.APIError{Status: 500, Code: service.CodeInternal, Message: err.Error()}
 	}
-	merged.Telemetry.Replayed += replayed
+	merged.Telemetry.Replayed += c.replayed
 	var cellErrs []error
 	for _, ce := range merged.Errors() {
 		cellErrs = append(cellErrs, fmt.Errorf("cell %d (%s, %s, seed %d): %w",
@@ -393,7 +393,8 @@ func (c *Coordinator) plan(spec clocksched.SweepSpec, total int) error {
 			w.Close()
 			return &service.APIError{Status: 500, Code: service.CodeInternal, Message: err.Error()}
 		}
-		shards[i] = &shardState{index: i, lo: lo, hi: hi, spec: sub, holders: map[string]bool{}}
+		shards[i] = &shardState{index: i, lo: lo, hi: hi, spec: sub, holders: map[string]bool{},
+			committed: make(chan struct{})}
 	}
 
 	doneCells := 0
@@ -509,13 +510,15 @@ func (c *Coordinator) report(done, total int) {
 	}
 }
 
-// fail records the first fatal error and wakes every runner.
+// fail records the first fatal error and wakes every runner by cancelling
+// the run's context.
 func (c *Coordinator) fail(err error) {
 	c.mu.Lock()
 	if c.fatal == nil {
 		c.fatal = err
 	}
 	c.mu.Unlock()
+	c.cancelRun()
 }
 
 // errAlreadyDone marks a commit that lost the first-result-wins race.
@@ -525,7 +528,7 @@ var errAlreadyDone = errors.New("fabric: shard already committed")
 // result wins; a later duplicate with identical bytes is discarded, and a
 // duplicate with different bytes is a determinism violation that fails
 // the whole sweep.
-func (c *Coordinator) commit(s *shardState, b []byte, by string) error {
+func (c *Coordinator) commit(s *shardState, b []byte) error {
 	res, err := c.verifyShard(s, b)
 	if err != nil {
 		return err
@@ -558,18 +561,15 @@ func (c *Coordinator) commit(s *shardState, b []byte, by string) error {
 		}
 	}
 	s.done, s.res, s.sha = true, res, sum
+	close(s.committed)
 	c.remaining--
 	c.doneCells += s.cells()
 	done := c.doneCells
 	c.reg.Counter(mShardsDone).Inc()
 	c.reg.Gauge(mPending).Set(float64(c.remaining))
-	total := 0
-	for _, sh := range c.shards {
-		total += sh.cells()
-	}
+	total := c.shards[len(c.shards)-1].hi
 	c.mu.Unlock()
 	c.report(done, total)
-	_ = by
 	return nil
 }
 
@@ -616,64 +616,56 @@ func (c *Coordinator) takeForPeer(ctx context.Context, p *peerState) (*shardStat
 			return nil, 0
 		}
 		now := time.Now()
-		if now.Before(p.backoffUntil) {
+		if pick, mode := c.pickForPeerLocked(p, now); pick != nil {
+			pick.holders[p.base] = true
+			pick.lastActivity = now
+			if mode != takeAdopt {
+				pick.attempts++
+			}
 			c.mu.Unlock()
-			if !sleepCtx(ctx, takeRetry) {
-				return nil, 0
-			}
-			continue
-		}
-		var pick *shardState
-		mode := takeDispatch
-		// Adoptable shards first: a lease journaled against this peer may
-		// still be running there.
-		for _, s := range c.shards {
-			if !s.done && len(s.holders) == 0 && !s.localOnly && s.adoptPeer == p.base && s.adoptJob != "" {
-				pick, mode = s, takeAdopt
-				break
-			}
-		}
-		if pick == nil {
-			for _, s := range c.shards {
-				if !s.done && len(s.holders) == 0 && !s.localOnly {
-					pick = s
-					break
-				}
-			}
-		}
-		if pick == nil && c.cfg.StealAfter > 0 {
-			// Tail: duplicate the stalest in-flight shard.
-			var stalest *shardState
-			for _, s := range c.shards {
-				if s.done || s.localOnly || len(s.holders) == 0 || s.holders[p.base] || len(s.holders) >= maxShardHolders {
-					continue
-				}
-				if now.Sub(s.lastActivity) < c.cfg.StealAfter {
-					continue
-				}
-				if stalest == nil || s.lastActivity.Before(stalest.lastActivity) {
-					stalest = s
-				}
-			}
-			if stalest != nil {
-				pick, mode = stalest, takeSteal
-			}
-		}
-		if pick == nil {
-			c.mu.Unlock()
-			if !sleepCtx(ctx, takeRetry) {
-				return nil, 0
-			}
-			continue
-		}
-		pick.holders[p.base] = true
-		pick.lastActivity = now
-		if mode != takeAdopt {
-			pick.attempts++
+			return pick, mode
 		}
 		c.mu.Unlock()
-		return pick, mode
+		if !sleepCtx(ctx, takeRetry) {
+			return nil, 0
+		}
 	}
+}
+
+// pickForPeerLocked chooses the peer's next shard, under c.mu: none while
+// the peer backs off; else an adoptable shard (a lease journaled against
+// this peer may still be running there), then the first pending shard,
+// then in the tail the stalest in-flight shard to duplicate.
+func (c *Coordinator) pickForPeerLocked(p *peerState, now time.Time) (*shardState, takeMode) {
+	if now.Before(p.backoffUntil) {
+		return nil, 0
+	}
+	for _, s := range c.shards {
+		if !s.done && len(s.holders) == 0 && !s.localOnly && s.adoptPeer == p.base && s.adoptJob != "" {
+			return s, takeAdopt
+		}
+	}
+	for _, s := range c.shards {
+		if !s.done && len(s.holders) == 0 && !s.localOnly {
+			return s, takeDispatch
+		}
+	}
+	if c.cfg.StealAfter <= 0 {
+		return nil, 0
+	}
+	var stalest *shardState
+	for _, s := range c.shards {
+		if s.done || s.localOnly || len(s.holders) == 0 || s.holders[p.base] || len(s.holders) >= maxShardHolders {
+			continue
+		}
+		if now.Sub(s.lastActivity) < c.cfg.StealAfter {
+			continue
+		}
+		if stalest == nil || s.lastActivity.Before(stalest.lastActivity) {
+			stalest = s
+		}
+	}
+	return stalest, takeSteal
 }
 
 // sleepCtx sleeps d unless ctx dies first; false means it did.
@@ -797,76 +789,81 @@ func (c *Coordinator) attemptPeer(ctx context.Context, p *peerState, s *shardSta
 	c.watchLease(ctx, p, s, jobID)
 }
 
-// watchLease polls the job until it is terminal, the heartbeat deadline
-// lapses without progress, the shard is committed elsewhere, or the run
-// ends.
+// errLeaseExpired is the cause a lapsed heartbeat cancels its lease with.
+var errLeaseExpired = errors.New("fabric: lease heartbeat expired")
+
+// watchLease follows the job's event stream until the job is terminal, the
+// heartbeat deadline lapses without progress, the shard is committed
+// elsewhere, or the run ends; each of the last three cancels the lease's
+// context. Only a rise in the done count is progress: the snapshot a
+// reconnect re-sends repeats the count and resets nothing. The stream is
+// closed before a done job's result is fetched.
 func (c *Coordinator) watchLease(ctx context.Context, p *peerState, s *shardState, jobID string) {
-	cl := p.client
+	lctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	heartbeat := time.AfterFunc(c.cfg.HeartbeatTimeout, func() { cancel(errLeaseExpired) })
+	defer heartbeat.Stop()
+	go func() {
+		select {
+		case <-s.committed:
+			cancel(errAlreadyDone)
+		case <-lctx.Done():
+		}
+	}()
+
 	lastDone := -1
-	lastChange := time.Now()
+	var last service.Event
 	for {
-		c.mu.Lock()
-		shardDone, fatal := s.done, c.fatal != nil
-		c.mu.Unlock()
-		if shardDone || fatal || ctx.Err() != nil {
-			cancelJob(cl, jobID)
+		err := p.client.Events(lctx, jobID, func(ev service.Event) error {
+			last = ev
+			if ev.Done > lastDone {
+				lastDone = ev.Done
+				heartbeat.Reset(c.cfg.HeartbeatTimeout)
+				c.mu.Lock()
+				s.lastActivity = time.Now() // read under the lock: never moves back
+				c.mu.Unlock()
+			}
+			return nil
+		})
+		if err == nil {
+			break // the stream ended on a terminal event
+		}
+		if lctx.Err() != nil {
+			cancelJob(p.client, jobID)
+			if errors.Is(context.Cause(lctx), errLeaseExpired) {
+				c.reg.Counter(mExpired(p.base)).Inc()
+				c.peerFailure(p, s, 0)
+			}
 			return
 		}
-
-		st, err := cl.Status(ctx, jobID)
-		now := time.Now()
-		switch {
-		case err == nil:
-			if st.Done > lastDone {
-				lastDone = st.Done
-				lastChange = now
-				c.mu.Lock()
-				if now.After(s.lastActivity) {
-					s.lastActivity = now
-				}
-				c.mu.Unlock()
-			}
-			switch st.State {
-			case service.StateDone:
-				c.finishLease(ctx, p, s, jobID)
-				return
-			case service.StateFailed:
-				// The peer ran the sweep and the sweep itself failed. That
-				// is usually deterministic (the spec's own cells fail), so
-				// retries burn toward the local fallback, where the local
-				// engine is the arbiter of whether the spec truly fails.
-				c.mu.Lock()
-				s.lastErr = st.Error
-				if s.attempts >= c.cfg.MaxRemoteAttempts {
-					s.localOnly = true
-				}
-				c.mu.Unlock()
-				return
-			case service.StateCancelled:
-				return // someone cancelled our lease out from under us; redispatch
-			}
-		default:
-			var apiErr *service.APIError
-			if errors.As(err, &apiErr) && apiErr.Status == 404 {
-				// The peer restarted with a fresh data dir: the job is gone.
-				c.peerFailure(p, s, 0)
-				return
-			}
-			// Transport trouble: keep the heartbeat clock running; a
-			// transient blip recovers, a partition expires the lease below.
-		}
-
-		if now.Sub(lastChange) > c.cfg.HeartbeatTimeout {
-			c.reg.Counter(mExpired(p.base)).Inc()
-			cancelJob(cl, jobID)
+		var apiErr *service.APIError
+		if errors.As(err, &apiErr) && apiErr.Status == 404 {
+			// The peer restarted with a fresh data dir: the job is gone.
 			c.peerFailure(p, s, 0)
 			return
 		}
-		if !sleepCtx(ctx, c.cfg.PollInterval) {
-			cancelJob(cl, jobID)
-			return
-		}
+		// Any other trouble re-opens the stream; a transient blip recovers,
+		// a partition expires the lease.
+		sleepCtx(lctx, streamRetry)
 	}
+
+	switch last.State {
+	case service.StateDone:
+		c.finishLease(ctx, p, s, jobID)
+	case service.StateFailed:
+		// The peer ran the sweep and the sweep itself failed. That is
+		// usually deterministic (the spec's own cells fail), so retries burn
+		// toward the local fallback, where the local engine is the arbiter
+		// of whether the spec truly fails.
+		c.mu.Lock()
+		s.lastErr = last.Error
+		if s.attempts >= c.cfg.MaxRemoteAttempts {
+			s.localOnly = true
+		}
+		c.mu.Unlock()
+	}
+	// StateCancelled: someone cancelled our lease out from under us;
+	// removing the holder re-pends the shard.
 }
 
 // finishLease fetches, verifies, and commits a done job's result bytes.
@@ -888,7 +885,7 @@ func (c *Coordinator) finishLease(ctx context.Context, p *peerState, s *shardSta
 		c.peerFailure(p, s, retryAfter(err))
 		return
 	}
-	if err := c.commit(s, b, p.base); err != nil && !errors.Is(err, errAlreadyDone) {
+	if err := c.commit(s, b); err != nil && !errors.Is(err, errAlreadyDone) {
 		// Bad bytes (failed verification) count as a peer failure; a
 		// determinism violation has already failed the run inside commit.
 		var apiErr *service.APIError
@@ -1020,7 +1017,7 @@ func (c *Coordinator) attemptLocal(ctx context.Context, s *shardState) {
 		return
 	}
 	c.reg.Counter(mLocalRuns).Inc()
-	if err := c.commit(s, b, localName); err != nil && !errors.Is(err, errAlreadyDone) {
+	if err := c.commit(s, b); err != nil && !errors.Is(err, errAlreadyDone) {
 		var apiErr *service.APIError
 		if !errors.As(err, &apiErr) {
 			c.fail(&service.APIError{Status: 500, Code: service.CodeInternal,

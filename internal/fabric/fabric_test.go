@@ -5,8 +5,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -131,10 +133,9 @@ func TestFabricTwoPeersByteIdentical(t *testing.T) {
 			var mu sync.Mutex
 			lastDone := 0
 			got, co := runFabric(t, Config{
-				Peers:        peers,
-				ShardCells:   2,
-				StealAfter:   -1, // exact dispatch accounting below
-				PollInterval: 5 * time.Millisecond,
+				Peers:      peers,
+				ShardCells: 2,
+				StealAfter: -1, // exact dispatch accounting below
 				Progress: func(done, total int) {
 					mu.Lock()
 					defer mu.Unlock()
@@ -224,7 +225,6 @@ func TestFabricNetChaosByteIdentical(t *testing.T) {
 		Transport:         in.RoundTripper(nil),
 		ShardCells:        2,
 		HeartbeatTimeout:  2 * time.Second,
-		PollInterval:      10 * time.Millisecond,
 		PeerBackoff:       10 * time.Millisecond,
 		MaxRemoteAttempts: 3,
 		RequestTimeout:    2 * time.Second,
@@ -239,6 +239,121 @@ func TestFabricNetChaosByteIdentical(t *testing.T) {
 	_ = co
 }
 
+// cutAtFlush ends an event stream at its first flush by cancelling the
+// request's context, which the SSE handler watches.
+type cutAtFlush struct {
+	http.ResponseWriter
+	cancel context.CancelFunc
+}
+
+func (w cutAtFlush) Flush() {
+	w.ResponseWriter.(http.Flusher).Flush()
+	w.cancel()
+}
+
+// TestFabricBrokenStreamExpiresLease puts a handler in front of a real peer
+// whose jobs run but never complete a cell, and breaks each lease's event
+// stream: held open without a byte, or cut after every reconnect's
+// snapshot. Either way the heartbeat must expire the lease on time — a
+// re-sent snapshot repeats the done count and is not progress — and the
+// local fallback must finish the grid byte-identically.
+func TestFabricBrokenStreamExpiresLease(t *testing.T) {
+	const heartbeat = 500 * time.Millisecond
+	spec := clocksched.NewSweepSpec(fabricGrid(2))
+	want := serialBytes(t, spec)
+	for _, tc := range []struct {
+		name   string
+		events func(peer http.Handler, w http.ResponseWriter, r *http.Request)
+	}{
+		{"stalled", func(_ http.Handler, _ http.ResponseWriter, r *http.Request) {
+			<-r.Context().Done()
+		}},
+		{"flapping", func(peer http.Handler, w http.ResponseWriter, r *http.Request) {
+			// Without Last-Event-ID every reconnect is sent the snapshot.
+			ctx, cancel := context.WithCancel(r.Context())
+			defer cancel()
+			r = r.WithContext(ctx)
+			r.Header.Del("Last-Event-ID")
+			peer.ServeHTTP(cutAtFlush{w, cancel}, r)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			peer, err := service.New(service.Config{
+				DataDir: t.TempDir(),
+				Executor: func(ctx context.Context, _ service.ExecJob) (*clocksched.SweepResult, error) {
+					<-ctx.Done()
+					return nil, ctx.Err()
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mu sync.Mutex
+			opened := map[string]time.Time{}    // job -> first /events request
+			lease := map[string]time.Duration{} // job -> cancel after opened
+			front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				id, sub, _ := strings.Cut(strings.TrimPrefix(r.URL.Path, "/v1/jobs/"), "/")
+				mu.Lock()
+				if _, ok := opened[id]; !ok && sub == "events" {
+					opened[id] = time.Now()
+				}
+				if t0, ok := opened[id]; ok && r.Method == http.MethodDelete {
+					lease[id] = time.Since(t0)
+				}
+				mu.Unlock()
+				if sub == "events" {
+					tc.events(peer, w, r)
+					return
+				}
+				peer.ServeHTTP(w, r)
+			}))
+			t.Cleanup(func() {
+				front.Close()
+				peer.Close()
+			})
+
+			co, err := New(Config{
+				Dir:               t.TempDir(),
+				Peers:             []string{front.URL},
+				ShardCells:        1,
+				HeartbeatTimeout:  heartbeat,
+				StealAfter:        -1, // expiry alone must free the shards
+				PeerBackoff:       10 * time.Millisecond,
+				MaxRemoteAttempts: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			res, err := co.Run(ctx, spec)
+			if err != nil {
+				t.Fatalf("fabric run: %v", err)
+			}
+			got, err := clocksched.EncodeSweepResult(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatal("fabric after expired leases differs from the serial sweep")
+			}
+			if co.Metrics().Counter(mExpired(front.URL)).Value() == 0 {
+				t.Error("no lease expired against a peer that never progresses")
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if len(lease) == 0 {
+				t.Fatal("no watched peer job was cancelled")
+			}
+			for id, d := range lease {
+				if d > 2*heartbeat {
+					t.Errorf("job %s cancelled %v after its stream opened, want at most %v", id, d, 2*heartbeat)
+				}
+			}
+		})
+	}
+}
+
 func TestFabricStealsFromStraggler(t *testing.T) {
 	spec := clocksched.NewSweepSpec(fabricGrid(8))
 	want := serialBytes(t, spec)
@@ -251,7 +366,6 @@ func TestFabricStealsFromStraggler(t *testing.T) {
 		ShardCells:       2,
 		StealAfter:       50 * time.Millisecond,
 		HeartbeatTimeout: 30 * time.Second, // stealing, not lease expiry, must finish this
-		PollInterval:     10 * time.Millisecond,
 		Seed:             7,
 	}, spec)
 	if !bytes.Equal(got, want) {
@@ -371,11 +485,10 @@ func TestFabricPeerRestartWithFreshDataDir(t *testing.T) {
 	}
 
 	co, err := New(Config{
-		Dir:          dir,
-		Peers:        []string{peer},
-		ShardCells:   2,
-		PollInterval: 10 * time.Millisecond,
-		PeerBackoff:  10 * time.Millisecond,
+		Dir:         dir,
+		Peers:       []string{peer},
+		ShardCells:  2,
+		PeerBackoff: 10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

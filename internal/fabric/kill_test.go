@@ -137,7 +137,6 @@ func TestFabricPeerKillMidShard(t *testing.T) {
 		Peers:            []string{doomed, healthy},
 		ShardCells:       2,
 		HeartbeatTimeout: time.Second,
-		PollInterval:     20 * time.Millisecond,
 		PeerBackoff:      20 * time.Millisecond,
 		RequestTimeout:   5 * time.Second,
 		Seed:             11,
@@ -196,7 +195,6 @@ func TestFabricCoordChild(t *testing.T) {
 		Transport:        in.RoundTripper(nil),
 		ShardCells:       2,
 		HeartbeatTimeout: 2 * time.Second,
-		PollInterval:     20 * time.Millisecond,
 		PeerBackoff:      20 * time.Millisecond,
 		RequestTimeout:   5 * time.Second,
 		Seed:             5150,
@@ -260,7 +258,6 @@ func TestFabricCoordKillAndResume(t *testing.T) {
 		Transport:        in.RoundTripper(nil),
 		ShardCells:       2,
 		HeartbeatTimeout: 2 * time.Second,
-		PollInterval:     20 * time.Millisecond,
 		PeerBackoff:      20 * time.Millisecond,
 		RequestTimeout:   5 * time.Second,
 		Seed:             6061,

@@ -44,11 +44,11 @@ type PolicyRow struct {
 // SkipSummary aggregates the infeasible bucket for one workload×policy
 // pairing — the structured report of what the pre-pass refused to run.
 type SkipSummary struct {
-	Workload   clocksched.Workload
-	Policy     string
-	Count      int
-	EstUtil    float64
-	MinMHz     float64
+	Workload clocksched.Workload
+	Policy   string
+	Count    int
+	EstUtil  float64
+	MinMHz   float64
 }
 
 // Population is the reduced fleet result.

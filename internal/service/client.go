@@ -1,6 +1,6 @@
 package service
 
-// Client is the Go-side of the job API, used by `experiments -remote` and
+// Client is the Go-side of the job API, used by the fabric coordinator and
 // the service tests. Every error a server rejects a request with comes
 // back as the same *APIError the server constructed — code, message, and
 // Retry-After hint intact — so callers branch on Code, not on substrings.
@@ -317,7 +317,7 @@ const eventsMaxReconnects = 4
 // transparently with the SSE Last-Event-ID header, so the server skips
 // the snapshot the client already has; only after eventsMaxReconnects
 // consecutive failures is the drop surfaced (io.EOF or the transport
-// error) for callers to fall back to polling.
+// error).
 func (c *Client) Events(ctx context.Context, id string, fn func(Event) error) error {
 	var lastID string
 	fails := 0
@@ -372,16 +372,17 @@ func (c *Client) eventsOnce(ctx context.Context, id string, fn func(Event) error
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(nil, 1<<20)
 	for sc.Scan() {
-		line := sc.Text()
-		if idStr, ok := strings.CutPrefix(line, "id: "); ok {
-			*lastID = strings.TrimSpace(idStr)
+		line := sc.Bytes()
+		if idStr, ok := bytes.CutPrefix(line, []byte("id: ")); ok {
+			*lastID = string(bytes.TrimSpace(idStr))
 			continue
 		}
-		if !strings.HasPrefix(line, "data: ") {
+		data, ok := bytes.CutPrefix(line, []byte("data: "))
+		if !ok {
 			continue
 		}
 		var ev Event
-		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
+		if err := json.Unmarshal(data, &ev); err != nil {
 			return sawEvent, false, fmt.Errorf("service: bad event payload: %w", err)
 		}
 		sawEvent = true
@@ -400,15 +401,17 @@ func (c *Client) eventsOnce(ctx context.Context, id string, fn func(Event) error
 	return sawEvent, true, io.EOF // stream ended without a terminal event
 }
 
-// Wait blocks until the job is terminal, preferring the event stream and
-// falling back to status polling if the stream drops (daemon restart). A
-// non-nil onProgress observes done/total counts as they arrive.
+// Wait blocks until the job is terminal, following the event stream and
+// probing status whenever the stream ends (daemon restart). A structured
+// rejection that asking again cannot change — an unknown job, a refused
+// token, a bad request — is returned at once; only transport drops are
+// retried. A non-nil onProgress observes done/total counts as they arrive.
 func (c *Client) Wait(ctx context.Context, id string, onProgress func(done, total int)) (JobStatus, error) {
 	for {
 		// The stream can drop (daemon restart) or end on a state the
 		// server has since rolled back to queued; the status probe below
 		// is the arbiter either way.
-		_ = c.Events(ctx, id, func(ev Event) error {
+		err := c.Events(ctx, id, func(ev Event) error {
 			if onProgress != nil && ev.Total > 0 {
 				onProgress(ev.Done, ev.Total)
 			}
@@ -417,8 +420,15 @@ func (c *Client) Wait(ctx context.Context, id string, onProgress func(done, tota
 		if ctx.Err() != nil {
 			return JobStatus{}, ctx.Err()
 		}
-		if st, err := c.Status(ctx, id); err == nil && st.State.terminal() {
+		if rejected(err) {
+			return JobStatus{}, err
+		}
+		st, err := c.Status(ctx, id)
+		if err == nil && st.State.terminal() {
 			return st, nil
+		}
+		if rejected(err) {
+			return JobStatus{}, err
 		}
 		select {
 		case <-time.After(250 * time.Millisecond):
@@ -426,4 +436,11 @@ func (c *Client) Wait(ctx context.Context, id string, onProgress func(done, tota
 			return JobStatus{}, ctx.Err()
 		}
 	}
+}
+
+// rejected reports whether err is a structured rejection that retrying
+// cannot change: any 4xx but 429, which asks the caller to come back.
+func rejected(err error) bool {
+	var apiErr *APIError
+	return errors.As(err, &apiErr) && apiErr.Status/100 == 4 && apiErr.Status != http.StatusTooManyRequests
 }

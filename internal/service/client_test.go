@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 type roundTripFunc func(*http.Request) (*http.Response, error)
@@ -75,5 +76,21 @@ func TestEventsLongLine(t *testing.T) {
 	}
 	if len(got) != 1 || got[0].Error != long {
 		t.Errorf("got %d events; want one failed state carrying the %d-byte error", len(got), len(long))
+	}
+}
+
+// TestWaitUnknownJob waits on a job id the daemon never issued: the 404 is
+// the answer, returned at once rather than retried until the deadline.
+func TestWaitUnknownJob(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1})
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	start := time.Now()
+	_, err := c.Wait(ctx, "j-nope", nil)
+	if !isAPIError(err, http.StatusNotFound, CodeNotFound) {
+		t.Fatalf("Wait on an unknown job returned %v after %v, want a 404 %s", err, time.Since(start), CodeNotFound)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("Wait took %v to report an unknown job", d)
 	}
 }
