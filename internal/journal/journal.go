@@ -163,8 +163,8 @@ func fsRename(fs FS, oldpath, newpath string) error {
 	return fs.Rename(oldpath, newpath)
 }
 
-// fileWriter adapts one (FS, *os.File) pair to io.Writer so the buffered
-// append path can sit on top of the injectable surface.
+// fileWriter adapts one (FS, *os.File) pair to io.Writer so the atomic
+// file writers can sit on top of the injectable surface.
 type fileWriter struct {
 	fs FS
 	f  *os.File
@@ -172,15 +172,23 @@ type fileWriter struct {
 
 func (w fileWriter) Write(p []byte) (int, error) { return fsWrite(w.fs, w.f, p) }
 
+// writeThrough is how many framed bytes a Writer holds before Append
+// writes them out without waiting for Sync, so a writer that is never
+// synced, such as the telemetry spill, holds at most this plus one record.
+const writeThrough = 4096
+
 // Writer appends records to one journal file. It is safe for concurrent
-// use. Appends are buffered; Sync flushes the buffer and fsyncs the file,
-// making everything appended so far the durable commit point.
+// use. Append frames records into a slice the writer owns; Sync writes
+// everything pending with one write and fsyncs the file, making
+// everything appended so far the durable commit point. Once writeThrough
+// bytes are pending, Append writes them out itself. The first failed write
+// or fsync poisons the writer: every later call returns that error.
 type Writer struct {
 	mu  sync.Mutex
 	f   *os.File
 	fs  FS
-	bw  *bufio.Writer
-	err error // first write failure; sticky, so a bad disk fails loudly once
+	buf []byte // framed records not yet written
+	err error  // first write failure; sticky, so a bad disk fails loudly once
 }
 
 // Create opens a fresh journal at path, truncating anything already there,
@@ -239,46 +247,67 @@ func OpenFS(path string, resume bool, fn func(payload []byte) error, fs FS) (*Wr
 		f.Close()
 		return nil, stats, fmt.Errorf("journal: %w", err)
 	}
-	return &Writer{f: f, fs: fs, bw: bufio.NewWriter(fileWriter{fs: fs, f: f})}, stats, nil
+	return &Writer{f: f, fs: fs}, stats, nil
 }
 
-// writeRecord frames one payload — length, checksum, bytes — onto w. It is
-// the single encoder behind both live appends and Rewrite, so a rewritten
-// journal is byte-for-byte what appending the same payloads would produce.
-func writeRecord(w io.Writer, payload []byte) error {
+// appendRecord frames one payload — length, checksum, bytes — onto dst. It
+// is the single encoder behind both live appends and RewriteFS, so a
+// rewritten journal is byte-for-byte what appending the same payloads
+// would produce.
+func appendRecord(dst, payload []byte) ([]byte, error) {
 	if len(payload) > MaxRecord {
-		return fmt.Errorf("journal: record of %d bytes exceeds MaxRecord", len(payload))
+		return dst, fmt.Errorf("journal: record of %d bytes exceeds MaxRecord", len(payload))
 	}
-	var hdr [recHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	return append(dst, payload...), nil
 }
 
-// Append frames and buffers one record. The record is not durable until
-// Sync (or Close) returns.
+// Append frames one record into the pending bytes, writing them out once
+// writeThrough bytes are pending. The record is not durable until Sync (or
+// Close) returns. An oversized record is refused without poisoning the
+// writer: it is the caller's mistake, not a broken file.
 func (w *Writer) Append(payload []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
 		return w.err
 	}
-	if err := writeRecord(w.bw, payload); err != nil {
-		if len(payload) <= MaxRecord {
-			// An oversized record is the caller's mistake, not a broken
-			// file; only real write failures poison the writer.
-			w.err = err
-		}
+	buf, err := appendRecord(w.buf, payload)
+	if err != nil {
 		return err
+	}
+	w.buf = buf
+	if len(w.buf) >= writeThrough {
+		return w.flushLocked()
 	}
 	return nil
 }
 
-// Sync flushes buffered records and fsyncs the file: the write-ahead
+// flushLocked writes the pending bytes with one write; the caller holds
+// w.mu and has checked w.err. The slice is kept for the next records
+// unless one large record grew it past twice writeThrough.
+func (w *Writer) flushLocked() error {
+	if len(w.buf) == 0 {
+		return nil
+	}
+	n, err := fsWrite(w.fs, w.f, w.buf)
+	if err == nil && n < len(w.buf) {
+		err = io.ErrShortWrite
+	}
+	if err != nil {
+		w.err = err
+		return err
+	}
+	if cap(w.buf) > 2*writeThrough {
+		w.buf = nil
+	} else {
+		w.buf = w.buf[:0]
+	}
+	return nil
+}
+
+// Sync writes the pending records and fsyncs the file: the write-ahead
 // commit. Everything appended before a successful Sync survives process
 // death and power loss.
 func (w *Writer) Sync() error {
@@ -291,8 +320,7 @@ func (w *Writer) syncLocked() error {
 	if w.err != nil {
 		return w.err
 	}
-	if err := w.bw.Flush(); err != nil {
-		w.err = err
+	if err := w.flushLocked(); err != nil {
 		return err
 	}
 	if err := fsSync(w.fs, w.f); err != nil {
@@ -313,16 +341,15 @@ func (w *Writer) syncLocked() error {
 // old log, decides which records are still live, and rewrites.
 func RewriteFS(path string, payloads [][]byte, fs FS) error {
 	err := writeAtomic(path, filepath.Base(path)+".tmp-*", fs, true, func(w io.Writer) error {
-		bw := bufio.NewWriter(w)
-		if _, err := bw.Write(fileMagic); err != nil {
-			return err
-		}
+		b := append([]byte(nil), fileMagic...)
 		for _, p := range payloads {
-			if err := writeRecord(bw, p); err != nil {
+			var err error
+			if b, err = appendRecord(b, p); err != nil {
 				return err
 			}
 		}
-		return bw.Flush()
+		_, err := w.Write(b)
+		return err
 	})
 	if err != nil {
 		return fmt.Errorf("journal: rewrite: %w", err)

@@ -3,6 +3,7 @@ package journal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -379,5 +380,140 @@ func TestAppendTooLarge(t *testing.T) {
 	// The oversize rejection must not poison the writer.
 	if err := w.Append([]byte("small")); err != nil {
 		t.Fatalf("Append after oversize rejection: %v", err)
+	}
+}
+
+// recordingFS is a real filesystem that records the size of every write
+// and, from the failAt'th write on (counting from 1), fails instead.
+type recordingFS struct {
+	writes []int
+	failAt int
+}
+
+var errInjected = errors.New("injected write failure")
+
+func (fs *recordingFS) Write(f *os.File, p []byte) (int, error) {
+	fs.writes = append(fs.writes, len(p))
+	if fs.failAt > 0 && len(fs.writes) >= fs.failAt {
+		return 0, errInjected
+	}
+	return f.Write(p)
+}
+
+func (fs *recordingFS) Sync(f *os.File) error                { return f.Sync() }
+func (fs *recordingFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
+
+// writerPayloads are records of mixed sizes, some far past writeThrough.
+func writerPayloads() [][]byte {
+	var ps [][]byte
+	for i := 0; i < 200; i++ {
+		ps = append(ps, bytes.Repeat([]byte{byte(i)}, (i*37)%700))
+	}
+	return append(ps, nil, bytes.Repeat([]byte("big"), 5000), []byte("tail"))
+}
+
+// TestWriterMatchesRewrite checks that the pending-slice writer frames
+// exactly what RewriteFS writes, whether each record is synced or many
+// are left pending until the writer writes them through.
+func TestWriterMatchesRewrite(t *testing.T) {
+	dir := t.TempDir()
+	payloads := writerPayloads()
+	ref := filepath.Join(dir, "ref.wal")
+	if err := RewriteFS(ref, payloads, nil); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, syncEach := range []bool{true, false} {
+		path := filepath.Join(dir, fmt.Sprintf("sync-%v.wal", syncEach))
+		fs := &recordingFS{}
+		w, _, err := OpenFS(path, false, nil, fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range payloads {
+			if err := w.Append(p); err != nil {
+				t.Fatal(err)
+			}
+			if syncEach {
+				if err := w.Sync(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("sync each %v: appended journal (%d bytes) differs from the rewritten one (%d bytes)", syncEach, len(got), len(want))
+		}
+		if syncEach && len(fs.writes) != len(payloads) {
+			t.Errorf("syncing each of %d records took %d writes, want one per commit", len(payloads), len(fs.writes))
+		}
+	}
+}
+
+// TestWriterPendingBounded appends without ever syncing, as the telemetry
+// spill does: the writer holds at most writeThrough bytes plus one record,
+// and writes them out as one write.
+func TestWriterPendingBounded(t *testing.T) {
+	fs := &recordingFS{}
+	w, _, err := OpenFS(filepath.Join(t.TempDir(), "j.wal"), false, nil, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	for i, p := range writerPayloads() {
+		frame, writes := recHeader+len(p), len(fs.writes)
+		if err := w.Append(p); err != nil {
+			t.Fatal(err)
+		}
+		w.mu.Lock()
+		pending := len(w.buf)
+		w.mu.Unlock()
+		if pending >= writeThrough {
+			t.Fatalf("after record %d, %d bytes pending, want fewer than %d", i, pending, writeThrough)
+		}
+		if n := len(fs.writes); n > writes && fs.writes[n-1] > writeThrough+frame {
+			t.Fatalf("record %d was written with %d bytes, want at most %d + its %d", i, fs.writes[n-1], writeThrough, frame)
+		}
+	}
+	if len(fs.writes) == 0 {
+		t.Fatal("an unsynced writer never wrote through")
+	}
+}
+
+// TestWriterPoisoned fails the writer's first write: that error comes back
+// from every later Append, Sync and Close, and nothing more reaches the
+// file system.
+func TestWriterPoisoned(t *testing.T) {
+	fs := &recordingFS{failAt: 1}
+	w, _, err := OpenFS(filepath.Join(t.TempDir(), "j.wal"), false, nil, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append([]byte("first")); err != nil {
+		t.Fatalf("Append before any write: %v", err)
+	}
+	if err := w.Sync(); !errors.Is(err, errInjected) {
+		t.Fatalf("Sync = %v, want the injected failure", err)
+	}
+	if err := w.Append([]byte("second")); !errors.Is(err, errInjected) {
+		t.Errorf("Append after a failed write = %v, want the injected failure", err)
+	}
+	if err := w.Sync(); !errors.Is(err, errInjected) {
+		t.Errorf("second Sync = %v, want the injected failure", err)
+	}
+	if err := w.Close(); !errors.Is(err, errInjected) {
+		t.Errorf("Close = %v, want the injected failure", err)
+	}
+	if len(fs.writes) != 1 {
+		t.Errorf("a poisoned writer made %d writes, want only the failed one", len(fs.writes))
 	}
 }

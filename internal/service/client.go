@@ -367,10 +367,10 @@ func (c *Client) eventsOnce(ctx context.Context, id string, fn func(Event) error
 		return false, false, decodeError(resp)
 	}
 
-	// Events are short JSON lines: start from bufio's small default buffer
-	// and let a rare long line grow it to 1 MiB.
+	// Events are short JSON lines: start from a 512-byte buffer and let a
+	// rare long line grow it to 1 MiB.
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(nil, 1<<20)
+	sc.Buffer(make([]byte, 512), 1<<20)
 	for sc.Scan() {
 		line := sc.Bytes()
 		if idStr, ok := bytes.CutPrefix(line, []byte("id: ")); ok {
@@ -401,24 +401,29 @@ func (c *Client) eventsOnce(ctx context.Context, id string, fn func(Event) error
 	return sawEvent, true, io.EOF // stream ended without a terminal event
 }
 
-// Wait blocks until the job is terminal, following the event stream and
-// probing status whenever the stream ends (daemon restart). A structured
-// rejection that asking again cannot change — an unknown job, a refused
-// token, a bad request — is returned at once; only transport drops are
-// retried. A non-nil onProgress observes done/total counts as they arrive.
+// Wait blocks until the job is terminal, following the event stream. When
+// the stream ends on a terminal event carrying the job's final status,
+// that status is the answer and no status request is made; when the
+// stream drops (daemon restart) or its terminal event has no final status
+// (an older daemon), a status probe decides. A structured rejection that
+// asking again cannot change — an unknown job, a refused token, a bad
+// request — is returned at once; only transport drops are retried. A
+// non-nil onProgress observes done/total counts as they arrive.
 func (c *Client) Wait(ctx context.Context, id string, onProgress func(done, total int)) (JobStatus, error) {
 	for {
-		// The stream can drop (daemon restart) or end on a state the
-		// server has since rolled back to queued; the status probe below
-		// is the arbiter either way.
+		var final *JobStatus
 		err := c.Events(ctx, id, func(ev Event) error {
 			if onProgress != nil && ev.Total > 0 {
 				onProgress(ev.Done, ev.Total)
 			}
+			final = ev.Final
 			return nil
 		})
 		if ctx.Err() != nil {
 			return JobStatus{}, ctx.Err()
+		}
+		if err == nil && final != nil && final.State.terminal() {
+			return *final, nil
 		}
 		if rejected(err) {
 			return JobStatus{}, err

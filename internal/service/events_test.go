@@ -3,12 +3,15 @@ package service
 import (
 	"bufio"
 	"context"
+	"fmt"
 	"net"
 	"net/http"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"clocksched"
 )
 
 // TestEventsSurviveDaemonRestart pins the reconnect satellite: a client
@@ -309,4 +312,134 @@ func TestEventsResetAfterDataDirReset(t *testing.T) {
 	if err != nil || final.State != StateDone {
 		t.Fatalf("job after reset: %+v, %v", final, err)
 	}
+}
+
+// gatedServer builds a one-runner server whose executor, entered after a
+// job's Running event is published, sends the job's id on entered and
+// holds the job until release is closed, then sweeps it locally. The tests
+// run at most two jobs, so entered never blocks.
+func gatedServer(t *testing.T) (s *Server, entered chan string, release chan struct{}) {
+	t.Helper()
+	entered, release = make(chan string, 2), make(chan struct{})
+	s, _ = newTestServer(t, Config{Workers: 1, MaxActiveJobs: 1,
+		Executor: func(ctx context.Context, job ExecJob) (*clocksched.SweepResult, error) {
+			entered <- job.ID
+			select {
+			case <-release:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			return clocksched.Sweep(ctx, job.Config)
+		}})
+	return s, entered, release
+}
+
+// drainAfterRun waits for the job to finish, closes the server so its
+// runner has published everything, and returns the subscriber's buffered
+// events and the last sequence number the job published.
+func drainAfterRun(t *testing.T, s *Server, id string, ch chan Event) ([]Event, int64) {
+	t.Helper()
+	waitSrvTerminal(t, s, id)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var evs []Event
+	for len(ch) > 0 {
+		evs = append(evs, <-ch)
+	}
+	s.mu.Lock()
+	j := s.jobs[id]
+	s.mu.Unlock()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return evs, j.evSeq
+}
+
+// checkFanOut checks the events a subscriber buffered without reading:
+// sequence numbers increase, the terminal done event with its final status
+// comes last, and the state events in between are exactly wantStates.
+func checkFanOut(t *testing.T, evs []Event, snapSeq int64, total int, wantStates []JobState) {
+	t.Helper()
+	if len(evs) == 0 {
+		t.Fatal("subscriber buffered no events")
+	}
+	var states []JobState
+	for i, ev := range evs {
+		prev := snapSeq
+		if i > 0 {
+			prev = evs[i-1].Seq
+		}
+		if ev.Seq <= prev {
+			t.Errorf("event %d has seq %d after seq %d", i, ev.Seq, prev)
+		}
+		if ev.Type == "state" {
+			states = append(states, ev.State)
+		}
+	}
+	if fmt.Sprint(states) != fmt.Sprint(append(wantStates, StateDone)) {
+		t.Errorf("state events %v, want %v then done", states, wantStates)
+	}
+	last := evs[len(evs)-1]
+	if last.Type != "state" || last.State != StateDone || last.Final == nil ||
+		last.Final.State != StateDone || last.Final.Done != total {
+		t.Errorf("last event %+v (final %+v), want the done state with a final status of %d cells", last, last.Final, total)
+	}
+}
+
+// TestEventFanOut pins the event buffer each subscriber gets: a subscriber
+// that reads nothing during an uninterrupted run loses nothing of a
+// two-cell job, and of a 200-cell job loses only progress events.
+func TestEventFanOut(t *testing.T) {
+	t.Run("two cells", func(t *testing.T) {
+		s, entered, release := gatedServer(t)
+		if _, err := s.Submit(testSpec(1)); err != nil {
+			t.Fatal(err)
+		}
+		<-entered // the blocker holds the only runner
+		st, err := s.Submit(testSpec(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, ch, snap, err := s.subscribe(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.unsubscribe(ch)
+		if snap.State != StateQueued {
+			t.Fatalf("subscribed at %s, want queued", snap.State)
+		}
+		if cap(ch) != 5 {
+			t.Errorf("a two-cell job's subscriber gets %d slots, want 5", cap(ch))
+		}
+		close(release)
+		evs, lastSeq := drainAfterRun(t, s, st.ID, ch)
+		checkFanOut(t, evs, snap.Seq, 2, []JobState{StateRunning})
+		if int64(len(evs)) != lastSeq-snap.Seq {
+			t.Errorf("subscriber buffered %d of the %d events published", len(evs), lastSeq-snap.Seq)
+		}
+	})
+	t.Run("200 cells", func(t *testing.T) {
+		s, entered, release := gatedServer(t)
+		grid := testGrid(200)
+		grid.Duration = 200 * time.Millisecond
+		st, err := s.Submit(clocksched.NewSweepSpec(grid))
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-entered // Running is published
+		j, ch, snap, err := s.subscribe(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.unsubscribe(ch)
+		if snap.State != StateRunning {
+			t.Fatalf("subscribed at %s, want running", snap.State)
+		}
+		close(release)
+		evs, lastSeq := drainAfterRun(t, s, st.ID, ch)
+		checkFanOut(t, evs, snap.Seq, 200, nil)
+		if int64(len(evs)) >= lastSeq-snap.Seq {
+			t.Errorf("subscriber buffered all %d events published; want progress shed past %d slots", len(evs), cap(ch))
+		}
+	})
 }

@@ -289,15 +289,26 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
+// handleResult sends the result file itself rather than a copy in memory:
+// net/http's ResponseWriter reads an *os.File with sendfile where the
+// connection allows. io.Copy would not reach that path — it prefers the
+// file's WriteTo, which copies through a fresh 32 KiB buffer.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	b, err := s.ResultBytes(r.PathValue("id"))
+	f, size, err := s.openResult(r.PathValue("id"))
 	if err != nil {
 		writeError(w, err)
 		return
 	}
+	defer f.Close()
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
-	w.Write(b)
+	w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
+	// Past the header a failed send can only cut the body short, which the
+	// client detects against Content-Length.
+	if rf, ok := w.(io.ReaderFrom); ok {
+		_, _ = rf.ReadFrom(f)
+	} else {
+		_, _ = io.Copy(w, f) // a wrapping ResponseWriter without ReadFrom
+	}
 }
 
 // eventID renders one event's SSE id: the server's boot epoch qualifying

@@ -46,6 +46,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -268,7 +269,9 @@ type job struct {
 func (j *job) rank() int { return j.priority.rank() }
 
 // Event is one job lifecycle or progress notification, streamed to
-// /v1/jobs/{id}/events subscribers.
+// /v1/jobs/{id}/events subscribers. A "state" event of a terminal state
+// carries the job's final status in Final, so a client that follows the
+// stream to its end needs no status request.
 type Event struct {
 	// Type is "state" (job changed lifecycle state) or "progress" (cells
 	// completed).
@@ -288,6 +291,10 @@ type Event struct {
 	// snapshot, which is exactly what a client that slept through a
 	// reboot (or a data-dir reset that reused job ids) needs.
 	Seq int64 `json:"seq,omitempty"`
+	// Final is the job's status, as Status would report it, on the
+	// terminal "state" event and on a terminal snapshot; nil on every
+	// other event.
+	Final *JobStatus `json:"final,omitempty"`
 }
 
 // Server owns the job table, the admission queue, and the runner pool. It
@@ -894,6 +901,11 @@ func (s *Server) Jobs() []JobStatus {
 func (s *Server) statusLocked(j *job) JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.statusLocked()
+}
+
+// statusLocked snapshots the job; the caller holds j.mu.
+func (j *job) statusLocked() JobStatus {
 	return JobStatus{
 		ID:          j.id,
 		State:       j.state,
@@ -909,31 +921,59 @@ func (s *Server) statusLocked(j *job) JobStatus {
 
 // ResultBytes returns a finished job's canonical result envelope.
 func (s *Server) ResultBytes(id string) ([]byte, error) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
-		return nil, &APIError{Status: 404, Code: CodeNotFound, Message: "no such job"}
-	}
-	j.mu.Lock()
-	state := j.state
-	j.mu.Unlock()
-	if state != StateDone {
-		return nil, &APIError{Status: 409, Code: CodeNotFinished,
-			Message: fmt.Sprintf("job is %s, result available once done", state)}
-	}
-	b, err := os.ReadFile(s.resultPath(id))
+	f, size, err := s.openResult(id)
 	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	b := make([]byte, size)
+	if _, err := io.ReadFull(f, b); err != nil {
 		return nil, &APIError{Status: 500, Code: CodeInternal, Message: err.Error()}
 	}
 	return b, nil
 }
 
+// openResult opens a finished job's result file and returns its size; the
+// caller closes it. Any job that is not done is refused, as is a result
+// file that cannot be opened.
+func (s *Server) openResult(id string) (*os.File, int64, error) {
+	s.mu.Lock()
+	j, ok := s.jobs[id]
+	s.mu.Unlock()
+	if !ok {
+		return nil, 0, &APIError{Status: 404, Code: CodeNotFound, Message: "no such job"}
+	}
+	j.mu.Lock()
+	state := j.state
+	j.mu.Unlock()
+	if state != StateDone {
+		return nil, 0, &APIError{Status: 409, Code: CodeNotFinished,
+			Message: fmt.Sprintf("job is %s, result available once done", state)}
+	}
+	f, err := os.Open(s.resultPath(id))
+	if err != nil {
+		return nil, 0, &APIError{Status: 500, Code: CodeInternal, Message: err.Error()}
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, 0, &APIError{Status: 500, Code: CodeInternal, Message: err.Error()}
+	}
+	return f, fi.Size(), nil
+}
+
+// maxSubBuffer bounds a subscriber's event buffer. A job with more cells
+// than that sheds progress events to a subscriber that falls behind.
+const maxSubBuffer = 64
+
 // subscribe attaches an event channel to the job and returns the current
-// snapshot event; the caller must call unsubscribe. The buffer absorbs
-// progress bursts; if a subscriber falls behind, intermediate progress
-// events are dropped — state transitions are never dropped, because
-// publish retries them synchronously.
+// snapshot event, which carries Final if the job is terminal; the caller
+// must call unsubscribe. The buffer holds every event one uninterrupted
+// run can publish — Running, the resumed run's first progress call, one
+// progress event per cell and the terminal state — up to maxSubBuffer; if
+// a subscriber falls further behind, intermediate progress events are
+// dropped, and state transitions shed its oldest buffered event (see
+// publish).
 func (s *Server) subscribe(id string) (*job, chan Event, Event, error) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
@@ -941,12 +981,16 @@ func (s *Server) subscribe(id string) (*job, chan Event, Event, error) {
 	if !ok {
 		return nil, nil, Event{}, &APIError{Status: 404, Code: CodeNotFound, Message: "no such job"}
 	}
-	ch := make(chan Event, 64)
 	j.mu.Lock()
+	defer j.mu.Unlock()
+	ch := make(chan Event, min(j.total+3, maxSubBuffer))
 	j.subs[ch] = struct{}{}
 	snap := Event{Type: "state", State: j.state, Done: j.done, Total: j.total,
 		Error: j.errText, Seq: j.evSeq}
-	j.mu.Unlock()
+	if j.state.terminal() {
+		st := j.statusLocked()
+		snap.Final = &st
+	}
 	return j, ch, snap, nil
 }
 
@@ -957,20 +1001,17 @@ func (j *job) unsubscribe(ch chan Event) {
 }
 
 // publish stamps the event with the job's next sequence number and fans it
-// to the subscribers without ever blocking: a subscriber that has fallen
-// 64 events behind loses its oldest buffered event to make room for a
-// state transition, and merely misses intermediate progress events — the
-// next one it reads carries the current done-count anyway.
+// to the subscribers without ever blocking: a subscriber whose buffer is
+// full loses its oldest buffered event to make room for a state
+// transition, and merely misses intermediate progress events — the next
+// one it reads carries the current done-count anyway. Every send is a
+// select with a default, so the fan-out runs under j.mu.
 func (j *job) publish(ev Event) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	j.evSeq++
 	ev.Seq = j.evSeq
-	chans := make([]chan Event, 0, len(j.subs))
 	for ch := range j.subs {
-		chans = append(chans, ch)
-	}
-	j.mu.Unlock()
-	for _, ch := range chans {
 		select {
 		case ch <- ev:
 			continue
@@ -1152,7 +1193,7 @@ func (s *Server) finishJob(j *job, state JobState, errText string) {
 	if state == StateDone {
 		j.done = j.total
 	}
-	done, total := j.done, j.total
+	final := j.statusLocked()
 	j.mu.Unlock()
 
 	err := s.appendManifest(manifestRecord{Op: "state", ID: j.id, State: state, Error: errText})
@@ -1173,7 +1214,7 @@ func (s *Server) finishJob(j *job, state JobState, errText string) {
 	s.mu.Lock()
 	s.updateGauges()
 	s.mu.Unlock()
-	j.publish(Event{Type: "state", State: state, Done: done, Total: total, Error: errText})
+	j.publish(Event{Type: "state", State: state, Done: final.Done, Total: final.Total, Error: errText, Final: &final})
 }
 
 // Drain gracefully winds the server down: admission stops (503), runners
