@@ -7,16 +7,10 @@ import (
 	"time"
 )
 
-// TestTable2CellAllocBytes guards the streaming measurement path end to end,
-// as internal/kernel's TestQuantumStepAllocs guards the quantum step: one
-// 60 s MPEG cell of Table 2 through RunContext must allocate at most
-// 128 KiB. The cell's power timeline, per-quantum utilization and deadline
-// list are folded as the run goes; retaining any of them again costs
-// hundreds of KiB per cell (0.49 MB when all three were kept) and fails
-// here.
-func TestTable2CellAllocBytes(t *testing.T) {
-	const runs, limit = 4, 128 << 10
-	cfg := Config{Workload: MPEG, Policy: mustPolicy(t, "past-peg-peg", nil), Seed: 1, Duration: 60 * time.Second}
+// cellAllocBytes returns the bytes one run of cfg allocates through
+// RunContext, averaged over runs after a warm-up run.
+func cellAllocBytes(t *testing.T, cfg Config, runs int) uint64 {
+	t.Helper()
 	run := func() {
 		if _, err := RunContext(context.Background(), cfg); err != nil {
 			t.Fatal(err)
@@ -29,8 +23,73 @@ func TestTable2CellAllocBytes(t *testing.T) {
 		run()
 	}
 	runtime.ReadMemStats(&after)
-	if perCell := (after.TotalAlloc - before.TotalAlloc) / runs; perCell > limit {
-		t.Errorf("a 60 s MPEG cell allocates %d KiB, want at most %d KiB", perCell>>10, limit>>10)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestTable2CellAllocBytes guards the streaming measurement path end to end,
+// as internal/kernel's TestQuantumStepAllocs guards the quantum step: one
+// 60 s MPEG cell of Table 2 through RunContext must allocate at most
+// 5 KiB. The cell's power timeline, per-quantum utilization and deadline
+// misses are folded as the run goes; retaining any of them again costs
+// hundreds of KiB per cell (0.49 MB when all three were kept) and fails
+// here. Keeping each late deadline's lateness took it to about 6.5 KiB.
+func TestTable2CellAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments allocations")
+	}
+	const limit = 5 << 10
+	cfg := Config{Workload: MPEG, Policy: mustPolicy(t, "past-peg-peg", nil), Seed: 1, Duration: 60 * time.Second}
+	if perCell := cellAllocBytes(t, cfg, 4); perCell > limit {
+		t.Errorf("a 60 s MPEG cell allocates %d B, want at most %d", perCell, limit)
+	}
+}
+
+// TestTable2SlowCellAllocBytes guards the online miss count: of Table 2's
+// cells, a 60 s MPEG cell at a constant 132.7 MHz has the most late
+// deadlines, and it must allocate at most 6 KiB. Keeping the lateness of
+// every late deadline, so that misses could be counted at any slack after
+// the run, cost about 8.2 KiB.
+func TestTable2SlowCellAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments allocations")
+	}
+	const limit = 6 << 10
+	cfg := Config{Workload: MPEG, Policy: mustPolicy(t, "constant", map[string]float64{"mhz": 132.7}),
+		Seed: 1, Duration: 60 * time.Second}
+	if perCell := cellAllocBytes(t, cfg, 4); perCell > limit {
+		t.Errorf("a 60 s MPEG cell at 132.7 MHz allocates %d B, want at most %d", perCell, limit)
+	}
+}
+
+// TestSweepCellAllocBytes guards a sweep's cost per cell beyond the run
+// itself: a 20-seed Table 2 Sweep on one worker must allocate at most
+// 7.5 KiB per cell. Rendering each cell's policy for its cache key, copying
+// each cell for its job's closure and keeping every late deadline's
+// lateness took it to about 9.4 KiB.
+func TestSweepCellAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments allocations")
+	}
+	const runs, limit = 2, 7680
+	cfg, err := Table2Config(1, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Workers = 1
+	sweep := func() {
+		if _, err := Sweep(context.Background(), cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sweep() // warm up lazily built tables
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		sweep()
+	}
+	runtime.ReadMemStats(&after)
+	if perCell := (after.TotalAlloc - before.TotalAlloc) / runs / uint64(cfg.GridSize()); perCell > limit {
+		t.Errorf("a 20-seed Table 2 sweep allocates %d B per cell, want at most %d", perCell, limit)
 	}
 }
 

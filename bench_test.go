@@ -334,7 +334,8 @@ const guardFloor = 292.1
 // BenchmarkSerialGuard is the serial-throughput regression guard that
 // `make bench-guard` runs once: the Table 2 reference grid on one worker,
 // timed after an untimed warm-up so the figure carries no first-touch
-// costs (heap growth, page faults), failing below guardFloor.
+// costs (heap growth, page faults), failing below guardFloor. It reports
+// the grid's allocation (B/op) beside cells/s.
 func BenchmarkSerialGuard(b *testing.B) {
 	if raceEnabled {
 		b.Skip("the race detector slows the simulator far below the floor")
@@ -343,6 +344,7 @@ func BenchmarkSerialGuard(b *testing.B) {
 	if _, err := Sweep(context.Background(), cfg); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	cells := 0
 	for i := 0; i < b.N; i++ {

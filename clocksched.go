@@ -440,7 +440,7 @@ func (cfg Config) withDefaults() Config {
 		cfg.Policy = Policy{Constant: true, MHz: 206.4}
 	}
 	if cfg.DeadlineSlack == 0 {
-		cfg.DeadlineSlack = 33 * time.Millisecond
+		cfg.DeadlineSlack = expt.DefaultSlack.Std()
 	}
 	return cfg
 }
@@ -605,10 +605,9 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	spec.Workload = string(cfg.Workload)
 	spec.Seed = cfg.Seed
 	spec.Duration = sim.Duration(cfg.Duration / time.Microsecond)
-	slack := cfg.DeadlineSlack
+	spec.Slack = sim.Duration(cfg.DeadlineSlack / time.Microsecond)
 	spec.Faults = cfg.Faults.internal()
 	spec.Watchdog = cfg.Watchdog.internal()
-	spec.WatchdogSlack = sim.Duration(slack / time.Microsecond)
 	spec.Telemetry = cfg.Telemetry.registry()
 	spec.Stream = !cfg.CaptureTrace
 
@@ -624,7 +623,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		PeakPowerWatts:  out.DAQ.PeakW,
 		MeanUtilization: out.MeanUtil,
 		Deadlines:       col.Count(),
-		Misses:          col.MissCount(sim.Duration(slack / time.Microsecond)),
+		Misses:          col.MissCount(),
 		MaxLateness:     col.MaxLateness().Std(),
 		ClockChanges:    out.Kernel.SpeedChanges(),
 		VoltageChanges:  out.Kernel.VoltageChanges(),
@@ -645,10 +644,10 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if g, ok := runPol.(*policy.Governor); ok {
 		res.Telemetry.ScaleUps, res.Telemetry.ScaleDowns = g.ScaleCounts()
 	}
-	logStats := out.Kernel.AnalyzeLog()
-	res.ContextSwitches = logStats.Switches
-	if logStats.Decisions > 0 {
-		res.IdleShare = float64(logStats.IdleDecisions) / float64(logStats.Decisions)
+	decisions, idle, switches := out.Kernel.LogTotals()
+	res.ContextSwitches = switches
+	if decisions > 0 {
+		res.IdleShare = float64(idle) / float64(decisions)
 	}
 	for s, d := range out.Kernel.Residency() {
 		if d > 0 {

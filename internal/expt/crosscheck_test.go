@@ -185,7 +185,7 @@ func TestSynthesizedDeadlinesStillLose(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return result{name, out.EnergyJ, out.Workload.Metrics().MissCount(table2Slack)}
+		return result{name, out.EnergyJ, out.Workload.Metrics().MissCount()}
 	}
 	mkProp := func(pred policy.Predictor, target int) kernel.SpeedPolicy {
 		p, err := policy.NewProportional(pred, target, false)

@@ -75,7 +75,7 @@ func IdealDVSComparison(seed uint64) ([]DVSRow, error) {
 			} else {
 				row.DVSJ = out.EnergyJ
 			}
-			row.Misses += out.Workload.Metrics().MissCount(table2Slack)
+			row.Misses += out.Workload.Metrics().MissCount()
 		}
 		rows = append(rows, row)
 	}

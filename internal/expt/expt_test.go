@@ -216,7 +216,7 @@ func TestFigure8SlamsBetweenExtremes(t *testing.T) {
 		t.Errorf("only %d clock changes over 30s", out.Kernel.SpeedChanges())
 	}
 	// ...and never misses a deadline.
-	if got := out.Workload.Metrics().MissCount(table2Slack); got != 0 {
+	if got := out.Workload.Metrics().MissCount(); got != 0 {
 		t.Errorf("best policy missed %d deadlines", got)
 	}
 }

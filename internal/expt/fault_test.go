@@ -51,11 +51,11 @@ func TestFaultedRunIsDeterministic(t *testing.T) {
 		TraceDropProb:       0.02,
 		TraceDelayProb:      0.02,
 	}
-	// deadlines is what a run's collector holds: the late deadlines'
-	// lateness plus the total and per-stream counts.
+	// deadlines is what a run's collector holds: the miss count, the
+	// total and per-stream counts, and each stream's worst lateness.
 	type deadlines struct {
-		late                []sim.Duration
-		count, frame, audio int
+		misses, count, frame, audio int
+		frameLate, audioLate        sim.Duration
 	}
 	run := func(stream bool) (*RunOutcome, deadlines) {
 		spec := mpegFaultSpec(plan)
@@ -65,7 +65,8 @@ func TestFaultedRunIsDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		col := out.Workload.Metrics()
-		return out, deadlines{col.Late(), col.Count(), col.CountFor("frame"), col.CountFor("audio")}
+		return out, deadlines{col.MissCount(), col.Count(), col.CountFor("frame"), col.CountFor("audio"),
+			col.MaxLatenessFor("frame"), col.MaxLatenessFor("audio")}
 	}
 	a, aDeadlines := run(false)
 	// The second run streams its measurement: a plan with sample faults
@@ -86,9 +87,9 @@ func TestFaultedRunIsDeterministic(t *testing.T) {
 			t.Errorf("stream=%v: same seed+plan, different deadline outcomes", stream)
 		}
 	}
-	if aDeadlines.count == 0 || len(aDeadlines.late) == 0 {
-		t.Errorf("faulted run recorded %d deadlines, %d late; want both non-zero",
-			aDeadlines.count, len(aDeadlines.late))
+	if aDeadlines.count == 0 || max(aDeadlines.frameLate, aDeadlines.audioLate) <= 0 {
+		t.Errorf("faulted run recorded %d deadlines, max lateness %v; want a late one",
+			aDeadlines.count, max(aDeadlines.frameLate, aDeadlines.audioLate))
 	}
 }
 
@@ -178,12 +179,11 @@ func TestWatchdogSafeModeMissesNoDeadlines(t *testing.T) {
 	// Acceptance: a watchdog-wrapped PAST-Peg-Peg MPEG run under clock
 	// change faults completes with misses bounded by the unfaulted
 	// baseline plus the number of injected faults.
-	slack := 33 * sim.Millisecond
 	base, err := Run(mpegFaultSpec(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseMisses := base.Workload.Metrics().MissCount(slack)
+	baseMisses := base.Workload.Metrics().MissCount()
 
 	spec := mpegFaultSpec(&fault.Plan{ClockChangeFailProb: 0.01})
 	spec.Watchdog = &policy.WatchdogConfig{}
@@ -191,7 +191,7 @@ func TestWatchdogSafeModeMissesNoDeadlines(t *testing.T) {
 	if err != nil {
 		t.Fatalf("watchdog-wrapped faulted run errored: %v", err)
 	}
-	misses := out.Workload.Metrics().MissCount(slack)
+	misses := out.Workload.Metrics().MissCount()
 	if limit := baseMisses + out.Faults.ClockChangeFails; misses > limit {
 		t.Errorf("faulted+watchdog run missed %d deadlines, want ≤ %d (baseline %d + %d faults)",
 			misses, limit, baseMisses, out.Faults.ClockChangeFails)

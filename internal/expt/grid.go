@@ -62,7 +62,8 @@ func (e Env) ctx() context.Context {
 // experiments consume. Unlike RunOutcome — which exposes the live kernel
 // and workload for arbitrary queries — a Cell is plain data, so it can be
 // cached on disk and compared bit for bit. Misses are counted at the
-// paper's 33 ms perceptual slack.
+// spec's Slack: DefaultSlack, the paper's 33 ms perceptual slack, unless
+// the spec sets another.
 type Cell struct {
 	WorkloadName string // the workload's display name, e.g. "MPEG"
 
@@ -104,7 +105,7 @@ func projectCell(out *RunOutcome, keepUtil bool) Cell {
 		AvgPowerW:      out.AvgPowerW,
 		MeanUtil:       out.MeanUtil,
 		Deadlines:      col.Count(),
-		Misses:         col.MissCount(table2Slack),
+		Misses:         col.MissCount(),
 		MaxLateness:    col.MaxLateness(),
 		SpeedChanges:   out.Kernel.SpeedChanges(),
 		VoltageChanges: out.Kernel.VoltageChanges(),

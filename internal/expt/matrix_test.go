@@ -148,7 +148,7 @@ func TestPredictorZooOnMPEG(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		misses := out.Workload.Metrics().MissCount(table2Slack)
+		misses := out.Workload.Metrics().MissCount()
 		if misses == 0 && out.EnergyJ <= ideal.EnergyJ {
 			t.Errorf("%s beat the ideal constant setting (%.2f ≤ %.2f J) with no misses — "+
 				"that contradicts the paper's central finding; check the harness",

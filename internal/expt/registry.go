@@ -157,7 +157,7 @@ func runFigure8(env Env) (string, []Artifact, error) {
 	}
 	summary := fmt.Sprintf("%s\n%s\nclock changes over 30s: %d; deadlines missed: %d\n",
 		s.Name, s.Sparkline(80), out.Kernel.SpeedChanges(),
-		out.Workload.Metrics().MissCount(table2Slack))
+		out.Workload.Metrics().MissCount())
 	arts := append([]Artifact{{Name: "figure8.dat", Content: s.Render()}},
 		svgArtifact("figure8.svg", s)...)
 	return summary, arts, nil

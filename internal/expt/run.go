@@ -51,10 +51,9 @@ type RunSpec struct {
 	// Watchdog, when non-nil, wraps Policy in a supervisory
 	// policy.Watchdog with these settings (zero fields take defaults).
 	Watchdog *policy.WatchdogConfig
-	// WatchdogSlack is the lateness beyond which a completed deadline
-	// counts against the watchdog's miss-streak detector; zero selects
-	// 33 ms, matching the public API's default perceptual slack.
-	WatchdogSlack sim.Duration
+	// Slack is the lateness beyond which a deadline is missed, for the
+	// result and the watchdog; zero selects DefaultSlack (33 ms).
+	Slack sim.Duration
 	// EventCap bounds the number of events the engine may fire; zero
 	// derives a generous cap from the run length. The cap converts a
 	// runaway schedule (a policy or fault interaction that would spin
@@ -86,6 +85,10 @@ type RunSpec struct {
 	// hashing.
 	Stream bool
 }
+
+// DefaultSlack is the perceptual slack for deadlines: half an MPEG frame.
+// A deadline that completes later than this past its due time is missed.
+const DefaultSlack = 33 * sim.Millisecond
 
 // RunOutcome bundles everything a measurement run produced.
 type RunOutcome struct {
@@ -192,6 +195,11 @@ func RunContext(ctx context.Context, spec RunSpec) (*RunOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
+	slack := spec.Slack
+	if slack == 0 {
+		slack = DefaultSlack
+	}
+	w.Metrics().Slack = slack
 	length := spec.Duration
 	if length == 0 {
 		length = w.Duration()
@@ -213,10 +221,6 @@ func RunContext(ctx context.Context, spec RunSpec) (*RunOutcome, error) {
 			return nil, err
 		}
 		pol = wd
-		slack := spec.WatchdogSlack
-		if slack == 0 {
-			slack = 33 * sim.Millisecond
-		}
 		w.Metrics().OnRecord = func(d metrics.Deadline) {
 			wd.NoteDeadline(d.Late() > slack)
 		}
@@ -237,9 +241,11 @@ func RunContext(ctx context.Context, spec RunSpec) (*RunOutcome, error) {
 	}); ok && spec.Telemetry != nil {
 		in.Instrument(spec.Telemetry)
 	}
-	spec.Telemetry.Emit("run.start",
-		telemetry.F("workload", spec.Workload),
-		telemetry.F("seed", fmt.Sprint(spec.Seed)))
+	if spec.Telemetry != nil {
+		spec.Telemetry.Emit("run.start",
+			telemetry.F("workload", spec.Workload),
+			telemetry.F("seed", fmt.Sprint(spec.Seed)))
+	}
 	if cfg.EventCap == 0 {
 		// A real run fires a handful of events per quantum plus a few per
 		// workload burst; a thousand per simulated millisecond is two
@@ -294,9 +300,11 @@ func RunContext(ctx context.Context, spec RunSpec) (*RunOutcome, error) {
 		AvgPowerW: sum.AvgPowerW,
 		MeanUtil:  k.MeanUtil(),
 	}
-	spec.Telemetry.Emit("run.done",
-		telemetry.F("workload", spec.Workload),
-		telemetry.F("seed", fmt.Sprint(spec.Seed)),
-		telemetry.F("energy_j", fmt.Sprintf("%.4f", out.EnergyJ)))
+	if spec.Telemetry != nil {
+		spec.Telemetry.Emit("run.done",
+			telemetry.F("workload", spec.Workload),
+			telemetry.F("seed", fmt.Sprint(spec.Seed)),
+			telemetry.F("energy_j", fmt.Sprintf("%.4f", out.EnergyJ)))
+	}
 	return out, nil
 }

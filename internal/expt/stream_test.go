@@ -2,6 +2,7 @@ package expt
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"clocksched/internal/cpu"
@@ -62,12 +63,21 @@ func TestStreamedRunMatchesRetained(t *testing.T) {
 	}
 }
 
+// digestStreams names every deadline stream the workloads record.
+var digestStreams = []string{"frame", "audio", "speech", "ui", "open", "scroll", "back", "reply", "loop", "spike"}
+
 // digest prints every figure a run reports, with floats in full precision.
 func digest(out *RunOutcome) string {
 	col := out.Workload.Metrics()
 	d := out.DAQ
-	return fmt.Sprintf("E=%b P=%b U=%b daq=%d/%b/%b/%b faults=%+v deadlines=%d misses=%d late=%d max=%d speed=%d/%d",
+	var streams strings.Builder
+	for _, s := range digestStreams {
+		if n := col.CountFor(s); n > 0 {
+			fmt.Fprintf(&streams, " %s=%d/%d", s, n, col.MaxLatenessFor(s))
+		}
+	}
+	return fmt.Sprintf("E=%b P=%b U=%b daq=%d/%b/%b/%b faults=%+v deadlines=%d misses=%d max=%d%s speed=%d/%d",
 		out.EnergyJ, out.AvgPowerW, out.MeanUtil, d.Samples, d.EnergyJ, d.AvgPowerW, d.PeakW, out.Faults,
-		col.Count(), col.MissCount(table2Slack), len(col.Late()), col.MaxLateness(),
+		col.Count(), col.MissCount(), col.MaxLateness(), streams.String(),
 		out.Kernel.SpeedChanges(), out.Kernel.Quanta())
 }

@@ -6,7 +6,6 @@ import (
 
 	"clocksched/internal/cpu"
 	"clocksched/internal/policy"
-	"clocksched/internal/sim"
 	"clocksched/internal/stats"
 )
 
@@ -82,9 +81,6 @@ type Table2Row struct {
 // Table2Runs is how many repeated runs (distinct jitter seeds) feed each
 // confidence interval.
 const Table2Runs = 10
-
-// table2Slack is the perceptual slack for MPEG deadlines: half a frame.
-const table2Slack = 33 * sim.Millisecond
 
 // table2Config names one Table 2 configuration and builds its run spec.
 // The spec builder is called per run because governors carry state.

@@ -72,16 +72,21 @@ func (t *logTally) note(e SchedEntry) {
 	t.rates = append(t.rates, e.KHz)
 }
 
+// LogTotals returns the scheduler log's running totals — all decisions,
+// idle picks and context switches — without building AnalyzeLog's
+// per-process table.
+func (k *Kernel) LogTotals() (decisions, idle, switches int) {
+	t := &k.logStats
+	return t.decisions, t.idle, t.switches
+}
+
 // AnalyzeLog digests the kernel's scheduler activity and process table. It
 // is meaningful after Run, and works whether or not the full record list
 // was retained (Config.RetainSchedLog).
 func (k *Kernel) AnalyzeLog() LogStats {
 	t := &k.logStats
-	st := LogStats{
-		Decisions:     t.decisions,
-		IdleDecisions: t.idle,
-		Switches:      t.switches,
-	}
+	var st LogStats
+	st.Decisions, st.IdleDecisions, st.Switches = k.LogTotals()
 	for _, p := range k.procs {
 		sh := ProcessShare{PID: p.pid, Name: p.name, CPUTime: p.cpuTime}
 		if p.pid < len(t.perPID) {

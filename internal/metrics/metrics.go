@@ -47,14 +47,20 @@ type streamTally struct {
 }
 
 // Collector accumulates deadlines and derived statistics. It counts every
-// deadline, keeps a per-stream count and worst lateness, and of each late
-// deadline only how late it was: a 60 s Table 2 cell records 1500
-// deadlines, of which 75 (at 206.4 MHz) to about 220 (at 132.7 MHz) are
-// late. Every statistic below is exact. The zero value is ready to use.
+// deadline, keeps a per-stream count and worst lateness, and counts a miss
+// as each late deadline arrives; nothing is kept per deadline. A 60 s
+// Table 2 cell records 1500 deadlines, of which 75 (at 206.4 MHz) to about
+// 220 (at 132.7 MHz) are late. Every statistic below is exact. The zero
+// value is ready to use and counts every late deadline as missed.
 type Collector struct {
 	count   int
+	misses  int
 	streams []streamTally // a handful per workload; searched linearly
-	late    []sim.Duration
+	// Slack is the lateness beyond which a deadline counts as missed — the
+	// paper's perceptual slack. Like OnRecord, whoever runs the workload
+	// sets it before the first Record. Only late deadlines can miss, so a
+	// negative slack counts as zero.
+	Slack sim.Duration
 	// OnRecord, when set, observes each deadline as it is recorded. The
 	// run harness uses it to feed the watchdog's miss detector without
 	// policies importing this package.
@@ -79,7 +85,9 @@ func (c *Collector) record(d Deadline) {
 		if l > t.maxLate {
 			t.maxLate = l
 		}
-		c.late = append(c.late, l)
+		if l > c.Slack {
+			c.misses++
+		}
 	}
 	if c.OnRecord != nil {
 		c.OnRecord(d)
@@ -97,10 +105,6 @@ func (c *Collector) tally(stream string) *streamTally {
 	return &c.streams[len(c.streams)-1]
 }
 
-// Late returns the lateness of every deadline that completed after its due
-// time, in recording order. On-time deadlines are counted, not retained.
-func (c *Collector) Late() []sim.Duration { return c.late }
-
 // Count returns the number of recorded deadlines.
 func (c *Collector) Count() int { return c.count }
 
@@ -114,19 +118,10 @@ func (c *Collector) CountFor(stream string) int {
 	return 0
 }
 
-// MissCount returns the number of deadlines that completed more than slack
+// MissCount returns the number of deadlines that completed more than Slack
 // after their due time. The paper's inelastic-constraint assumption
-// corresponds to a small perceptual slack. Only late deadlines are
-// retained, so a negative slack counts as zero.
-func (c *Collector) MissCount(slack sim.Duration) int {
-	n := 0
-	for _, l := range c.late {
-		if l > slack {
-			n++
-		}
-	}
-	return n
-}
+// corresponds to a small perceptual slack.
+func (c *Collector) MissCount() int { return c.misses }
 
 // MaxLateness returns the largest lateness observed (zero if everything was
 // early or nothing was recorded).
@@ -160,16 +155,16 @@ func (c *Collector) Desync(streamA, streamB string) sim.Duration {
 	return b - a
 }
 
-// MissRate returns the fraction of deadlines missed by more than slack.
-func (c *Collector) MissRate(slack sim.Duration) float64 {
+// MissRate returns the fraction of deadlines missed by more than Slack.
+func (c *Collector) MissRate() float64 {
 	if c.count == 0 {
 		return 0
 	}
-	return float64(c.MissCount(slack)) / float64(c.count)
+	return float64(c.misses) / float64(c.count)
 }
 
 // Summary formats the collector for reports.
-func (c *Collector) Summary(slack sim.Duration) string {
+func (c *Collector) Summary() string {
 	return fmt.Sprintf("%d deadlines, %d missed (slack %v), max lateness %v",
-		c.Count(), c.MissCount(slack), slack, c.MaxLateness())
+		c.Count(), c.misses, c.Slack, c.MaxLateness())
 }

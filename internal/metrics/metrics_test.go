@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 
@@ -22,47 +21,45 @@ func TestDeadlineLate(t *testing.T) {
 
 func TestCollectorZeroValue(t *testing.T) {
 	var c Collector
-	if c.Count() != 0 || c.MissCount(0) != 0 || c.MaxLateness() != 0 || c.MissRate(0) != 0 {
+	if c.Count() != 0 || c.MissCount() != 0 || c.MaxLateness() != 0 || c.MissRate() != 0 {
 		t.Error("zero-value collector not empty")
 	}
 }
 
 func TestCollectorMisses(t *testing.T) {
-	var c Collector
-	c.Record("frame", 1, 100, 90)  // early
-	c.Record("frame", 2, 200, 205) // 5 late
-	c.Record("frame", 3, 300, 350) // 50 late
-	if c.Count() != 3 {
-		t.Fatalf("Count = %d", c.Count())
-	}
-	if got := c.MissCount(0); got != 2 {
-		t.Errorf("MissCount(0) = %d, want 2", got)
-	}
-	if got := c.MissCount(10); got != 1 {
-		t.Errorf("MissCount(10) = %d, want 1", got)
-	}
-	if got := c.MissCount(100); got != 0 {
-		t.Errorf("MissCount(100) = %d, want 0", got)
-	}
-	if got := c.MaxLateness(); got != 50 {
-		t.Errorf("MaxLateness = %v, want 50", got)
-	}
-	if got := c.MissRate(0); got != 2.0/3 {
-		t.Errorf("MissRate = %v", got)
-	}
-	if late := c.Late(); len(late) != 2 || late[0] != 5 || late[1] != 50 || c.CountFor("frame") != 3 {
-		t.Errorf("Late() = %v, CountFor(frame) = %d", late, c.CountFor("frame"))
+	for _, tc := range []struct {
+		slack sim.Duration
+		want  int
+	}{{0, 2}, {10, 1}, {100, 0}} {
+		c := Collector{Slack: tc.slack}
+		c.Record("frame", 1, 100, 90)  // early
+		c.Record("frame", 2, 200, 205) // 5 late
+		c.Record("frame", 3, 300, 350) // 50 late
+		if c.Count() != 3 || c.CountFor("frame") != 3 {
+			t.Fatalf("Count = %d, CountFor(frame) = %d", c.Count(), c.CountFor("frame"))
+		}
+		if got := c.MissCount(); got != tc.want {
+			t.Errorf("MissCount() at slack %v = %d, want %d", tc.slack, got, tc.want)
+		}
+		if got := c.MaxLateness(); got != 50 {
+			t.Errorf("MaxLateness = %v, want 50", got)
+		}
+		if got, want := c.MissRate(), float64(tc.want)/3; got != want {
+			t.Errorf("MissRate() at slack %v = %v, want %v", tc.slack, got, want)
+		}
 	}
 }
 
 func TestCollectorSummary(t *testing.T) {
-	var c Collector
+	c := Collector{Slack: sim.Millisecond}
 	c.Record("x", 0, 100, 200)
-	s := c.Summary(sim.Millisecond)
+	s := c.Summary()
 	if !strings.Contains(s, "1 deadlines") || !strings.Contains(s, "0 missed") {
 		t.Errorf("Summary = %q", s)
 	}
-	s = c.Summary(0)
+	var c0 Collector
+	c0.Record("x", 0, 100, 200)
+	s = c0.Summary()
 	if !strings.Contains(s, "1 missed") {
 		t.Errorf("Summary = %q", s)
 	}
@@ -117,44 +114,42 @@ func TestDeadlineNames(t *testing.T) {
 }
 
 // TestCollectorMatchesFullRecord checks the tallying collector against a
-// reference that keeps every record: counts, per-stream counts, the late
-// deadlines' lateness, misses at every non-negative slack and worst
-// lateness must all agree.
+// reference that keeps every record: counts, per-stream counts, misses at
+// every non-negative slack and worst lateness must all agree.
 func TestCollectorMatchesFullRecord(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	streams := []string{"frame", "audio", "speech"}
+	slacks := []sim.Duration{0, 1, 50, 500}
 	for trial := 0; trial < 50; trial++ {
-		var c Collector
+		// One collector per slack, fed the same records.
+		cs := make([]Collector, len(slacks))
 		var all []Deadline
 		observed := 0
-		c.OnRecord = func(Deadline) { observed++ }
+		for i := range cs {
+			cs[i].Slack = slacks[i]
+		}
+		cs[0].OnRecord = func(Deadline) { observed++ }
 		for i := rng.Intn(200); i > 0; i-- {
 			d := Deadline{Stream: streams[rng.Intn(len(streams))], Seq: i,
 				Due: sim.Time(rng.Intn(1000)), Done: sim.Time(rng.Intn(1000))}
-			c.Record(d.Stream, d.Seq, d.Due, d.Done)
+			for j := range cs {
+				cs[j].Record(d.Stream, d.Seq, d.Due, d.Done)
+			}
 			all = append(all, d)
 		}
+		c := &cs[0]
 		if c.Count() != len(all) || observed != len(all) {
 			t.Fatalf("Count = %d, observed %d, want %d", c.Count(), observed, len(all))
 		}
-		var late []sim.Duration
-		for _, d := range all {
-			if l := d.Late(); l > 0 {
-				late = append(late, l)
-			}
-		}
-		if !slices.Equal(c.Late(), late) {
-			t.Errorf("Late() = %v, want %v", c.Late(), late)
-		}
-		for _, slack := range []sim.Duration{0, 1, 50, 500} {
+		for i, slack := range slacks {
 			want := 0
 			for _, d := range all {
 				if d.Late() > slack {
 					want++
 				}
 			}
-			if got := c.MissCount(slack); got != want {
-				t.Errorf("MissCount(%v) = %d, want %d", slack, got, want)
+			if got := cs[i].MissCount(); got != want {
+				t.Errorf("MissCount() at slack %v = %d, want %d", slack, got, want)
 			}
 		}
 		worst := map[string]sim.Duration{}

@@ -63,10 +63,11 @@ func TestMPEGAtFullSpeedMeetsDeadlines(t *testing.T) {
 	cfg := DefaultMPEGConfig()
 	cfg.Length = 20 * sim.Second
 	m, _ := NewMPEG(cfg)
+	m.Metrics().Slack = frameSlack
 	k := runAt(t, m, cpu.MaxStep, 0)
 
-	if got := m.Metrics().MissCount(frameSlack); got != 0 {
-		t.Errorf("missed %d deadlines at 206.4MHz; late by %v", got, m.Metrics().Late())
+	if got := m.Metrics().MissCount(); got != 0 {
+		t.Errorf("missed %d deadlines at 206.4MHz; max lateness %v", got, m.Metrics().MaxLateness())
 	}
 	// 15 fps for 20 s: 300 frames (the last may be cut off by the run
 	// end) plus audio chunks.
@@ -84,9 +85,10 @@ func TestMPEGAt132MeetsDeadlinesWithHighUtilization(t *testing.T) {
 	cfg := DefaultMPEGConfig()
 	cfg.Length = 20 * sim.Second
 	m, _ := NewMPEG(cfg)
+	m.Metrics().Slack = frameSlack
 	k := runAt(t, m, cpu.Step(5), 0) // 132.7 MHz
 
-	if got := m.Metrics().MissCount(frameSlack); got != 0 {
+	if got := m.Metrics().MissCount(); got != 0 {
 		t.Errorf("missed %d deadlines at 132.7MHz (the paper's sweet spot)", got)
 	}
 	// Figure 9: utilization ≈ 87-95% at 132.7 MHz.
@@ -99,9 +101,10 @@ func TestMPEGTooSlowMissesFrames(t *testing.T) {
 	cfg := DefaultMPEGConfig()
 	cfg.Length = 20 * sim.Second
 	m, _ := NewMPEG(cfg)
+	m.Metrics().Slack = frameSlack
 	runAt(t, m, cpu.Step(3), 0) // 103.2 MHz: cannot keep up
 
-	if got := m.Metrics().MissCount(frameSlack); got == 0 {
+	if got := m.Metrics().MissCount(); got == 0 {
 		t.Error("no deadline misses at 103.2MHz; the clip must not fit")
 	}
 }
@@ -176,7 +179,7 @@ func TestWebWorkload(t *testing.T) {
 	}
 	k := runAt(t, w, cpu.MaxStep, 0)
 	// At full speed every interaction is responsive.
-	if got := w.Metrics().MissCount(0); got != 0 {
+	if got := w.Metrics().MissCount(); got != 0 {
 		t.Errorf("missed %d web deadlines at full speed", got)
 	}
 	if w.Metrics().Count() < 30 {
@@ -257,7 +260,7 @@ func TestChessWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := runAt(t, c, cpu.MaxStep, 0)
-	if got := c.Metrics().MissCount(0); got != 0 {
+	if got := c.Metrics().MissCount(); got != 0 {
 		t.Errorf("missed %d chess reply deadlines at full speed", got)
 	}
 	// The utilization pattern: full quanta while Crafty plans, idle while
@@ -307,9 +310,9 @@ func TestEditorWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	runAt(t, e, cpu.MaxStep, 0)
-	if got := e.Metrics().MissCount(0); got != 0 {
-		t.Errorf("missed %d editor deadlines at full speed, first late by %v",
-			got, e.Metrics().Late()[0])
+	if got := e.Metrics().MissCount(); got != 0 {
+		t.Errorf("missed %d editor deadlines at full speed, max lateness %v",
+			got, e.Metrics().MaxLateness())
 	}
 	// Both passages produce speech chunks.
 	chunks := e.Metrics().CountFor("speech")
@@ -320,8 +323,9 @@ func TestEditorWorkload(t *testing.T) {
 
 func TestEditorSlowClockDelaysSpeech(t *testing.T) {
 	e, _ := NewTalkingEditor(nil)
+	e.Metrics().Slack = 100 * sim.Millisecond
 	runAt(t, e, cpu.MinStep, 0)
-	if got := e.Metrics().MissCount(100 * sim.Millisecond); got == 0 {
+	if got := e.Metrics().MissCount(); got == 0 {
 		t.Error("no speech delays at 59MHz; synthesis must fall behind")
 	}
 }
@@ -330,9 +334,10 @@ func TestEditorKeepsUpAt132(t *testing.T) {
 	// The paper's interaction constraint: every application "was able to
 	// run at 132MHz and still meet any user interaction constraints".
 	e, _ := NewTalkingEditor(nil)
+	e.Metrics().Slack = 100 * sim.Millisecond
 	runAt(t, e, cpu.Step(5), 0)
-	if got := e.Metrics().MissCount(100 * sim.Millisecond); got != 0 {
-		t.Errorf("editor missed %d deadlines at 132.7MHz; late by %v", got, e.Metrics().Late())
+	if got := e.Metrics().MissCount(); got != 0 {
+		t.Errorf("editor missed %d deadlines at 132.7MHz; max lateness %v", got, e.Metrics().MaxLateness())
 	}
 }
 

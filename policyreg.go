@@ -3,6 +3,8 @@ package clocksched
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -384,4 +386,22 @@ func (p Policy) cacheString() string {
 	}
 	b.WriteString("}")
 	return b.String()
+}
+
+// renderSame reports whether p and q render the same cacheString without
+// rendering either: the flat fields are equal, MHz bit for bit (0 and -0
+// render apart), and both refs, whatever their pointers, carry the same
+// name and parameters.
+func (p Policy) renderSame(q Policy) bool {
+	pr, qr := p.Ref, q.Ref
+	p.Ref, q.Ref = nil, nil
+	if p != q || math.Float64bits(p.MHz) != math.Float64bits(q.MHz) {
+		return false
+	}
+	if pr == nil || qr == nil {
+		return pr == qr
+	}
+	return pr.Name == qr.Name && maps.EqualFunc(pr.Params, qr.Params, func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y)
+	})
 }

@@ -334,17 +334,18 @@ func (cfg SweepConfig) GridSize() int {
 // the sweep service calls it at admission so a malformed job is rejected
 // at submit time instead of after it is queued.
 func (cfg SweepConfig) Validate() error {
-	cells, _, _, _ := cfg.grid()
 	var verrs []error
-	if len(cells) == 0 {
+	if cfg.GridSize() == 0 {
 		verrs = append(verrs, fmt.Errorf("clocksched: empty sweep grid"))
 	}
-	for i, c := range cells {
+	i := 0
+	cfg.eachCell(func(c Config) {
 		if err := c.Validate(); err != nil {
 			verrs = append(verrs, fmt.Errorf("cell %d (%s, %s): %w",
 				i, c.withDefaults().Workload, c.withDefaults().Policy.Name(), err))
 		}
-	}
+		i++
+	})
 	if cfg.Journal != "" && cfg.Cache == nil {
 		verrs = append(verrs, fmt.Errorf("clocksched: Journal requires Cache — the journal records result hashes, the cache holds the bytes"))
 	}
@@ -424,19 +425,26 @@ func Sweep(ctx context.Context, cfg SweepConfig) (*SweepResult, error) {
 	}
 
 	jobs := make([]sweep.Job, len(cells))
-	for i, c := range cells {
-		c := c
-		// The cache key is computed before the telemetry registry is
-		// attached and hashes named fields only, so instrumentation can
-		// never split the cache.
-		key := cacheKey(c)
-		if c.Telemetry == nil {
-			c.Telemetry = cfg.Telemetry
+	tel := cfg.Telemetry
+	var prev Policy
+	var prevRendered string
+	for i := range cells {
+		c := &cells[i]
+		// The cache key hashes named fields only, never the telemetry
+		// registry, so instrumentation can never split the cache. A run of
+		// cells with one policy — the seeds of a grid — renders it once.
+		d := c.withDefaults()
+		if i == 0 || !d.Policy.renderSame(prev) {
+			prev, prevRendered = d.Policy, d.Policy.cacheString()
 		}
 		jobs[i] = sweep.Job{
-			Key: key,
+			Key: hashCell(sim.Version, d, prevRendered),
 			Run: func(ctx context.Context) (any, error) {
-				return RunContext(ctx, c)
+				run := *c
+				if run.Telemetry == nil {
+					run.Telemetry = tel
+				}
+				return RunContext(ctx, run)
 			},
 		}
 	}
@@ -533,9 +541,15 @@ func cacheKey(cfg Config) string {
 // version; bumping sim.Version therefore invalidates every existing entry.
 func cacheKeyAt(version string, cfg Config) string {
 	cfg = cfg.withDefaults()
+	return hashCell(version, cfg, cfg.Policy.cacheString())
+}
+
+// hashCell hashes a defaulted cell configuration whose policy is already
+// rendered by cacheString.
+func hashCell(version string, cfg Config, policy string) string {
 	h := sim.NewHasherAt("clocksched.Result", version).
 		Field("workload", cfg.Workload).
-		Field("policy", cfg.Policy.cacheString()).
+		Field("policy", policy).
 		Field("seed", cfg.Seed).
 		Field("duration", int64(cfg.Duration)).
 		Field("slack", int64(cfg.DeadlineSlack)).

@@ -3,8 +3,10 @@ package clocksched
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -443,4 +445,88 @@ func ExampleSweep() {
 	// Output:
 	// baseline misses: 0
 	// best policy saves energy: true
+}
+
+// TestSweepPolicyKeyMemo checks the policy rendering Sweep shares across a
+// run of equal policies: after a sweep into a fresh cache, every cell's
+// result sits under cacheKey(cell) — the key computed without the memo —
+// and nothing else is stored. The grids hold equal policies behind
+// different Ref pointers (built twice, or decoded from JSON), refs whose
+// Params differ in one entry, a flat form whose MHz is 0 in one cell and
+// -0 in the next (equal under ==, rendered apart), and alternating
+// policies.
+func TestSweepPolicyKeyMemo(t *testing.T) {
+	decoded := func(p Policy) Policy {
+		b, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var q Policy
+		if err := json.Unmarshal(b, &q); err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	slow := mustPolicy(t, "constant", map[string]float64{"mhz": 132.7})
+	pegs := mustPolicy(t, "past-peg-peg", nil)
+	negZero := pastPegPegFlat
+	negZero.MHz = math.Copysign(0, -1)
+	grids := map[string]SweepConfig{
+		"equal-refs": {Policies: []Policy{
+			slow, mustPolicy(t, "constant", map[string]float64{"mhz": 132.7}), decoded(slow), decoded(slow),
+		}, Seeds: []uint64{1, 2, 3}},
+		"params-differ": {Policies: []Policy{
+			slow,
+			mustPolicy(t, "constant", map[string]float64{"mhz": 132.7, "low_voltage": 0}),
+			mustPolicy(t, "constant", map[string]float64{"mhz": 132.7, "low_voltage": math.Copysign(0, -1)}),
+			mustPolicy(t, "constant", map[string]float64{"mhz": 132.7, "low_voltage": 1}),
+		}, Seeds: []uint64{1, 2}},
+		"flat-zero": {Policies: []Policy{pastPegPegFlat, negZero, pastPegPegFlat}, Seeds: []uint64{4, 5}},
+		"alternating": {Cells: []Config{
+			{Policy: slow, Seed: 1}, {Policy: pegs, Seed: 1}, {Policy: decoded(slow), Seed: 2},
+			{Policy: decoded(pegs), Seed: 2}, {Policy: slow, Seed: 3}, {Seed: 3}, {Seed: 3},
+		}},
+	}
+	for name, cfg := range grids {
+		t.Run(name, func(t *testing.T) {
+			cache, err := NewSweepCache(0, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Workloads = []Workload{MPEG}
+			cfg.Duration = 200 * time.Millisecond
+			if len(cfg.Cells) > 0 {
+				for i := range cfg.Cells {
+					cfg.Cells[i].Duration = cfg.Duration
+				}
+			}
+			cfg.Cache = cache
+			cfg.Workers = 2
+			res, err := Sweep(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys := map[string]bool{}
+			for i, cell := range res.Cells {
+				key := cacheKey(cell.Config)
+				keys[key] = true
+				_, b, ok, err := cache.Get(key, resultCacheCodec)
+				if err != nil || !ok {
+					t.Fatalf("cell %d (%s, seed %d): no cache entry under its key (err %v)",
+						i, cell.Config.Policy.cacheString(), cell.Config.Seed, err)
+				}
+				want, err := encodeResult(cell.Result)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(b, want) {
+					t.Errorf("cell %d (%s, seed %d): cached result differs from the sweep's",
+						i, cell.Config.Policy.cacheString(), cell.Config.Seed)
+				}
+			}
+			if n := cache.Stats().Entries; n != len(keys) {
+				t.Errorf("cache holds %d entries, want %d distinct cell keys", n, len(keys))
+			}
+		})
+	}
 }
