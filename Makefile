@@ -4,8 +4,8 @@
 # the kernel stress tests, the parallel-sweep determinism proof, the
 # durability, oracle, service, chaos, fabric and fleet suites, and the
 # subprocess kill-and-resume tests), short fuzz smokes of the trace parser,
-# the journal replayer, the job-spec decoder, the policy-registry wire
-# form, the result codec, the sweep-result envelope codec, the fabric
+# the journal replayer, the job-spec decoder, the client's SSE event-stream
+# parser, the policy-registry wire form, the result codec, the sweep-result envelope codec, the fabric
 # shard-plan ledger, and the cache-key hasher against its fmt reference,
 # the benchmark's own tests, which check its output against committed
 # digests, and the serial-throughput guard, a root-package Go benchmark.
@@ -37,6 +37,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzJournalReplay -fuzztime=10s ./internal/journal/
 	$(GO) test -run=^$$ -fuzz=FuzzJobSpecDecode -fuzztime=10s ./internal/service/
 	$(GO) test -run=^$$ -fuzz=FuzzTokenFileParse -fuzztime=10s ./internal/service/
+	$(GO) test -run=^$$ -fuzz=FuzzEventStream -fuzztime=10s ./internal/service/
 	$(GO) test -run=^$$ -fuzz=FuzzParamsDecode -fuzztime=10s .
 	$(GO) test -run=^$$ -fuzz=FuzzResultCodec -fuzztime=10s .
 	$(GO) test -run=^$$ -fuzz=FuzzSweepResultCodec -fuzztime=10s .

@@ -61,28 +61,12 @@ func (b Burst) String() string {
 	return fmt.Sprintf("burst{core=%d mem=%d cache=%d}", b.Core, b.Mem, b.Cache)
 }
 
-// BurstForDuration constructs a purely core-bound burst that takes
-// approximately d at step s. Workload generators use it to express "about
-// 1 ms of work at full speed".
-func BurstForDuration(d sim.Duration, s Step) Burst {
-	if d <= 0 {
-		return Burst{}
-	}
-	return Burst{Core: int64(d) * s.KHz() / 1000}
-}
-
 // Execution tracks the progress of one burst across preemptions and clock
 // changes. The instruction mix is assumed uniform across the burst, so a
 // fraction f of elapsed progress retires a fraction f of each component.
 type Execution struct {
 	burst     Burst
 	remaining float64 // fraction of the burst still to run, in [0,1]
-}
-
-// NewExecution starts executing b from the beginning.
-func NewExecution(b Burst) *Execution {
-	e := StartExecution(b)
-	return &e
 }
 
 // StartExecution returns an Execution running b from the beginning, by

@@ -84,22 +84,9 @@ func TestBurstAdd(t *testing.T) {
 	}
 }
 
-func TestBurstForDuration(t *testing.T) {
-	b := BurstForDuration(1000, MaxStep) // 1 ms at 206.4 MHz
-	if b.Core != 206400 {
-		t.Errorf("Core = %d, want 206400", b.Core)
-	}
-	if got := b.Duration(MaxStep); got != 1000 {
-		t.Errorf("round trip duration = %v, want 1000", got)
-	}
-	if !BurstForDuration(-5, MaxStep).Zero() {
-		t.Error("negative duration should give zero burst")
-	}
-}
-
 func TestExecutionLifecycle(t *testing.T) {
 	b := Burst{Core: 206400 * 10} // 10 ms at max step
-	e := NewExecution(b)
+	e := StartExecution(b)
 	if e.Done() {
 		t.Fatal("fresh execution reports Done")
 	}
@@ -130,7 +117,7 @@ func TestExecutionAcrossSpeedChange(t *testing.T) {
 	// Run half the burst at max speed, the rest at min: remaining work
 	// converts consistently.
 	b := Burst{Core: 206400 * 10} // 10 ms at max, 34.98 ms at 59 MHz
-	e := NewExecution(b)
+	e := StartExecution(b)
 	e.Advance(5000, MaxStep) // half done
 	slowFull := b.Duration(MinStep)
 	want := sim.Duration(float64(slowFull) * 0.5)
@@ -141,7 +128,7 @@ func TestExecutionAcrossSpeedChange(t *testing.T) {
 }
 
 func TestExecutionZeroBurst(t *testing.T) {
-	e := NewExecution(Burst{})
+	e := StartExecution(Burst{})
 	if !e.Done() {
 		t.Fatal("zero burst not immediately done")
 	}
@@ -154,7 +141,7 @@ func TestExecutionResidueCollapses(t *testing.T) {
 	// Advancing in many small unequal slices must terminate exactly, not
 	// leave an un-finishable sliver.
 	b := Burst{Core: 206400} // 1 ms at max step
-	e := NewExecution(b)
+	e := StartExecution(b)
 	steps := 0
 	for !e.Done() {
 		e.Advance(7, MaxStep)
@@ -172,7 +159,7 @@ func TestExecutionProperty(t *testing.T) {
 		s := Step(int(stepRaw) % NumSteps)
 		b := Burst{Core: int64(core%50_000_000) + 1}
 		sl := sim.Duration(slice%5000) + 1
-		e := NewExecution(b)
+		e := StartExecution(b)
 		var total sim.Duration
 		for !e.Done() {
 			e.Advance(sl, s)

@@ -133,10 +133,6 @@ const maxShardHolders = 3
 // eligible for it.
 const takeRetry = 10 * time.Millisecond
 
-// streamRetry is a lease's cadence for re-opening its job's event stream
-// after any error but a 404; the heartbeat alone ends the lease.
-const streamRetry = 250 * time.Millisecond
-
 // shardState is the in-memory state of one shard.
 type shardState struct {
 	index  int
@@ -212,10 +208,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	return co, nil
 }
-
-// Metrics returns the coordinator's registry (per-peer dispatch,
-// redispatch, steal, lease-expiry, and local-fallback counters).
-func (c *Coordinator) Metrics() *telemetry.Registry { return c.reg }
 
 // Per-peer metric names. The peer label is the peer's base URL; the local
 // fallback runner counts under peer="local".
@@ -458,9 +450,10 @@ func (c *Coordinator) loadShard(s *shardState, wantSHA string) (*clocksched.Swee
 }
 
 // verifyShard decodes candidate result bytes for the shard and checks
-// they are really this shard's cells: right count, and each cell's
-// identity fields matching the shard spec — the guard against adopting a
-// recycled job id on a peer whose data dir was reset.
+// they are really this shard's cells: right count, and each cell's whole
+// configuration, policy included, matching the shard spec's cell — the
+// guard against adopting a recycled job id on a peer whose data dir was
+// reset.
 func (c *Coordinator) verifyShard(s *shardState, b []byte) (*clocksched.SweepResult, error) {
 	res, err := clocksched.DecodeSweepResult(b)
 	if err != nil {
@@ -470,12 +463,9 @@ func (c *Coordinator) verifyShard(s *shardState, b []byte) (*clocksched.SweepRes
 		return nil, fmt.Errorf("fabric: shard %d result has %d cells, want %d", s.index, len(res.Cells), s.cells())
 	}
 	for k, cell := range res.Cells {
-		want := s.spec.Cells[k]
-		if cell.Config.Seed != want.Seed ||
-			(want.Workload != "" && cell.Config.Workload != want.Workload) ||
-			(want.Duration != 0 && cell.Config.Duration != want.Duration.Std()) {
-			return nil, fmt.Errorf("fabric: shard %d cell %d is not the leased cell (got %s seed %d)",
-				s.index, k, cell.Config.Workload, cell.Config.Seed)
+		if !s.spec.Cells[k].Matches(cell.Config) {
+			return nil, fmt.Errorf("fabric: shard %d cell %d is not the leased cell (got %s/%s seed %d)",
+				s.index, k, cell.Config.Workload, cell.Config.Policy.Name(), cell.Config.Seed)
 		}
 	}
 	return res, nil
@@ -792,12 +782,14 @@ func (c *Coordinator) attemptPeer(ctx context.Context, p *peerState, s *shardSta
 // errLeaseExpired is the cause a lapsed heartbeat cancels its lease with.
 var errLeaseExpired = errors.New("fabric: lease heartbeat expired")
 
-// watchLease follows the job's event stream until the job is terminal, the
-// heartbeat deadline lapses without progress, the shard is committed
-// elsewhere, or the run ends; each of the last three cancels the lease's
-// context. Only a rise in the done count is progress: the snapshot a
-// reconnect re-sends repeats the count and resets nothing. The stream is
-// closed before a done job's result is fetched.
+// watchLease follows the job through Client.Wait until the job is
+// terminal, the heartbeat deadline lapses without progress, the shard is
+// committed elsewhere, or the run ends; each of the last three cancels the
+// lease's context. Only a rise in the done count is progress: the snapshot
+// a reconnect re-sends repeats the count and resets nothing. Any other
+// error Wait returns — a 404 after the peer restarted with a fresh data
+// dir, another 4xx, a malformed stream — fails the peer at once. The
+// stream is closed before a done job's result is fetched.
 func (c *Coordinator) watchLease(ctx context.Context, p *peerState, s *shardState, jobID string) {
 	lctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
@@ -812,22 +804,16 @@ func (c *Coordinator) watchLease(ctx context.Context, p *peerState, s *shardStat
 	}()
 
 	lastDone := -1
-	var last service.Event
-	for {
-		err := p.client.Events(lctx, jobID, func(ev service.Event) error {
-			last = ev
-			if ev.Done > lastDone {
-				lastDone = ev.Done
-				heartbeat.Reset(c.cfg.HeartbeatTimeout)
-				c.mu.Lock()
-				s.lastActivity = time.Now() // read under the lock: never moves back
-				c.mu.Unlock()
-			}
-			return nil
-		})
-		if err == nil {
-			break // the stream ended on a terminal event
+	st, err := p.client.Wait(lctx, jobID, func(done, _ int) {
+		if done > lastDone {
+			lastDone = done
+			heartbeat.Reset(c.cfg.HeartbeatTimeout)
+			c.mu.Lock()
+			s.lastActivity = time.Now() // read under the lock: never moves back
+			c.mu.Unlock()
 		}
+	})
+	if err != nil {
 		if lctx.Err() != nil {
 			cancelJob(p.client, jobID)
 			if errors.Is(context.Cause(lctx), errLeaseExpired) {
@@ -836,18 +822,11 @@ func (c *Coordinator) watchLease(ctx context.Context, p *peerState, s *shardStat
 			}
 			return
 		}
-		var apiErr *service.APIError
-		if errors.As(err, &apiErr) && apiErr.Status == 404 {
-			// The peer restarted with a fresh data dir: the job is gone.
-			c.peerFailure(p, s, 0)
-			return
-		}
-		// Any other trouble re-opens the stream; a transient blip recovers,
-		// a partition expires the lease.
-		sleepCtx(lctx, streamRetry)
+		c.peerFailure(p, s, 0) // refused, or a malformed stream
+		return
 	}
 
-	switch last.State {
+	switch st.State {
 	case service.StateDone:
 		c.finishLease(ctx, p, s, jobID)
 	case service.StateFailed:
@@ -856,7 +835,7 @@ func (c *Coordinator) watchLease(ctx context.Context, p *peerState, s *shardStat
 		// toward the local fallback, where the local engine is the arbiter
 		// of whether the spec truly fails.
 		c.mu.Lock()
-		s.lastErr = last.Error
+		s.lastErr = st.Error
 		if s.attempts >= c.cfg.MaxRemoteAttempts {
 			s.localOnly = true
 		}

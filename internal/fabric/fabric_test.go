@@ -112,8 +112,8 @@ func TestFabricNoPeersRunsLocally(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("one-node fabric differs from a local sweep")
 	}
-	if co.Metrics().Counter("fabric_local_shards_total").Value() != 3 {
-		t.Errorf("local shard count = %v, want 3", co.Metrics().Counter("fabric_local_shards_total").Value())
+	if co.reg.Counter("fabric_local_shards_total").Value() != 3 {
+		t.Errorf("local shard count = %v, want 3", co.reg.Counter("fabric_local_shards_total").Value())
 	}
 }
 
@@ -153,7 +153,7 @@ func TestFabricTwoPeersByteIdentical(t *testing.T) {
 			if lastDone != 8 {
 				t.Errorf("final progress %d, want 8", lastDone)
 			}
-			reg := co.Metrics()
+			reg := co.reg
 			var dispatched int64
 			for _, p := range peers {
 				dispatched += reg.Counter(mDispatch(p)).Value()
@@ -200,7 +200,7 @@ func TestFabricAllPeersDownFallsBackLocal(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("degraded fabric differs from a local sweep")
 	}
-	if co.Metrics().Counter(mLocalRuns).Value() == 0 {
+	if co.reg.Counter(mLocalRuns).Value() == 0 {
 		t.Error("no shard ran locally with every peer down")
 	}
 }
@@ -337,7 +337,7 @@ func TestFabricBrokenStreamExpiresLease(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Fatal("fabric after expired leases differs from the serial sweep")
 			}
-			if co.Metrics().Counter(mExpired(front.URL)).Value() == 0 {
+			if co.reg.Counter(mExpired(front.URL)).Value() == 0 {
 				t.Error("no lease expired against a peer that never progresses")
 			}
 			mu.Lock()
@@ -371,7 +371,7 @@ func TestFabricStealsFromStraggler(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("fabric with stealing differs from the serial sweep")
 	}
-	reg := co.Metrics()
+	reg := co.reg
 	steals := reg.Counter(mSteal(slow)).Value() + reg.Counter(mSteal(fast)).Value() +
 		reg.Counter(mSteal(localName)).Value()
 	if steals == 0 {
@@ -503,5 +503,41 @@ func TestFabricPeerRestartWithFreshDataDir(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("fabric after peer data loss differs from the serial sweep")
+	}
+}
+
+// TestVerifyShardChecksPolicy hands one Table 2 shard the result bytes of
+// the next. The two shards run the same workload, seeds and duration under
+// different policies, so only the policy tells them apart: verification
+// must refuse the foreign bytes and accept the shard's own.
+func TestVerifyShardChecksPolicy(t *testing.T) {
+	cfg, err := clocksched.Table2Config(1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := clocksched.NewSweepSpec(cfg)
+	co, err := New(Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard := func(lo, hi int) *shardState {
+		sub, err := spec.Shard(lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &shardState{index: lo / 2, lo: lo, hi: hi, spec: sub}
+	}
+	own, next := shard(0, 2), shard(2, 4)
+	for k := range own.spec.Cells {
+		a, b := own.spec.Cells[k], next.spec.Cells[k]
+		if a.Seed != b.Seed || a.Workload != b.Workload || a.Duration != b.Duration {
+			t.Fatalf("cell %d: shards differ beyond the policy: %+v vs %+v", k, a, b)
+		}
+	}
+	if _, err := co.verifyShard(own, serialBytes(t, own.spec)); err != nil {
+		t.Fatalf("shard's own result refused: %v", err)
+	}
+	if _, err := co.verifyShard(own, serialBytes(t, next.spec)); err == nil {
+		t.Fatal("the next shard's result verified as this shard's")
 	}
 }

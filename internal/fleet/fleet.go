@@ -376,10 +376,3 @@ func (s Spec) Compile() (*Plan, error) {
 	}
 	return p, nil
 }
-
-// SweepSpec projects the plan's cells into the wire form the sweep
-// engine, daemon, and fabric all consume, stamped with the simulation
-// version like any other spec.
-func (p *Plan) SweepSpec() clocksched.SweepSpec {
-	return clocksched.NewSweepSpec(clocksched.SweepConfig{Cells: p.Cells})
-}

@@ -227,71 +227,6 @@ func TestQuotaEnforced(t *testing.T) {
 	}
 }
 
-// TestClientRetry429 pins the satellite: with Retry429 set, Submit retries
-// a full queue per Retry-After and lands once a slot frees; with it unset
-// the 429 surfaces immediately. Context cancellation interrupts the wait.
-func TestClientRetry429(t *testing.T) {
-	_, c := newTestServer(t, Config{
-		MaxQueue: 1, MaxActiveJobs: 1, Workers: 1,
-		RetryAfter: 100 * time.Millisecond, CellDelay: 5 * time.Millisecond,
-	})
-	ctx := context.Background()
-
-	first, err := c.Submit(ctx, testSpec(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, c, first.ID, StateRunning)
-	second, err := c.Submit(ctx, testSpec(4)) // fills the queue
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// No retries configured: immediate structured 429.
-	if _, err := c.Submit(ctx, testSpec(1)); !isAPIError(err, 429, CodeQueueFull) {
-		t.Fatalf("direct 429: %v", err)
-	}
-
-	// Retrying client: the queue drains as jobs finish, so a bounded
-	// retry loop lands.
-	retrier := &Client{Base: c.Base, Retry429: 50, RetrySeed: 7}
-	st, err := retrier.Submit(ctx, testSpec(1))
-	if err != nil {
-		t.Fatalf("retrying submit: %v", err)
-	}
-	waitTerminal(t, c, st.ID)
-	waitTerminal(t, c, first.ID)
-	waitTerminal(t, c, second.ID)
-
-	// Context-aware: a cancelled context stops the loop promptly.
-	_, cFull := newTestServer(t, Config{
-		MaxQueue: 1, MaxActiveJobs: 1, Workers: 1,
-		RetryAfter: 10 * time.Second, CellDelay: 50 * time.Millisecond,
-	})
-	f1, err := cFull.Submit(ctx, testSpec(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, cFull, f1.ID, StateRunning)
-	if _, err := cFull.Submit(ctx, testSpec(8)); err != nil {
-		t.Fatal(err)
-	}
-	cctx, cancel := context.WithTimeout(ctx, 200*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	impatient := &Client{Base: cFull.Base, Retry429: 10}
-	_, err = impatient.Submit(cctx, testSpec(1))
-	if err == nil {
-		t.Fatal("submit into a full queue with a 10s hint somehow landed")
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("cancelled retry: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("retry loop ignored the context for %v", elapsed)
-	}
-}
-
 // waitTerminal polls until the job reaches any terminal state.
 func waitTerminal(t *testing.T, c *Client, id string) JobStatus {
 	t.Helper()

@@ -21,55 +21,33 @@ import (
 	"time"
 
 	"clocksched"
-	"clocksched/internal/sim"
 )
 
 // Client talks to one sweepd daemon.
 type Client struct {
 	// Base is the daemon's base URL, e.g. "http://127.0.0.1:8900".
 	Base string
-	// HTTP, when non-nil, overrides the client's default http.Client
-	// entirely (tests inject one; CLIs with exotic needs set their own
-	// policies). When nil, the client builds a private http.Client over a
-	// transport with sane dial/TLS/response-header timeouts — never
+	// Transport, when non-nil, is the RoundTripper under the client's
+	// http.Client — the seam the fabric chaos suite uses to thread a
+	// fault.NetInjector beneath every request. When nil, the client uses a
+	// private transport with dial, TLS and response-header timeouts, never
 	// http.DefaultClient, whose zero timeouts let one hung peer wedge a
 	// caller forever.
-	HTTP *http.Client
-	// Transport, when non-nil (and HTTP is nil), is the RoundTripper
-	// under the default client — the seam the fabric chaos suite uses to
-	// thread a fault.NetInjector beneath every request.
 	Transport http.RoundTripper
 	// RequestTimeout bounds each non-streaming request (submit, status,
 	// cancel, result fetch) with a context deadline. Zero selects 30s;
 	// negative disables the per-request deadline. The SSE event stream is
-	// exempt — it is long-lived by design and has its own reconnect
-	// budget — but still inherits the transport's response-header timeout,
-	// so a peer that accepts the connection and then hangs is surfaced.
+	// exempt — it is long-lived by design and reconnects until its context
+	// ends — but still inherits the transport's response-header timeout, so
+	// a peer that accepts the connection and then hangs is surfaced.
 	RequestTimeout time.Duration
 	// Token, when non-empty, is sent as the bearer token on every request
 	// — required when the daemon runs with a token file.
 	Token string
-	// Retry429, when positive, makes Submit/SubmitWith retry up to this
-	// many additional times after a 429 (queue full, quota exceeded),
-	// honouring the server's Retry-After hint plus seeded jitter. Zero
-	// surfaces the 429 to the caller unchanged.
-	Retry429 int
-	// RetrySeed seeds the retry jitter, so a test's backoff schedule — and
-	// a fleet of batch submitters started from distinct seeds — is
-	// deterministic. Zero is a fixed default stream.
-	RetrySeed uint64
-
-	jitterOnce sync.Once
-	jitterMu   sync.Mutex
-	jitter     *sim.RNG
 
 	httpOnce sync.Once
 	httpVal  *http.Client
 }
-
-// retryStream is the client's RNG stream id for retry jitter, distinct
-// from every simulation stream.
-const retryStream = 0xBACC0FF5
 
 // defaultRequestTimeout is the per-request deadline when RequestTimeout
 // is zero: generous against a big result download, tiny against a wedged
@@ -94,9 +72,6 @@ func defaultTransport() *http.Transport {
 }
 
 func (c *Client) http() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
 	c.httpOnce.Do(func() {
 		tr := c.Transport
 		if tr == nil {
@@ -133,21 +108,6 @@ func (c *Client) newRequest(ctx context.Context, method, path string, body io.Re
 		req.Header.Set("Authorization", "Bearer "+c.Token)
 	}
 	return req, nil
-}
-
-// retryDelay draws one backoff: the server's hint (or a second when it
-// sent none) plus up to 50% seeded jitter, so a herd of rejected clients
-// does not resubmit in lockstep.
-func (c *Client) retryDelay(hint time.Duration) time.Duration {
-	c.jitterOnce.Do(func() {
-		c.jitter = sim.NewRNGStream(c.RetrySeed, retryStream)
-	})
-	if hint <= 0 {
-		hint = time.Second
-	}
-	c.jitterMu.Lock()
-	defer c.jitterMu.Unlock()
-	return hint + time.Duration(c.jitter.Int63n(int64(hint)/2+1))
 }
 
 // decodeError reconstructs the server's structured error from a non-2xx
@@ -205,8 +165,8 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 
 // Submit posts the spec at normal priority and returns the accepted job's
 // status. Rejections (429 queue full or quota, 409 version mismatch, 400
-// invalid, 401 unauthorized, 503 draining) come back as *APIError. With
-// Retry429 set, 429s are retried per the server's Retry-After hint.
+// invalid, 401 unauthorized, 503 draining) come back as *APIError, a 429
+// with the server's Retry-After hint in RetryAfter.
 func (c *Client) Submit(ctx context.Context, spec clocksched.SweepSpec) (JobStatus, error) {
 	return c.SubmitWith(ctx, spec, SubmitOptions{})
 }
@@ -223,22 +183,9 @@ func (c *Client) SubmitWith(ctx context.Context, spec clocksched.SweepSpec, opts
 	if opts.Priority != "" {
 		path += "?priority=" + url.QueryEscape(string(opts.Priority))
 	}
-	for attempt := 0; ; attempt++ {
-		var st JobStatus
-		err := c.do(ctx, http.MethodPost, path, body, &st)
-		if err == nil {
-			return st, nil
-		}
-		var apiErr *APIError
-		if attempt >= c.Retry429 || !errors.As(err, &apiErr) || apiErr.Status != 429 {
-			return JobStatus{}, err
-		}
-		select {
-		case <-time.After(c.retryDelay(apiErr.RetryAfter)):
-		case <-ctx.Done():
-			return JobStatus{}, ctx.Err()
-		}
-	}
+	var st JobStatus
+	err = c.do(ctx, http.MethodPost, path, body, &st)
+	return st, err
 }
 
 // Status fetches one job's status.
@@ -305,36 +252,36 @@ func (c *Client) Result(ctx context.Context, id string) (*clocksched.SweepResult
 	return clocksched.DecodeSweepResult(b)
 }
 
-// eventsMaxReconnects bounds consecutive failed stream attempts before
-// Events gives up and surfaces the drop; any successfully read event
-// resets the count, so a long watch survives any number of spaced-out
-// daemon restarts.
-const eventsMaxReconnects = 4
+// eventsRetry paces Events' reconnects: the n-th consecutive failed
+// attempt waits n×eventsRetry, at most eventsRetryMax.
+const (
+	eventsRetry    = 250 * time.Millisecond
+	eventsRetryMax = time.Second
+)
 
-// Events streams the job's SSE feed, invoking fn per event until the job
-// reaches a terminal state, fn returns an error, or ctx is cancelled. A
-// dropped connection (daemon restart, proxy timeout) is reconnected
-// transparently with the SSE Last-Event-ID header, so the server skips
-// the snapshot the client already has; only after eventsMaxReconnects
-// consecutive failures is the drop surfaced (io.EOF or the transport
-// error).
+// Events streams the job's SSE feed, invoking fn per event. It is the one
+// loop that follows a job: a dropped or refused connection (daemon
+// restart, proxy timeout, a 5xx or 429, a stream closed before its
+// terminal event) is reconnected after a capped backoff with the SSE
+// Last-Event-ID header, so the server skips the snapshot the client
+// already has. It returns nil once the job reaches a terminal state, and
+// an error when fn fails, when ctx ends (ctx.Err()), when the server
+// refuses the stream with any other 4xx, or when the stream is malformed
+// (a bad payload or an over-long line).
 func (c *Client) Events(ctx context.Context, id string, fn func(Event) error) error {
 	var lastID string
 	fails := 0
 	for {
 		sawEvent, retryable, err := c.eventsOnce(ctx, id, fn, &lastID)
-		if err == nil || !retryable || ctx.Err() != nil {
+		if err == nil || !retryable {
 			return err
 		}
 		if sawEvent {
-			fails = 0 // progress since the last failure: fresh budget
+			fails = 0 // progress since the last failure: start the backoff over
 		}
 		fails++
-		if fails > eventsMaxReconnects {
-			return err
-		}
 		select {
-		case <-time.After(time.Duration(fails) * 250 * time.Millisecond):
+		case <-time.After(min(time.Duration(fails)*eventsRetry, eventsRetryMax)):
 		case <-ctx.Done():
 			return ctx.Err()
 		}
@@ -346,10 +293,10 @@ func (c *Client) Events(ctx context.Context, id string, fn func(Event) error) er
 // client — the server qualifies sequence numbers with its boot epoch, and
 // deciding whether a held id is current or stale is the server's job — so
 // it is stored and echoed verbatim. A nil error means the stream ended on
-// a terminal event. retryable marks transport-level drops (dial failure,
-// mid-stream cut, clean close without a terminal event); structured API
-// rejections, malformed payloads, and fn's own errors are not retryable —
-// they are the caller's business.
+// a terminal event. retryable marks what a reconnect may cure: transport
+// failures, cut or prematurely closed streams, and 5xx or 429 answers.
+// Other 4xx rejections, malformed streams, and fn's own errors are not
+// retryable — they are the caller's business.
 func (c *Client) eventsOnce(ctx context.Context, id string, fn func(Event) error, lastID *string) (sawEvent, retryable bool, err error) {
 	req, err := c.newRequest(ctx, http.MethodGet, "/v1/jobs/"+id+"/events", nil)
 	if err != nil {
@@ -364,7 +311,8 @@ func (c *Client) eventsOnce(ctx context.Context, id string, fn func(Event) error
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
-		return false, false, decodeError(resp)
+		err := decodeError(resp)
+		return false, !rejected(err), err
 	}
 
 	// Events are short JSON lines: start from a 512-byte buffer and let a
@@ -396,51 +344,34 @@ func (c *Client) eventsOnce(ctx context.Context, id string, fn func(Event) error
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return sawEvent, true, err
+		return sawEvent, err != bufio.ErrTooLong, err
 	}
 	return sawEvent, true, io.EOF // stream ended without a terminal event
 }
 
-// Wait blocks until the job is terminal, following the event stream. When
-// the stream ends on a terminal event carrying the job's final status,
-// that status is the answer and no status request is made; when the
-// stream drops (daemon restart) or its terminal event has no final status
-// (an older daemon), a status probe decides. A structured rejection that
-// asking again cannot change — an unknown job, a refused token, a bad
-// request — is returned at once; only transport drops are retried. A
-// non-nil onProgress observes done/total counts as they arrive.
+// Wait blocks until the job is terminal, following the event stream
+// through Events, and returns the final status its terminal event
+// carries, with no status request. Only when that event has no final
+// status (an older daemon) does one status probe decide. Errors are
+// Events': ctx's end, a 4xx rejection other than 429 — an unknown job, a
+// refused token — or a malformed stream. A non-nil onProgress observes
+// done/total counts as they arrive.
 func (c *Client) Wait(ctx context.Context, id string, onProgress func(done, total int)) (JobStatus, error) {
-	for {
-		var final *JobStatus
-		err := c.Events(ctx, id, func(ev Event) error {
-			if onProgress != nil && ev.Total > 0 {
-				onProgress(ev.Done, ev.Total)
-			}
-			final = ev.Final
-			return nil
-		})
-		if ctx.Err() != nil {
-			return JobStatus{}, ctx.Err()
+	var final *JobStatus
+	err := c.Events(ctx, id, func(ev Event) error {
+		if onProgress != nil && ev.Total > 0 {
+			onProgress(ev.Done, ev.Total)
 		}
-		if err == nil && final != nil && final.State.terminal() {
-			return *final, nil
-		}
-		if rejected(err) {
-			return JobStatus{}, err
-		}
-		st, err := c.Status(ctx, id)
-		if err == nil && st.State.terminal() {
-			return st, nil
-		}
-		if rejected(err) {
-			return JobStatus{}, err
-		}
-		select {
-		case <-time.After(250 * time.Millisecond):
-		case <-ctx.Done():
-			return JobStatus{}, ctx.Err()
-		}
+		final = ev.Final
+		return nil
+	})
+	switch {
+	case err != nil:
+		return JobStatus{}, err
+	case final != nil:
+		return *final, nil
 	}
+	return c.Status(ctx, id)
 }
 
 // rejected reports whether err is a structured rejection that retrying

@@ -226,3 +226,53 @@ func TestWaitProbesWithoutFinal(t *testing.T) {
 		t.Errorf("Wait made %d status probes, want 1", n)
 	}
 }
+
+// TestWaitOutlastsFailedStreams refuses the event stream five times in a
+// row before any event is sent — three 503s, then two connections closed
+// before a response — and only then serves it: Wait must still return the
+// final status of the terminal event, with no status request.
+func TestWaitOutlastsFailedStreams(t *testing.T) {
+	want := JobStatus{ID: "j1", State: StateDone, Done: 2, Total: 2}
+	var attempts, probes atomic.Int32
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/jobs/j1/events", func(w http.ResponseWriter, r *http.Request) {
+		switch n := attempts.Add(1); {
+		case n <= 3:
+			writeError(w, &APIError{Status: http.StatusServiceUnavailable, Code: CodeDraining, Message: "restarting"})
+			return
+		case n <= 5:
+			conn, _, err := w.(http.Hijacker).Hijack()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			conn.Close()
+			return
+		}
+		w.Header().Set("Content-Type", "text/event-stream")
+		b, _ := json.Marshal(Event{Type: "state", State: StateDone, Done: 2, Total: 2, Seq: 1, Final: &want})
+		fmt.Fprintf(w, "id: e.1\nevent: state\ndata: %s\n\n", b)
+	})
+	mux.HandleFunc("GET /v1/jobs/j1", func(w http.ResponseWriter, r *http.Request) {
+		probes.Add(1)
+		writeJSON(w, http.StatusOK, want)
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	st, err := (&Client{Base: srv.URL}).Wait(ctx, "j1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st != want {
+		t.Errorf("Wait returned %+v, want the final %+v", st, want)
+	}
+	if n := attempts.Load(); n != 6 {
+		t.Errorf("Wait opened the stream %d times, want 6", n)
+	}
+	if n := probes.Load(); n != 0 {
+		t.Errorf("Wait made %d status probes, want 0", n)
+	}
+}

@@ -1,8 +1,12 @@
 package service
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
 	"testing"
 
 	"clocksched"
@@ -57,5 +61,69 @@ func FuzzJobSpecDecode(f *testing.F) {
 		}
 		_ = cfg.Validate()
 		_ = cfg.GridSize()
+	})
+}
+
+// FuzzEventStream serves arbitrary bytes as one SSE connection's body to
+// eventsOnce, the parser behind Events. Invariants: it never panics; fn
+// sees only events decoded from the body's "data: " lines, in order; and a
+// nil error means the last event fn saw was a terminal state.
+func FuzzEventStream(f *testing.F) {
+	progress, _ := json.Marshal(Event{Type: "progress", State: StateRunning, Done: 1, Total: 2, Seq: 2})
+	done, _ := json.Marshal(Event{Type: "state", State: StateDone, Done: 2, Total: 2, Seq: 3,
+		Final: &JobStatus{ID: "j1", State: StateDone, Done: 2, Total: 2}})
+	f.Add([]byte(nil))
+	f.Add([]byte("id: e.2\nevent: progress\ndata: " + string(progress) + "\n\nid: e.3\nevent: state\ndata: " + string(done) + "\n\n"))
+	f.Add([]byte("data: " + string(progress) + "\r\n\r\n"))                           // no terminal event
+	f.Add([]byte("data: " + string(done)))                                            // no final newline
+	f.Add([]byte("data: {\"type\":\"state\",\"state\":\"running\",\"total\":2}\n\n")) // non-terminal state
+	f.Add([]byte("data: {\"type\":\"state\",\"state\":\"failed\"}\n"))                // terminal, no final
+	f.Add([]byte("data: {\"type\":\"state\",\"state\":\"cancelled\"\n"))              // bad payload
+	f.Add([]byte("data:" + string(done) + "\n: comment\nretry: 10\ndata: null\n"))    // no space, null
+	f.Add([]byte("id: \ndata: {\"type\":\"progress\",\"final\":{}}\n"))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		// The events the body's data lines decode to, split as the parser
+		// splits: on "\n", with one trailing "\r" dropped.
+		var want [][]byte
+		for _, line := range bytes.Split(body, []byte("\n")) {
+			data, ok := bytes.CutPrefix(bytes.TrimSuffix(line, []byte("\r")), []byte("data: "))
+			if !ok {
+				continue
+			}
+			var ev Event
+			if json.Unmarshal(data, &ev) != nil {
+				break
+			}
+			b, _ := json.Marshal(ev)
+			want = append(want, b)
+		}
+
+		c := &Client{Base: "http://peer", Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+			return &http.Response{StatusCode: http.StatusOK, Body: io.NopCloser(bytes.NewReader(body)), Request: r}, nil
+		})}
+		var got []Event
+		var lastID string
+		_, _, err := c.eventsOnce(context.Background(), "j1", func(ev Event) error {
+			got = append(got, ev)
+			return nil
+		}, &lastID)
+
+		if len(got) > len(want) {
+			t.Fatalf("fn saw %d events; the body has %d decodable data lines", len(got), len(want))
+		}
+		for i, ev := range got {
+			if b, _ := json.Marshal(ev); !bytes.Equal(b, want[i]) {
+				t.Fatalf("event %d is %s, the body's data line decodes to %s", i, b, want[i])
+			}
+		}
+		if err == nil {
+			if len(got) == 0 {
+				t.Fatal("nil error with no event delivered")
+			}
+			if last := got[len(got)-1]; last.Type != "state" || !last.State.terminal() {
+				t.Fatalf("nil error after a non-terminal event %+v", last)
+			}
+		}
 	})
 }

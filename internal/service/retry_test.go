@@ -1,8 +1,7 @@
 package service
 
-// Satellite coverage for the client's 429 retry machinery and the /readyz
-// probe: jitter bounds, fixed-seed determinism, exact Retry-After
-// honouring, and readiness state transitions.
+// Coverage for how the client surfaces a 429's Retry-After hint, and for
+// the /readyz probe's readiness state transitions.
 
 import (
 	"context"
@@ -17,147 +16,34 @@ import (
 	"clocksched"
 )
 
-func TestRetryDelayBounds(t *testing.T) {
-	for _, hint := range []time.Duration{0, 100 * time.Millisecond, time.Second, 3 * time.Second} {
-		c := &Client{RetrySeed: 1}
-		base := hint
-		if base <= 0 {
-			base = time.Second // the documented default when the server sent no hint
-		}
-		for i := 0; i < 500; i++ {
-			d := c.retryDelay(hint)
-			if d < base || d > base+base/2 {
-				t.Fatalf("hint %v draw %d: delay %v outside [%v, %v]", hint, i, d, base, base+base/2)
-			}
-		}
-	}
-}
-
-func TestRetryDelayDeterministicUnderSeed(t *testing.T) {
-	draw := func(seed uint64) []time.Duration {
-		c := &Client{RetrySeed: seed}
-		out := make([]time.Duration, 64)
-		for i := range out {
-			out[i] = c.retryDelay(time.Second)
-		}
-		return out
-	}
-	a, b := draw(42), draw(42)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at draw %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-	c := draw(43)
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Error("different seeds produced an identical jitter schedule")
-	}
-}
-
-// retry429Server answers the first n submissions with a 429 carrying the
-// given Retry-After hint, then accepts.
-func retry429Server(t *testing.T, n int, hint time.Duration) (*httptest.Server, *atomic.Int32) {
-	t.Helper()
+// TestSubmitHonorsRetryAfterHeader checks that a 429 surfaces at once, in
+// one request, carrying the hint of the Retry-After header (integer
+// seconds, as real servers send) when the body has none: the caller, not
+// the client, decides when to come back.
+func TestSubmitHonorsRetryAfterHeader(t *testing.T) {
 	var calls atomic.Int32
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if int(calls.Add(1)) <= n {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusTooManyRequests)
-			json.NewEncoder(w).Encode(map[string]any{
-				"error": &APIError{Code: CodeQueueFull, Message: "full", RetryAfter: hint},
-			})
-			return
-		}
+		calls.Add(1)
+		w.Header().Set("Retry-After", "1")
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(JobStatus{ID: "j1", State: StateQueued})
+		w.WriteHeader(http.StatusTooManyRequests)
+		json.NewEncoder(w).Encode(map[string]any{
+			"error": &APIError{Code: CodeQueueFull, Message: "full"},
+		})
 	}))
 	t.Cleanup(srv.Close)
-	return srv, &calls
-}
-
-func TestSubmitRetries429ToAcceptance(t *testing.T) {
-	hint := 40 * time.Millisecond
-	srv, calls := retry429Server(t, 2, hint)
-	c := &Client{Base: srv.URL, Retry429: 3, RetrySeed: 7}
-	start := time.Now()
-	st, err := c.Submit(context.Background(), clocksched.NewSweepSpec(testGrid(1)))
-	elapsed := time.Since(start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.ID != "j1" || calls.Load() != 3 {
-		t.Fatalf("accepted as %q after %d calls, want j1 after 3", st.ID, calls.Load())
-	}
-	// Two backoffs, each in [hint, 1.5*hint]: the total must honour the
-	// server's hint exactly — never resubmit early.
-	if elapsed < 2*hint {
-		t.Errorf("retried after %v, before the server's %v hint allowed", elapsed, hint)
-	}
-	if elapsed > 2*(hint+hint/2)+2*time.Second {
-		t.Errorf("retries took %v, far beyond the jitter bound", elapsed)
-	}
-}
-
-func TestSubmitRetry429Exhausted(t *testing.T) {
-	srv, calls := retry429Server(t, 1000, time.Millisecond)
-	c := &Client{Base: srv.URL, Retry429: 2, RetrySeed: 7}
-	_, err := c.Submit(context.Background(), clocksched.NewSweepSpec(testGrid(1)))
+	_, err := (&Client{Base: srv.URL}).Submit(context.Background(), clocksched.NewSweepSpec(testGrid(1)))
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != 429 || apiErr.Code != CodeQueueFull {
-		t.Fatalf("exhausted retries surfaced %v, want the 429", err)
+		t.Fatalf("submit into a full queue returned %v, want the 429", err)
 	}
-	if calls.Load() != 3 { // initial attempt + 2 retries
-		t.Errorf("made %d requests, want 3", calls.Load())
+	if apiErr.RetryAfter != time.Second {
+		t.Errorf("RetryAfter = %v, want the header's 1s", apiErr.RetryAfter)
 	}
-	// Retry429 zero must surface the first 429 untouched.
-	c0 := &Client{Base: srv.URL}
-	before := calls.Load()
-	if _, err := c0.Submit(context.Background(), clocksched.NewSweepSpec(testGrid(1))); err == nil {
-		t.Fatal("Retry429=0 swallowed the 429")
-	}
-	if calls.Load() != before+1 {
-		t.Errorf("Retry429=0 made %d requests, want 1", calls.Load()-before)
+	if n := calls.Load(); n != 1 {
+		t.Errorf("made %d requests, want 1", n)
 	}
 }
-
-func TestSubmitHonorsRetryAfterHeader(t *testing.T) {
-	// No hint in the body; the header alone (integer seconds, as real
-	// servers send) must drive the backoff.
-	var calls atomic.Int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			w.Header().Set("Retry-After", "1")
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusTooManyRequests)
-			json.NewEncoder(w).Encode(map[string]any{
-				"error": &APIError{Code: CodeQueueFull, Message: "full"},
-			})
-			return
-		}
-		json.NewEncoder(w).Encode(JobStatus{ID: "j2", State: StateQueued})
-	}))
-	t.Cleanup(srv.Close)
-	c := &Client{Base: srv.URL, Retry429: 1, RetrySeed: 3}
-	start := time.Now()
-	st, err := c.Submit(context.Background(), clocksched.NewSweepSpec(testGrid(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < time.Second {
-		t.Errorf("resubmitted after %v, before the 1s Retry-After header allowed", elapsed)
-	}
-	if st.ID != "j2" {
-		t.Errorf("accepted as %q", st.ID)
-	}
-}
-
 func TestReadyzProbe(t *testing.T) {
 	s, c := newTestServer(t, Config{Workers: 1, MaxQueue: 4})
 	resp, err := http.Get(c.Base + "/readyz")

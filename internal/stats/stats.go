@@ -242,64 +242,3 @@ func Summarize(xs []float64) (Summary, error) {
 	ci, _ := CI95(xs)
 	return Summary{N: len(xs), Mean: m, StdDev: sd, Min: lo, Max: hi, CI: ci}, nil
 }
-
-// Histogram counts samples into nbins equal-width bins over [lo, hi).
-// Samples outside the range are clamped into the end bins.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	Total  int
-}
-
-// NewHistogram creates a histogram with nbins bins over [lo, hi). It returns
-// an error if nbins < 1, the range is empty, or an endpoint is not finite.
-func NewHistogram(lo, hi float64, nbins int) (*Histogram, error) {
-	if nbins < 1 {
-		return nil, errors.New("stats: histogram needs at least one bin")
-	}
-	if math.IsNaN(lo) || math.IsNaN(hi) || math.IsInf(lo, 0) || math.IsInf(hi, 0) {
-		return nil, fmt.Errorf("stats: histogram range [%v, %v) is not finite", lo, hi)
-	}
-	if hi <= lo {
-		return nil, fmt.Errorf("stats: histogram range [%v, %v) is empty", lo, hi)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, nbins)}, nil
-}
-
-// MustHistogram is NewHistogram that panics on error, for composing literals
-// with known-good constant ranges.
-func MustHistogram(lo, hi float64, nbins int) *Histogram {
-	h, err := NewHistogram(lo, hi, nbins)
-	if err != nil {
-		panic(err)
-	}
-	return h
-}
-
-// Add records one sample. Out-of-range samples clamp to the edge bins; NaN
-// samples are ignored, since int(NaN) would silently land in bin 0 and
-// corrupt both the bin and Total.
-func (h *Histogram) Add(x float64) {
-	if math.IsNaN(x) {
-		return
-	}
-	bin := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if bin < 0 {
-		bin = 0
-	}
-	if bin >= len(h.Counts) {
-		bin = len(h.Counts) - 1
-	}
-	h.Counts[bin]++
-	h.Total++
-}
-
-// Fraction returns the fraction of samples that fell in bin i. An empty
-// histogram or an out-of-range bin index reports 0 rather than NaN or a
-// panic.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.Total == 0 || i < 0 || i >= len(h.Counts) {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.Total)
-}

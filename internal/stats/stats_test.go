@@ -231,67 +231,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := MustHistogram(0, 1, 10)
-	for _, x := range []float64{0.05, 0.15, 0.15, 0.95, 1.5, -0.5} {
-		h.Add(x)
-	}
-	if h.Counts[0] != 2 { // 0.05 and the clamped -0.5
-		t.Errorf("bin 0 = %d, want 2", h.Counts[0])
-	}
-	if h.Counts[1] != 2 {
-		t.Errorf("bin 1 = %d, want 2", h.Counts[1])
-	}
-	if h.Counts[9] != 2 { // 0.95 and the clamped 1.5
-		t.Errorf("bin 9 = %d, want 2", h.Counts[9])
-	}
-	if h.Total != 6 {
-		t.Errorf("total = %d", h.Total)
-	}
-	if got := h.Fraction(0); math.Abs(got-2.0/6) > 1e-12 {
-		t.Errorf("Fraction(0) = %v", got)
-	}
-	if (&Histogram{Counts: make([]int, 1)}).Fraction(0) != 0 {
-		t.Error("empty histogram fraction should be 0")
-	}
-	// Out-of-range bin indices report 0 instead of panicking.
-	if h.Fraction(-1) != 0 || h.Fraction(len(h.Counts)) != 0 {
-		t.Error("out-of-range bin fraction should be 0")
-	}
-	// NaN samples are ignored: they would otherwise clamp into bin 0 and
-	// inflate Total.
-	before0, beforeTotal := h.Counts[0], h.Total
-	h.Add(math.NaN())
-	if h.Counts[0] != before0 || h.Total != beforeTotal {
-		t.Errorf("NaN sample changed histogram: bin0 %d→%d, total %d→%d",
-			before0, h.Counts[0], beforeTotal, h.Total)
-	}
-}
-
-func TestHistogramConstructionErrors(t *testing.T) {
-	bad := []struct {
-		lo, hi float64
-		nbins  int
-	}{
-		{0, 1, 0},
-		{1, 1, 5},
-		{2, 1, 5},
-		{math.NaN(), 1, 5},
-		{0, math.Inf(1), 5},
-	}
-	for _, c := range bad {
-		if h, err := NewHistogram(c.lo, c.hi, c.nbins); err == nil {
-			t.Errorf("NewHistogram(%v, %v, %d) = %v, want error", c.lo, c.hi, c.nbins, h)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustHistogram on a bad range did not panic")
-		}
-	}()
-	MustHistogram(1, 0, 5)
-}
-
 // Property: the CI always brackets the mean, and widens with more spread.
 func TestCI95Property(t *testing.T) {
 	f := func(raw []int16) bool {

@@ -180,40 +180,3 @@ func Read(r io.Reader) (*Trace, error) {
 	}
 	return t, nil
 }
-
-// Replayer walks a trace in time order.
-type Replayer struct {
-	trace *Trace
-	next  int
-}
-
-// NewReplayer returns a replayer positioned at the first event.
-func NewReplayer(t *Trace) (*Replayer, error) {
-	if t == nil {
-		return nil, errors.New("trace: nil trace")
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return &Replayer{trace: t}, nil
-}
-
-// Peek returns the next event without consuming it; ok is false at the end.
-func (r *Replayer) Peek() (Event, bool) {
-	if r.next >= len(r.trace.Events) {
-		return Event{}, false
-	}
-	return r.trace.Events[r.next], true
-}
-
-// Next consumes and returns the next event; ok is false at the end.
-func (r *Replayer) Next() (Event, bool) {
-	e, ok := r.Peek()
-	if ok {
-		r.next++
-	}
-	return e, ok
-}
-
-// Remaining returns how many events are left.
-func (r *Replayer) Remaining() int { return len(r.trace.Events) - r.next }

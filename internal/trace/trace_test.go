@@ -142,45 +142,3 @@ func TestRecorderRejectsBadEvents(t *testing.T) {
 		t.Error("empty kind accepted by recorder")
 	}
 }
-
-func TestReplayer(t *testing.T) {
-	rp, err := NewReplayer(sample())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rp.Remaining() != 4 {
-		t.Errorf("Remaining = %d", rp.Remaining())
-	}
-	e, ok := rp.Peek()
-	if !ok || e.Kind != "tap" {
-		t.Errorf("Peek = %+v, %v", e, ok)
-	}
-	if rp.Remaining() != 4 {
-		t.Error("Peek consumed an event")
-	}
-	count := 0
-	for {
-		_, ok := rp.Next()
-		if !ok {
-			break
-		}
-		count++
-	}
-	if count != 4 {
-		t.Errorf("replayed %d events", count)
-	}
-	if _, ok := rp.Peek(); ok {
-		t.Error("Peek after end returned an event")
-	}
-}
-
-func TestNewReplayerValidation(t *testing.T) {
-	if _, err := NewReplayer(nil); err == nil {
-		t.Error("nil trace accepted")
-	}
-	bad := sample()
-	bad.Events[0].At = -5
-	if _, err := NewReplayer(bad); err == nil {
-		t.Error("invalid trace accepted")
-	}
-}

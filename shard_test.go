@@ -184,3 +184,40 @@ func TestMergeShardResultsValidates(t *testing.T) {
 		t.Error("merge accepted a nil shard")
 	}
 }
+
+// TestCellSpecMatchesDecodedCells runs cells that differ in one field each
+// — defaults left unset, a registry policy, a zero fault plan, a watchdog,
+// a slack — through the canonical encoding: every decoded cell must match
+// its own spec cell and no other.
+func TestCellSpecMatchesDecodedCells(t *testing.T) {
+	base := Config{Workload: RectWave, Policy: mustPolicy(t, "past-peg-peg", nil), Seed: 1, Duration: time.Second}
+	cells := []Config{{Seed: 1, Duration: time.Second}, base, base, base, base, base}
+	cells[2].Policy = mustPolicy(t, "past-peg-peg", map[string]float64{"lo_percent": 90})
+	cells[3].Faults = &FaultPlan{}
+	cells[4].Watchdog = &WatchdogConfig{Window: 30}
+	cells[5].DeadlineSlack = 50 * time.Millisecond
+	spec := NewSweepSpec(SweepConfig{Cells: cells})
+	cfg, err := spec.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Sweep(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := EncodeSweepResult(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := DecodeSweepResult(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, cs := range spec.Cells {
+		for j, cell := range dec.Cells {
+			if got := cs.Matches(cell.Config); got != (i == j) {
+				t.Errorf("spec cell %d Matches decoded cell %d = %v", i, j, got)
+			}
+		}
+	}
+}

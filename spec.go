@@ -109,6 +109,26 @@ func (cs CellSpec) config() Config {
 	}
 }
 
+// Matches reports whether c is the cell cs runs as: cs with its defaults
+// resolved, which is the Config a SweepResult cell carries. Every field
+// but Telemetry counts; policies compare as equal renderings would,
+// without rendering either, and fault plans and watchdogs by value.
+func (cs CellSpec) Matches(c Config) bool {
+	want := cs.config().withDefaults()
+	return c.Workload == want.Workload && c.Policy.renderSame(want.Policy) &&
+		c.Seed == want.Seed && c.Duration == want.Duration &&
+		c.DeadlineSlack == want.DeadlineSlack && c.CaptureTrace == want.CaptureTrace &&
+		equalPtr(c.Faults, want.Faults) && equalPtr(c.Watchdog, want.Watchdog)
+}
+
+// equalPtr reports whether a and b are both nil or point at equal values.
+func equalPtr[T comparable](a, b *T) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return *a == *b
+}
+
 // SweepSpec is the declarative, JSON-serializable form of a sweep: the
 // grid axes (or explicit cells), the shared cell settings, and the
 // failure-handling knobs, stamped with the simulation version that
