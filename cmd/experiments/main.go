@@ -45,31 +45,44 @@ import (
 	"clocksched/internal/telemetry"
 )
 
+// options holds the command-line flags.
+type options struct {
+	outDir, only     string
+	list             bool
+	seed             uint64
+	workers          int
+	nocache, resume  bool
+	cellTimeout      time.Duration
+	retries          int
+	telAddr          string
+	progress         bool
+	peers, peerToken string
+}
+
 func main() {
-	var (
-		outDir  = flag.String("out", "results", "directory for raw artifact files")
-		only    = flag.String("only", "", "run only the named experiment (see -list)")
-		list    = flag.Bool("list", false, "list the available experiments and exit")
-		seed    = flag.Uint64("seed", 1, "workload jitter seed")
-		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "parallel simulation workers for grid experiments")
-		nocache = flag.Bool("nocache", false, "skip the on-disk cell cache under <out>/cache")
-		resume  = flag.Bool("resume", false,
-			"resume an interrupted run: replay cells committed to <out>/sweep.wal from the cache")
-		cellTimeout = flag.Duration("cell-timeout", 0,
-			"wall-clock budget per grid cell attempt (0 disables)")
-		retries = flag.Int("retries", 0,
-			"retry budget per grid cell for transient failures, with seeded exponential backoff")
-		telAddr = flag.String("telemetry", "",
-			"serve live telemetry on this address (e.g. :8080): /metrics, /metrics.json, /debug/vars, /debug/pprof")
-		progress = flag.Bool("progress", false,
-			"print per-cell completion counts for grid experiments; resumed runs start at the replayed count")
-		peers = flag.String("peers", "",
-			"comma-separated sweepd base URLs: coordinate the grid across these peers via the fabric (shards, leases, work-stealing)")
-		peerToken = flag.String("peer-token", "", "bearer token sent to every -peers daemon")
-	)
+	var o options
+	flag.StringVar(&o.outDir, "out", "results", "directory for raw artifact files")
+	flag.StringVar(&o.only, "only", "", "run only the named experiment (see -list)")
+	flag.BoolVar(&o.list, "list", false, "list the available experiments and exit")
+	flag.Uint64Var(&o.seed, "seed", 1, "workload jitter seed")
+	flag.IntVar(&o.workers, "workers", runtime.GOMAXPROCS(0), "parallel simulation workers for grid experiments")
+	flag.BoolVar(&o.nocache, "nocache", false, "skip the on-disk cell cache under <out>/cache")
+	flag.BoolVar(&o.resume, "resume", false,
+		"resume an interrupted run: replay cells committed to <out>/sweep.wal from the cache")
+	flag.DurationVar(&o.cellTimeout, "cell-timeout", 0,
+		"wall-clock budget per grid cell attempt (0 disables)")
+	flag.IntVar(&o.retries, "retries", 0,
+		"retry budget per grid cell for transient failures, with seeded exponential backoff")
+	flag.StringVar(&o.telAddr, "telemetry", "",
+		"serve live telemetry on this address (e.g. :8080): /metrics, /metrics.json, /debug/vars, /debug/pprof")
+	flag.BoolVar(&o.progress, "progress", false,
+		"print per-cell completion counts for grid experiments; resumed runs start at the replayed count")
+	flag.StringVar(&o.peers, "peers", "",
+		"comma-separated sweepd base URLs: coordinate the grid across these peers via the fabric (shards, leases, work-stealing)")
+	flag.StringVar(&o.peerToken, "peer-token", "", "bearer token sent to every -peers daemon")
 	flag.Parse()
 
-	if *list {
+	if o.list {
 		for _, e := range catalogue() {
 			fmt.Printf("%-12s %s\n", e.Name, e.Paper)
 		}
@@ -78,7 +91,7 @@ func main() {
 
 	// run holds the defers (telemetry drain, signal stop) so they fire on
 	// every exit path, including an interrupt; os.Exit would skip them.
-	os.Exit(run(outDir, only, seed, workers, nocache, resume, cellTimeout, retries, telAddr, progress, peers, peerToken))
+	os.Exit(run(o))
 }
 
 // catalogue lists every experiment in run order: expt.Registry's paper and
@@ -88,24 +101,33 @@ func catalogue() []expt.Experiment {
 	return append(expt.Registry(), expt.ZooExperiment(clocksched.PolicyZoo()), fleet.Experiment())
 }
 
-func run(outDir, only *string, seed *uint64, workers *int, nocache, resume *bool,
-	cellTimeout *time.Duration, retries *int, telAddr *string, progress *bool, peers, peerToken *string) int {
+// progressLine prints per-cell completion counts when -progress is set;
+// otherwise it is nil.
+func progressLine(on bool) func(done, total int) {
+	if !on {
+		return nil
+	}
+	return func(done, total int) {
+		fmt.Fprintf(os.Stderr, "experiments: cell %d/%d\n", done, total)
+	}
+}
 
-	if *peers != "" {
-		return runPeers(*peers, *peerToken, *outDir, *only, *seed, *progress)
+func run(o options) int {
+	if o.peers != "" {
+		return runPeers(o)
 	}
 
 	experiments := catalogue()
-	if *only != "" {
-		e, ok := expt.Find(experiments, strings.ToLower(*only))
+	if o.only != "" {
+		e, ok := expt.Find(experiments, strings.ToLower(o.only))
 		if !ok {
-			fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q (try -list)\n", *only)
+			fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q (try -list)\n", o.only)
 			return 2
 		}
 		experiments = []expt.Experiment{e}
 	}
 
-	if err := os.MkdirAll(*outDir, 0o755); err != nil {
+	if err := os.MkdirAll(o.outDir, 0o755); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		return 1
 	}
@@ -115,19 +137,15 @@ func run(outDir, only *string, seed *uint64, workers *int, nocache, resume *bool
 
 	env := expt.Env{
 		Ctx:         ctx,
-		Seed:        *seed,
-		Workers:     *workers,
-		CellTimeout: *cellTimeout,
-		Retries:     *retries,
+		Seed:        o.seed,
+		Workers:     o.workers,
+		CellTimeout: o.cellTimeout,
+		Retries:     o.retries,
+		Progress:    progressLine(o.progress),
 	}
-	if *progress {
-		env.Progress = func(done, total int) {
-			fmt.Fprintf(os.Stderr, "experiments: cell %d/%d\n", done, total)
-		}
-	}
-	if *telAddr != "" {
+	if o.telAddr != "" {
 		reg := telemetry.New()
-		srv, err := telemetry.Serve(*telAddr, reg)
+		srv, err := telemetry.Serve(o.telAddr, reg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments: telemetry:", err)
 			return 1
@@ -140,33 +158,33 @@ func run(outDir, only *string, seed *uint64, workers *int, nocache, resume *bool
 		fmt.Fprintf(os.Stderr, "experiments: telemetry on http://%s/metrics\n", srv.Addr())
 		env.Telemetry = reg
 	}
-	if !*nocache {
+	if !o.nocache {
 		// One cell store for the whole run: every grid experiment and the
 		// fleet share the cache and the journal, under disjoint keys. Each
 		// completed cell is committed to the journal; relaunching with
 		// -resume replays them from the cache instead of re-simulating. The
 		// journal is truncated (or recovered) once here; each grid then
 		// reopens it with resume.
-		cache, err := clocksched.NewSweepCache(0, filepath.Join(*outDir, "cache"))
+		cache, err := clocksched.NewSweepCache(0, filepath.Join(o.outDir, "cache"))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments: cache:", err)
 			return 1
 		}
 		env.Cache = cache
-		env.Journal = filepath.Join(*outDir, "sweep.wal")
-		jr, err := sweep.OpenCellJournal(env.Journal, *resume)
+		env.Journal = filepath.Join(o.outDir, "sweep.wal")
+		jr, err := sweep.OpenCellJournal(env.Journal, o.resume)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments: journal:", err)
 			return 1
 		}
-		if *resume {
+		if o.resume {
 			fmt.Fprintf(os.Stderr, "experiments: resume: %d cell(s) recovered from journal\n", jr.Recovered())
 		}
 		if err := jr.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments: journal:", err)
 			return 1
 		}
-	} else if *resume {
+	} else if o.resume {
 		fmt.Fprintln(os.Stderr, "experiments: -resume needs the cell cache (drop -nocache)")
 		return 2
 	}
@@ -177,14 +195,14 @@ func run(outDir, only *string, seed *uint64, workers *int, nocache, resume *bool
 		summary, artifacts, err := e.Run(env)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", e.Name, err)
-			if ctx.Err() != nil && !*nocache {
+			if ctx.Err() != nil && !o.nocache {
 				fmt.Fprintln(os.Stderr, "experiments: interrupted; completed cells are journaled — run again with -resume")
 			}
 			return 1
 		}
 		fmt.Print(summary)
 		for _, a := range artifacts {
-			if err := os.WriteFile(filepath.Join(*outDir, a.Name), []byte(a.Content), 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(o.outDir, a.Name), []byte(a.Content), 0o644); err != nil {
 				fmt.Fprintln(os.Stderr, "experiments:", err)
 				return 1
 			}
@@ -194,13 +212,13 @@ func run(outDir, only *string, seed *uint64, workers *int, nocache, resume *bool
 	}
 
 	// Leave a browsable index behind when running the full suite.
-	if *only == "" && len(written) > 0 {
+	if o.only == "" && len(written) > 0 {
 		index := expt.IndexHTML(written)
-		if err := os.WriteFile(filepath.Join(*outDir, "index.html"), []byte(index), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(o.outDir, "index.html"), []byte(index), 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			return 1
 		}
-		fmt.Printf("index written to %s\n", filepath.Join(*outDir, "index.html"))
+		fmt.Printf("index written to %s\n", filepath.Join(o.outDir, "index.html"))
 	}
 	return 0
 }

@@ -35,20 +35,20 @@ func splitPeers(s string) []string {
 	return out
 }
 
-// runPeers coordinates the Table 2 grid across the peers. Fabric state
-// (lease ledger, committed shards) lives under <out>/fabric, so an
+// runPeers coordinates the Table 2 grid, or with -only fleet the standing
+// fleet experiment, across the peers. The fleet's spec is the one the
+// local `-only fleet` path builds (ExperimentSpec + ExperimentDevices),
+// compiled to cells once, so the two summaries are byte-comparable. Fabric
+// state (lease ledger, committed shards) lives under <out>/fabric, so an
 // interrupted run resumes from its committed shards on the next
 // invocation.
-func runPeers(peerList, token, outDir, only string, seed uint64, progress bool) int {
-	if only == "fleet" {
-		return runFleetPopulation(peerList, token, outDir, seed, progress)
-	}
-	if only != "" && only != "table2" {
-		fmt.Fprintf(os.Stderr, "experiments: -peers runs table2 or fleet; %q is local-only (drop -peers)\n", only)
+func runPeers(o options) int {
+	if o.only != "" && o.only != "table2" && o.only != "fleet" {
+		fmt.Fprintf(os.Stderr, "experiments: -peers runs table2 or fleet; %q is local-only (drop -peers)\n", o.only)
 		return 2
 	}
-	peers := splitPeers(peerList)
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
+	peers := splitPeers(o.peers)
+	if err := os.MkdirAll(o.outDir, 0o755); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		return 1
 	}
@@ -56,30 +56,46 @@ func runPeers(peerList, token, outDir, only string, seed uint64, progress bool) 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	cfg := fabric.Config{
-		Peers: peers,
-		Token: token,
-		Dir:   filepath.Join(outDir, "fabric"),
-	}
-	if progress {
-		cfg.Progress = func(done, total int) {
-			fmt.Fprintf(os.Stderr, "experiments: cell %d/%d\n", done, total)
+	var (
+		cfg  clocksched.SweepConfig
+		plan *fleet.Plan
+		err  error
+	)
+	if o.only == "fleet" {
+		var spec fleet.Spec
+		if spec, err = fleet.ExperimentSpec(o.seed, fleet.ExperimentDevices()); err == nil {
+			plan, err = spec.Compile()
 		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "experiments: fleet:", err)
+			return 1
+		}
+		cfg.Cells = plan.Cells
+		fmt.Printf("==> fleet (fleet of %d peer(s)) — %d devices\n", len(peers), spec.Devices)
+	} else {
+		if cfg, err = clocksched.Table2Config(o.seed, expt.Table2Runs); err != nil {
+			fmt.Fprintln(os.Stderr, "experiments:", err)
+			return 1
+		}
+		fmt.Printf("==> table2 (fleet of %d peer(s)) — %d cells\n", len(peers), clocksched.NewSweepSpec(cfg).NumCells())
 	}
-	co, err := fabric.New(cfg)
+	// The per-cell resilience settings travel in the shard spec, so every
+	// peer (and the local fallback) applies them.
+	cfg.CellTimeout, cfg.Retries = o.cellTimeout, o.retries
+
+	co, err := fabric.New(fabric.Config{
+		Peers:        peers,
+		Token:        o.peerToken,
+		Dir:          filepath.Join(o.outDir, "fabric"),
+		LocalWorkers: o.workers,
+		Seed:         o.seed,
+		Progress:     progressLine(o.progress),
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments: fabric:", err)
 		return 1
 	}
-
-	t2, err := clocksched.Table2Config(seed, expt.Table2Runs)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		return 1
-	}
-	spec := clocksched.NewSweepSpec(t2)
-	fmt.Printf("==> table2 (fleet of %d peer(s)) — %d cells\n", len(peers), spec.NumCells())
-	res, err := co.Run(ctx, spec)
+	res, err := co.Run(ctx, clocksched.NewSweepSpec(cfg))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments: fleet run:", err)
 		if ctx.Err() != nil {
@@ -91,52 +107,20 @@ func runPeers(peerList, token, outDir, only string, seed uint64, progress bool) 
 		fmt.Fprintf(os.Stderr, "experiments: fleet replayed %d cell(s) from the shard ledger\n", res.Telemetry.Replayed)
 	}
 
+	if plan != nil {
+		pop, err := fleet.Reduce(plan, res)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "experiments: fleet:", err)
+			return 1
+		}
+		return writeArtifact(o.outDir, "fleet_fleet.txt", pop.Render())
+	}
 	rows, err := foldTable2(res)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments: fleet table2:", err)
 		return 1
 	}
-	return writeArtifact(outDir, "table2_fleet.txt", expt.RenderTable2(rows))
-}
-
-// runFleetPopulation coordinates the standing fleet experiment across the
-// peer list: the identical spec the local `-only fleet` path builds
-// (ExperimentSpec + ExperimentDevices), compiled to cells and fanned out
-// through the fabric, so the two summaries are byte-comparable.
-func runFleetPopulation(peerList, token, outDir string, seed uint64, progress bool) int {
-	peers := splitPeers(peerList)
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		return 1
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	spec, err := fleet.ExperimentSpec(seed, fleet.ExperimentDevices())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments: fleet:", err)
-		return 1
-	}
-	rc := fleet.RunConfig{
-		Peers:     peers,
-		PeerToken: token,
-		FabricDir: filepath.Join(outDir, "fabric"),
-	}
-	if progress {
-		rc.Progress = func(done, total int) {
-			fmt.Fprintf(os.Stderr, "experiments: cell %d/%d\n", done, total)
-		}
-	}
-	fmt.Printf("==> fleet (fleet of %d peer(s)) — %d devices\n", len(peers), spec.Devices)
-	pop, err := fleet.Run(ctx, spec, rc)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments: fleet run:", err)
-		if ctx.Err() != nil {
-			fmt.Fprintln(os.Stderr, "experiments: interrupted; committed shards are ledgered — run again to resume")
-		}
-		return 1
-	}
-	return writeArtifact(outDir, "fleet_fleet.txt", pop.Render())
+	return writeArtifact(o.outDir, "table2_fleet.txt", expt.RenderTable2(rows))
 }
 
 // foldTable2 reduces a clocksched.Table2Config sweep result to the paper's

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -27,7 +28,7 @@ func TestKernelMatchesSignalAnalysis(t *testing.T) {
 	var observed []float64
 	recorder := recordingPolicy{inner: gov, pred: pred, out: &observed}
 
-	out, err := Run(RunSpec{
+	out, err := RunContext(context.Background(), RunSpec{
 		Workload:    "rect",
 		Duration:    20 * sim.Second,
 		Policy:      recorder,
@@ -140,7 +141,7 @@ func TestPureAverageNoBetter(t *testing.T) {
 // best policy keeps them together.
 func TestSluggishPolicyDesynchronizesAV(t *testing.T) {
 	run := func(p kernel.SpeedPolicy) sim.Duration {
-		out, err := Run(RunSpec{
+		out, err := RunContext(context.Background(), RunSpec{
 			Workload: "mpeg", Seed: 1, Duration: 20 * sim.Second,
 			Policy: p, InitialStep: cpu.MaxStep,
 		})
@@ -180,7 +181,7 @@ func TestSynthesizedDeadlinesStillLose(t *testing.T) {
 		misses int
 	}
 	run := func(name string, p kernel.SpeedPolicy) result {
-		out, err := Run(RunSpec{Workload: "mpeg", Seed: 1, Duration: 30 * sim.Second,
+		out, err := RunContext(context.Background(), RunSpec{Workload: "mpeg", Seed: 1, Duration: 30 * sim.Second,
 			Policy: p, InitialStep: cpu.MaxStep})
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -66,7 +67,7 @@ func IdealDVSComparison(seed uint64) ([]DVSRow, error) {
 			spec.Seed = seed
 			spec.Duration = 30 * sim.Second
 			spec.Model = m
-			out, err := Run(spec)
+			out, err := RunContext(context.TODO(), spec)
 			if err != nil {
 				return nil, fmt.Errorf("ideal DVS %q: %w", c.name, err)
 			}

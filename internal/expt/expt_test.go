@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -11,13 +12,13 @@ import (
 )
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(RunSpec{Workload: "nope"}); err == nil {
+	if _, err := RunContext(context.Background(), RunSpec{Workload: "nope"}); err == nil {
 		t.Error("unknown workload accepted")
 	}
 }
 
 func TestRunProducesEnergy(t *testing.T) {
-	out, err := Run(RunSpec{Workload: "rect", Duration: 5 * sim.Second, InitialStep: cpu.MaxStep})
+	out, err := RunContext(context.Background(), RunSpec{Workload: "rect", Duration: 5 * sim.Second, InitialStep: cpu.MaxStep})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -25,7 +26,7 @@ func mpegFaultSpec(plan *fault.Plan) RunSpec {
 }
 
 func TestFaultedMPEGCompletesGracefully(t *testing.T) {
-	out, err := Run(mpegFaultSpec(&fault.Plan{ClockChangeFailProb: 0.01}))
+	out, err := RunContext(context.Background(), mpegFaultSpec(&fault.Plan{ClockChangeFailProb: 0.01}))
 	if err != nil {
 		t.Fatalf("1%% clock-fail MPEG run errored: %v", err)
 	}
@@ -60,7 +61,7 @@ func TestFaultedRunIsDeterministic(t *testing.T) {
 	run := func(stream bool) (*RunOutcome, deadlines) {
 		spec := mpegFaultSpec(plan)
 		spec.Stream = stream
-		out, err := Run(spec)
+		out, err := RunContext(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,11 +98,11 @@ func TestNilPlanMatchesNoFaultLayer(t *testing.T) {
 	// The fault layer must be invisible when disabled: a nil plan and a
 	// zero plan produce runs bit-identical to each other (the injector is
 	// nil in both cases, so zero RNG draws happen either way).
-	outNil, err := Run(mpegFaultSpec(nil))
+	outNil, err := RunContext(context.Background(), mpegFaultSpec(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	outZero, err := Run(mpegFaultSpec(&fault.Plan{}))
+	outZero, err := RunContext(context.Background(), mpegFaultSpec(&fault.Plan{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestNilPlanMatchesNoFaultLayer(t *testing.T) {
 func TestEventCapGuardsRunaway(t *testing.T) {
 	spec := mpegFaultSpec(nil)
 	spec.EventCap = 50 // absurdly low: the run must abort, not hang
-	_, err := Run(spec)
+	_, err := RunContext(context.Background(), spec)
 	if err == nil {
 		t.Fatal("50-event cap did not abort a 20 s run")
 	}
@@ -143,7 +144,7 @@ func TestWatchdogDetectsOscillationOnRectWave(t *testing.T) {
 		InitialV:    cpu.VHigh,
 		Watchdog:    &wcfg,
 	}
-	out, err := Run(spec)
+	out, err := RunContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestWatchdogDetectsOscillationOnRectWave(t *testing.T) {
 	// step far more often.
 	spec.Watchdog = nil
 	spec.Policy = policy.MustGovernor(policy.NewPAST(), policy.Peg{}, policy.Peg{}, policy.PeringBounds, false)
-	bare, err := Run(spec)
+	bare, err := RunContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestWatchdogSafeModeMissesNoDeadlines(t *testing.T) {
 	// Acceptance: a watchdog-wrapped PAST-Peg-Peg MPEG run under clock
 	// change faults completes with misses bounded by the unfaulted
 	// baseline plus the number of injected faults.
-	base, err := Run(mpegFaultSpec(nil))
+	base, err := RunContext(context.Background(), mpegFaultSpec(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestWatchdogSafeModeMissesNoDeadlines(t *testing.T) {
 
 	spec := mpegFaultSpec(&fault.Plan{ClockChangeFailProb: 0.01})
 	spec.Watchdog = &policy.WatchdogConfig{}
-	out, err := Run(spec)
+	out, err := RunContext(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("watchdog-wrapped faulted run errored: %v", err)
 	}

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -299,7 +300,7 @@ func Figure7() (Series, analysis.Oscillation, error) {
 func Figure8(seed uint64) (Series, *RunOutcome, error) {
 	gov := policy.MustGovernor(policy.NewPAST(), policy.Peg{}, policy.Peg{},
 		policy.BestBounds, false)
-	out, err := Run(RunSpec{
+	out, err := RunContext(context.TODO(), RunSpec{
 		Workload:    "mpeg",
 		Seed:        seed,
 		Duration:    30 * sim.Second,

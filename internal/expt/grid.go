@@ -35,10 +35,9 @@ type Env struct {
 	Journal string
 	// CellTimeout, when positive, bounds each cell attempt's wall time.
 	CellTimeout time.Duration
-	// Retries and RetryBase configure per-cell retry of transient failures
-	// with seeded exponential backoff; zero Retries disables.
-	Retries   int
-	RetryBase time.Duration
+	// Retries configures per-cell retry of transient failures with seeded
+	// exponential backoff; zero disables.
+	Retries int
 	// Progress, when non-nil, receives the sweep pool's done/total counts
 	// (see sweep.Options.OnProgress). A resumed run's counts start at the
 	// journal-replayed cell count.
@@ -164,7 +163,7 @@ func RunGrid(env Env, cells []GridCell, keepUtil bool) ([]Cell, error) {
 		Telemetry:   env.Telemetry,
 		Journal:     jr,
 		CellTimeout: env.CellTimeout,
-		Retry:       sweep.RetryPolicy{Max: env.Retries, Base: env.RetryBase, Seed: env.Seed},
+		Retry:       sweep.RetryPolicy{Max: env.Retries, Seed: env.Seed},
 	})
 	if err != nil {
 		return nil, err

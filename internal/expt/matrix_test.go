@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -72,7 +73,7 @@ func TestWorkloadPolicyMatrix(t *testing.T) {
 				spec.Workload = w
 				spec.Seed = 1
 				spec.Duration = length
-				out, err := Run(spec)
+				out, err := RunContext(context.Background(), spec)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -106,7 +107,7 @@ func TestWorkloadPolicyMatrix(t *testing.T) {
 				spec2.Workload = w
 				spec2.Seed = 1
 				spec2.Duration = length
-				again, err := Run(spec2)
+				again, err := RunContext(context.Background(), spec2)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -123,7 +124,7 @@ func TestWorkloadPolicyMatrix(t *testing.T) {
 // invariant: none of the utilization-inferring heuristics can both avoid
 // deadline misses and reach the energy of the ideal constant setting.
 func TestPredictorZooOnMPEG(t *testing.T) {
-	ideal, err := Run(RunSpec{Workload: "mpeg", Seed: 1,
+	ideal, err := RunContext(context.Background(), RunSpec{Workload: "mpeg", Seed: 1,
 		Duration: 20 * sim.Second, InitialStep: cpu.Step(5)})
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +144,7 @@ func TestPredictorZooOnMPEG(t *testing.T) {
 		pred := mk()
 		name := pred.Name()
 		gov := policy.MustGovernor(pred, policy.Peg{}, policy.Peg{}, policy.BestBounds, false)
-		out, err := Run(RunSpec{Workload: "mpeg", Seed: 1, Duration: 20 * sim.Second,
+		out, err := RunContext(context.Background(), RunSpec{Workload: "mpeg", Seed: 1, Duration: 20 * sim.Second,
 			Policy: gov, InitialStep: cpu.MaxStep})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

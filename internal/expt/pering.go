@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -115,7 +116,7 @@ func PlaybackLifetime(seed uint64) ([]PlaybackRow, error) {
 		spec := c.spec()
 		spec.Seed = seed
 		spec.Duration = 30 * sim.Second
-		res, err := Run(spec)
+		res, err := RunContext(context.TODO(), spec)
 		if err != nil {
 			return nil, err
 		}

@@ -165,11 +165,6 @@ func buildWorkload(spec RunSpec) (workload.Workload, error) {
 	}
 }
 
-// Run executes one measurement run.
-func Run(spec RunSpec) (*RunOutcome, error) {
-	return RunContext(context.Background(), spec)
-}
-
 // RunContext executes one measurement run under a context. Cancellation is
 // observed at quantum boundaries — the simulation's only blocking-free
 // preemption points — so an aborted run stops within one simulated quantum

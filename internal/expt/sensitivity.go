@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -115,7 +116,7 @@ func PlayUntilExhaustion(seed uint64) ([]ExhaustionResult, error) {
 	}
 	var out []ExhaustionResult
 	for _, c := range configs {
-		run, err := Run(c.spec)
+		run, err := RunContext(context.TODO(), c.spec)
 		if err != nil {
 			return nil, err
 		}

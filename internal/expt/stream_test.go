@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -42,11 +43,11 @@ func TestStreamedRunMatchesRetained(t *testing.T) {
 					return s
 				}
 				t.Run(fmt.Sprintf("%s/%s/%s", w, pname, fname), func(t *testing.T) {
-					kept, err := Run(spec(false))
+					kept, err := RunContext(context.Background(), spec(false))
 					if err != nil {
 						t.Fatal(err)
 					}
-					streamed, err := Run(spec(true))
+					streamed, err := RunContext(context.Background(), spec(true))
 					if err != nil {
 						t.Fatal(err)
 					}

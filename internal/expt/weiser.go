@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -36,7 +37,7 @@ func WeiserOnWorkloads(seed uint64) ([]WeiserRow, error) {
 	const floor = 0.01
 	rows := make([]WeiserRow, 0, len(FigureWorkloads))
 	for _, w := range FigureWorkloads {
-		out, err := Run(RunSpec{
+		out, err := RunContext(context.TODO(), RunSpec{
 			Workload: w, Seed: seed,
 			Duration:    30 * sim.Second,
 			InitialStep: cpu.MaxStep,

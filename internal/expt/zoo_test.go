@@ -5,6 +5,7 @@
 package expt_test
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -59,7 +60,7 @@ func TestZooComparisonAcceptance(t *testing.T) {
 // and can never undercut — the oracle of that same relaxed instance.
 func TestZooOptSpeedsNeverBeatsOracle(t *testing.T) {
 	for _, w := range expt.FigureWorkloads {
-		out, err := expt.Run(expt.RunSpec{
+		out, err := expt.RunContext(context.Background(), expt.RunSpec{
 			Workload: w, Seed: 1, Duration: 30 * sim.Second,
 			InitialStep: cpu.MaxStep,
 		})

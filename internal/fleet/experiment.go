@@ -75,18 +75,17 @@ func runExperiment(env expt.Env) (string, []expt.Artifact, error) {
 	// grid experiments (their keys are disjoint), so a killed run resumes
 	// the fleet like any grid. The journal is never truncated here: the
 	// caller starts each run's journal once, fresh or resumed.
-	rc := RunConfig{
+	cfg := clocksched.SweepConfig{
 		Workers:     env.Workers,
 		Cache:       env.Cache,
 		Journal:     env.Journal,
 		Resume:      env.Journal != "",
 		CellTimeout: env.CellTimeout,
 		Retries:     env.Retries,
-		RetryBase:   env.RetryBase,
 		Progress:    env.Progress,
-		Telemetry:   env.Telemetry,
+		Telemetry:   clocksched.TelemetryOver(env.Telemetry),
 	}
-	pop, err := Run(env.Ctx, spec, rc)
+	pop, err := Run(env.Ctx, spec, cfg)
 	if err != nil {
 		return "", nil, err
 	}

@@ -57,7 +57,8 @@ func specErr(field, format string, args ...any) *SpecError {
 // Spec is the JSON wire form of one fleet scenario: how many devices, how
 // their workloads are mixed, and which policies to sweep across the
 // population. Everything that determines the measurement lives here;
-// execution resources (workers, caches, peers) belong to RunConfig.
+// execution resources (workers, cache, journal, telemetry) belong to the
+// clocksched.SweepConfig that Run executes the compiled cells under.
 type Spec struct {
 	// SimVersion, when non-empty, must match this process's simulation
 	// version — the same guard SweepSpec carries, optional here so

@@ -17,6 +17,7 @@ import (
 
 	"clocksched"
 	"clocksched/internal/cpu"
+	"clocksched/internal/fabric"
 	"clocksched/internal/service"
 	"clocksched/internal/telemetry"
 )
@@ -242,7 +243,7 @@ func TestRunAllInfeasible(t *testing.T) {
 	s.Mix = map[string]float64{"editor": 1}
 	s.Duration = clocksched.Duration(time.Second)
 	s.Policies = []clocksched.Policy{mustPolicy(t, "constant", map[string]float64{"mhz": 59})}
-	pop, err := Run(context.Background(), s, RunConfig{})
+	pop, err := Run(context.Background(), s, clocksched.SweepConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +264,7 @@ func TestRunAllInfeasible(t *testing.T) {
 // serially, across four workers, or across two in-process sweepd peers.
 func TestFleetByteIdentity(t *testing.T) {
 	spec := testSpec(t)
-	ref, err := Run(context.Background(), spec, RunConfig{Workers: 1})
+	ref, err := Run(context.Background(), spec, clocksched.SweepConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +273,7 @@ func TestFleetByteIdentity(t *testing.T) {
 		t.Fatalf("unexpected summary:\n%s", want)
 	}
 
-	par, err := Run(context.Background(), spec, RunConfig{Workers: 4})
+	par, err := Run(context.Background(), spec, clocksched.SweepConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,11 +286,21 @@ func TestFleetByteIdentity(t *testing.T) {
 	}
 	p1 := startPeer(t, service.Config{Workers: 2})
 	p2 := startPeer(t, service.Config{Workers: 2})
-	fab, err := Run(context.Background(), spec, RunConfig{
-		Workers:   2,
-		Peers:     []string{p1, p2},
-		FabricDir: t.TempDir(),
-	})
+	// The -peers path: the compiled cells through a fabric coordinator,
+	// then the same reduction.
+	plan, err := spec.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	co, err := fabric.New(fabric.Config{Peers: []string{p1, p2}, Dir: t.TempDir(), LocalWorkers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := co.Run(context.Background(), clocksched.NewSweepSpec(clocksched.SweepConfig{Cells: plan.Cells}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fab, err := Reduce(plan, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +338,7 @@ func TestFleetKillAndResumeChild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(context.Background(), testSpec(t), RunConfig{
+	_, err = Run(context.Background(), testSpec(t), clocksched.SweepConfig{
 		Workers: 1,
 		Cache:   cache,
 		Journal: filepath.Join(dir, "fleet.wal"),
@@ -382,7 +393,7 @@ func TestFleetKillAndResume(t *testing.T) {
 		t.Fatalf("child did not die of the signal: err=%v state=%v", err, child.ProcessState)
 	}
 
-	ref, err := Run(context.Background(), testSpec(t), RunConfig{Workers: 1})
+	ref, err := Run(context.Background(), testSpec(t), clocksched.SweepConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +401,7 @@ func TestFleetKillAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(context.Background(), testSpec(t), RunConfig{
+	res, err := Run(context.Background(), testSpec(t), clocksched.SweepConfig{
 		Workers: 1,
 		Cache:   cache,
 		Journal: filepath.Join(dir, "fleet.wal"),
@@ -413,7 +424,7 @@ func TestRunTelemetryCounters(t *testing.T) {
 		mustPolicy(t, "constant", map[string]float64{"mhz": 59}),
 	}
 	reg := telemetry.New()
-	pop, err := Run(context.Background(), s, RunConfig{Telemetry: reg})
+	pop, err := Run(context.Background(), s, clocksched.SweepConfig{Telemetry: clocksched.TelemetryOver(reg)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,11 +434,17 @@ func TestRunTelemetryCounters(t *testing.T) {
 		"fleet_infeasible_total": 6,
 		"fleet_cells_measured":   6,
 		"fleet_cells_failed":     0,
+		// The sweep itself reports into the same registry: every
+		// feasible cell ran once.
+		telemetry.MSweepCellsRun: 6,
 	}
 	for name, want := range checks {
 		if got := reg.Counter(name).Value(); got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
+	}
+	if reg.Counter(telemetry.MKernelQuanta).Value() == 0 {
+		t.Error("the cells' kernels reported no quanta")
 	}
 	_ = pop
 }
@@ -452,46 +469,6 @@ func TestExperimentSpec(t *testing.T) {
 	}
 }
 
-// TestExperimentLocalVsPeers is the standing experiment's golden test:
-// the fixed-seed population cmd/experiments sweeps with `-only fleet`
-// must reduce to a byte-identical summary locally and through `-peers`
-// (in-process fabric peers), including the zoo's infeasible pairings.
-func TestExperimentLocalVsPeers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fabric test")
-	}
-	spec, err := ExperimentSpec(1, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := Run(context.Background(), spec, RunConfig{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := local.Render()
-	for _, header := range []string{
-		"Fleet population: 40 devices, seed 1",
-		"Infeasible pairings",
-	} {
-		if !strings.Contains(want, header) {
-			t.Fatalf("summary missing %q:\n%s", header, want)
-		}
-	}
-	p1 := startPeer(t, service.Config{Workers: 2})
-	p2 := startPeer(t, service.Config{Workers: 2})
-	peers, err := Run(context.Background(), spec, RunConfig{
-		Workers:   2,
-		Peers:     []string{p1, p2},
-		FabricDir: t.TempDir(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := peers.Render(); got != want {
-		t.Errorf("-peers summary differs from local:\n--- local\n%s\n--- peers\n%s", want, got)
-	}
-}
-
 // TestFleet10K is the full acceptance run: 10k devices, serial vs
 // parallel byte identity. Gated behind an environment variable — it
 // simulates tens of thousands of device sessions.
@@ -503,11 +480,11 @@ func TestFleet10K(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Run(context.Background(), spec, RunConfig{Workers: 1})
+	ref, err := Run(context.Background(), spec, clocksched.SweepConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Run(context.Background(), spec, RunConfig{Workers: 4})
+	par, err := Run(context.Background(), spec, clocksched.SweepConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

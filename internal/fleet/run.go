@@ -2,117 +2,39 @@ package fleet
 
 import (
 	"context"
-	"fmt"
-	"time"
 
 	"clocksched"
-	"clocksched/internal/fabric"
-	"clocksched/internal/telemetry"
 )
 
-// RunConfig carries execution resources — everything that affects how
-// fast a fleet runs but must never affect what it measures. The same
-// plan run serially, with 8 workers, resumed from a journal, or fanned
-// out to peers reduces to a byte-identical population summary.
-type RunConfig struct {
-	// Workers bounds local sweep parallelism (0: GOMAXPROCS).
-	Workers int
-	// Cache, when non-nil, memoizes per-cell results across runs.
-	Cache *clocksched.SweepCache
-	// Journal + Resume select the sweep's crash-durable journal; Journal
-	// requires Cache, exactly as in SweepConfig.
-	Journal string
-	Resume  bool
-	// CellTimeout/Retries/RetryBase are the per-cell resilience knobs,
-	// passed through to the sweep layer.
-	CellTimeout time.Duration
-	Retries     int
-	RetryBase   time.Duration
-	// Progress, when non-nil, observes (done, total) cell completion.
-	Progress func(done, total int)
-	// Telemetry, when non-nil, receives fleet_* counters and per-cell
-	// instrumentation.
-	Telemetry *telemetry.Registry
-
-	// Peers fans the sweep out over the PR 9 fabric (sweepd instances);
-	// empty runs everything locally. FabricDir is the coordinator's
-	// journal directory and is required when Peers is set; PeerToken
-	// authenticates, matching the daemons' -token.
-	Peers     []string
-	PeerToken string
-	FabricDir string
-}
-
 // Run compiles the spec, executes the surviving cells, and reduces the
-// results into a Population. The feasibility skips never execute but are
-// always reported; a fleet whose every pairing is infeasible returns a
-// Population of pure skip buckets without touching the sweep engine.
-func Run(ctx context.Context, spec Spec, rc RunConfig) (*Population, error) {
+// results into a Population; see RunPlan.
+func Run(ctx context.Context, spec Spec, cfg clocksched.SweepConfig) (*Population, error) {
 	plan, err := spec.Compile()
 	if err != nil {
 		return nil, err
 	}
-	return RunPlan(ctx, plan, rc)
+	return RunPlan(ctx, plan, cfg)
 }
 
-// RunPlan executes an already-compiled plan.
-func RunPlan(ctx context.Context, plan *Plan, rc RunConfig) (*Population, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if rc.Telemetry != nil {
-		rc.Telemetry.Counter("fleet_devices_total").Add(int64(len(plan.Devices)))
-		rc.Telemetry.Counter("fleet_cells_total").Add(int64(len(plan.Cells)))
-		rc.Telemetry.Counter("fleet_infeasible_total").Add(int64(len(plan.Skips)))
-	}
+// RunPlan executes an already-compiled plan as one sweep of its cells. cfg
+// carries the execution resources — workers, cache, journal, resilience,
+// progress and telemetry — which affect how fast a fleet runs but never
+// what it measures; its Cells are replaced by the plan's. The same plan
+// run serially, with 8 workers, or resumed from a journal reduces to a
+// byte-identical population summary. The feasibility skips never execute
+// but are always reported; a plan whose every pairing is infeasible
+// reduces to pure skip buckets without touching the sweep engine.
+func RunPlan(ctx context.Context, plan *Plan, cfg clocksched.SweepConfig) (*Population, error) {
+	reg := cfg.Telemetry.Registry()
+	reg.Counter("fleet_devices_total").Add(int64(len(plan.Devices)))
+	reg.Counter("fleet_cells_total").Add(int64(len(plan.Cells)))
+	reg.Counter("fleet_infeasible_total").Add(int64(len(plan.Skips)))
 
-	var res *clocksched.SweepResult
-	switch {
-	case len(plan.Cells) == 0:
-		// Everything was infeasible: nothing to sweep, but the skip
-		// bucket is still a complete, reportable population result.
-		res = &clocksched.SweepResult{}
-	case len(rc.Peers) > 0:
-		if rc.FabricDir == "" {
-			return nil, fmt.Errorf("fleet: peers configured but no fabric dir")
-		}
-		coord, err := fabric.New(fabric.Config{
-			Peers:        rc.Peers,
-			Token:        rc.PeerToken,
-			Dir:          rc.FabricDir,
-			Cache:        rc.Cache,
-			LocalWorkers: rc.Workers,
-			Seed:         plan.Spec.Seed,
-			Progress:     rc.Progress,
-			Telemetry:    rc.Telemetry,
-		})
-		if err != nil {
-			return nil, err
-		}
-		spec := clocksched.NewSweepSpec(clocksched.SweepConfig{
-			Cells:       plan.Cells,
-			CellTimeout: rc.CellTimeout,
-			Retries:     rc.Retries,
-			RetryBase:   rc.RetryBase,
-		})
-		res, err = coord.Run(ctx, spec)
-		if err != nil {
-			return nil, err
-		}
-	default:
+	res := &clocksched.SweepResult{}
+	if len(plan.Cells) > 0 {
+		cfg.Cells = plan.Cells
 		var err error
-		res, err = clocksched.Sweep(ctx, clocksched.SweepConfig{
-			Cells:       plan.Cells,
-			Workers:     rc.Workers,
-			Cache:       rc.Cache,
-			Journal:     rc.Journal,
-			Resume:      rc.Resume,
-			CellTimeout: rc.CellTimeout,
-			Retries:     rc.Retries,
-			RetryBase:   rc.RetryBase,
-			Progress:    rc.Progress,
-		})
-		if err != nil {
+		if res, err = clocksched.Sweep(ctx, cfg); err != nil {
 			return nil, err
 		}
 	}
@@ -121,14 +43,12 @@ func RunPlan(ctx context.Context, plan *Plan, rc RunConfig) (*Population, error)
 	if err != nil {
 		return nil, err
 	}
-	if rc.Telemetry != nil {
-		var measured, failed int64
-		for _, r := range pop.Rows {
-			measured += int64(r.Measured)
-			failed += int64(r.Failed)
-		}
-		rc.Telemetry.Counter("fleet_cells_measured").Add(measured)
-		rc.Telemetry.Counter("fleet_cells_failed").Add(failed)
+	var measured, failed int64
+	for _, r := range pop.Rows {
+		measured += int64(r.Measured)
+		failed += int64(r.Failed)
 	}
+	reg.Counter("fleet_cells_measured").Add(measured)
+	reg.Counter("fleet_cells_failed").Add(failed)
 	return pop, nil
 }

@@ -47,9 +47,9 @@ type Config struct {
 	SchedLogCap int
 	// RetainSchedLog keeps the full []SchedEntry record list for
 	// SchedLog(). By default the kernel folds every decision into the
-	// running LogStats digest and discards the record: a long run makes
+	// running LogTotals digest and discards the record: a long run makes
 	// hundreds of thousands of decisions, and retaining them all was the
-	// single largest allocation of a sweep cell. AnalyzeLog works either
+	// single largest allocation of a sweep cell. LogTotals works either
 	// way and reports identical numbers.
 	RetainSchedLog bool
 	// RetainUtilLog keeps the per-quantum []UtilSample record for
@@ -444,7 +444,7 @@ func (k *Kernel) stampResidency(now sim.Time) {
 // trace faults: a record can be dropped outright or written with a late
 // timestamp, leaving the log non-monotonic the way deferred log writes on
 // real hardware would. Every surviving record is folded into the running
-// LogStats tally; the record itself is kept only when retention is on.
+// LogTotals tally; the record itself is kept only when retention is on.
 func (k *Kernel) logDecision(e SchedEntry) {
 	if k.cfg.SchedLogCap > 0 && k.logStats.decisions >= k.cfg.SchedLogCap {
 		return

@@ -71,35 +71,12 @@ func MinMax(xs []float64) (min, max float64, err error) {
 	return min, max, nil
 }
 
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) using linear
-// interpolation between closest ranks.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 || p > 100 {
-		return 0, fmt.Errorf("stats: percentile %v out of [0,100]", p)
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(rank)
-	if lo >= len(sorted)-1 {
-		return sorted[len(sorted)-1], nil
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac, nil
-}
-
 // Quantile returns the p-th percentile (0 ≤ p ≤ 100) of xs under the
 // nearest-rank definition: the smallest sample x such that at least p% of
-// the samples are ≤ x. Unlike Percentile it never interpolates, so the
-// result is always an actual sample and the computation is exactly
-// reproducible across platforms — no float blending whose rounding could
-// split a byte-identity guarantee. The fleet reducer's population tables
+// the samples are ≤ x. It never interpolates, so the result is always an
+// actual sample and the computation is exactly reproducible across
+// platforms — no float blending whose rounding could split a
+// byte-identity guarantee. The fleet reducer's population tables
 // are built on it for exactly that reason.
 //
 // Boundary conventions: p = 0 returns the minimum, p = 100 the maximum,

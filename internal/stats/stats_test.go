@@ -50,34 +50,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	for _, c := range []struct{ p, want float64 }{
-		{0, 1}, {50, 3}, {100, 5}, {25, 2},
-	} {
-		got, err := Percentile(xs, c.p)
-		if err != nil || math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("Percentile(%v) = %v, %v, want %v", c.p, got, err, c.want)
-		}
-	}
-	if _, err := Percentile(xs, 101); err == nil {
-		t.Error("Percentile(101) did not error")
-	}
-	if _, err := Percentile(nil, 50); !errors.Is(err, ErrEmpty) {
-		t.Error("Percentile(nil) did not return ErrEmpty")
-	}
-	got, _ := Percentile([]float64{9}, 73)
-	if got != 9 {
-		t.Errorf("single-sample percentile = %v", got)
-	}
-	// Percentile must not mutate its input.
-	unsorted := []float64{3, 1, 2}
-	Percentile(unsorted, 50)
-	if unsorted[0] != 3 || unsorted[1] != 1 || unsorted[2] != 2 {
-		t.Error("Percentile mutated its input slice")
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	if _, err := Quantile(nil, 50); !errors.Is(err, ErrEmpty) {
 		t.Error("Quantile(nil) did not return ErrEmpty")

@@ -94,6 +94,18 @@ func NewTelemetry() *Telemetry {
 	return &Telemetry{reg: reg}
 }
 
+// TelemetryOver wraps an existing instrument registry, so an in-module
+// caller that already holds one — the experiment environment — can hand it
+// to a Config or SweepConfig. Nil-preserving: a nil registry yields a nil
+// *Telemetry, instrumentation off. Unlike NewTelemetry it pre-registers
+// nothing.
+func TelemetryOver(reg *telemetry.Registry) *Telemetry {
+	if reg == nil {
+		return nil
+	}
+	return &Telemetry{reg: reg}
+}
+
 // registry unwraps to the internal registry; nil-safe, so a nil *Telemetry
 // flows through the stack as "instrumentation off".
 func (t *Telemetry) registry() *telemetry.Registry {
