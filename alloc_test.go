@@ -95,8 +95,9 @@ func TestSweepCellAllocBytes(t *testing.T) {
 
 // table2Result is the paper's Table 2 grid as the policy registry names it
 // — three constant-speed baselines and PAST peg-peg with and without
-// voltage scaling, on MPEG — over 20 seeds: 100 cells.
-func table2Result(tb testing.TB) *SweepResult {
+// voltage scaling, on MPEG — over n seeds: 5n cells, in five runs of equal
+// policy refs.
+func table2Result(tb testing.TB, n int) *SweepResult {
 	tb.Helper()
 	var ps []Policy
 	for _, ref := range []PolicyRef{
@@ -112,7 +113,7 @@ func table2Result(tb testing.TB) *SweepResult {
 		}
 		ps = append(ps, p)
 	}
-	seeds := make([]uint64, 20)
+	seeds := make([]uint64, n)
 	for i := range seeds {
 		seeds[i] = uint64(i + 1)
 	}
@@ -125,15 +126,17 @@ func table2Result(tb testing.TB) *SweepResult {
 
 // TestEncodeSweepResultAllocBytes guards the sweep envelope's cost, which
 // every sweepd result and fabric shard pays: a 100-cell Table 2 result
-// must encode in at most 5 KiB of allocation per cell, for about 1.2 KiB
-// of output per cell. Handing the whole envelope to a fresh gob.Encoder,
-// whose buffer grows in small steps, allocated about 10 KiB per cell.
+// must encode in at most 1.5 KiB of allocation per cell, for about 1.2 KiB
+// of output per cell, the output being the one envelope-sized allocation.
+// Handing the whole envelope to a fresh gob.Encoder, whose buffer grows in
+// small steps, allocated about 10 KiB per cell, and copying each cell's
+// body out of its encoder before sizing the output 2.8 KiB.
 func TestEncodeSweepResultAllocBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled codecs at random")
 	}
-	const runs, limit = 4, 5 << 10
-	res := table2Result(t)
+	const runs, limit = 4, 1536
+	res := table2Result(t, 20)
 	encode := func() {
 		if _, err := EncodeSweepResult(res); err != nil {
 			t.Fatal(err)
@@ -148,6 +151,33 @@ func TestEncodeSweepResultAllocBytes(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if perCell := (after.TotalAlloc - before.TotalAlloc) / runs / uint64(len(res.Cells)); perCell > limit {
 		t.Errorf("EncodeSweepResult allocates %d B per cell, want at most %d", perCell, limit)
+	}
+}
+
+// TestEncodeSweepResultAllocsPerCell guards that an envelope's allocation
+// count does not grow with its cells: a cell's envelope, Result encoding
+// and residency are scratch shared by all cells, and each run of equal
+// policy refs is encoded once. The 100- and 20-cell Table 2 results both
+// hold five runs, and the larger may make at most one allocation per run
+// more than the smaller.
+func TestEncodeSweepResultAllocsPerCell(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled codecs at random")
+	}
+	const refRuns = 5
+	allocs := func(res *SweepResult) float64 {
+		if _, err := EncodeSweepResult(res); err != nil { // derive the codecs
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(10, func() {
+			if _, err := EncodeSweepResult(res); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(table2Result(t, 4)), allocs(table2Result(t, 20))
+	if large > small+refRuns {
+		t.Errorf("a 100-cell envelope makes %v allocations, a 20-cell one %v: want at most %d more", large, small, refRuns)
 	}
 }
 

@@ -416,7 +416,7 @@ func BenchmarkDecodeResult(b *testing.B) {
 // Table 2 result, as a sweepd job's stored result and a fabric shard each
 // pay.
 func BenchmarkEncodeSweepResult(b *testing.B) {
-	res := table2Result(b)
+	res := table2Result(b, 20)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -429,7 +429,7 @@ func BenchmarkEncodeSweepResult(b *testing.B) {
 // BenchmarkDecodeSweepResult measures the reverse, as a fabric
 // coordinator's shard verification and a sweepd client each pay.
 func BenchmarkDecodeSweepResult(b *testing.B) {
-	enc, err := EncodeSweepResult(table2Result(b))
+	enc, err := EncodeSweepResult(table2Result(b, 20))
 	if err != nil {
 		b.Fatal(err)
 	}

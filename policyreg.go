@@ -35,6 +35,11 @@ import (
 type PolicyRef struct {
 	Name   string             `json:"name"`
 	Params map[string]float64 `json:"params,omitempty"`
+
+	// wire, if set, is the ref's gob form, which GobEncode returns as it
+	// is. Only an envelope encode sets it, on its own copies of the refs it
+	// writes, so that each run of equal refs is encoded once (refRuns).
+	wire []byte
 }
 
 // Build materializes the referenced policy through the registry.
@@ -332,6 +337,9 @@ type policyRefWire struct {
 // GobEncode serializes the ref with sorted parameter keys so equal refs
 // always produce equal bytes inside EncodeSweepResult envelopes.
 func (r PolicyRef) GobEncode() ([]byte, error) {
+	if r.wire != nil {
+		return r.wire, nil
+	}
 	w := policyRefWire{Name: r.Name}
 	for k := range r.Params {
 		w.Keys = append(w.Keys, k)
@@ -353,8 +361,7 @@ func (r *PolicyRef) GobDecode(data []byte) error {
 	if len(w.Keys) != len(w.Vals) {
 		return fmt.Errorf("clocksched: policy ref wire form has %d keys, %d values", len(w.Keys), len(w.Vals))
 	}
-	r.Name = w.Name
-	r.Params = nil
+	*r = PolicyRef{Name: w.Name}
 	if len(w.Keys) > 0 {
 		r.Params = make(map[string]float64, len(w.Keys))
 		for i, k := range w.Keys {
@@ -390,8 +397,7 @@ func (p Policy) cacheString() string {
 
 // renderSame reports whether p and q render the same cacheString without
 // rendering either: the flat fields are equal, MHz bit for bit (0 and -0
-// render apart), and both refs, whatever their pointers, carry the same
-// name and parameters.
+// render apart), and both refs, whatever their pointers, are the same.
 func (p Policy) renderSame(q Policy) bool {
 	pr, qr := p.Ref, q.Ref
 	p.Ref, q.Ref = nil, nil
@@ -401,7 +407,13 @@ func (p Policy) renderSame(q Policy) bool {
 	if pr == nil || qr == nil {
 		return pr == qr
 	}
-	return pr.Name == qr.Name && maps.EqualFunc(pr.Params, qr.Params, func(x, y float64) bool {
+	return pr.same(qr)
+}
+
+// same reports whether r and q carry the same name and parameters, bit
+// for bit, so that they render and gob-encode alike.
+func (r *PolicyRef) same(q *PolicyRef) bool {
+	return r.Name == q.Name && maps.EqualFunc(r.Params, q.Params, func(x, y float64) bool {
 		return math.Float64bits(x) == math.Float64bits(y)
 	})
 }

@@ -50,8 +50,8 @@ type resultCodec[T any] struct {
 
 // The process's codecs: a cell's Result, a registry policy reference, and
 // the sweep envelope and its cells. The envelope codec only decodes and
-// lends its prefix and type id to assembleEnvelope, which builds the
-// envelope from its cells' bodies (sweepenvelope.go).
+// lends its prefix and type id to writeEnvelope, which writes the
+// envelope around its cells' bodies (sweepenvelope.go).
 var (
 	codec     resultCodec[resultWire]
 	refCodec  resultCodec[policyRefWire]
@@ -114,25 +114,17 @@ func (c *resultCodec[T]) appendEncode(dst []byte, v *T) ([]byte, error) {
 	return dst, nil
 }
 
-// encodeBody returns the body of v's value message: what follows its byte
-// count and type id. gob writes the same bytes for v as an element of a
-// []T, which is what sweep envelope assembly relies on. It fails with
-// errCodecCold if the codec is cold.
-func (c *resultCodec[T]) encodeBody(v *T) ([]byte, error) {
-	c.once.Do(c.derive)
-	warm := c.warm.Load()
-	e := c.encoder(warm)
-	if e == nil {
-		return nil, errCodecCold
-	}
+// body encodes v on e, one of c's warm encoders, and returns the body of
+// its value message: what follows the message's byte count and type id.
+// gob writes the same bytes for v as an element of a []T, which sweep
+// envelope assembly relies on. The bytes are e's until it encodes again.
+func (c *resultCodec[T]) body(e *warmEncoder, v *T) ([]byte, error) {
 	e.buf.Reset()
 	if err := e.enc.Encode(v); err != nil {
 		return nil, err
 	}
 	msg := e.buf.Bytes()
-	body := bytes.Clone(msg[gobUintLen(msg)+len(warm.valueID):])
-	c.putEncoder(e)
-	return body, nil
+	return msg[gobUintLen(msg)+len(c.warm.Load().valueID):], nil
 }
 
 // putEncoder pools e unless its buffer grew past retainLimit.

@@ -146,7 +146,7 @@ func TestResultCodecConcurrent(t *testing.T) {
 				if i%5 != 0 {
 					continue
 				}
-				sr := envelopeSample(g+i/5, 1, 2, 3, byte(g), byte(i), r.EnergyJoules, "failed")
+				sr := envelopeSample(g+i/5, 1, 1, g+i/5, byte(g), byte(i), r.EnergyJoules, "failed")
 				env, err := EncodeSweepResult(sr)
 				if err != nil {
 					t.Error(err)

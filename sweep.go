@@ -602,13 +602,13 @@ type resultWire struct {
 // encodeResult serializes a Result canonically: equal Results produce
 // equal bytes.
 func encodeResult(r *Result) ([]byte, error) {
-	w := newResultWire(r)
+	w := newResultWire(r, nil)
 	return codec.encode(&w)
 }
 
 // newResultWire projects r onto its wire form, residency sorted by
-// frequency.
-func newResultWire(r *Result) resultWire {
+// frequency. The residency reuses residency's array if it is big enough.
+func newResultWire(r *Result, residency []residencyWire) resultWire {
 	w := resultWire{
 		EnergyJoules:    r.EnergyJoules,
 		AvgPowerWatts:   r.AvgPowerWatts,
@@ -622,7 +622,7 @@ func newResultWire(r *Result) resultWire {
 		StallTime:       r.StallTime,
 		ContextSwitches: r.ContextSwitches,
 		IdleShare:       r.IdleShare,
-		Residency:       make([]residencyWire, 0, len(r.TimeAtMHz)),
+		Residency:       slices.Grow(residency[:0], len(r.TimeAtMHz)),
 		Trace:           r.trace,
 		Faults:          r.Faults,
 		Watchdog:        r.Watchdog,
