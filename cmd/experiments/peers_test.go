@@ -75,18 +75,21 @@ func TestExperimentLocalVsPeers(t *testing.T) {
 	}
 }
 
-// TestPeersTable2MatchesLocal runs Table 2 through the command twice,
-// locally and across two in-process sweepd peers: the artifacts must be
-// byte-identical.
+// TestPeersTable2MatchesLocal runs Table 2 through the command across two
+// in-process sweepd peers: the artifact must be byte-identical to the
+// committed local one, which TestGoldenArtifacts pins to a local run.
 func TestPeersTable2MatchesLocal(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the Table 2 grid twice")
+		t.Skip("fabric test")
 	}
-	want := runArtifact(t, options{outDir: t.TempDir(), only: "table2", seed: 1, workers: 2, nocache: true}, "table2.txt")
+	want, err := os.ReadFile(filepath.Join(goldenDir, "table2.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	peers := startPeer(t) + "," + startPeer(t)
 	got := runArtifact(t, options{outDir: t.TempDir(), only: "table2", seed: 1, workers: 2, peers: peers}, "table2_fleet.txt")
-	if got != want {
-		t.Errorf("-peers Table 2 differs from local:\n--- local\n%s\n--- peers\n%s", want, got)
+	if got != string(want) {
+		t.Errorf("-peers Table 2 differs from results/table2.txt:\n--- committed\n%s\n--- peers\n%s", want, got)
 	}
 }
 

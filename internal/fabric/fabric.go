@@ -138,6 +138,7 @@ type shardState struct {
 	index  int
 	lo, hi int
 	spec   clocksched.SweepSpec
+	want   []clocksched.CellSpec // the grid's cells [lo, hi), which a result must match
 
 	done         bool
 	sha          [sha256.Size]byte
@@ -248,7 +249,10 @@ func specSHA(spec clocksched.SweepSpec) (string, error) {
 // unrecoverable coordination failures return a *service.APIError.
 func (c *Coordinator) Run(ctx context.Context, spec clocksched.SweepSpec) (*clocksched.SweepResult, error) {
 	if _, err := spec.Config(); err != nil {
-		return nil, &service.APIError{Status: 409, Code: service.CodeVersionMismatch, Message: err.Error()}
+		if errors.Is(err, clocksched.ErrVersionMismatch) {
+			return nil, &service.APIError{Status: 409, Code: service.CodeVersionMismatch, Message: err.Error()}
+		}
+		return nil, &service.APIError{Status: 400, Code: service.CodeInvalidSpec, Message: err.Error()}
 	}
 	total := spec.NumCells()
 	if total == 0 {
@@ -376,6 +380,13 @@ func (c *Coordinator) plan(spec clocksched.SweepSpec, total int) error {
 		}
 	}
 
+	// The grid is expanded once; each shard keeps its slice of it to verify
+	// results against, and ships only its own (ranged) sub-spec.
+	cells, err := gridCells(spec, total)
+	if err != nil {
+		w.Close()
+		return &service.APIError{Status: 500, Code: service.CodeInternal, Message: err.Error()}
+	}
 	count := (total + stride - 1) / stride
 	shards := make([]*shardState, count)
 	for i := range shards {
@@ -385,8 +396,8 @@ func (c *Coordinator) plan(spec clocksched.SweepSpec, total int) error {
 			w.Close()
 			return &service.APIError{Status: 500, Code: service.CodeInternal, Message: err.Error()}
 		}
-		shards[i] = &shardState{index: i, lo: lo, hi: hi, spec: sub, holders: map[string]bool{},
-			committed: make(chan struct{})}
+		shards[i] = &shardState{index: i, lo: lo, hi: hi, spec: sub, want: cells[lo:hi],
+			holders: map[string]bool{}, committed: make(chan struct{})}
 	}
 
 	doneCells := 0
@@ -429,6 +440,20 @@ func (c *Coordinator) plan(spec clocksched.SweepSpec, total int) error {
 	return nil
 }
 
+// gridCells expands the spec's whole grid of total cells, in grid order,
+// into the cell specs shard results are verified against.
+func gridCells(spec clocksched.SweepSpec, total int) ([]clocksched.CellSpec, error) {
+	whole, err := spec.Shard(0, total)
+	if err != nil {
+		return nil, err
+	}
+	cfg, err := whole.Config()
+	if err != nil {
+		return nil, err
+	}
+	return clocksched.NewSweepSpec(cfg).Cells, nil
+}
+
 // loadShard re-verifies one journaled shard commit: the on-disk bytes
 // must hash to the recorded digest and decode to the shard's cell range.
 // Anything less and the shard simply recomputes.
@@ -451,7 +476,7 @@ func (c *Coordinator) loadShard(s *shardState, wantSHA string) (*clocksched.Swee
 
 // verifyShard decodes candidate result bytes for the shard and checks
 // they are really this shard's cells: right count, and each cell's whole
-// configuration, policy included, matching the shard spec's cell — the
+// configuration, policy included, matching the shard's grid cell — the
 // guard against adopting a recycled job id on a peer whose data dir was
 // reset.
 func (c *Coordinator) verifyShard(s *shardState, b []byte) (*clocksched.SweepResult, error) {
@@ -463,7 +488,7 @@ func (c *Coordinator) verifyShard(s *shardState, b []byte) (*clocksched.SweepRes
 		return nil, fmt.Errorf("fabric: shard %d result has %d cells, want %d", s.index, len(res.Cells), s.cells())
 	}
 	for k, cell := range res.Cells {
-		if !s.spec.Cells[k].Matches(cell.Config) {
+		if !s.want[k].Matches(cell.Config) {
 			return nil, fmt.Errorf("fabric: shard %d cell %d is not the leased cell (got %s/%s seed %d)",
 				s.index, k, cell.Config.Workload, cell.Config.Policy.Name(), cell.Config.Seed)
 		}
@@ -515,15 +540,23 @@ func (c *Coordinator) fail(err error) {
 var errAlreadyDone = errors.New("fabric: shard already committed")
 
 // commit verifies and durably records one shard result. The first valid
-// result wins; a later duplicate with identical bytes is discarded, and a
-// duplicate with different bytes is a determinism violation that fails
-// the whole sweep.
+// result wins; a later duplicate with identical bytes is discarded without
+// being decoded, and a duplicate with different bytes is verified first —
+// bad bytes are the peer's failure — then fails the whole sweep as a
+// determinism violation.
 func (c *Coordinator) commit(s *shardState, b []byte) error {
+	sum := sha256.Sum256(b)
+	c.mu.Lock()
+	dup := s.done && s.sha == sum
+	c.mu.Unlock()
+	if dup {
+		c.reg.Counter(mDuplicates).Inc()
+		return errAlreadyDone
+	}
 	res, err := c.verifyShard(s, b)
 	if err != nil {
 		return err
 	}
-	sum := sha256.Sum256(b)
 
 	c.mu.Lock()
 	if s.done {

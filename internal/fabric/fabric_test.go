@@ -3,6 +3,7 @@ package fabric
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"net/http"
@@ -525,11 +526,19 @@ func TestVerifyShardChecksPolicy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return &shardState{index: lo / 2, lo: lo, hi: hi, spec: sub}
+		subCfg, err := sub.Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := clocksched.NewSweepSpec(subCfg).Cells
+		if len(want) != hi-lo {
+			t.Fatalf("shard [%d, %d) has %d cells", lo, hi, len(want))
+		}
+		return &shardState{index: lo / 2, lo: lo, hi: hi, spec: sub, want: want}
 	}
 	own, next := shard(0, 2), shard(2, 4)
-	for k := range own.spec.Cells {
-		a, b := own.spec.Cells[k], next.spec.Cells[k]
+	for k := range own.want {
+		a, b := own.want[k], next.want[k]
 		if a.Seed != b.Seed || a.Workload != b.Workload || a.Duration != b.Duration {
 			t.Fatalf("cell %d: shards differ beyond the policy: %+v vs %+v", k, a, b)
 		}
@@ -539,5 +548,77 @@ func TestVerifyShardChecksPolicy(t *testing.T) {
 	}
 	if _, err := co.verifyShard(own, serialBytes(t, next.spec)); err == nil {
 		t.Fatal("the next shard's result verified as this shard's")
+	}
+}
+
+// TestCommitDuplicate: a duplicate with the committed bytes is counted and
+// dropped without being decoded; a duplicate with other bytes is verified
+// first, so bad bytes are only a failed attempt and valid ones a
+// determinism violation.
+func TestCommitDuplicate(t *testing.T) {
+	spec := clocksched.NewSweepSpec(fabricGrid(2))
+	co, err := New(Config{Dir: t.TempDir(), ShardCells: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := co.plan(spec, spec.NumCells()); err != nil {
+		t.Fatal(err)
+	}
+	defer co.ledger.Close()
+	co.cancelRun = func() {}
+	s := co.shards[0]
+	own := serialBytes(t, spec)
+	garbage := []byte("not a sweep envelope")
+	res, err := clocksched.DecodeSweepResult(own)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Cells[0].Result.EnergyJoules++
+	other, err := clocksched.EncodeSweepResult(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var apiErr *service.APIError
+	if err := co.commit(s, garbage); err == nil || errors.As(err, &apiErr) {
+		t.Fatalf("bad bytes before any commit: %v, want a plain verification error", err)
+	}
+	if err := co.commit(s, own); err != nil {
+		t.Fatal(err)
+	}
+	if err := co.commit(s, own); !errors.Is(err, errAlreadyDone) {
+		t.Fatalf("identical duplicate: %v, want errAlreadyDone", err)
+	}
+	if n := co.reg.Counter(mDuplicates).Value(); n != 1 {
+		t.Errorf("duplicates counted %v, want 1", n)
+	}
+	if err := co.commit(s, garbage); err == nil || errors.As(err, &apiErr) || co.fatal != nil {
+		t.Fatalf("bad duplicate: %v (fatal %v), want a plain verification error", err, co.fatal)
+	}
+	if err := co.commit(s, other); !errors.As(err, &apiErr) || apiErr.Code != CodeDeterminismViolation {
+		t.Fatalf("valid duplicate with other bytes: %v, want %s", err, CodeDeterminismViolation)
+	}
+	// Bytes whose digest is the committed one are never decoded: even
+	// undecodable ones count as the duplicate they hash to.
+	s.sha = sha256.Sum256(garbage)
+	if err := co.commit(s, garbage); !errors.Is(err, errAlreadyDone) {
+		t.Fatalf("duplicate of the committed digest: %v, want errAlreadyDone without decoding", err)
+	}
+}
+
+// TestRunRefusesBadRange: a spec whose range does not fit its grid is an
+// invalid spec, not a version mismatch.
+func TestRunRefusesBadRange(t *testing.T) {
+	spec := clocksched.NewSweepSpec(fabricGrid(2))
+	spec.Range = &clocksched.CellRange{Lo: 1, Hi: 3}
+	co, err := New(Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = co.Run(context.Background(), spec)
+	var apiErr *service.APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != 400 || apiErr.Code != service.CodeInvalidSpec ||
+		!strings.Contains(apiErr.Message, "range [1, 3) out of grid [0, 2)") {
+		t.Fatalf("Run of a bad range: %v, want a 400 %s naming it", err, service.CodeInvalidSpec)
 	}
 }

@@ -45,6 +45,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -608,7 +609,7 @@ func (s *Server) SubmitWith(spec clocksched.SweepSpec, opts SubmitOptions) (JobS
 			Message: fmt.Sprintf("unknown priority %q", opts.Priority)}
 	}
 	cfg, err := spec.Config()
-	if err != nil {
+	if errors.Is(err, clocksched.ErrVersionMismatch) {
 		s.reg.Counter(mRejectedVer).Inc()
 		return JobStatus{}, &APIError{
 			Status:  409,
@@ -616,7 +617,10 @@ func (s *Server) SubmitWith(spec clocksched.SweepSpec, opts SubmitOptions) (JobS
 			Message: err.Error(),
 		}
 	}
-	if err := cfg.Validate(); err != nil {
+	if err == nil {
+		err = cfg.Validate()
+	}
+	if err != nil {
 		s.reg.Counter(mRejectedSpec).Inc()
 		return JobStatus{}, &APIError{Status: 400, Code: CodeInvalidSpec, Message: err.Error()}
 	}

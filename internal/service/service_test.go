@@ -200,6 +200,75 @@ func TestBadSpecsRejected(t *testing.T) {
 	}
 }
 
+// TestRangeSpecsRejected: a range that does not fit its grid, or one on an
+// explicit-cells spec, is an invalid spec — a 400 naming the range and the
+// grid size, never a version mismatch and never a clipped or empty run.
+func TestRangeSpecsRejected(t *testing.T) {
+	s, c := newTestServer(t, Config{})
+	explicit := clocksched.NewSweepSpec(clocksched.SweepConfig{
+		Cells: []clocksched.Config{{Workload: clocksched.RectWave, Duration: 2 * time.Second}},
+	})
+	explicit.Range = &clocksched.CellRange{Lo: 0, Hi: 1}
+	for _, tc := range []struct {
+		spec clocksched.SweepSpec
+		want string
+	}{
+		{withRange(testSpec(4), -1, 2), "range [-1, 2) out of grid [0, 4)"},
+		{withRange(testSpec(4), 2, 5), "range [2, 5) out of grid [0, 4)"},
+		{withRange(testSpec(4), 2, 2), "range [2, 2) out of grid [0, 4)"},
+		{withRange(testSpec(4), 3, 1), "range [3, 1) out of grid [0, 4)"},
+		{explicit, "range [0, 1) on an explicit grid of 1 cells"},
+	} {
+		if _, err := s.Submit(tc.spec); !isAPIError(err, 400, CodeInvalidSpec) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("in-process submit of %+v: %v, want a 400 %s naming %q", tc.spec.Range, err, CodeInvalidSpec, tc.want)
+		}
+		if _, err := c.Submit(context.Background(), tc.spec); !isAPIError(err, 400, CodeInvalidSpec) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("wire submit of %+v: %v, want a 400 %s naming %q", tc.spec.Range, err, CodeInvalidSpec, tc.want)
+		}
+	}
+	if jobs, _ := c.Jobs(context.Background()); len(jobs) != 0 {
+		t.Errorf("rejected ranges created %d job(s)", len(jobs))
+	}
+}
+
+// TestRangeSpecMatchesExplicitShard: the explicit-cells shard an older
+// coordinator sends is still admitted, and its result bytes equal those of
+// the ranged shard of the same cells.
+func TestRangeSpecMatchesExplicitShard(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	ranged := withRange(testSpec(6), 2, 5)
+	cfg, err := ranged.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	explicit := clocksched.NewSweepSpec(clocksched.SweepConfig{Cells: cfg.Cells})
+	var results [][]byte
+	for _, spec := range []clocksched.SweepSpec{ranged, explicit} {
+		st, err := c.Submit(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Total != 3 {
+			t.Errorf("admitted %d cells, want 3", st.Total)
+		}
+		waitState(t, c, st.ID, StateDone)
+		b, err := c.ResultBytes(context.Background(), st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, b)
+	}
+	if !bytes.Equal(results[0], results[1]) {
+		t.Error("the ranged shard's result differs from the explicit-cells shard's")
+	}
+}
+
+// withRange returns spec narrowed to the raw range [lo, hi), unchecked.
+func withRange(spec clocksched.SweepSpec, lo, hi int) clocksched.SweepSpec {
+	spec.Range = &clocksched.CellRange{Lo: lo, Hi: hi}
+	return spec
+}
+
 // TestQueueFullBackpressure fills the admission queue and checks the 429,
 // its machine-readable code, and the Retry-After header on the wire.
 func TestQueueFullBackpressure(t *testing.T) {

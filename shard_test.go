@@ -3,7 +3,11 @@ package clocksched
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -38,18 +42,106 @@ func TestSpecNumCellsAndShardBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sub.Cells) != 5 {
-		t.Fatalf("shard has %d cells, want 5", len(sub.Cells))
+	subCfg, err := sub.Config()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if sub.SimVersion != spec.SimVersion || !sub.FailFast {
+	if len(subCfg.Cells) != 5 || sub.NumCells() != 5 {
+		t.Fatalf("shard has %d cells (NumCells %d), want 5", len(subCfg.Cells), sub.NumCells())
+	}
+	if sub.SimVersion != spec.SimVersion || !sub.FailFast || !subCfg.FailFast {
 		t.Errorf("shard dropped shared spec fields: %+v", sub)
 	}
-	// Explicit-cells sub-spec must reproduce the same cells the full grid
-	// would expand to, in grid order.
-	all := spec.cellSpecs()
-	for i, cs := range sub.Cells {
-		if cs != all[4+i] {
-			t.Errorf("shard cell %d = %+v, want %+v", i, cs, all[4+i])
+	// The sub-spec must run the same cells the full grid would expand to,
+	// in grid order.
+	all := gridOf(t, spec)
+	for i, c := range subCfg.Cells {
+		if newCellSpec(c) != newCellSpec(all[4+i]) {
+			t.Errorf("shard cell %d = %+v, want %+v", i, c, all[4+i])
+		}
+	}
+	// A shard of a shard narrows the range within the parent grid.
+	subsub, err := sub.Shard(1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := subsub.Range; r == nil || r.Lo != 5 || r.Hi != 7 {
+		t.Errorf("shard [1, 3) of shard [4, 9) has range %+v, want [5, 7)", r)
+	}
+	if _, err := sub.Shard(0, 6); err == nil {
+		t.Error("shard past a ranged spec's cells accepted")
+	}
+}
+
+// gridOf expands spec's whole grid, in grid order.
+func gridOf(t *testing.T, spec SweepSpec) []Config {
+	t.Helper()
+	cfg, err := spec.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, _, _, _ := cfg.grid()
+	return cells
+}
+
+// TestSpecRangeRefused: a range that does not fit its grid, or one on an
+// explicit-cells spec, fails Config with an error naming the range and
+// the grid size — not ErrVersionMismatch — and counts no cells.
+func TestSpecRangeRefused(t *testing.T) {
+	explicit := NewSweepSpec(SweepConfig{Cells: []Config{{Seed: 1}, {Seed: 2}}})
+	for _, tc := range []struct {
+		spec   SweepSpec
+		lo, hi int
+		want   string
+	}{
+		{shardSpec(t), -1, 3, "range [-1, 3) out of grid [0, 12)"},
+		{shardSpec(t), 0, 13, "range [0, 13) out of grid [0, 12)"},
+		{shardSpec(t), 5, 5, "range [5, 5) out of grid [0, 12)"},
+		{shardSpec(t), 6, 2, "range [6, 2) out of grid [0, 12)"},
+		{explicit, 0, 1, "range [0, 1) on an explicit grid of 2 cells"},
+	} {
+		spec := tc.spec
+		spec.Range = &CellRange{Lo: tc.lo, Hi: tc.hi}
+		_, err := spec.Config()
+		if err == nil || errors.Is(err, ErrVersionMismatch) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("range [%d, %d): Config error %v, want one naming %q", tc.lo, tc.hi, err, tc.want)
+		}
+		if n := spec.NumCells(); n != 0 {
+			t.Errorf("range [%d, %d): NumCells = %d, want 0", tc.lo, tc.hi, n)
+		}
+	}
+}
+
+// TestShardSpecSizeIndependentOfCells: an axis spec's shard is the parent
+// spec plus its range, however many cells the shard covers, so its JSON
+// grows with the axes alone — from 40 to 400 seeds, every shard adds only
+// the range field to the parent's bytes.
+func TestShardSpecSizeIndependentOfCells(t *testing.T) {
+	for _, seeds := range []int{40, 400} {
+		cfg, err := Table2Config(1, seeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := NewSweepSpec(cfg)
+		parent, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := spec.NumCells()
+		for _, r := range [][2]int{{0, 1}, {0, total / 4}, {total / 4, total}, {0, total}} {
+			sub, err := spec.Shard(r[0], r[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := json.Marshal(sub)
+			if err != nil {
+				t.Fatal(err)
+			}
+			field := fmt.Sprintf(`,"range":{"lo":%d,"hi":%d}`, r[0], r[1])
+			if len(b) != len(parent)+len(field) {
+				t.Errorf("%d seeds: shard [%d, %d) is %d bytes, want the parent's %d plus %d for its range",
+					seeds, r[0], r[1], len(b), len(parent), len(field))
+			}
 		}
 	}
 }
@@ -65,8 +157,12 @@ func TestSpecDefaultAxes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sub.Cells) != 1 || sub.Cells[0].Duration != Duration(time.Second) {
-		t.Fatalf("default-axes shard = %+v", sub.Cells)
+	subCfg, err := sub.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(subCfg.Cells) != 1 || subCfg.Cells[0].Duration != time.Second {
+		t.Fatalf("default-axes shard = %+v", subCfg.Cells)
 	}
 }
 
@@ -90,8 +186,15 @@ func TestSpecShardMatchesGrid(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, cs := range sub.Cells {
-			if got := cs.config(); !reflect.DeepEqual(got, want[i]) {
+		subCfg, err := sub.Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(subCfg.Cells) != len(want) {
+			t.Fatalf("whole-grid shard runs %d cells, grid has %d", len(subCfg.Cells), len(want))
+		}
+		for i, got := range subCfg.Cells {
+			if !reflect.DeepEqual(got, want[i]) {
 				t.Errorf("cell %d = %+v, grid has %+v", i, got, want[i])
 			}
 		}
@@ -126,7 +229,16 @@ func TestShardMergeByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			subCfg, err := sub.Config()
+			// The shard spec crosses the wire as JSON, as a peer gets it.
+			b, err := json.Marshal(sub)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got SweepSpec
+			if err := json.Unmarshal(b, &got); err != nil {
+				t.Fatal(err)
+			}
+			subCfg, err := got.Config()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +247,7 @@ func TestShardMergeByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Round-trip through the wire form, as the fabric does.
-			b, err := EncodeSweepResult(res)
+			b, err = EncodeSweepResult(res)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -161,6 +161,12 @@ type SweepSpec struct {
 	// ignored.
 	Cells []CellSpec `json:"cells,omitempty"`
 
+	// Range, when set, narrows an axis-built grid to its cells [Lo, Hi)
+	// in grid order: the spec then runs as an explicit grid of those
+	// cells. Shard sets it. A range outside the grid, an empty one, or
+	// one on an explicit-cells spec fails Config.
+	Range *CellRange `json:"range,omitempty"`
+
 	// FailFast, CellTimeout, Retries, and RetryBase mirror SweepConfig.
 	FailFast    bool     `json:"fail_fast,omitempty"`
 	CellTimeout Duration `json:"cell_timeout,omitempty"`
@@ -188,33 +194,43 @@ func NewSweepSpec(cfg SweepConfig) SweepSpec {
 		Retries:       cfg.Retries,
 		RetryBase:     Duration(cfg.RetryBase),
 	}
-	for _, c := range cfg.Cells {
-		s.Cells = append(s.Cells, newCellSpec(c))
+	if len(cfg.Cells) > 0 {
+		s.Cells = make([]CellSpec, len(cfg.Cells))
+		for i, c := range cfg.Cells {
+			s.Cells[i] = newCellSpec(c)
+		}
 	}
 	return s
+}
+
+// CellRange is a half-open run [Lo, Hi) of grid positions.
+type CellRange struct {
+	Lo int `json:"lo"`
+	Hi int `json:"hi"`
 }
 
 // Config converts the spec into a runnable SweepConfig after checking the
 // version stamp: a spec authored under any other simulation revision —
 // including one with no stamp at all — fails with ErrVersionMismatch, so
-// results from different measurement paths can never mix. The returned
-// configuration still needs its runtime fields (Workers, Cache, Journal,
-// …) filled in by the caller, and is validated by Sweep as usual.
+// results from different measurement paths can never mix. A spec whose
+// Range does not fit its grid fails with an error that is not
+// ErrVersionMismatch. The returned configuration still needs its runtime
+// fields (Workers, Cache, Journal, …) filled in by the caller, and is
+// validated by Sweep as usual.
 func (s SweepSpec) Config() (SweepConfig, error) {
 	if s.SimVersion != sim.Version {
 		return SweepConfig{}, fmt.Errorf("%w: spec %q, this process %q",
 			ErrVersionMismatch, s.SimVersion, sim.Version)
 	}
-	return s.config(), nil
+	return s.config()
 }
 
 // config is Config without the version check: the spec's grid as a
-// SweepConfig, which shape arithmetic and sharding expand through grid.
-func (s SweepSpec) config() SweepConfig {
+// SweepConfig, which shape arithmetic and sharding expand through grid. A
+// ranged spec becomes the explicit grid of its cells, built by index in
+// O(Hi−Lo) without expanding the rest.
+func (s SweepSpec) config() (SweepConfig, error) {
 	cfg := SweepConfig{
-		Workloads:     append([]Workload(nil), s.Workloads...),
-		Policies:      append([]Policy(nil), s.Policies...),
-		Seeds:         append([]uint64(nil), s.Seeds...),
 		Duration:      s.Duration.Std(),
 		DeadlineSlack: s.DeadlineSlack.Std(),
 		CaptureTrace:  s.CaptureTrace,
@@ -225,8 +241,48 @@ func (s SweepSpec) config() SweepConfig {
 		Retries:       s.Retries,
 		RetryBase:     s.RetryBase.Std(),
 	}
-	for _, cs := range s.Cells {
-		cfg.Cells = append(cfg.Cells, cs.config())
+	if s.Range == nil {
+		cfg.Workloads = append([]Workload(nil), s.Workloads...)
+		cfg.Policies = append([]Policy(nil), s.Policies...)
+		cfg.Seeds = append([]uint64(nil), s.Seeds...)
+		if len(s.Cells) > 0 {
+			cfg.Cells = make([]Config, len(s.Cells))
+			for i, cs := range s.Cells {
+				cfg.Cells[i] = cs.config()
+			}
+		}
+		return cfg, nil
 	}
-	return cfg
+	if err := s.checkRange(); err != nil {
+		return SweepConfig{}, err
+	}
+	axes := cfg
+	axes.Workloads, axes.Policies, axes.Seeds = s.Workloads, s.Policies, s.Seeds
+	_, np, ns := axes.eachCell(nil)
+	cfg.Cells = make([]Config, s.Range.Hi-s.Range.Lo)
+	for i := range cfg.Cells {
+		cfg.Cells[i] = axes.axisCell(s.Range.Lo+i, np, ns)
+	}
+	return cfg, nil
+}
+
+// axisCells is the axis grid's size, whatever Cells or Range say.
+func (s SweepSpec) axisCells() int {
+	return max(1, len(s.Workloads)) * max(1, len(s.Policies)) * max(1, len(s.Seeds))
+}
+
+// checkRange reports why the spec's Range does not fit its grid, naming
+// the range and the grid size; nil when it fits or there is none.
+func (s SweepSpec) checkRange() error {
+	r := s.Range
+	switch {
+	case r == nil:
+		return nil
+	case len(s.Cells) > 0:
+		return fmt.Errorf("clocksched: range [%d, %d) on an explicit grid of %d cells: ranges apply to axis grids only",
+			r.Lo, r.Hi, len(s.Cells))
+	case r.Lo < 0 || r.Hi > s.axisCells() || r.Lo >= r.Hi:
+		return fmt.Errorf("clocksched: range [%d, %d) out of grid [0, %d)", r.Lo, r.Hi, s.axisCells())
+	}
+	return nil
 }

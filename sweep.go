@@ -276,38 +276,37 @@ func (cfg SweepConfig) eachCell(fn func(Config)) (nw, np, ns int) {
 		}
 		return 0, 0, 0
 	}
-	ws := cfg.Workloads
-	if len(ws) == 0 {
-		ws = []Workload{""}
-	}
-	ps := cfg.Policies
-	if len(ps) == 0 {
-		ps = []Policy{{}}
-	}
-	seeds := cfg.Seeds
-	if len(seeds) == 0 {
-		seeds = []uint64{0}
-	}
-	if fn == nil {
-		return len(ws), len(ps), len(seeds)
-	}
-	for _, w := range ws {
-		for _, p := range ps {
-			for _, s := range seeds {
-				fn(Config{
-					Workload:      w,
-					Policy:        p,
-					Seed:          s,
-					Duration:      cfg.Duration,
-					DeadlineSlack: cfg.DeadlineSlack,
-					CaptureTrace:  cfg.CaptureTrace,
-					Faults:        cfg.Faults,
-					Watchdog:      cfg.Watchdog,
-				})
-			}
+	nw, np, ns = max(1, len(cfg.Workloads)), max(1, len(cfg.Policies)), max(1, len(cfg.Seeds))
+	if fn != nil {
+		for i := range nw * np * ns {
+			fn(cfg.axisCell(i, np, ns))
 		}
 	}
-	return len(ws), len(ps), len(seeds)
+	return nw, np, ns
+}
+
+// axisCell is cell i, in grid order, of an axis-built grid with np
+// policies and ns seeds: workload i/(np·ns), policy i/ns mod np, seed
+// i mod ns, each the axis's zero value when the axis is empty, with the
+// shared settings copied on.
+func (cfg SweepConfig) axisCell(i, np, ns int) Config {
+	c := Config{
+		Duration:      cfg.Duration,
+		DeadlineSlack: cfg.DeadlineSlack,
+		CaptureTrace:  cfg.CaptureTrace,
+		Faults:        cfg.Faults,
+		Watchdog:      cfg.Watchdog,
+	}
+	if len(cfg.Workloads) > 0 {
+		c.Workload = cfg.Workloads[i/(np*ns)]
+	}
+	if len(cfg.Policies) > 0 {
+		c.Policy = cfg.Policies[i/ns%np]
+	}
+	if len(cfg.Seeds) > 0 {
+		c.Seed = cfg.Seeds[i%ns]
+	}
+	return c
 }
 
 // grid expands the configuration into its cell list and axis dimensions.
@@ -433,12 +432,18 @@ func Sweep(ctx context.Context, cfg SweepConfig) (*SweepResult, error) {
 		// The cache key hashes named fields only, never the telemetry
 		// registry, so instrumentation can never split the cache. A run of
 		// cells with one policy — the seeds of a grid — renders it once.
-		d := c.withDefaults()
-		if i == 0 || !d.Policy.renderSame(prev) {
-			prev, prevRendered = d.Policy, d.Policy.cacheString()
+		// Only the cache and the journal read keys, and Validate refuses a
+		// journal without a cache, so a cacheless sweep leaves them empty.
+		var key string
+		if cfg.Cache != nil {
+			d := c.withDefaults()
+			if i == 0 || !d.Policy.renderSame(prev) {
+				prev, prevRendered = d.Policy, d.Policy.cacheString()
+			}
+			key = hashCell(sim.Version, d, prevRendered)
 		}
 		jobs[i] = sweep.Job{
-			Key: hashCell(sim.Version, d, prevRendered),
+			Key: key,
 			Run: func(ctx context.Context) (any, error) {
 				run := *c
 				if run.Telemetry == nil {
