@@ -3,7 +3,8 @@
 # complete test suite under the race detector (which covers
 # the kernel stress tests, the parallel-sweep determinism proof, the
 # durability, oracle, service, chaos, fabric and fleet suites, and the
-# subprocess kill-and-resume tests), short fuzz smokes of the trace parser,
+# subprocess kill-and-resume tests), the allocation guards without it
+# (they skip themselves under the race detector), short fuzz smokes of the trace parser,
 # the journal replayer, the job-spec decoder, the client's SSE event-stream
 # parser, the policy-registry wire form, the result codec, the sweep-result envelope codec, the fabric
 # shard-plan ledger, and the cache-key hasher against its fmt reference,
@@ -12,7 +13,7 @@
 
 GO ?= go
 
-.PHONY: build test check fmt vet race fuzz-smoke perfbench bench-guard
+.PHONY: build test check fmt vet race alloc fuzz-smoke perfbench bench-guard
 
 build:
 	$(GO) build ./...
@@ -31,6 +32,12 @@ vet:
 # -count=1 keeps the test cache from standing in for a rerun.
 race:
 	$(GO) test -race -count=1 ./...
+
+# The allocation guards (every test named *Alloc*) skip themselves under
+# the race detector, which instruments allocations and drops pooled
+# codecs at random, so the race tier never runs them.
+alloc:
+	$(GO) test -run 'Alloc' -count=1 ./...
 
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzRead -fuzztime=10s ./internal/trace/
@@ -59,5 +66,5 @@ perfbench:
 bench-guard:
 	$(GO) test -run '^$$' -bench '^BenchmarkSerialGuard$$' -benchtime 1x -count 1 .
 
-check: fmt vet race fuzz-smoke perfbench bench-guard
+check: fmt vet race alloc fuzz-smoke perfbench bench-guard
 	@echo "check: all tiers passed"

@@ -154,6 +154,41 @@ func TestEncodeSweepResultAllocBytes(t *testing.T) {
 	}
 }
 
+// TestDecodeSweepResultAllocBytes guards the reverse, which a fabric
+// coordinator pays for every shard it verifies and a sweepd client for
+// every result: a 100-cell Table 2 envelope must decode in at most 1.5 KiB
+// of allocation per cell. Reading it in place allocates little beyond the
+// cells, their Results and one policy ref per run, about 1.1 KiB per cell;
+// decoding it on gob, which copies the envelope, every cell's Result bytes
+// and every cell's ref, allocated about 4 KiB.
+func TestDecodeSweepResultAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled codecs at random")
+	}
+	const runs, limit = 4, 1536
+	enc, err := EncodeSweepResult(table2Result(t, 20)) // derives the codecs
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := func() int {
+		r, err := DecodeSweepResult(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(r.Cells)
+	}
+	cells := decode()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		decode()
+	}
+	runtime.ReadMemStats(&after)
+	if perCell := (after.TotalAlloc - before.TotalAlloc) / runs / uint64(cells); perCell > limit {
+		t.Errorf("DecodeSweepResult allocates %d B per cell, want at most %d", perCell, limit)
+	}
+}
+
 // TestEncodeSweepResultAllocsPerCell guards that an envelope's allocation
 // count does not grow with its cells: a cell's envelope, Result encoding
 // and residency are scratch shared by all cells, and each run of equal

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -9,8 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"clocksched"
-	"clocksched/internal/fleet"
 	"clocksched/internal/service"
 )
 
@@ -42,36 +39,33 @@ func runArtifact(t *testing.T, o options, name string) string {
 	return string(b)
 }
 
-// TestExperimentLocalVsPeers is the standing experiment's golden test:
-// the fixed-seed population cmd/experiments sweeps with `-only fleet`
-// must reduce to a byte-identical summary locally and through `-peers`
-// (in-process fabric peers), including the zoo's infeasible pairings.
+// TestExperimentLocalVsPeers is the standing experiment's golden test
+// through the fabric: the fixed-seed population cmd/experiments sweeps with
+// `-only fleet`, run across two in-process sweepd peers at the committed
+// size, must reduce to a summary byte-identical to the committed local one,
+// results/fleet.txt, which TestGoldenArtifacts pins to a local run. Every
+// shard result the coordinator verifies goes through DecodeSweepResult.
 func TestExperimentLocalVsPeers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fabric test")
 	}
-	t.Setenv("CLOCKSCHED_FLEET_DEVICES", "40")
-	spec, err := fleet.ExperimentSpec(1, 40)
+	want, err := os.ReadFile(filepath.Join(goldenDir, "fleet.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := fleet.Run(context.Background(), spec, clocksched.SweepConfig{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := local.Render()
 	for _, header := range []string{
-		"Fleet population: 40 devices, seed 1",
+		"Fleet population: " + goldenFleetDevices + " devices, seed 1",
 		"Infeasible pairings",
 	} {
-		if !strings.Contains(want, header) {
-			t.Fatalf("summary missing %q:\n%s", header, want)
+		if !strings.Contains(string(want), header) {
+			t.Fatalf("results/fleet.txt is missing %q:\n%s", header, want)
 		}
 	}
+	t.Setenv("CLOCKSCHED_FLEET_DEVICES", goldenFleetDevices)
 	peers := startPeer(t) + "," + startPeer(t)
 	got := runArtifact(t, options{outDir: t.TempDir(), only: "fleet", seed: 1, workers: 2, peers: peers}, "fleet_fleet.txt")
-	if got != want {
-		t.Errorf("-peers summary differs from local:\n--- local\n%s\n--- peers\n%s", want, got)
+	if got != string(want) {
+		t.Errorf("-peers summary differs from results/fleet.txt:\n--- committed\n%s\n--- peers\n%s", want, got)
 	}
 }
 

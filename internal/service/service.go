@@ -264,6 +264,10 @@ type job struct {
 	subs        map[chan Event]struct{}
 	evSeq       int64 // monotonically increasing event id (per process)
 	submitted   time.Time
+	// cfg is the spec's Config as admission built it. The job's first run
+	// takes it and drops it, as does finishing the job; a job recovered
+	// from the manifest has none, and its run builds its own.
+	cfg *clocksched.SweepConfig
 }
 
 // rank is the job's scheduling rank; larger runs first.
@@ -661,6 +665,7 @@ func (s *Server) SubmitWith(spec clocksched.SweepSpec, opts SubmitOptions) (JobS
 		priority:  opts.Priority,
 		client:    opts.Client,
 		seq:       s.nextSeq,
+		cfg:       &cfg,
 		subs:      map[chan Event]struct{}{},
 		submitted: time.Now(),
 	}
@@ -1063,26 +1068,33 @@ func (s *Server) runner() {
 		j.preempt = false
 		j.cancel = cancel
 		j.tel = clocksched.NewTelemetry()
+		cfg := j.cfg
+		j.cfg = nil
 		j.mu.Unlock()
 		s.updateGauges()
 		s.mu.Unlock()
 
 		j.publish(Event{Type: "state", State: StateRunning, Total: j.total})
-		s.execute(ctx, j)
+		s.execute(ctx, j, cfg)
 		cancel()
 	}
 }
 
 // execute runs one job to a terminal state (or back to a waiting state on
-// a drain or preemption).
-func (s *Server) execute(ctx context.Context, j *job) {
-	cfg, err := j.spec.Config()
-	if err != nil {
-		// Can only happen if the daemon restarted under a different
-		// sim.Version than the one that admitted the job.
-		s.finishJob(j, StateFailed, err.Error())
-		return
+// a drain or preemption). admitted is the spec's Config as admission built
+// it; nil, and the spec is turned into one here.
+func (s *Server) execute(ctx context.Context, j *job, admitted *clocksched.SweepConfig) {
+	if admitted == nil {
+		built, err := j.spec.Config()
+		if err != nil {
+			// Can only happen if the daemon restarted under a different
+			// sim.Version than the one that admitted the job.
+			s.finishJob(j, StateFailed, err.Error())
+			return
+		}
+		admitted = &built
 	}
+	cfg := *admitted
 	if err := os.MkdirAll(j.dir, 0o755); err != nil {
 		s.finishJob(j, StateFailed, fmt.Sprintf("job dir: %v", err))
 		return
@@ -1194,6 +1206,7 @@ func (s *Server) finishJob(j *job, state JobState, errText string) {
 	j.state = state
 	j.errText = errText
 	j.cancel = nil
+	j.cfg = nil // a job cancelled while queued never ran to take it
 	if state == StateDone {
 		j.done = j.total
 	}

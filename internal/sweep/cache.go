@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,7 +41,11 @@ type CacheStats struct {
 // encoded entries with an optional on-disk layer. It is safe for concurrent
 // use.
 type Cache struct {
-	dir        string // "" disables the disk layer
+	dir string // "" disables the disk layer
+	// dirPrefix is what precedes a file name in a path under dir: dir
+	// cleaned, as filepath.Join cleans it whatever the one-element name it
+	// joins, and a separator.
+	dirPrefix  string
 	maxEntries int
 	fs         journal.FS // injectable write/rename surface; nil = real filesystem
 
@@ -119,6 +124,7 @@ func NewCache(maxEntries int, dir string) (*Cache, error) {
 	}
 	return &Cache{
 		dir:        dir,
+		dirPrefix:  strings.TrimSuffix(filepath.Join(dir, "x"), "x"),
 		maxEntries: maxEntries,
 		ll:         list.New(),
 		entries:    map[string]*list.Element{},
@@ -132,6 +138,13 @@ func NewCache(maxEntries int, dir string) (*Cache, error) {
 // A missing entry is (nil, nil, false, nil); a disk entry that fails to
 // decode is quarantined and reported as a miss.
 func (c *Cache) Get(key string, codec Codec) (any, []byte, bool, error) {
+	var file string
+	return c.get(key, &file, codec)
+}
+
+// get is Get. *file is key's disk file once get or put has derived it, ""
+// before, so that a cell that misses and is then put derives it once.
+func (c *Cache) get(key string, file *string, codec Codec) (any, []byte, bool, error) {
 	tel := c.tel.Load()
 	var t0 time.Time
 	if tel != nil {
@@ -156,7 +169,7 @@ func (c *Cache) Get(key string, codec Codec) (any, []byte, bool, error) {
 	c.mu.Unlock()
 
 	if c.dir != "" {
-		b, err := os.ReadFile(c.path(key))
+		b, err := os.ReadFile(c.file(key, file))
 		if err == nil {
 			v, derr := codec.Decode(b)
 			if derr == nil {
@@ -172,7 +185,7 @@ func (c *Cache) Get(key string, codec Codec) (any, []byte, bool, error) {
 			// predates the atomic rename, a partial copy, bit rot) is
 			// quarantined: delete it so it cannot shadow the fresh result,
 			// count it, and report a plain miss — the cell just re-runs.
-			_ = os.Remove(c.path(key))
+			_ = os.Remove(*file)
 			c.mu.Lock()
 			c.stats.Corrupt++
 			c.mu.Unlock()
@@ -196,6 +209,12 @@ func (c *Cache) Get(key string, codec Codec) (any, []byte, bool, error) {
 // (when configured) on disk. It returns the encoded bytes — what the
 // journal layer hashes when committing the cell.
 func (c *Cache) Put(key string, v any, codec Codec) ([]byte, error) {
+	var file string
+	return c.put(key, &file, v, codec)
+}
+
+// put is Put, with file as for get.
+func (c *Cache) put(key string, file *string, v any, codec Codec) ([]byte, error) {
 	if tel := c.tel.Load(); tel != nil {
 		defer tel.putH.ObserveSince(time.Now())
 	}
@@ -212,7 +231,7 @@ func (c *Cache) Put(key string, v any, codec Codec) ([]byte, error) {
 	// file can hold a prefix — which Get's decode-or-quarantine path treats
 	// as a miss, so a faulted write still only costs a re-run.) No fsync:
 	// the journal verifies an entry before trusting it.
-	if err := journal.ReplaceFile(c.path(key), b, c.fs); err != nil {
+	if err := journal.ReplaceFile(c.file(key, file), b, c.fs); err != nil {
 		return nil, fmt.Errorf("sweep: cache write: %w", err)
 	}
 	return b, nil
@@ -253,9 +272,26 @@ func (c *Cache) insert(key string, b []byte, diskHit bool) {
 	}
 }
 
-// path maps a key to its disk file. The key itself is hashed into the
+// file returns key's disk file, derived into *name unless it already
+// holds it.
+func (c *Cache) file(key string, name *string) string {
+	if *name == "" {
+		*name = c.path(key)
+	}
+	return *name
+}
+
+// path maps a key to its disk file, in one allocation for a key of up to
+// 64 bytes, such as a hex sha256. The key itself is hashed into the
 // filename, so arbitrary key strings are safe.
 func (c *Cache) path(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return filepath.Join(c.dir, hex.EncodeToString(sum[:])+".cell")
+	var keyBuf, hexSum [2 * sha256.Size]byte
+	sum := sha256.Sum256(append(keyBuf[:0], key...))
+	hex.Encode(hexSum[:], sum[:])
+	var b strings.Builder
+	b.Grow(len(c.dirPrefix) + len(hexSum) + len(".cell"))
+	b.WriteString(c.dirPrefix)
+	b.Write(hexSum[:])
+	b.WriteString(".cell")
+	return b.String()
 }

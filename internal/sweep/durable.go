@@ -363,8 +363,9 @@ func (cr *cellRunner) run(ctx context.Context, i int, j Job) Outcome {
 		return Outcome{Err: err}
 	}
 
+	var file string // j.Key's cache file, once the cache has derived it
 	if cr.cache != nil && j.Key != "" {
-		if v, enc, hit, err := cr.cache.Get(j.Key, cr.codec); err == nil && hit {
+		if v, enc, hit, err := cr.cache.get(j.Key, &file, cr.codec); err == nil && hit {
 			// A plain cache hit also completes the cell; journal it so a
 			// later resume replays instead of depending on cache policy.
 			_ = cr.journal.Commit(j.Key, enc)
@@ -386,7 +387,7 @@ func (cr *cellRunner) run(ctx context.Context, i int, j Job) Outcome {
 		}
 		if err == nil {
 			if cr.cache != nil && j.Key != "" {
-				if enc, perr := cr.cache.Put(j.Key, v, cr.codec); perr == nil {
+				if enc, perr := cr.cache.put(j.Key, &file, v, cr.codec); perr == nil {
 					_ = cr.journal.Commit(j.Key, enc)
 				}
 			}

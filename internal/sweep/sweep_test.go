@@ -2,15 +2,19 @@ package sweep
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"clocksched/internal/telemetry"
 )
@@ -345,6 +349,43 @@ func TestCacheDiskLayer(t *testing.T) {
 	}
 	if s := c2.Stats(); s.DiskHits != 1 || s.Hits != 2 {
 		t.Errorf("stats after promotion %+v", s)
+	}
+}
+
+// TestCachePath: a key's disk file is named as it always was,
+// dir/<hex sha256 of the key>.cell with dir cleaned as filepath.Join
+// cleans it, and the name of a hex-sha256 key costs one allocation. A
+// cell that misses and is then put derives the name once.
+func TestCachePath(t *testing.T) {
+	key := strings.Repeat("0123456789abcdef", 4)
+	sum := sha256.Sum256([]byte(key))
+	base := t.TempDir()
+	for _, dir := range []string{base, base + "/", base + "/./sub/../x//", "rel/dir", "./rel", "/"} {
+		c := &Cache{dir: dir, dirPrefix: strings.TrimSuffix(filepath.Join(dir, "x"), "x")}
+		if got, want := c.path(key), filepath.Join(dir, hex.EncodeToString(sum[:])+".cell"); got != want {
+			t.Errorf("dir %q: path %q, want %q", dir, got, want)
+		}
+	}
+	c, err := NewCache(0, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() { c.path(key) }); n != 1 {
+		t.Errorf("path makes %v allocations, want 1", n)
+	}
+	var file string
+	if _, _, hit, err := c.get(key, &file, jsonCodec()); err != nil || hit || file != c.path(key) {
+		t.Fatalf("a miss: hit %v, err %v, file %q, want %q", hit, err, file, c.path(key))
+	}
+	derived := file
+	if _, err := c.put(key, &file, 7, jsonCodec()); err != nil {
+		t.Fatal(err)
+	}
+	if unsafe.StringData(file) != unsafe.StringData(derived) {
+		t.Error("put derived the file name again")
+	}
+	if _, err := os.Stat(derived); err != nil {
+		t.Errorf("put did not write the entry to %s: %v", derived, err)
 	}
 }
 

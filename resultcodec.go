@@ -49,14 +49,15 @@ type resultCodec[T any] struct {
 }
 
 // The process's codecs: a cell's Result, a registry policy reference, and
-// the sweep envelope and its cells. The envelope codec only decodes and
-// lends its prefix and type id to writeEnvelope, which writes the
-// envelope around its cells' bodies (sweepenvelope.go).
+// the sweep envelope and its cells. The envelope codec lends its prefix
+// and type id to writeEnvelope, which writes the envelope around its
+// cells' bodies, and to readEnvelope, which reads it in place
+// (sweepenvelope.go); it decodes only what readEnvelope refuses.
 var (
 	codec     resultCodec[resultWire]
 	refCodec  resultCodec[policyRefWire]
 	cellCodec resultCodec[sweepCellEnvelope]
-	envCodec  = resultCodec[sweepResultEnvelope]{check: checkEnvelopeAssembly}
+	envCodec  = resultCodec[sweepResultEnvelope]{check: checkEnvelopeCodec}
 )
 
 // retainLimit bounds the buffer a pooled encoder or decoder may keep.

@@ -6,7 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -64,6 +67,9 @@ func envelopeSample(n int, nw, np, ns int, kinds, refParams byte, energy float64
 		if i%5 == 2 {
 			c.Config.Watchdog = &WatchdogConfig{Window: i}
 		}
+		if i%6 == 3 {
+			c.Config.CaptureTrace, c.Config.Policy.VoltageScale, c.Config.Policy.MHz = true, true, -float64(i)
+		}
 		switch (int(kinds) >> (i % 4 * 2)) & 3 {
 		case 0, 3:
 			c.Result = &Result{
@@ -84,7 +90,9 @@ func envelopeSample(n int, nw, np, ns int, kinds, refParams byte, energy float64
 
 // checkSweepDecodeAgrees decodes in through DecodeSweepResult and through a
 // fresh decoder: both must fail with the same error text or both succeed
-// with the same value, compared by canonical bytes.
+// with the same value, compared by canonical bytes. EncodeSweepResult
+// writes them, which FuzzSweepResultCodec holds to a fresh encoder's bytes,
+// because a fresh encoder would take most of a fuzzing run's time.
 func checkSweepDecodeAgrees(t *testing.T, what string, in []byte) {
 	t.Helper()
 	got, gotErr := DecodeSweepResult(in)
@@ -95,8 +103,8 @@ func checkSweepDecodeAgrees(t *testing.T, what string, in []byte) {
 	if gotErr != nil {
 		return
 	}
-	a, errA := plainEncodeSweepResult(got)
-	b, errB := plainEncodeSweepResult(want)
+	a, errA := EncodeSweepResult(got)
+	b, errB := EncodeSweepResult(want)
 	if fmt.Sprint(errA) != fmt.Sprint(errB) || !bytes.Equal(a, b) {
 		t.Fatalf("%s: DecodeSweepResult and a fresh decoder disagree", what)
 	}
@@ -128,16 +136,17 @@ func checkRefDecodeAgrees(t *testing.T, what string, in []byte) {
 // included, frame as gob frames them too, and unless they hold the cells,
 // decoding refuses them. Decoding of truncated, bit-flipped and forged
 // envelopes and references must match a fresh decoder in value and error
-// text.
+// text, and so must that of envelopes with bytes changed, inserted or
+// deleted inside their cell bodies (checkCellEdits).
 func FuzzSweepResultCodec(f *testing.F) {
-	f.Add(uint16(0), int16(0), int16(0), int16(0), byte(0), byte(0), 1.5, "", uint16(0), uint16(0), byte(0), []byte(nil))
-	f.Add(uint16(5), int16(1), int16(5), int16(1), byte(0xff), byte(4), 0.0, "boom", uint16(300), uint16(17), byte(0x40), []byte{5, 0xff, 0x82})
-	f.Add(uint16(130), int16(0), int16(-7), int16(200), byte(0x55), byte(1), 2.25, "cell failed: ", uint16(9000), uint16(1234), byte(0x01), []byte{0x7f})
-	f.Add(uint16(140), int16(-1), int16(0), int16(0), byte(0x1b), byte(2), math.Inf(1), "x", uint16(40), uint16(5), byte(0x80), []byte{0x81, 0x80, 0})
-	f.Add(uint16(0), int16(3), int16(5), int16(-10), byte(0x36), byte(0x71), 3.0, "y", uint16(77), uint16(99), byte(0x10), []byte{1})
-	f.Add(uint16(60), int16(2), int16(-4), int16(29), byte(0x00), byte(0xf3), -1.0, "", uint16(500), uint16(3), byte(0x02), []byte(nil))
+	f.Add(uint16(0), int16(0), int16(0), int16(0), byte(0), byte(0), 1.5, "", uint16(0), uint16(0), byte(0), []byte(nil), []byte(nil))
+	f.Add(uint16(5), int16(1), int16(5), int16(1), byte(0xff), byte(4), 0.0, "boom", uint16(300), uint16(17), byte(0x40), []byte{5, 0xff, 0x82}, []byte{0, 3, 0, 0x80, 2, 40, 1, 7, 4, 200, 2, 0})
+	f.Add(uint16(130), int16(0), int16(-7), int16(200), byte(0x55), byte(1), 2.25, "cell failed: ", uint16(9000), uint16(1234), byte(0x01), []byte{0x7f}, []byte{9, 0, 0, 0xff, 9, 1, 1, 0x81, 77, 30, 0, 1})
+	f.Add(uint16(140), int16(-1), int16(0), int16(0), byte(0x1b), byte(2), math.Inf(1), "x", uint16(40), uint16(5), byte(0x80), []byte{0x81, 0x80, 0}, []byte{1, 2, 2, 0, 1, 9, 0, 0x7f})
+	f.Add(uint16(0), int16(3), int16(5), int16(-10), byte(0x36), byte(0x71), 3.0, "y", uint16(77), uint16(99), byte(0x10), []byte{1}, []byte{0, 0, 1, 0x80})
+	f.Add(uint16(60), int16(2), int16(-4), int16(29), byte(0x00), byte(0xf3), -1.0, "", uint16(500), uint16(3), byte(0x02), []byte(nil), []byte{3, 60, 0, 1, 3, 61, 0, 2, 3, 62, 0, 3})
 	f.Fuzz(func(t *testing.T, n uint16, nw, np, ns int16, kinds, refParams byte, energy float64,
-		errText string, cut, flip uint16, xor byte, tail []byte) {
+		errText string, cut, flip uint16, xor byte, tail, edits []byte) {
 		cells, gw, gp, gs := int(n%300), 0, 0, 0
 		if nw != 0 && np != 0 && ns != 0 {
 			gw, gp, gs = 1+int(uint16(nw))%3, 1+int(uint16(np))%5, 1+int(uint16(ns))%30
@@ -163,6 +172,9 @@ func FuzzSweepResultCodec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("round trip: %v", err)
 		}
+		if !readEnvelope(envCodec.warm.Load(), cellFields.Load(), got, &resultSink{}) {
+			t.Fatal("the envelope reader refused an envelope EncodeSweepResult wrote")
+		}
 		if again, err := EncodeSweepResult(back); err != nil || !bytes.Equal(again, got) {
 			t.Fatalf("round trip is not canonical (err %v)", err)
 		}
@@ -172,6 +184,7 @@ func FuzzSweepResultCodec(f *testing.F) {
 		corrupt[int(flip)%len(corrupt)] ^= xor
 		checkSweepDecodeAgrees(t, "corrupted", corrupt)
 		checkSweepDecodeAgrees(t, "forged", append(bytes.Clone(envCodec.warm.Load().prefix), tail...))
+		checkCellEdits(t, got, cellBodies(t, r, got), edits)
 
 		for _, c := range r.Cells {
 			ref := c.Config.Policy.Ref
@@ -197,6 +210,96 @@ func FuzzSweepResultCodec(f *testing.F) {
 			break
 		}
 	})
+}
+
+// checkCellEdits makes the edits edits names in the cell bodies of env,
+// which lie where bodies says (cellBodies), and checks each edited
+// envelope through
+// checkSweepDecodeAgrees, once with its message's byte count as it was and
+// once set to the edited length. edits is read four bytes at a time: a
+// cell, an offset into its body, an edit (0 sets the byte, 1 inserts one
+// before it, 2 deletes it) and the byte set or inserted. The edits are
+// checked one by one, then all together.
+func checkCellEdits(t *testing.T, env []byte, bodies [][2]int, edits []byte) {
+	t.Helper()
+	if len(bodies) == 0 {
+		return
+	}
+	type edit struct {
+		at   int
+		kind byte
+		b    byte
+	}
+	apply := func(b []byte, e edit) []byte {
+		switch {
+		case e.at >= len(b): // deletes at one offset ate the bytes after it
+			return b
+		case e.kind == 0:
+			b[e.at] = e.b
+			return b
+		case e.kind == 1:
+			return slices.Insert(b, e.at, e.b)
+		}
+		return slices.Delete(b, e.at, e.at+1)
+	}
+	var all []edit
+	for ; len(edits) >= 4 && len(all) < 8; edits = edits[4:] {
+		body := bodies[int(edits[0])%len(bodies)]
+		e := edit{at: body[0] + int(edits[1])%(body[1]-body[0]), kind: edits[2] % 3, b: edits[3]}
+		all = append(all, e)
+		checkReframed(t, fmt.Sprintf("edit %+v", e), apply(bytes.Clone(env), e))
+		if len(all) > 1 && (len(edits) < 8 || len(all) == 8) {
+			// Apply from the last offset back, so every offset still
+			// points where it did in env.
+			slices.SortStableFunc(all, func(a, b edit) int { return b.at - a.at })
+			combined := bytes.Clone(env)
+			for _, e := range all {
+				combined = apply(combined, e)
+			}
+			checkReframed(t, "combined edits", combined)
+		}
+	}
+}
+
+// checkReframed checks b, an edited envelope, through
+// checkSweepDecodeAgrees as it is and with its message's byte count set to
+// what follows the count.
+func checkReframed(t *testing.T, what string, b []byte) {
+	t.Helper()
+	checkSweepDecodeAgrees(t, what, b)
+	prefix := envCodec.warm.Load().prefix
+	msg := b[len(prefix):]
+	msg = msg[gobUintLen(msg):]
+	checkSweepDecodeAgrees(t, what+", reframed", append(appendGobUint(bytes.Clone(prefix), uint64(len(msg))), msg...))
+}
+
+// cellBodies returns where each cell's body lies in env, r's envelope: the
+// bodies run back to back up to the envelope's terminating 0, each what a
+// warm cell encoder writes after its message's byte count and type id.
+func cellBodies(t *testing.T, r *SweepResult, env []byte) [][2]int {
+	t.Helper()
+	cells, err := newSweepResultEnvelope(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := cellCodec.warm.Load()
+	bodies := make([][2]int, len(cells.Cells))
+	end := len(env) - 1
+	for i := len(cells.Cells) - 1; i >= 0; i-- {
+		b, err := cellCodec.encode(&cells.Cells[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg := b[len(warm.prefix):]
+		body := msg[gobUintLen(msg)+len(warm.valueID):]
+		if !bytes.HasSuffix(env[:end], body) {
+			t.Fatalf("cell %d's body is not where the envelope has it", i)
+		}
+		n := len(body)
+		bodies[i] = [2]int{end - n, end}
+		end -= n
+	}
+	return bodies
 }
 
 // TestSweepEnvelopeLargeDecode decodes an envelope larger than
@@ -396,4 +499,217 @@ func TestEncodeSweepResultConcurrentRefs(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestDecodeSweepResultSharesRefRuns: the cells of a run of equal policy
+// refs share one decoded *PolicyRef, as a local Sweep's cells share their
+// SweepConfig's. Refs with the same name but bit-different parameters, or
+// 0 against −0, start new runs, and so does a ref that returns after
+// another.
+func TestDecodeSweepResultSharesRefRuns(t *testing.T) {
+	res := table2Result(t, 4)
+	got := roundTrip(t, res)
+	for i, c := range got.Cells {
+		want := got.Cells[i/4*4].Config.Policy.Ref // five runs of four seeds
+		if c.Config.Policy.Ref != want {
+			t.Errorf("cell %d: ref %p, want its run's %p", i, c.Config.Policy.Ref, want)
+		}
+		if !c.Config.Policy.Ref.same(res.Cells[i].Config.Policy.Ref) {
+			t.Errorf("cell %d: ref %+v, want %+v", i, *c.Config.Policy.Ref, *res.Cells[i].Config.Policy.Ref)
+		}
+	}
+
+	mhz := 132.7
+	refs := []*PolicyRef{
+		{Name: "constant", Params: map[string]float64{"mhz": mhz}},
+		{Name: "constant", Params: map[string]float64{"mhz": mhz}},
+		{Name: "constant", Params: map[string]float64{"mhz": math.Nextafter(mhz, 0)}},
+		{Name: "constant", Params: map[string]float64{"mhz": 0}},
+		{Name: "constant", Params: map[string]float64{"mhz": math.Copysign(0, -1)}},
+		{Name: "constant", Params: map[string]float64{"mhz": mhz}},
+	}
+	var r SweepResult
+	for _, ref := range refs {
+		c := SweepCell{Config: Config{Workload: MPEG, Policy: pastPegPegFlat}, Err: errors.New("failed")}
+		c.Config.Policy.Ref = ref
+		r.Cells = append(r.Cells, c)
+	}
+	got = roundTrip(t, &r)
+	for i, c := range got.Cells {
+		ref := c.Config.Policy.Ref
+		if !ref.same(refs[i]) {
+			t.Errorf("cell %d: ref %+v, want %+v", i, *ref, *refs[i])
+		}
+		if shared := i > 0 && ref == got.Cells[i-1].Config.Policy.Ref; shared != (i == 1) {
+			t.Errorf("cell %d shares its predecessor's ref: %v, want %v", i, shared, i == 1)
+		}
+	}
+}
+
+// roundTrip encodes r and decodes it again.
+func roundTrip(t *testing.T, r *SweepResult) *SweepResult {
+	t.Helper()
+	b, err := EncodeSweepResult(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodeSweepResult(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return back
+}
+
+// TestDecodeSweepResultOwnsItsBytes: a decoded result shares no memory with
+// its input, so overwriting the input leaves its re-encoding as it was.
+func TestDecodeSweepResultOwnsItsBytes(t *testing.T) {
+	r := envelopeSample(40, 0, 0, 0, 0xe4, 0x31, 2.5, "failed: ")
+	r.Cells = append(r.Cells, table2Result(t, 2).Cells...)
+	in, err := EncodeSweepResult(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Clone(in)
+	back, err := DecodeSweepResult(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range in {
+		in[i] = ^in[i]
+	}
+	if again, err := EncodeSweepResult(back); err != nil || !bytes.Equal(again, want) {
+		t.Fatalf("re-encoding after the input was overwritten: err %v, bytes equal %v", err, bytes.Equal(again, want))
+	}
+}
+
+// TestEnvelopeReaderFieldTable: the reader's field table numbers the
+// fields gob sends, and refuses a struct with any field it cannot read as
+// gob would, leaving such an envelope to gob.
+func TestEnvelopeReaderFieldTable(t *testing.T) {
+	fields := newCellFields()
+	if fields == nil {
+		t.Fatal("no field table for sweepCellEnvelope")
+	}
+	if len(fields.fields) != 3 || fields.fields[1].op != opView {
+		t.Fatalf("sweepCellEnvelope's table %+v, want three fields, Result read in place", fields.fields)
+	}
+	if EncodeSweepResult(&SweepResult{}); cellFields.Load() == nil {
+		t.Fatal("the reader failed its derive-time check")
+	}
+
+	type skipped struct {
+		C      chan int
+		F      func()
+		hidden int
+		N      int
+	}
+	if ws := newWireStruct(reflect.TypeFor[skipped](), nil); ws == nil || len(ws.fields) != 1 || ws.fields[0].index != 3 {
+		t.Errorf("a struct with chan, func and unexported fields: table %+v, want field 3 alone", ws)
+	}
+	type self struct{ Next *self }
+	type Inner struct{ N int }
+	type embedded struct{ Inner }
+	for _, typ := range []reflect.Type{
+		reflect.TypeFor[struct{ M map[string]int }](),
+		reflect.TypeFor[struct{ S []int }](),
+		reflect.TypeFor[struct{ P *int }](),
+		reflect.TypeFor[struct{ A [2]byte }](),
+		reflect.TypeFor[struct{ I any }](),
+		reflect.TypeFor[struct{ T time.Time }](),  // a BinaryMarshaler
+		reflect.TypeFor[struct{ T *time.Time }](), // through a pointer
+		reflect.TypeFor[struct{ R PolicyRef }](),  // a GobEncoder not behind its pointer
+		reflect.TypeFor[struct{ S struct{ M map[int]int } }](),
+		reflect.TypeFor[self](),
+		reflect.TypeFor[embedded](),
+	} {
+		if ws := newWireStruct(typ, nil); ws != nil {
+			t.Errorf("%v: got a table, want none", typ)
+		}
+	}
+
+	// The check has teeth: a table that swaps two fields of one kind,
+	// CellSpec's Duration and DeadlineSlack, fails it.
+	bad := newCellFields()
+	spec := bad.fields[0].elem.fields
+	spec[3].index, spec[4].index = spec[4].index, spec[3].index
+	if checkEnvelopeReader(envCodec.warm.Load(), bad) {
+		t.Error("a table that swaps Duration and DeadlineSlack passed the check")
+	}
+}
+
+// TestEnvelopeReaderSampleRefs: the refs the reader's check carries decode
+// to the names and parameters they stand for, the sign of a zero kept.
+func TestEnvelopeReaderSampleRefs(t *testing.T) {
+	for _, want := range []PolicyRef{
+		{Name: "constant", Params: map[string]float64{"mhz": 0}},
+		{Name: "constant", Params: map[string]float64{"mhz": math.Copysign(0, -1)}},
+		{Name: strings.Repeat("p", 130), Params: map[string]float64{"lo_percent": 93}},
+	} {
+		var key string
+		for key = range want.Params {
+		}
+		var got PolicyRef
+		if err := got.GobDecode(sampleRef(want.Name, key, want.Params[key]).wire); err != nil {
+			t.Fatal(err)
+		}
+		if !got.same(&want) {
+			t.Errorf("sampleRef decodes to %+v, want %+v", got, want)
+		}
+	}
+}
+
+// TestDecodeSweepResultConcurrent decodes envelopes from many goroutines
+// at once; run under -race, it shows the reader shares nothing mutable
+// between decodes but its immutable field table.
+func TestDecodeSweepResultConcurrent(t *testing.T) {
+	var envs [][]byte
+	for _, r := range []*SweepResult{table2Result(t, 3), envelopeSample(50, 0, 0, 0, 0xb1, 0x23, 0.5, "x")} {
+		b, err := EncodeSweepResult(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		envs = append(envs, b)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 10; k++ {
+				want := envs[(g+k)%len(envs)]
+				back, err := DecodeSweepResult(want)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got, err := EncodeSweepResult(back); err != nil || !bytes.Equal(got, want) {
+					t.Errorf("goroutine %d: decode and re-encode changed the envelope (err %v)", g, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestDecodeSweepResultEditedCells makes every single-byte edit of a few
+// kinds at every offset of each cell's spec, where a cell's fields lie,
+// and holds DecodeSweepResult to a fresh decoder on each: a bool read as
+// anything but non-zero, an integer or length read a byte off, a field
+// delta out of range let through. Fuzzing reaches these offsets only by
+// chance, since a cell's Result bytes make up most of its body.
+func TestDecodeSweepResultEditedCells(t *testing.T) {
+	r := envelopeSample(6, 0, 0, 0, 0x55, 0x11, 1.5, "e") // error cells: a spec each, no Result
+	env, err := EncodeSweepResult(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies := cellBodies(t, r, env)
+	for c, body := range bodies {
+		for off := 0; off < min(body[1]-body[0], 64); off++ {
+			for _, e := range [][]byte{{0, 2}, {0, 0xff}, {1, 1}, {2, 0}} {
+				checkCellEdits(t, env, bodies, []byte{byte(c), byte(off), e[0], e[1]})
+			}
+		}
+	}
 }
