@@ -133,7 +133,7 @@ func table2Result(tb testing.TB, n int) *SweepResult {
 // body out of its encoder before sizing the output 2.8 KiB.
 func TestEncodeSweepResultAllocBytes(t *testing.T) {
 	if raceEnabled {
-		t.Skip("the race detector drops pooled codecs at random")
+		t.Skip("race-detector builds allocate more per encode (about 1.3 KiB per cell here against 1.26)")
 	}
 	const runs, limit = 4, 1536
 	res := table2Result(t, 20)
@@ -156,16 +156,14 @@ func TestEncodeSweepResultAllocBytes(t *testing.T) {
 
 // TestDecodeSweepResultAllocBytes guards the reverse, which a fabric
 // coordinator pays for every shard it verifies and a sweepd client for
-// every result: a 100-cell Table 2 envelope must decode in at most 1.5 KiB
-// of allocation per cell. Reading it in place allocates little beyond the
-// cells, their Results and one policy ref per run, about 1.1 KiB per cell;
-// decoding it on gob, which copies the envelope, every cell's Result bytes
-// and every cell's ref, allocated about 4 KiB.
+// every result: a 100-cell Table 2 envelope must decode in at most 1 KiB
+// of allocation per cell. Reading it and every cell's Result in place
+// allocates little beyond the cells, their Results and one policy ref per
+// run, about 910 B per cell; decoding each Result on a pooled gob decoder
+// took about 1.1 KiB, and decoding the envelope on gob, which copies the
+// envelope, every cell's Result bytes and every cell's ref, about 4 KiB.
 func TestDecodeSweepResultAllocBytes(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector drops pooled codecs at random")
-	}
-	const runs, limit = 4, 1536
+	const runs, limit = 4, 1024
 	enc, err := EncodeSweepResult(table2Result(t, 20)) // derives the codecs
 	if err != nil {
 		t.Fatal(err)
@@ -196,9 +194,6 @@ func TestDecodeSweepResultAllocBytes(t *testing.T) {
 // hold five runs, and the larger may make at most one allocation per run
 // more than the smaller.
 func TestEncodeSweepResultAllocsPerCell(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector drops pooled codecs at random")
-	}
 	const refRuns = 5
 	allocs := func(res *SweepResult) float64 {
 		if _, err := EncodeSweepResult(res); err != nil { // derive the codecs

@@ -23,13 +23,34 @@ const (
 // TestGoldenArtifacts runs every experiment as the committed artifacts
 // were written, into a fresh directory, and requires the two directories
 // to hold the same files with the same bytes. A mismatch names the file
-// and its first differing line.
+// and its first differing line. It does so for three ways of running:
+// -nocache on every core, -nocache on one worker, and a run with the cell
+// cache followed by a -resume over it, which replays every grid and fleet
+// cell from the cache and journal, so every cell's Result there is
+// decoded, not simulated.
 func TestGoldenArtifacts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
 	}
 	t.Setenv("CLOCKSCHED_FLEET_DEVICES", goldenFleetDevices)
-	out := t.TempDir()
+	t.Run("nocache", func(t *testing.T) {
+		checkGolden(t, options{outDir: t.TempDir(), seed: 1, workers: runtime.GOMAXPROCS(0), nocache: true})
+	})
+	t.Run("workers-1", func(t *testing.T) {
+		checkGolden(t, options{outDir: t.TempDir(), seed: 1, workers: 1, nocache: true})
+	})
+	t.Run("resume", func(t *testing.T) {
+		o := options{outDir: t.TempDir(), seed: 1, workers: runtime.GOMAXPROCS(0)}
+		checkGolden(t, o)
+		o.resume = true
+		checkGolden(t, o)
+	})
+}
+
+// checkGolden runs every experiment with o and holds its artifacts to the
+// committed ones.
+func checkGolden(t *testing.T, o options) {
+	t.Helper()
 	// The summaries the run prints would bury a failure's report.
 	devNull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
 	if err != nil {
@@ -38,11 +59,12 @@ func TestGoldenArtifacts(t *testing.T) {
 	defer devNull.Close()
 	stdout := os.Stdout
 	os.Stdout = devNull
-	code := run(options{outDir: out, seed: 1, workers: runtime.GOMAXPROCS(0), nocache: true})
+	code := run(o)
 	os.Stdout = stdout
 	if code != 0 {
-		t.Fatalf("experiments -nocache exited %d", code)
+		t.Fatalf("experiments %+v exited %d", o, code)
 	}
+	out := o.outDir
 	got, want := artifactNames(t, out), artifactNames(t, goldenDir)
 	for _, name := range want {
 		if !slices.Contains(got, name) {

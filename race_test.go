@@ -2,6 +2,7 @@
 
 package clocksched
 
-// The race detector makes sync.Pool drop items at random, so pooled
-// allocation counts hold only without it.
+// Race-detector builds allocate more than plain ones (the simulation's
+// instrumented allocations, the codec's encodes), so most allocation
+// guards hold only without it.
 func init() { raceEnabled = true }

@@ -2,10 +2,12 @@ package clocksched
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"reflect"
 	"slices"
 	"strconv"
@@ -13,6 +15,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"clocksched/internal/sim"
 )
 
 // plainEncodeSweepResult is the reference EncodeSweepResult is held to:
@@ -111,7 +115,7 @@ func checkSweepDecodeAgrees(t *testing.T, what string, in []byte) {
 }
 
 // checkRefDecodeAgrees decodes in as a PolicyRef's gob form through the
-// pooled codec and through a fresh decoder.
+// ref codec and through a fresh decoder.
 func checkRefDecodeAgrees(t *testing.T, what string, in []byte) {
 	t.Helper()
 	var warm, fresh policyRefWire
@@ -172,7 +176,7 @@ func FuzzSweepResultCodec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("round trip: %v", err)
 		}
-		if !readEnvelope(envCodec.warm.Load(), cellFields.Load(), got, &resultSink{}) {
+		if !readEnvelope(envCodec.warm.Load(), got, &resultSink{}) {
 			t.Fatal("the envelope reader refused an envelope EncodeSweepResult wrote")
 		}
 		if again, err := EncodeSweepResult(back); err != nil || !bytes.Equal(again, got) {
@@ -200,7 +204,7 @@ func FuzzSweepResultCodec(f *testing.F) {
 				t.Fatal(err)
 			}
 			if fresh, err := freshEncode(&w); err != nil || !bytes.Equal(fresh, b) {
-				t.Fatalf("pooled ref encode differs from a fresh encoder's (err %v)", err)
+				t.Fatalf("ref codec encode differs from a fresh encoder's (err %v)", err)
 			}
 			checkRefDecodeAgrees(t, "truncated ref", b[:int(cut)%(len(b)+1)])
 			corrupt := bytes.Clone(b)
@@ -269,29 +273,28 @@ func checkReframed(t *testing.T, what string, b []byte) {
 	checkSweepDecodeAgrees(t, what, b)
 	prefix := envCodec.warm.Load().prefix
 	msg := b[len(prefix):]
-	msg = msg[gobUintLen(msg):]
+	_, n := gobUint(msg)
+	msg = msg[n:]
 	checkSweepDecodeAgrees(t, what+", reframed", append(appendGobUint(bytes.Clone(prefix), uint64(len(msg))), msg...))
 }
 
 // cellBodies returns where each cell's body lies in env, r's envelope: the
-// bodies run back to back up to the envelope's terminating 0, each what a
-// warm cell encoder writes after its message's byte count and type id.
+// bodies run back to back up to the envelope's terminating 0, each what
+// the envelope codec's cell table writes.
 func cellBodies(t *testing.T, r *SweepResult, env []byte) [][2]int {
 	t.Helper()
 	cells, err := newSweepResultEnvelope(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := cellCodec.warm.Load()
+	table := envCodec.warm.Load().cellTable()
 	bodies := make([][2]int, len(cells.Cells))
 	end := len(env) - 1
 	for i := len(cells.Cells) - 1; i >= 0; i-- {
-		b, err := cellCodec.encode(&cells.Cells[i])
+		body, err := new(wireWriter).writeStruct(nil, table, reflect.ValueOf(&cells.Cells[i]).Elem())
 		if err != nil {
 			t.Fatal(err)
 		}
-		msg := b[len(warm.prefix):]
-		body := msg[gobUintLen(msg)+len(warm.valueID):]
 		if !bytes.HasSuffix(env[:end], body) {
 			t.Fatalf("cell %d's body is not where the envelope has it", i)
 		}
@@ -302,17 +305,16 @@ func cellBodies(t *testing.T, r *SweepResult, env []byte) [][2]int {
 	return bodies
 }
 
-// TestSweepEnvelopeLargeDecode decodes an envelope larger than
-// retainLimit, after which a pooled decoder rereads the warm-up message
-// before it goes back to the pool: the next decodes must still agree with
-// a fresh decoder.
+// TestSweepEnvelopeLargeDecode decodes an envelope over 64 KiB, between
+// small ones: each decode must agree with a fresh decoder.
 func TestSweepEnvelopeLargeDecode(t *testing.T) {
+	const large = 64 << 10
 	b, err := EncodeSweepResult(envelopeSample(200, 1, 2, 100, 0, 0, 1, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(b) <= retainLimit {
-		t.Fatalf("sample envelope is %d bytes, want over %d", len(b), retainLimit)
+	if len(b) <= large {
+		t.Fatalf("sample envelope is %d bytes, want over %d", len(b), large)
 	}
 	small, err := EncodeSweepResult(envelopeSample(3, 1, 3, 1, 0, 0, 1, ""))
 	if err != nil {
@@ -387,8 +389,8 @@ func TestDecodeSweepResultGridMismatch(t *testing.T) {
 // TestEncodeSweepResultRefRuns holds the envelope's per-run ref encoding
 // to gob's own bytes where a run could wrongly be reused: a run's shared
 // ref mutated between encodes, one cell of a run given other parameters,
-// refs that differ only in the sign of a zero, and runs that return after
-// another.
+// refs that differ only in the sign of a zero, runs that return after
+// another, and refs to the zero PolicyRef.
 func TestEncodeSweepResultRefRuns(t *testing.T) {
 	res := table2Result(t, 4)
 	before := checkEnvelope(t, "table 2", res)
@@ -413,8 +415,9 @@ func TestEncodeSweepResultRefRuns(t *testing.T) {
 
 	zero, negZero := PolicyRef{Name: "constant", Params: map[string]float64{"mhz": 0}}, PolicyRef{Name: "constant", Params: map[string]float64{"mhz": math.Copysign(0, -1)}}
 	a, b := PolicyRef{Name: "a"}, PolicyRef{Name: "b", Params: map[string]float64{"x": 1}}
+	var empty PolicyRef // non-nil, so gob sends it, though its value is zero
 	var r SweepResult
-	for _, ref := range []*PolicyRef{&zero, &negZero, &zero, &a, &a, &b, &a, &b, &b, &zero} {
+	for _, ref := range []*PolicyRef{&zero, &negZero, &zero, &a, &a, &b, &a, &b, &b, &zero, &empty, &empty, &a} {
 		c := SweepCell{Config: Config{Workload: MPEG, Policy: pastPegPegFlat}, Err: errors.New("failed")}
 		c.Config.Policy.Ref = ref
 		r.Cells = append(r.Cells, c)
@@ -582,19 +585,18 @@ func TestDecodeSweepResultOwnsItsBytes(t *testing.T) {
 	}
 }
 
-// TestEnvelopeReaderFieldTable: the reader's field table numbers the
-// fields gob sends, and refuses a struct with any field it cannot read as
-// gob would, leaving such an envelope to gob.
+// TestEnvelopeReaderFieldTable: the codec's field table numbers the
+// fields gob sends, reads slices of structs and of basic kinds, and
+// refuses a struct with any field it cannot read as gob would, leaving
+// such an envelope to gob.
 func TestEnvelopeReaderFieldTable(t *testing.T) {
-	fields := newCellFields()
-	if fields == nil {
-		t.Fatal("no field table for sweepCellEnvelope")
+	EncodeSweepResult(&SweepResult{})
+	warm := envCodec.warm.Load()
+	if warm == nil {
+		t.Fatal("the envelope codec failed its derive-time check")
 	}
-	if len(fields.fields) != 3 || fields.fields[1].op != opView {
+	if fields := warm.cellTable(); len(fields.fields) != 3 || fields.fields[1].op != opBytes {
 		t.Fatalf("sweepCellEnvelope's table %+v, want three fields, Result read in place", fields.fields)
-	}
-	if EncodeSweepResult(&SweepResult{}); cellFields.Load() == nil {
-		t.Fatal("the reader failed its derive-time check")
 	}
 
 	type skipped struct {
@@ -610,8 +612,18 @@ func TestEnvelopeReaderFieldTable(t *testing.T) {
 	type Inner struct{ N int }
 	type embedded struct{ Inner }
 	for _, typ := range []reflect.Type{
-		reflect.TypeFor[struct{ M map[string]int }](),
 		reflect.TypeFor[struct{ S []int }](),
+		reflect.TypeFor[struct{ S []Inner }](),
+		reflect.TypeFor[struct{ S [][]string }](),
+	} {
+		if ws := newWireStruct(typ, nil); ws == nil || ws.fields[0].op != opSlice {
+			t.Errorf("%v: table %+v, want a slice", typ, ws)
+		}
+	}
+	for _, typ := range []reflect.Type{
+		reflect.TypeFor[struct{ M map[string]int }](),
+		reflect.TypeFor[struct{ S []*Inner }](),     // gob cannot send a nil element
+		reflect.TypeFor[struct{ S []*PolicyRef }](), // nor a nil ref
 		reflect.TypeFor[struct{ P *int }](),
 		reflect.TypeFor[struct{ A [2]byte }](),
 		reflect.TypeFor[struct{ I any }](),
@@ -629,10 +641,11 @@ func TestEnvelopeReaderFieldTable(t *testing.T) {
 
 	// The check has teeth: a table that swaps two fields of one kind,
 	// CellSpec's Duration and DeadlineSlack, fails it.
-	bad := newCellFields()
-	spec := bad.fields[0].elem.fields
+	bad := *warm
+	bad.table = newWireStruct(reflect.TypeFor[sweepResultEnvelope](), nil)
+	spec := bad.cellTable().fields[0].elem.fields
 	spec[3].index, spec[4].index = spec[4].index, spec[3].index
-	if checkEnvelopeReader(envCodec.warm.Load(), bad) {
+	if checkTable[sweepResultEnvelope](&bad) {
 		t.Error("a table that swaps Duration and DeadlineSlack passed the check")
 	}
 }
@@ -712,4 +725,72 @@ func TestDecodeSweepResultEditedCells(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestEncodeSweepResultCellOrder is a metamorphic test of the envelope
+// writer: an explicit-cell sweep of Table 2 (five policies × four seeds)
+// run in grid order and in a seeded permutation must give every cell the
+// same Result bytes and decoded Config in both envelopes, both written by
+// writeEnvelope. The writer's state shared between cells — the residency
+// scratch and the runs of equal policy refs, which a permutation breaks
+// up — must carry nothing from one cell to the next.
+func TestEncodeSweepResultCellOrder(t *testing.T) {
+	grid, err := Table2Config(1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cells []Config
+	for _, p := range grid.Policies {
+		for _, s := range grid.Seeds {
+			cells = append(cells, Config{Workload: MPEG, Policy: p, Seed: s, Duration: 10 * time.Second})
+		}
+	}
+	perm := rand.New(rand.NewPCG(1, 2)).Perm(len(cells))
+	shuffled := make([]Config, len(cells))
+	for i, j := range perm {
+		shuffled[i] = cells[j]
+	}
+	read := func(cells []Config) *cellRecorder {
+		res, err := Sweep(context.Background(), SweepConfig{Cells: cells, FailFast: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := checkEnvelope(t, "explicit cells", res) // derives the codecs
+		// Call the writer itself: EncodeSweepResult would hide its
+		// failure behind plain gob.
+		hdr := sweepResultEnvelope{SimVersion: sim.Version, NW: res.nw, NP: res.np, NS: res.ns}
+		b, err := writeEnvelope(envCodec.warm.Load(), &hdr, &resultCells{r: res})
+		if err != nil || !bytes.Equal(b, want) {
+			t.Fatalf("the envelope writer failed (err %v) or wrote other bytes than gob", err)
+		}
+		var rec cellRecorder
+		if !readEnvelope(envCodec.warm.Load(), b, &rec) {
+			t.Fatal("the envelope reader refused an envelope EncodeSweepResult wrote")
+		}
+		return &rec
+	}
+	inOrder, permuted := read(cells), read(shuffled)
+	for i, j := range perm {
+		if !bytes.Equal(permuted.results[i], inOrder.results[j]) {
+			t.Errorf("cell %d (%v seed %d): its Result bytes moved with its place in the envelope", j, cells[j].Policy.Name(), cells[j].Seed)
+		}
+		if !reflect.DeepEqual(permuted.configs[i], inOrder.configs[j]) {
+			t.Errorf("cell %d: decoded Config %+v in the permuted envelope, %+v in grid order", j, permuted.configs[i], inOrder.configs[j])
+		}
+	}
+}
+
+// cellRecorder keeps each cell readEnvelope reads: its Result bytes,
+// copied, and its Config.
+type cellRecorder struct {
+	results [][]byte
+	configs []Config
+}
+
+func (c *cellRecorder) open(*sweepResultEnvelope, int) error { return nil }
+
+func (c *cellRecorder) cell(_ int, ce *sweepCellEnvelope) error {
+	c.results = append(c.results, bytes.Clone(ce.Result))
+	c.configs = append(c.configs, ce.Spec.config())
+	return nil
 }
