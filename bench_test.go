@@ -2,7 +2,8 @@ package clocksched
 
 // One benchmark per table and figure of the paper's evaluation — each
 // regenerates the corresponding result from scratch — plus ablation and
-// machinery benchmarks. Run with:
+// machinery benchmarks. The sweep-shaped experiments' benchmarks are in
+// internal/grids, which imports this package. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -20,26 +21,6 @@ import (
 	"clocksched/internal/policy"
 	"clocksched/internal/sim"
 )
-
-func BenchmarkFigure3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, w := range expt.FigureWorkloads {
-			if _, err := expt.Figure3(w, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-func BenchmarkFigure4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, w := range expt.FigureWorkloads {
-			if _, err := expt.Figure4(w, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
 
 func BenchmarkFigure5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -83,26 +64,6 @@ func BenchmarkFigure8(b *testing.B) {
 	}
 }
 
-func BenchmarkFigure9(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := expt.Figure9(1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := expt.Table2()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 5 {
-			b.Fatal("Table 2 mismatch")
-		}
-	}
-}
-
 func BenchmarkTable3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows := expt.Table3()
@@ -136,14 +97,6 @@ func BenchmarkSchedulerOverhead(b *testing.B) {
 	}
 }
 
-func BenchmarkDeadlineComparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := expt.DeadlineComparison(1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkMartinOptimum(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := expt.MartinOptimum(2.0); err != nil {
@@ -155,22 +108,6 @@ func BenchmarkMartinOptimum(b *testing.B) {
 func BenchmarkPeringTradeoff(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := expt.PeringTradeoff(1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPlaybackLifetime(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := expt.PlaybackLifetime(1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkThresholdSensitivity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := expt.ThresholdSensitivity(1); err != nil {
 			b.Fatal(err)
 		}
 	}

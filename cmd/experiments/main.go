@@ -2,7 +2,7 @@
 // evaluation — plus the extension experiments — from the simulation,
 // printing each summary to stdout and writing the raw artifacts under -out.
 //
-// Grid-backed experiments fan their cells across -workers goroutines and
+// Sweep-shaped experiments fan their cells across -workers goroutines and
 // reuse cached cells from <out>/cache between invocations; the results are
 // bit-identical whatever the worker count or cache state. Interrupting the
 // run (Ctrl-C) stops the simulations at the next quantum boundary.
@@ -18,6 +18,7 @@
 //	experiments -peers http://node1:8900,http://node2:8900   # fabric-coordinated table2
 //	experiments -only fleet                                  # 10k-device population sweep
 //	experiments -only fleet -peers http://node1:8900,http://node2:8900
+//	experiments -only zoo -peers http://node1:8900           # any sweep-shaped experiment
 //
 // The fleet experiment simulates a seeded population of device sessions
 // (CLOCKSCHED_FLEET_DEVICES overrides the 10k default) and reduces them to
@@ -40,7 +41,7 @@ import (
 
 	"clocksched"
 	"clocksched/internal/expt"
-	"clocksched/internal/fleet"
+	"clocksched/internal/grids"
 	"clocksched/internal/sweep"
 	"clocksched/internal/telemetry"
 )
@@ -94,12 +95,9 @@ func main() {
 	os.Exit(run(o))
 }
 
-// catalogue lists every experiment in run order: expt.Registry's paper and
-// extension entries, then the two that need layers above expt — the zoo
-// (the policy registry) and the fleet (the population engine).
-func catalogue() []expt.Experiment {
-	return append(expt.Registry(), expt.ZooExperiment(clocksched.PolicyZoo()), fleet.Experiment())
-}
+// catalogue lists every experiment in run order: expt.Registry's entries
+// and the sweep-shaped ones of internal/grids, each in its place.
+func catalogue() []expt.Experiment { return grids.Catalogue() }
 
 // progressLine prints per-cell completion counts when -progress is set;
 // otherwise it is nil.
@@ -159,12 +157,13 @@ func run(o options) int {
 		env.Telemetry = reg
 	}
 	if !o.nocache {
-		// One cell store for the whole run: every grid experiment and the
-		// fleet share the cache and the journal, under disjoint keys. Each
-		// completed cell is committed to the journal; relaunching with
-		// -resume replays them from the cache instead of re-simulating. The
-		// journal is truncated (or recovered) once here; each grid then
-		// reopens it with resume.
+		// One cell store for the whole run: every sweep-shaped experiment
+		// shares the cache and the journal, keyed by cell configuration,
+		// so equal cells (figures 3 and 4 share theirs) share an entry, as
+		// do local and -peers runs. Each completed cell is committed to the
+		// journal; relaunching with -resume replays them from the cache
+		// instead of re-simulating. The journal is truncated (or recovered)
+		// once here; each sweep then reopens it with resume.
 		cache, err := clocksched.NewSweepCache(0, filepath.Join(o.outDir, "cache"))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments: cache:", err)

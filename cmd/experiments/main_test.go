@@ -1,18 +1,16 @@
 package main
 
 import (
-	"context"
-	"reflect"
 	"slices"
 	"testing"
 
-	"clocksched"
 	"clocksched/internal/expt"
+	"clocksched/internal/policy"
 )
 
 // TestCatalogueOrder pins the experiment catalogue that -list prints and
-// the full run executes: expt.Registry's 22 paper and extension entries,
-// then the zoo and fleet experiments, every entry complete.
+// the full run executes: the 22 paper and extension entries, then the zoo
+// and fleet experiments, every entry complete.
 func TestCatalogueOrder(t *testing.T) {
 	want := []string{
 		"figure3", "figure4", "figure5", "table1", "figure6", "figure7",
@@ -37,34 +35,26 @@ func TestCatalogueOrder(t *testing.T) {
 	}
 }
 
-// TestRemoteTable2MatchesLocal backs runPeers' promise that a -peers run,
-// over one sweepd or many, renders Table 2 exactly as the local table
-// experiment does: folding a sweep of clocksched.Table2Config yields the
-// local rows, and both render to the same bytes.
-func TestRemoteTable2MatchesLocal(t *testing.T) {
+// TestCacheFollowsBestBounds reruns Table 2 over a cell cache after the
+// paper's best thresholds change: the cached cells of the old thresholds
+// must not be served, so the rerun's rows equal an uncached run's under
+// the new ones. A cell's cache key is its whole configuration, thresholds
+// included.
+func TestCacheFollowsBestBounds(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the Table 2 grid twice")
+		t.Skip("runs the Table 2 grid three times")
 	}
-	cfg, err := clocksched.Table2Config(1, expt.Table2Runs)
-	if err != nil {
-		t.Fatal(err)
+	o := options{outDir: t.TempDir(), only: "table2", seed: 1, workers: 2}
+	before := runArtifact(t, o, "table2.txt")
+	saved := policy.BestBounds
+	t.Cleanup(func() { policy.BestBounds = saved })
+	policy.BestBounds = policy.Bounds{Lo: 5000, Hi: 9800}
+	rerun := runArtifact(t, o, "table2.txt")
+	fresh := runArtifact(t, options{outDir: t.TempDir(), only: "table2", seed: 1, workers: 2, nocache: true}, "table2.txt")
+	if fresh == before {
+		t.Fatalf("new thresholds left Table 2 unchanged:\n%s", fresh)
 	}
-	res, err := clocksched.Sweep(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote, err := foldTable2(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := expt.Table2()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(remote, local) {
-		t.Errorf("folded sweep rows differ from the local table:\n got %+v\nwant %+v", remote, local)
-	}
-	if got, want := expt.RenderTable2(remote), expt.RenderTable2(local); got != want {
-		t.Errorf("rendered tables differ:\n%s\nvs local\n%s", got, want)
+	if rerun != fresh {
+		t.Errorf("cached rerun differs from an uncached run under the new thresholds:\n--- rerun\n%s\n--- uncached\n%s", rerun, fresh)
 	}
 }

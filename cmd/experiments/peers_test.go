@@ -103,3 +103,40 @@ func TestPeersHonourCellTimeout(t *testing.T) {
 		t.Errorf("-peers run with a 1ns cell budget exited %d, want 1", code)
 	}
 }
+
+// TestPeersSeedMatchesLocal runs Table 2 at -seed 2 locally and across two
+// in-process sweepd peers: both sweep seeds 2 to 11, so the two artifacts
+// are byte-identical.
+func TestPeersSeedMatchesLocal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fabric test")
+	}
+	local := runArtifact(t, options{outDir: t.TempDir(), only: "table2", seed: 2, workers: 2, nocache: true}, "table2.txt")
+	peers := startPeer(t) + "," + startPeer(t)
+	remote := runArtifact(t, options{outDir: t.TempDir(), only: "table2", seed: 2, workers: 2, peers: peers}, "table2_fleet.txt")
+	if remote != local {
+		t.Errorf("-peers -seed 2 Table 2 differs from the local run:\n--- local\n%s\n--- peers\n%s", local, remote)
+	}
+}
+
+// TestPeersRunAnySweep runs a third sweep-shaped experiment, the threshold
+// sensitivity grid, across two in-process sweepd peers: its artifact must
+// be byte-identical to the committed local one. An experiment that is not
+// a sweep is refused before any peer is contacted.
+func TestPeersRunAnySweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fabric test")
+	}
+	want, err := os.ReadFile(filepath.Join(goldenDir, "sensitivity.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	peers := startPeer(t) + "," + startPeer(t)
+	got := runArtifact(t, options{outDir: t.TempDir(), only: "sensitivity", seed: 1, workers: 2, peers: peers}, "sensitivity_fleet.txt")
+	if got != string(want) {
+		t.Errorf("-peers sensitivity differs from results/sensitivity.txt:\n--- committed\n%s\n--- peers\n%s", want, got)
+	}
+	if code := run(options{outDir: t.TempDir(), only: "table1", seed: 1, peers: peers}); code != 2 {
+		t.Errorf("-peers -only table1 exited %d, want 2", code)
+	}
+}

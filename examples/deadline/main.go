@@ -16,13 +16,19 @@ import (
 	"log"
 
 	"clocksched/internal/expt"
+	"clocksched/internal/grids"
 )
 
 func main() {
-	rows, err := expt.DeadlineComparison(1)
+	cfg, err := grids.DeadlineConfig(1)
 	if err != nil {
 		log.Fatal(err)
 	}
+	res, err := grids.Run(expt.DefaultEnv(1), cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	rows := grids.DeadlineComparison(res)
 	fmt.Print(expt.RenderDeadlineComparison(rows))
 
 	base := rows[0].EnergyJ

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"clocksched/internal/analysis"
 	"clocksched/internal/cpu"
 	"clocksched/internal/sim"
 )
@@ -166,35 +165,6 @@ func TestFigure7Oscillates(t *testing.T) {
 	}
 }
 
-func TestFigure3And4Shapes(t *testing.T) {
-	raw, err := Figure3("mpeg", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(raw.Points) != 4000 { // 40s of 10ms quanta
-		t.Fatalf("figure 3 has %d points", len(raw.Points))
-	}
-	smooth, err := Figure4("mpeg", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The moving average shrinks the swing.
-	swing := func(s Series) float64 {
-		lo, hi := s.Points[100].Y, s.Points[100].Y
-		for _, p := range s.Points[100:] {
-			lo = math.Min(lo, p.Y)
-			hi = math.Max(hi, p.Y)
-		}
-		return hi - lo
-	}
-	if swing(smooth) >= swing(raw) {
-		t.Errorf("100ms MA swing %v not below 10ms swing %v", swing(smooth), swing(raw))
-	}
-	if raw.Sparkline(60) == "" {
-		t.Error("sparkline empty")
-	}
-}
-
 func TestFigure8SlamsBetweenExtremes(t *testing.T) {
 	s, out, err := Figure8(1)
 	if err != nil {
@@ -219,29 +189,6 @@ func TestFigure8SlamsBetweenExtremes(t *testing.T) {
 	// ...and never misses a deadline.
 	if got := out.Workload.Metrics().MissCount(); got != 0 {
 		t.Errorf("best policy missed %d deadlines", got)
-	}
-}
-
-func TestFigure9Plateau(t *testing.T) {
-	s, err := Figure9(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Points) != cpu.NumSteps {
-		t.Fatalf("%d points", len(s.Points))
-	}
-	byStep := make(map[cpu.Step]float64)
-	for i, p := range s.Points {
-		byStep[cpu.Step(i)] = p.Y
-		_ = p
-	}
-	// The plateau: 162.2 → 176.9 MHz changes utilization by under 2
-	// points, while 132.7 → 206.4 MHz spans more than 10.
-	if diff := byStep[7] - byStep[8]; math.Abs(diff) > 2.5 {
-		t.Errorf("utilization across the plateau changed by %.1f points", diff)
-	}
-	if spread := byStep[5] - byStep[10]; spread < 10 {
-		t.Errorf("utilization spread 132.7→206.4 = %.1f points, want > 10", spread)
 	}
 }
 
@@ -320,34 +267,5 @@ func TestSeriesRender(t *testing.T) {
 	}
 	if (Series{}).Sparkline(10) != "" {
 		t.Error("empty sparkline should be empty")
-	}
-}
-
-// TestMPEGVarianceAtOneSecond checks the Section 5.1 remark that "for
-// MPEG, there is even significant variance in CPU utilization (60-80%)
-// when considering a 1 second moving average".
-func TestMPEGVarianceAtOneSecond(t *testing.T) {
-	raw, err := Figure3("mpeg", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ys := make([]float64, len(raw.Points))
-	for i, p := range raw.Points {
-		ys[i] = p.Y
-	}
-	ma, err := analysis.MovingAverage(ys, 100) // 1 s of 10 ms quanta
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, hi := 1.0, 0.0
-	for _, v := range ma[200:] { // skip the fill-in transient
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
-	}
-	if hi-lo < 0.05 {
-		t.Errorf("1s moving average spans only %.3f; the paper reports wide variance", hi-lo)
-	}
-	if lo < 0.55 || hi > 0.90 {
-		t.Errorf("1s moving average band [%.2f, %.2f] outside the plausible 60-80%% region", lo, hi)
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"clocksched/internal/battery"
 	"clocksched/internal/cpu"
-	"clocksched/internal/policy"
 	"clocksched/internal/power"
 	"clocksched/internal/sim"
 )
@@ -14,7 +13,8 @@ import (
 // This file holds the two experiments that go beyond the paper's published
 // tables, in the directions its own text points:
 //
-//   - DeadlineComparison implements the Conclusions' future work ("provide
+//   - The deadline comparison (run by internal/grids; DeadlineRow and its
+//     renderer are here) implements the Conclusions' future work ("provide
 //     'deadline' mechanisms in Linux") and measures what the paper could
 //     not: how much energy an application-informed deadline scheduler
 //     recovers over the best heuristic.
@@ -31,78 +31,6 @@ type DeadlineRow struct {
 	SpeedChanges int
 	// ModalMHz is the clock step the run spent the most time at.
 	ModalMHz float64
-}
-
-// DeadlineComparison runs MPEG for 30 s under constant full speed, the
-// paper's best heuristic, and the deadline scheduler (with and without
-// voltage scaling), using the same seed for all four.
-func DeadlineComparison(seed uint64) ([]DeadlineRow, error) {
-	return DeadlineComparisonEnv(DefaultEnv(seed))
-}
-
-// DeadlineComparisonEnv runs the four comparison cells across the
-// environment's worker pool.
-func DeadlineComparisonEnv(env Env) ([]DeadlineRow, error) {
-	type config struct {
-		name string
-		spec func() RunSpec
-	}
-	configs := []config{
-		{"Constant 206.4 MHz", func() RunSpec {
-			return RunSpec{InitialStep: cpu.MaxStep}
-		}},
-		{"PAST, peg-peg, 93%-98% (paper's best)", func() RunSpec {
-			return RunSpec{
-				Policy: policy.MustGovernor(policy.NewPAST(), policy.Peg{}, policy.Peg{},
-					policy.BestBounds, false),
-				InitialStep: cpu.MaxStep,
-			}
-		}},
-		{"DEADLINE (future work)", func() RunSpec {
-			return RunSpec{Policy: policy.NewDeadlineScheduler(), InitialStep: cpu.MaxStep}
-		}},
-		{"DEADLINE + voltage scaling", func() RunSpec {
-			d := policy.NewDeadlineScheduler()
-			d.VoltageScale = true
-			return RunSpec{Policy: d, InitialStep: cpu.MaxStep}
-		}},
-	}
-	grid := make([]GridCell, len(configs))
-	for i, c := range configs {
-		build := c.spec
-		grid[i] = GridCell{
-			Key: fmt.Sprintf("deadline|%s|seed=%d|dur=%d", c.name, env.Seed, 30*sim.Second),
-			Spec: func() RunSpec {
-				spec := build()
-				spec.Workload = "mpeg"
-				spec.Seed = env.Seed
-				spec.Duration = 30 * sim.Second
-				return spec
-			},
-		}
-	}
-	cells, err := RunGrid(env, grid, false)
-	if err != nil {
-		return nil, fmt.Errorf("deadline comparison: %w", err)
-	}
-	rows := make([]DeadlineRow, 0, len(configs))
-	for i, c := range cells {
-		row := DeadlineRow{
-			Policy:       configs[i].name,
-			EnergyJ:      c.EnergyJ,
-			Misses:       c.Misses,
-			SpeedChanges: c.SpeedChanges,
-		}
-		var modal sim.Duration
-		for s, d := range c.Residency {
-			if d > modal {
-				modal = d
-				row.ModalMHz = cpu.Step(s).MHz()
-			}
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
 }
 
 // RenderDeadlineComparison prints the comparison.

@@ -7,59 +7,6 @@ import (
 	"clocksched/internal/cpu"
 )
 
-func TestDeadlineComparison(t *testing.T) {
-	rows, err := DeadlineComparison(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("%d rows", len(rows))
-	}
-	const (
-		constant = 0
-		best     = 1
-		deadline = 2
-		deadVS   = 3
-	)
-	// Nothing misses deadlines.
-	for _, r := range rows {
-		if r.Misses != 0 {
-			t.Errorf("%s missed %d deadlines", r.Policy, r.Misses)
-		}
-	}
-	// The deadline scheduler beats both the constant baseline and the
-	// best heuristic: application-supplied deadlines are worth real
-	// energy, which is why the paper's future work pointed there.
-	if !(rows[deadline].EnergyJ < rows[best].EnergyJ) {
-		t.Errorf("deadline (%0.2f J) not below best heuristic (%0.2f J)",
-			rows[deadline].EnergyJ, rows[best].EnergyJ)
-	}
-	if !(rows[best].EnergyJ < rows[constant].EnergyJ) {
-		t.Errorf("best heuristic (%0.2f J) not below constant (%0.2f J)",
-			rows[best].EnergyJ, rows[constant].EnergyJ)
-	}
-	// Voltage scaling helps the deadline scheduler (it actually lives
-	// below 162.2 MHz, unlike peg-peg).
-	if !(rows[deadVS].EnergyJ < rows[deadline].EnergyJ) {
-		t.Errorf("voltage scaling did not help: %0.2f vs %0.2f J",
-			rows[deadVS].EnergyJ, rows[deadline].EnergyJ)
-	}
-	// The deadline scheduler settles near the clip's ideal speed rather
-	// than slamming between the extremes.
-	if rows[deadline].ModalMHz < 118 || rows[deadline].ModalMHz > 162.2 {
-		t.Errorf("deadline scheduler modal clock = %.1f MHz, want near the 132.7 ideal",
-			rows[deadline].ModalMHz)
-	}
-	if rows[best].ModalMHz != 206.4 && rows[best].ModalMHz != 59.0 {
-		t.Errorf("peg-peg modal clock = %.1f MHz, want an extreme", rows[best].ModalMHz)
-	}
-	text := RenderDeadlineComparison(rows)
-	if !strings.Contains(text, "DEADLINE") {
-		t.Error("render missing rows")
-	}
-	t.Logf("\n%s", text)
-}
-
 func TestMartinOptimumInterior(t *testing.T) {
 	res, err := MartinOptimum(2.0)
 	if err != nil {

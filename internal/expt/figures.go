@@ -64,70 +64,12 @@ func (s Series) Sparkline(width int) string {
 }
 
 // FigureWorkloads lists the four applications of Figures 3 and 4 by their
-// RunSpec names.
+// RunSpec names. The zoo experiment compares policies on the same four.
 var FigureWorkloads = []string{"mpeg", "web", "chess", "editor"}
 
-// figurePanelCell is one Figure 3/4 panel: the named workload at constant
-// 206.4 MHz for 40 s, with the utilization log retained. Figures 3 and 4
-// share the cell — and therefore its cache entry.
-func figurePanelCell(workloadName string, seed uint64) GridCell {
-	return GridCell{
-		Key: fmt.Sprintf("panel|%s|seed=%d|dur=%d", workloadName, seed, 40*sim.Second),
-		Spec: func() RunSpec {
-			return RunSpec{
-				Workload:    workloadName,
-				Seed:        seed,
-				Duration:    40 * sim.Second,
-				InitialStep: cpu.MaxStep,
-			}
-		},
-	}
-}
-
-// figure3Series shapes a panel cell into the Figure 3 series.
-func figure3Series(c Cell) Series {
-	s := Series{
-		Name:   fmt.Sprintf("Figure 3: %s utilization, 10ms quanta, 206.4MHz", c.WorkloadName),
-		XLabel: "time (microseconds)",
-		YLabel: "utilization",
-	}
-	for _, u := range c.Util {
-		s.Points = append(s.Points, Point{X: float64(u.At), Y: float64(u.PP10K) / 10000})
-	}
-	return s
-}
-
-// Figure3 reproduces one panel of Figure 3: per-10 ms-quantum processor
-// utilization over a 30–40 s window of the named workload at 206.4 MHz.
-func Figure3(workloadName string, seed uint64) (Series, error) {
-	cells, err := RunGrid(DefaultEnv(seed), []GridCell{figurePanelCell(workloadName, seed)}, true)
-	if err != nil {
-		return Series{}, err
-	}
-	return figure3Series(cells[0]), nil
-}
-
-// Figure3Panels reproduces all four Figure 3 panels across the
-// environment's worker pool.
-func Figure3Panels(env Env) ([]Series, error) {
-	grid := make([]GridCell, len(FigureWorkloads))
-	for i, w := range FigureWorkloads {
-		grid[i] = figurePanelCell(w, env.Seed)
-	}
-	cells, err := RunGrid(env, grid, true)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Series, len(cells))
-	for i, c := range cells {
-		out[i] = figure3Series(c)
-	}
-	return out, nil
-}
-
-// figure4Series smooths one Figure 3 series with the 100 ms moving average
+// Figure4Series smooths one Figure 3 series with the 100 ms moving average
 // (10 quanta) to produce the matching Figure 4 panel.
-func figure4Series(workloadName string, raw Series) (Series, error) {
+func Figure4Series(workloadName string, raw Series) (Series, error) {
 	ys := make([]float64, len(raw.Points))
 	for i, p := range raw.Points {
 		ys[i] = p.Y
@@ -145,34 +87,6 @@ func figure4Series(workloadName string, raw Series) (Series, error) {
 		s.Points = append(s.Points, Point{X: p.X, Y: ma[i]})
 	}
 	return s, nil
-}
-
-// Figure4 reproduces one panel of Figure 4: the same utilization series
-// smoothed with a 100 ms moving average (10 quanta).
-func Figure4(workloadName string, seed uint64) (Series, error) {
-	raw, err := Figure3(workloadName, seed)
-	if err != nil {
-		return Series{}, err
-	}
-	return figure4Series(workloadName, raw)
-}
-
-// Figure4Panels smooths all four Figure 3 panels; because the panel cells
-// are shared (and cached) with Figure 3, running both figures costs four
-// simulations, not eight.
-func Figure4Panels(env Env) ([]Series, error) {
-	raws, err := Figure3Panels(env)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Series, len(raws))
-	for i, raw := range raws {
-		out[i], err = figure4Series(FigureWorkloads[i], raw)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // Figure5Row is one scheduling interval of the Figure 5 worked example: the
@@ -319,45 +233,4 @@ func Figure8(seed uint64) (Series, *RunOutcome, error) {
 		s.Points = append(s.Points, Point{X: u.At.Seconds(), Y: u.StepAt.MHz()})
 	}
 	return s, out, nil
-}
-
-// Figure9 reproduces utilization vs clock frequency for MPEG across all
-// eleven clock steps, exposing the non-linear plateau between 162.2 and
-// 176.9 MHz caused by the Table 3 memory timing.
-func Figure9(seed uint64) (Series, error) {
-	return Figure9Env(DefaultEnv(seed))
-}
-
-// Figure9Env runs the eleven constant-speed cells of Figure 9 across the
-// environment's worker pool.
-func Figure9Env(env Env) (Series, error) {
-	var grid []GridCell
-	for step := cpu.MinStep; step <= cpu.MaxStep; step++ {
-		step := step
-		grid = append(grid, GridCell{
-			Key: fmt.Sprintf("figure9|mpeg|step=%d|seed=%d|dur=%d", step, env.Seed, 20*sim.Second),
-			Spec: func() RunSpec {
-				return RunSpec{
-					Workload:    "mpeg",
-					Seed:        env.Seed,
-					Duration:    20 * sim.Second,
-					InitialStep: step,
-				}
-			},
-		})
-	}
-	cells, err := RunGrid(env, grid, false)
-	if err != nil {
-		return Series{}, err
-	}
-	s := Series{
-		Name:   "Figure 9: MPEG processor utilization vs clock frequency",
-		XLabel: "clock (MHz)",
-		YLabel: "utilization (%)",
-	}
-	for i, c := range cells {
-		step := cpu.MinStep + cpu.Step(i)
-		s.Points = append(s.Points, Point{X: step.MHz(), Y: c.MeanUtil * 100})
-	}
-	return s, nil
 }

@@ -1,11 +1,9 @@
 package expt
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
-	"clocksched/internal/battery"
 	"clocksched/internal/cpu"
 	"clocksched/internal/daq"
 	"clocksched/internal/kernel"
@@ -95,42 +93,6 @@ type PlaybackRow struct {
 	AvgPowerW float64
 	// Hours is how long a pair of AAA alkaline cells sustains it.
 	Hours float64
-}
-
-// PlaybackLifetime combines the measured average playback power of each
-// Table 2 configuration with the battery model: how many hours of MPEG a
-// pair of AAA cells actually buys under each policy. The heavy-load Peukert
-// exponent (2.0, see MartinOptimum) applies because playback draws two
-// orders of magnitude more than idle.
-func PlaybackLifetime(seed uint64) ([]PlaybackRow, error) {
-	cell, err := battery.NewPeukert(3.0, 2.0, 0.05, sim.FromSeconds(1.1/0.05*3600))
-	if err != nil {
-		return nil, err
-	}
-	rows2, err := table2Specs()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]PlaybackRow, 0, len(rows2))
-	for _, c := range rows2 {
-		spec := c.spec()
-		spec.Seed = seed
-		spec.Duration = 30 * sim.Second
-		res, err := RunContext(context.TODO(), spec)
-		if err != nil {
-			return nil, err
-		}
-		life, err := cell.Lifetime(res.AvgPowerW)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, PlaybackRow{
-			Policy:    c.name,
-			AvgPowerW: res.AvgPowerW,
-			Hours:     life.Seconds() / 3600,
-		})
-	}
-	return out, nil
 }
 
 // RenderPlaybackLifetime prints the endurance table.

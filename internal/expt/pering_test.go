@@ -45,31 +45,3 @@ func TestPeringTradeoffShape(t *testing.T) {
 		t.Error("render missing header")
 	}
 }
-
-func TestPlaybackLifetime(t *testing.T) {
-	rows, err := PlaybackLifetime(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 5 {
-		t.Fatalf("%d rows", len(rows))
-	}
-	// Endurance ordering mirrors the energy ordering: the 1.23 V sweet
-	// spot lasts longest, constant full speed shortest (of the constants).
-	if !(rows[2].Hours > rows[1].Hours && rows[1].Hours > rows[0].Hours) {
-		t.Errorf("endurance ordering violated: %.2f, %.2f, %.2f h",
-			rows[0].Hours, rows[1].Hours, rows[2].Hours)
-	}
-	// Everything is within plausible pocket-computer bounds.
-	for _, r := range rows {
-		if r.Hours < 0.2 || r.Hours > 24 {
-			t.Errorf("%s endurance %.2f h implausible", r.Policy, r.Hours)
-		}
-		if r.AvgPowerW < 0.5 || r.AvgPowerW > 2.5 {
-			t.Errorf("%s power %.3f W implausible", r.Policy, r.AvgPowerW)
-		}
-	}
-	if !strings.Contains(RenderPlaybackLifetime(rows), "hours") {
-		t.Error("render missing header")
-	}
-}

@@ -1,19 +1,18 @@
-// The registry tests live in an external test package so the end-to-end
-// run can append the zoo and fleet experiments, whose layers sit above
-// expt, exactly as cmd/experiments does.
+// The registry tests live in an external test package so they can check
+// the whole catalogue, grids.Catalogue, whose sweep-shaped experiments sit
+// above expt, exactly as cmd/experiments runs it.
 package expt_test
 
 import (
 	"strings"
 	"testing"
 
-	"clocksched"
 	"clocksched/internal/expt"
-	"clocksched/internal/fleet"
+	"clocksched/internal/grids"
 )
 
 func TestRegistryComplete(t *testing.T) {
-	reg := expt.Registry()
+	reg := grids.Catalogue()
 	seen := map[string]bool{}
 	for _, e := range reg {
 		if e.Name == "" || e.Paper == "" || e.Run == nil {
@@ -44,9 +43,10 @@ func TestFind(t *testing.T) {
 	}
 }
 
-// TestRegistryRunsEverything executes every experiment end to end (the
-// full paper reproduction, then the zoo and fleet experiments) and checks
-// each produces a summary and at least one artifact.
+// TestRegistryRunsEverything executes every experiment of the catalogue
+// end to end (the full paper reproduction, then the zoo and fleet
+// experiments) and checks each produces a summary and at least one
+// artifact.
 func TestRegistryRunsEverything(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full reproduction")
@@ -54,8 +54,7 @@ func TestRegistryRunsEverything(t *testing.T) {
 	// The fleet experiment defaults to a 10k-device population; a few
 	// hundred devices exercise the same code end to end in test time.
 	t.Setenv("CLOCKSCHED_FLEET_DEVICES", "120")
-	all := append(expt.Registry(), expt.ZooExperiment(clocksched.PolicyZoo()), fleet.Experiment())
-	for _, e := range all {
+	for _, e := range grids.Catalogue() {
 		t.Run(e.Name, func(t *testing.T) {
 			summary, artifacts, err := e.Run(expt.DefaultEnv(1))
 			if err != nil {
@@ -92,7 +91,7 @@ func TestIndexHTML(t *testing.T) {
 }
 
 func TestFigure9CompareArtifact(t *testing.T) {
-	e, ok := expt.Find(expt.Registry(), "figure9")
+	e, ok := expt.Find(grids.Catalogue(), "figure9")
 	if !ok {
 		t.Fatal("figure9 not registered")
 	}

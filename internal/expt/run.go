@@ -2,7 +2,9 @@
 // paper's evaluation. Each experiment returns a typed result with a text
 // renderer that prints the same rows or series the paper reports;
 // cmd/experiments regenerates everything, and the module-level benchmarks
-// (bench_test.go) time each one.
+// (bench_test.go) time each one. The experiments that are sweeps of
+// clocksched.Config cells keep their row types and renderers here; their
+// cells and folds are in internal/grids, above the root package.
 package expt
 
 import (

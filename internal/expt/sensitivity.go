@@ -19,60 +19,6 @@ type SensitivityCell struct {
 	Misses       int
 }
 
-// ThresholdSensitivity substantiates the Section 5.3 remark that "the
-// specific values are very sensitive to application behavior": it sweeps a
-// grid of hysteresis bounds under AVG_9 with one-step scaling (the
-// combination whose response lag makes the bounds matter — peg-based
-// setters recover in a single quantum whatever the thresholds) across the
-// workloads and returns every cell. The result shows there is no single
-// (lo, hi) pair that is simultaneously energy-best and miss-free for all
-// applications.
-func ThresholdSensitivity(seed uint64) ([]SensitivityCell, error) {
-	return ThresholdSensitivityEnv(DefaultEnv(seed))
-}
-
-// ThresholdSensitivityEnv runs the sensitivity grid across the
-// environment's worker pool.
-func ThresholdSensitivityEnv(env Env) ([]SensitivityCell, error) {
-	grids := []struct{ lo, hi int }{
-		{30, 50}, {50, 70}, {70, 85}, {85, 95}, {93, 98},
-	}
-	workloads := []string{"mpeg", "editor"}
-	const length = 20 * sim.Second
-
-	var grid []GridCell
-	for _, w := range workloads {
-		for _, g := range grids {
-			w, g := w, g
-			grid = append(grid, GridCell{
-				Key: fmt.Sprintf("sensitivity|%s|%d-%d|seed=%d|dur=%d", w, g.lo, g.hi, env.Seed, length),
-				Spec: func() RunSpec {
-					gov := policy.MustGovernor(policy.MustAvgN(9), policy.One{}, policy.One{},
-						policy.Bounds{Lo: g.lo * 100, Hi: g.hi * 100}, false)
-					return RunSpec{
-						Workload: w, Seed: env.Seed, Duration: length,
-						Policy: gov, InitialStep: cpu.MaxStep,
-					}
-				},
-			})
-		}
-	}
-	out, err := RunGrid(env, grid, false)
-	if err != nil {
-		return nil, err
-	}
-	cells := make([]SensitivityCell, 0, len(out))
-	for i, c := range out {
-		g := grids[i%len(grids)]
-		cells = append(cells, SensitivityCell{
-			LoPct: g.lo, HiPct: g.hi, Workload: workloads[i/len(grids)],
-			EnergyJ: c.EnergyJ,
-			Misses:  c.Misses,
-		})
-	}
-	return cells, nil
-}
-
 // RenderSensitivity prints the grid.
 func RenderSensitivity(cells []SensitivityCell) string {
 	var b strings.Builder

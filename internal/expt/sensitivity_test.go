@@ -6,42 +6,6 @@ import (
 	"testing"
 )
 
-func TestThresholdSensitivity(t *testing.T) {
-	cells, err := ThresholdSensitivity(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cells) != 10 { // 5 grids × 2 workloads
-		t.Fatalf("%d cells", len(cells))
-	}
-	// The Section 5.3 claim: no single bound pair is simultaneously the
-	// energy-best miss-free choice for every application. Find, per
-	// workload, the miss-free cell with the least energy; they must
-	// differ, or at least aggressive bounds must miss deadlines somewhere
-	// while saving energy elsewhere.
-	bestFor := map[string]SensitivityCell{}
-	sawMissesSomewhere := false
-	for _, c := range cells {
-		if c.Misses > 0 {
-			sawMissesSomewhere = true
-			continue
-		}
-		cur, ok := bestFor[c.Workload]
-		if !ok || c.EnergyJ < cur.EnergyJ {
-			bestFor[c.Workload] = c
-		}
-	}
-	if !sawMissesSomewhere {
-		t.Error("every bound pair was miss-free on every workload; sensitivity claim untested")
-	}
-	for w, c := range bestFor {
-		t.Logf("best miss-free bounds for %-8s: %d%%-%d%% (%.2f J)", w, c.LoPct, c.HiPct, c.EnergyJ)
-	}
-	if !strings.Contains(RenderSensitivity(cells), "bounds") {
-		t.Error("render missing header")
-	}
-}
-
 func TestPlayUntilExhaustion(t *testing.T) {
 	rows, err := PlayUntilExhaustion(1)
 	if err != nil {

@@ -82,16 +82,31 @@ type Table2Row struct {
 // confidence interval.
 const Table2Runs = 10
 
-// table2Config names one Table 2 configuration and builds its run spec.
-// The spec builder is called per run because governors carry state.
-type table2Config struct {
-	name string
-	spec func() RunSpec
+// Table2Algorithms names the five Table 2 configurations in row order:
+// three constant-speed baselines, the best-found PAST peg-peg policy, and
+// the same policy with voltage scaling below 162.2 MHz. They are the rows
+// of clocksched.Table2Config's policy axis.
+var Table2Algorithms = []string{
+	"Constant Speed @ 206.4 MHz, 1.5 Volts",
+	"Constant Speed @ 132.7 MHz, 1.5 Volts",
+	"Constant Speed @ 132.7 MHz, 1.23 Volts",
+	"PAST, Peg-Peg, Thresholds: >98% up, <93% down, 1.5 Volts",
+	"PAST, Peg-Peg, Thresholds: >98% up, <93% down, Voltage Scaling @ 162.2 MHz",
 }
 
-// table2Specs lists the five Table 2 configurations; PlaybackLifetime
-// reuses them.
-func table2Specs() ([]table2Config, error) {
+// GridCell is one cell of the Table 2 measurement grid: a builder of its
+// run spec, called once per run because policy modules carry per-run
+// state.
+type GridCell struct {
+	Spec func() RunSpec
+}
+
+// Table2Grid returns the Table 2 measurement grid — every (configuration,
+// seed) cell in Table2Algorithms order, seeds 1 to Table2Runs — as live
+// run specs. Only the benchmark's simulator probe (perfbench) reads it;
+// it and GridCell go when that probe builds its cells from
+// clocksched.Table2Config.
+func Table2Grid() ([]GridCell, error) {
 	constant := func(step cpu.Step, v cpu.Voltage) func() RunSpec {
 		return func() RunSpec {
 			return RunSpec{Workload: "mpeg", InitialStep: step, InitialV: v}
@@ -104,100 +119,23 @@ func table2Specs() ([]table2Config, error) {
 			return RunSpec{Workload: "mpeg", Policy: gov, InitialStep: cpu.MaxStep}
 		}
 	}
-	return []table2Config{
-		{"Constant Speed @ 206.4 MHz, 1.5 Volts", constant(cpu.MaxStep, cpu.VHigh)},
-		{"Constant Speed @ 132.7 MHz, 1.5 Volts", constant(cpu.Step(5), cpu.VHigh)},
-		{"Constant Speed @ 132.7 MHz, 1.23 Volts", constant(cpu.Step(5), cpu.VLow)},
-		{"PAST, Peg-Peg, Thresholds: >98% up, <93% down, 1.5 Volts", best(false)},
-		{"PAST, Peg-Peg, Thresholds: >98% up, <93% down, Voltage Scaling @ 162.2 MHz", best(true)},
-	}, nil
-}
-
-// Table2 reproduces the energy comparison of the best clock scaling
-// algorithms on MPEG: three constant-speed baselines, the best-found PAST
-// peg-peg policy, and the same policy with voltage scaling below 162.2 MHz.
-// It runs the grid serially; Table2Env fans it across workers.
-func Table2() ([]Table2Row, error) {
-	return Table2Env(DefaultEnv(0))
-}
-
-// Table2Grid returns the Table 2 measurement grid — every (configuration,
-// seed) cell in presentation order — so sweeps and benchmarks can run the
-// exact grid the table folds.
-func Table2Grid() ([]GridCell, error) {
-	configs, err := table2Specs()
-	if err != nil {
-		return nil, err
-	}
 	var cells []GridCell
-	for _, c := range configs {
+	for _, build := range []func() RunSpec{
+		constant(cpu.MaxStep, cpu.VHigh),
+		constant(cpu.Step(5), cpu.VHigh),
+		constant(cpu.Step(5), cpu.VLow),
+		best(false),
+		best(true),
+	} {
 		for seed := uint64(1); seed <= Table2Runs; seed++ {
-			build := c.spec
-			cells = append(cells, GridCell{
-				Key: fmt.Sprintf("table2|%s|seed=%d", c.name, seed),
-				Spec: func() RunSpec {
-					spec := build()
-					spec.Seed = seed
-					return spec
-				},
-			})
+			cells = append(cells, GridCell{Spec: func() RunSpec {
+				spec := build()
+				spec.Seed = seed
+				return spec
+			}})
 		}
 	}
 	return cells, nil
-}
-
-// Table2Env reproduces Table 2 across the environment's worker pool. The
-// rows are bit-identical whatever the worker count: each cell is an
-// independent deterministic simulation and the merge is ordered by grid
-// index.
-func Table2Env(env Env) ([]Table2Row, error) {
-	grid, err := Table2Grid()
-	if err != nil {
-		return nil, err
-	}
-	cells, err := RunGrid(env, grid, false)
-	if err != nil {
-		return nil, fmt.Errorf("table 2: %w", err)
-	}
-	return FoldTable2(cells)
-}
-
-// FoldTable2 reduces the Table 2 grid's cells, in Table2Grid order, to the
-// table's rows: a 95% CI over per-run energy, total deadline misses, and
-// the mean clock-change count. Only EnergyJ, Misses and SpeedChanges are
-// read, so a sweep run elsewhere (clocksched.Table2Config) folds through
-// the same code.
-func FoldTable2(cells []Cell) ([]Table2Row, error) {
-	configs, err := table2Specs()
-	if err != nil {
-		return nil, err
-	}
-	if len(cells) != len(configs)*Table2Runs {
-		return nil, fmt.Errorf("table 2: %d cells, want %d", len(cells), len(configs)*Table2Runs)
-	}
-	rows := make([]Table2Row, 0, len(configs))
-	for ci, c := range configs {
-		energies := make([]float64, 0, Table2Runs)
-		misses := 0
-		changes := 0
-		for si := 0; si < Table2Runs; si++ {
-			cell := cells[ci*Table2Runs+si]
-			energies = append(energies, cell.EnergyJ)
-			misses += cell.Misses
-			changes += cell.SpeedChanges
-		}
-		ci95, err := stats.CI95(energies)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Table2Row{
-			Algorithm:    c.name,
-			Energy:       ci95,
-			Misses:       misses,
-			SpeedChanges: float64(changes) / Table2Runs,
-		})
-	}
-	return rows, nil
 }
 
 // RenderTable2 prints the rows in the paper's layout, with the extra

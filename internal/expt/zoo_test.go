@@ -1,7 +1,5 @@
-// The zoo acceptance tests live in an external test package: they import
-// the root clocksched package for its registry enumeration
-// (clocksched.PolicyZoo), exactly as cmd/experiments does, without creating
-// an import cycle in the library itself.
+// The zoo acceptance tests live in an external test package: the zoo
+// experiment's cells and fold are in internal/grids, which imports expt.
 package expt_test
 
 import (
@@ -13,6 +11,7 @@ import (
 	"clocksched"
 	"clocksched/internal/cpu"
 	"clocksched/internal/expt"
+	"clocksched/internal/grids"
 	"clocksched/internal/policy"
 	"clocksched/internal/sim"
 )
@@ -23,10 +22,7 @@ import (
 // family alike — and the oracle itself misses nothing (ZooComparison fails
 // internally otherwise, via VerifySchedule).
 func TestZooComparisonAcceptance(t *testing.T) {
-	rows, err := expt.ZooComparison(expt.DefaultEnv(1), clocksched.PolicyZoo(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := zooRows(t)
 	names := clocksched.RegisteredPolicies()
 	perGroup := 1 + len(names)
 	if len(rows) != len(expt.FigureWorkloads)*perGroup {
@@ -95,14 +91,7 @@ func TestZooOptSpeedsNeverBeatsOracle(t *testing.T) {
 // table" half of the acceptance criterion: two uncached runs of the same
 // environment must produce identical rows and an identical rendering.
 func TestZooComparisonDeterministic(t *testing.T) {
-	a, err := expt.ZooComparison(expt.DefaultEnv(1), clocksched.PolicyZoo(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := expt.ZooComparison(expt.DefaultEnv(1), clocksched.PolicyZoo(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := zooRows(t), zooRows(t)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("two zoo runs produced different rows")
 	}
@@ -115,4 +104,19 @@ func TestZooComparisonDeterministic(t *testing.T) {
 			t.Errorf("rendered table lacks registered policy %q", name)
 		}
 	}
+}
+
+// zooRows runs the zoo experiment's sweep serially with seed 1 and no
+// cache, and folds its rows.
+func zooRows(t *testing.T) []expt.ZooRow {
+	t.Helper()
+	cfg, err := grids.ZooConfig(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := grids.ZooComparison(cfg, sweep(t, cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
 }

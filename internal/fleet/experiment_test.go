@@ -1,4 +1,6 @@
-package fleet
+// The fleet experiment's test lives in an external test package: the
+// experiment is one of internal/grids' sweeps, and grids imports fleet.
+package fleet_test
 
 import (
 	"context"
@@ -9,6 +11,7 @@ import (
 
 	"clocksched"
 	"clocksched/internal/expt"
+	"clocksched/internal/grids"
 )
 
 // TestExperimentSharesGridState runs the fleet experiment twice over the
@@ -35,7 +38,7 @@ func TestExperimentSharesGridState(t *testing.T) {
 				done, total = d, n
 			}
 		}
-		_, artifacts, err := Experiment().Run(e)
+		_, artifacts, err := experiment(t, "fleet").Run(e)
 		if err != nil || len(artifacts) != 1 {
 			t.Fatalf("fleet experiment: %d artifacts, err %v", len(artifacts), err)
 		}
@@ -63,17 +66,23 @@ func TestExperimentSharesGridState(t *testing.T) {
 		t.Errorf("second run's first progress call = %d/%d, want %d/%d", done, total2, total, total)
 	}
 
-	table2, _ := expt.Find(expt.Registry(), "table2")
+	table2 := experiment(t, "table2")
 	text, _, err := table2.Run(env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := expt.Table2()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached, err := expt.Table2Env(env)
-	if err != nil || text != expt.RenderTable2(rows) || !reflect.DeepEqual(cached, rows) {
+	fresh, _, err := table2.Run(expt.DefaultEnv(1))
+	if err != nil || text != fresh {
 		t.Errorf("table2 over the shared state differs from a fresh run (%v):\n%s", err, text)
 	}
+}
+
+// experiment returns the named sweep-shaped experiment's catalogue entry.
+func experiment(t *testing.T, name string) expt.Experiment {
+	t.Helper()
+	e, ok := grids.Find(name)
+	if !ok {
+		t.Fatalf("no sweep-shaped experiment %q", name)
+	}
+	return e.Local()
 }

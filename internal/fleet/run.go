@@ -25,11 +25,6 @@ func Run(ctx context.Context, spec Spec, cfg clocksched.SweepConfig) (*Populatio
 // but are always reported; a plan whose every pairing is infeasible
 // reduces to pure skip buckets without touching the sweep engine.
 func RunPlan(ctx context.Context, plan *Plan, cfg clocksched.SweepConfig) (*Population, error) {
-	reg := cfg.Telemetry.Registry()
-	reg.Counter("fleet_devices_total").Add(int64(len(plan.Devices)))
-	reg.Counter("fleet_cells_total").Add(int64(len(plan.Cells)))
-	reg.Counter("fleet_infeasible_total").Add(int64(len(plan.Skips)))
-
 	res := &clocksched.SweepResult{}
 	if len(plan.Cells) > 0 {
 		cfg.Cells = plan.Cells
@@ -38,11 +33,21 @@ func RunPlan(ctx context.Context, plan *Plan, cfg clocksched.SweepConfig) (*Popu
 			return nil, err
 		}
 	}
+	return ReduceCounted(plan, res, cfg.Telemetry)
+}
 
+// ReduceCounted is Reduce that also counts the plan and its population
+// into tel's fleet_* counters: devices, cells, infeasible pairings, and the
+// measured and failed cells. A nil tel counts nowhere.
+func ReduceCounted(plan *Plan, res *clocksched.SweepResult, tel *clocksched.Telemetry) (*Population, error) {
 	pop, err := Reduce(plan, res)
 	if err != nil {
 		return nil, err
 	}
+	reg := tel.Registry()
+	reg.Counter("fleet_devices_total").Add(int64(len(plan.Devices)))
+	reg.Counter("fleet_cells_total").Add(int64(len(plan.Cells)))
+	reg.Counter("fleet_infeasible_total").Add(int64(len(plan.Skips)))
 	var measured, failed int64
 	for _, r := range pop.Rows {
 		measured += int64(r.Measured)

@@ -9,7 +9,7 @@ import (
 	"strings"
 	"sync"
 
-	"clocksched/internal/expt"
+	"clocksched/internal/policy"
 )
 
 // This file is the extensible policy registry, the one way to name a
@@ -212,7 +212,7 @@ func setterFromCode(code int) (SpeedSetter, error) {
 // documentation:
 //
 //	constant       mhz (default 206.4), low_voltage (0/1)
-//	past-peg-peg   lo_percent (93), hi_percent (98), voltage_scale (0/1)
+//	past-peg-peg   lo_percent (93), hi_percent (98) [policy.BestBounds], voltage_scale
 //	pering-avg-n   n (12), up (2), down (2) [setter codes], voltage_scale
 //	deadline       voltage_scale (0/1)
 //	proportional   n (12), target_percent (80)
@@ -232,10 +232,12 @@ func init() {
 		return Policy{Constant: true, MHz: ps.Get("mhz", 206.4), LowVoltage: ps.Bool("low_voltage", false)}, nil
 	})
 	// The paper's best policy: PAST prediction, peg-peg speed setting,
-	// scale up above 98% and down below 93%.
+	// scale up above 98% and down below 93% — policy.BestBounds, the one
+	// source of those thresholds.
 	mustRegister("past-peg-peg", func(ps Params) (Policy, error) {
-		return Policy{Up: Peg, Down: Peg, LoPercent: ps.Int("lo_percent", 93), HiPercent: ps.Int("hi_percent", 98),
-			VoltageScale: ps.Bool("voltage_scale", false)}, nil
+		best := policy.BestBounds
+		return Policy{Up: Peg, Down: Peg, LoPercent: ps.Int("lo_percent", best.Lo/100),
+			HiPercent: ps.Int("hi_percent", best.Hi/100), VoltageScale: ps.Bool("voltage_scale", false)}, nil
 	})
 	mustRegister("pering-avg-n", func(ps Params) (Policy, error) {
 		up, err := setterFromCode(ps.Int("up", 2))
@@ -256,30 +258,6 @@ func init() {
 	mustRegister("proportional", func(ps Params) (Policy, error) {
 		return Policy{Proportional: true, AvgN: ps.Int("n", 12), TargetPercent: ps.Int("target_percent", 80)}, nil
 	})
-}
-
-// PolicyZoo enumerates every registered policy, each at its default
-// parameters, for the zoo experiment's comparison against the offline
-// optimal schedule (expt.ZooComparison). The experiment layer sits below
-// this package and cannot read the registry itself, so its callers pass
-// this list in. The registry is read at call time, so policies registered
-// by other packages or tests join the comparison.
-func PolicyZoo() []expt.ZooPolicy {
-	names := RegisteredPolicies()
-	zoo := make([]expt.ZooPolicy, 0, len(names))
-	for _, name := range names {
-		zoo = append(zoo, expt.ZooPolicy{
-			Name: name,
-			Spec: func() (expt.RunSpec, error) {
-				p, err := NewPolicy(name, nil)
-				if err != nil {
-					return expt.RunSpec{}, err
-				}
-				return p.build()
-			},
-		})
-	}
-	return zoo
 }
 
 // MarshalJSON emits the registry wire form {"name", "params"} for a

@@ -42,6 +42,24 @@ func plainDecodeSweepResult(b []byte) (*SweepResult, error) {
 	return newSweepResult(&env)
 }
 
+// encodeEnvelope encodes r with EncodeSweepResult and calls the envelope
+// writer itself on r: EncodeSweepResult answers a writer error with plain
+// gob, which would hide a writer defect from every test that goes through
+// it. The writer must succeed and write EncodeSweepResult's bytes.
+func encodeEnvelope(t testing.TB, what string, r *SweepResult) []byte {
+	t.Helper()
+	got, err := EncodeSweepResult(r)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	hdr := sweepResultEnvelope{SimVersion: sim.Version, NW: r.nw, NP: r.np, NS: r.ns}
+	b, err := writeEnvelope(envCodec.warm.Load(), &hdr, &resultCells{r: r})
+	if err != nil || !bytes.Equal(b, got) {
+		t.Fatalf("%s: the envelope writer failed (err %v) or wrote other bytes than EncodeSweepResult", what, err)
+	}
+	return got
+}
+
 // envelopeSample is a SweepResult of n synthetic cells on an nw×np×ns
 // grid, shaped by the fuzzer: kinds picks each cell's Result, error or
 // neither; refParams how many parameters (0..3) each registry reference
@@ -157,10 +175,7 @@ func FuzzSweepResultCodec(f *testing.F) {
 			cells = gw * gp * gs
 		}
 		r := envelopeSample(cells, gw, gp, gs, kinds, refParams, energy, errText)
-		got, err := EncodeSweepResult(r)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := encodeEnvelope(t, "sample", r)
 		want, err := plainEncodeSweepResult(r)
 		if err != nil {
 			t.Fatal(err)
@@ -309,17 +324,11 @@ func cellBodies(t *testing.T, r *SweepResult, env []byte) [][2]int {
 // small ones: each decode must agree with a fresh decoder.
 func TestSweepEnvelopeLargeDecode(t *testing.T) {
 	const large = 64 << 10
-	b, err := EncodeSweepResult(envelopeSample(200, 1, 2, 100, 0, 0, 1, ""))
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := encodeEnvelope(t, "large", envelopeSample(200, 1, 2, 100, 0, 0, 1, ""))
 	if len(b) <= large {
 		t.Fatalf("sample envelope is %d bytes, want over %d", len(b), large)
 	}
-	small, err := EncodeSweepResult(envelopeSample(3, 1, 3, 1, 0, 0, 1, ""))
-	if err != nil {
-		t.Fatal(err)
-	}
+	small := encodeEnvelope(t, "small", envelopeSample(3, 1, 3, 1, 0, 0, 1, ""))
 	for i := 0; i < 3; i++ {
 		checkSweepDecodeAgrees(t, "large envelope", b)
 		checkSweepDecodeAgrees(t, "small envelope", small)
@@ -332,10 +341,7 @@ func TestSweepEnvelopeLargeDecode(t *testing.T) {
 func checkDrawnGrid(t *testing.T, cells []SweepCell, nw, np, ns int) {
 	t.Helper()
 	r := &SweepResult{Cells: cells, nw: nw, np: np, ns: ns}
-	got, err := EncodeSweepResult(r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := encodeEnvelope(t, "drawn grid", r)
 	if want, err := plainEncodeSweepResult(r); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("a %d×%d×%d grid over %d cells: EncodeSweepResult differs from a fresh encoder's (err %v)", nw, np, ns, len(cells), err)
 	}
@@ -368,10 +374,7 @@ func TestDecodeSweepResultGridMismatch(t *testing.T) {
 		{0, half, half, 1, false},
 		{1, half, half, 1, false},
 	} {
-		b, err := EncodeSweepResult(envelopeSample(tc.n, tc.nw, tc.np, tc.ns, 0, 0, 1, ""))
-		if err != nil {
-			t.Fatal(err)
-		}
+		b := encodeEnvelope(t, "grid", envelopeSample(tc.n, tc.nw, tc.np, tc.ns, 0, 0, 1, ""))
 		res, err := DecodeSweepResult(b)
 		if (err == nil) != tc.ok {
 			t.Errorf("%d cells on a %d×%d×%d grid: decode error %v, want ok=%v", tc.n, tc.nw, tc.np, tc.ns, err, tc.ok)
@@ -453,10 +456,7 @@ func TestPolicyRefGobEncodeOwnsBytes(t *testing.T) {
 // checkEnvelope encodes r and holds it to a fresh encoder's bytes.
 func checkEnvelope(t *testing.T, what string, r *SweepResult) []byte {
 	t.Helper()
-	got, err := EncodeSweepResult(r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := encodeEnvelope(t, what, r)
 	if want, err := plainEncodeSweepResult(r); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("%s: EncodeSweepResult differs from a fresh encoder's (err %v)", what, err)
 	}
@@ -552,11 +552,7 @@ func TestDecodeSweepResultSharesRefRuns(t *testing.T) {
 // roundTrip encodes r and decodes it again.
 func roundTrip(t *testing.T, r *SweepResult) *SweepResult {
 	t.Helper()
-	b, err := EncodeSweepResult(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeSweepResult(b)
+	back, err := DecodeSweepResult(encodeEnvelope(t, "round trip", r))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -568,10 +564,7 @@ func roundTrip(t *testing.T, r *SweepResult) *SweepResult {
 func TestDecodeSweepResultOwnsItsBytes(t *testing.T) {
 	r := envelopeSample(40, 0, 0, 0, 0xe4, 0x31, 2.5, "failed: ")
 	r.Cells = append(r.Cells, table2Result(t, 2).Cells...)
-	in, err := EncodeSweepResult(r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	in := encodeEnvelope(t, "sample", r)
 	want := bytes.Clone(in)
 	back, err := DecodeSweepResult(in)
 	if err != nil {
@@ -677,11 +670,7 @@ func TestEnvelopeReaderSampleRefs(t *testing.T) {
 func TestDecodeSweepResultConcurrent(t *testing.T) {
 	var envs [][]byte
 	for _, r := range []*SweepResult{table2Result(t, 3), envelopeSample(50, 0, 0, 0, 0xb1, 0x23, 0.5, "x")} {
-		b, err := EncodeSweepResult(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		envs = append(envs, b)
+		envs = append(envs, encodeEnvelope(t, "sample", r))
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -713,10 +702,7 @@ func TestDecodeSweepResultConcurrent(t *testing.T) {
 // chance, since a cell's Result bytes make up most of its body.
 func TestDecodeSweepResultEditedCells(t *testing.T) {
 	r := envelopeSample(6, 0, 0, 0, 0x55, 0x11, 1.5, "e") // error cells: a spec each, no Result
-	env, err := EncodeSweepResult(r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	env := encodeEnvelope(t, "error cells", r)
 	bodies := cellBodies(t, r, env)
 	for c, body := range bodies {
 		for off := 0; off < min(body[1]-body[0], 64); off++ {
@@ -755,14 +741,7 @@ func TestEncodeSweepResultCellOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := checkEnvelope(t, "explicit cells", res) // derives the codecs
-		// Call the writer itself: EncodeSweepResult would hide its
-		// failure behind plain gob.
-		hdr := sweepResultEnvelope{SimVersion: sim.Version, NW: res.nw, NP: res.np, NS: res.ns}
-		b, err := writeEnvelope(envCodec.warm.Load(), &hdr, &resultCells{r: res})
-		if err != nil || !bytes.Equal(b, want) {
-			t.Fatalf("the envelope writer failed (err %v) or wrote other bytes than gob", err)
-		}
+		b := checkEnvelope(t, "explicit cells", res)
 		var rec cellRecorder
 		if !readEnvelope(envCodec.warm.Load(), b, &rec) {
 			t.Fatal("the envelope reader refused an envelope EncodeSweepResult wrote")
