@@ -56,14 +56,6 @@ func BenchmarkFigure7(b *testing.B) {
 	}
 }
 
-func BenchmarkFigure8(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, _, err := expt.Figure8(1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkTable3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows := expt.Table3()
@@ -107,15 +99,7 @@ func BenchmarkMartinOptimum(b *testing.B) {
 
 func BenchmarkPeringTradeoff(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := expt.PeringTradeoff(1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkWeiserOnWorkloads(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := expt.WeiserOnWorkloads(1); err != nil {
+		if _, err := expt.PeringTradeoff(context.Background(), 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -123,7 +107,7 @@ func BenchmarkWeiserOnWorkloads(b *testing.B) {
 
 func BenchmarkIdealDVSComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := expt.IdealDVSComparison(1); err != nil {
+		if _, err := expt.IdealDVSComparison(context.Background(), 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -119,22 +119,29 @@ func TestPeersSeedMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestPeersRunAnySweep runs a third sweep-shaped experiment, the threshold
-// sensitivity grid, across two in-process sweepd peers: its artifact must
-// be byte-identical to the committed local one. An experiment that is not
-// a sweep is refused before any peer is contacted.
+// TestPeersRunAnySweep runs more sweep-shaped experiments — the threshold
+// sensitivity grid, the Weiser scoring over the zoo's trace cells, and the
+// Figure 8 timeline — across two in-process sweepd peers: each artifact
+// must be byte-identical to the committed local one. An experiment that is
+// not a sweep is refused before any peer is contacted.
 func TestPeersRunAnySweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fabric test")
 	}
-	want, err := os.ReadFile(filepath.Join(goldenDir, "sensitivity.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	peers := startPeer(t) + "," + startPeer(t)
-	got := runArtifact(t, options{outDir: t.TempDir(), only: "sensitivity", seed: 1, workers: 2, peers: peers}, "sensitivity_fleet.txt")
-	if got != string(want) {
-		t.Errorf("-peers sensitivity differs from results/sensitivity.txt:\n--- committed\n%s\n--- peers\n%s", want, got)
+	for _, c := range []struct{ only, artifact, fleet string }{
+		{"sensitivity", "sensitivity.txt", "sensitivity_fleet.txt"},
+		{"weiser", "weiser.txt", "weiser_fleet.txt"},
+		{"figure8", "figure8.dat", "figure8_fleet.dat"},
+	} {
+		want, err := os.ReadFile(filepath.Join(goldenDir, c.artifact))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := runArtifact(t, options{outDir: t.TempDir(), only: c.only, seed: 1, workers: 2, peers: peers}, c.fleet)
+		if got != string(want) {
+			t.Errorf("-peers %s differs from results/%s:\n--- committed\n%s\n--- peers\n%s", c.only, c.artifact, want, got)
+		}
 	}
 	if code := run(options{outDir: t.TempDir(), only: "table1", seed: 1, peers: peers}); code != 2 {
 		t.Errorf("-peers -only table1 exited %d, want 2", code)

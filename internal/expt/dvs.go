@@ -19,8 +19,9 @@ type DVSRow struct {
 	ItsyJ float64
 	// DVSJ is the energy on the idealized voltage-scaling core.
 	DVSJ float64
-	// Misses counts deadline misses (identical on both models — the
-	// timing model does not change, only the wattage).
+	// Misses counts deadline misses, the Itsy run's; the DVS run must
+	// miss as many, since the timing model does not change, only the
+	// wattage.
 	Misses int
 }
 
@@ -31,7 +32,7 @@ type DVSRow struct {
 // the slow-and-steady schedules the paper's heuristics cannot find become
 // hugely valuable — quantifying how much the broken policies will matter
 // on the hardware the paper says is coming.
-func IdealDVSComparison(seed uint64) ([]DVSRow, error) {
+func IdealDVSComparison(ctx context.Context, seed uint64) ([]DVSRow, error) {
 	itsy := power.DefaultModel()
 	dvs := power.IdealDVSModel()
 
@@ -67,16 +68,20 @@ func IdealDVSComparison(seed uint64) ([]DVSRow, error) {
 			spec.Seed = seed
 			spec.Duration = 30 * sim.Second
 			spec.Model = m
-			out, err := RunContext(context.TODO(), spec)
+			out, err := RunContext(ctx, spec)
 			if err != nil {
 				return nil, fmt.Errorf("ideal DVS %q: %w", c.name, err)
 			}
+			misses := out.Workload.Metrics().MissCount()
 			if i == 0 {
-				row.ItsyJ = out.EnergyJ
-			} else {
-				row.DVSJ = out.EnergyJ
+				row.ItsyJ, row.Misses = out.EnergyJ, misses
+				continue
 			}
-			row.Misses += out.Workload.Metrics().MissCount()
+			row.DVSJ = out.EnergyJ
+			if misses != row.Misses {
+				return nil, fmt.Errorf("ideal DVS %q: %d missed deadlines on the Itsy but %d on the DVS core",
+					c.name, row.Misses, misses)
+			}
 		}
 		rows = append(rows, row)
 	}

@@ -1,12 +1,13 @@
 package expt
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestIdealDVSComparison(t *testing.T) {
-	rows, err := IdealDVSComparison(1)
+	rows, err := IdealDVSComparison(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -165,33 +165,6 @@ func TestFigure7Oscillates(t *testing.T) {
 	}
 }
 
-func TestFigure8SlamsBetweenExtremes(t *testing.T) {
-	s, out, err := Figure8(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen59, seen206 := false, false
-	for _, p := range s.Points {
-		switch p.Y {
-		case cpu.MinStep.MHz():
-			seen59 = true
-		case cpu.MaxStep.MHz():
-			seen206 = true
-		}
-	}
-	if !seen59 || !seen206 {
-		t.Error("best policy did not visit both 59 and 206.4 MHz")
-	}
-	// "changes clock settings frequently"
-	if out.Kernel.SpeedChanges() < 100 {
-		t.Errorf("only %d clock changes over 30s", out.Kernel.SpeedChanges())
-	}
-	// ...and never misses a deadline.
-	if got := out.Workload.Metrics().MissCount(); got != 0 {
-		t.Errorf("best policy missed %d deadlines", got)
-	}
-}
-
 func TestBatteryLifetimeRatio(t *testing.T) {
 	res, err := BatteryLifetime()
 	if err != nil {

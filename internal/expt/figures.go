@@ -1,15 +1,12 @@
 package expt
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"strings"
 
 	"clocksched/internal/analysis"
 	"clocksched/internal/cpu"
-	"clocksched/internal/policy"
-	"clocksched/internal/sim"
 )
 
 // Point is one (x, y) sample of a figure's series.
@@ -205,32 +202,4 @@ func Figure7() (Series, analysis.Oscillation, error) {
 	}
 	osc, err := analysis.MeasureOscillation(filtered, 400)
 	return s, osc, err
-}
-
-// Figure8 reproduces the clock-frequency timeline of the MPEG application
-// under the best policy the paper found: PAST with peg-peg speed setting
-// and 93%/98% thresholds. The series shows the policy slamming between
-// 59 MHz and 206.4 MHz, "changing clock settings frequently".
-func Figure8(seed uint64) (Series, *RunOutcome, error) {
-	gov := policy.MustGovernor(policy.NewPAST(), policy.Peg{}, policy.Peg{},
-		policy.BestBounds, false)
-	out, err := RunContext(context.TODO(), RunSpec{
-		Workload:    "mpeg",
-		Seed:        seed,
-		Duration:    30 * sim.Second,
-		Policy:      gov,
-		InitialStep: cpu.MaxStep,
-	})
-	if err != nil {
-		return Series{}, nil, err
-	}
-	s := Series{
-		Name:   "Figure 8: MPEG clock frequency under PAST, peg-peg, 93%-98%",
-		XLabel: "time (s)",
-		YLabel: "clock (MHz)",
-	}
-	for _, u := range out.Kernel.UtilLog() {
-		s.Points = append(s.Points, Point{X: u.At.Seconds(), Y: u.StepAt.MHz()})
-	}
-	return s, out, nil
 }

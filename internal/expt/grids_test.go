@@ -169,6 +169,36 @@ func TestMPEGVarianceAtOneSecond(t *testing.T) {
 	}
 }
 
+func TestFigure8SlamsBetweenExtremes(t *testing.T) {
+	cfg, err := grids.Figure8Config(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := sweep(t, cfg)
+	s := grids.Figure8(res)
+	seen59, seen206 := false, false
+	for _, p := range s.Points {
+		switch p.Y {
+		case cpu.MinStep.MHz():
+			seen59 = true
+		case cpu.MaxStep.MHz():
+			seen206 = true
+		}
+	}
+	if !seen59 || !seen206 {
+		t.Error("best policy did not visit both 59 and 206.4 MHz")
+	}
+	r := res.Cells[0].Result
+	// "changes clock settings frequently"
+	if r.ClockChanges < 100 {
+		t.Errorf("only %d clock changes over 30s", r.ClockChanges)
+	}
+	// ...and never misses a deadline.
+	if r.Misses != 0 {
+		t.Errorf("best policy missed %d deadlines", r.Misses)
+	}
+}
+
 func TestFigure9Plateau(t *testing.T) {
 	s := grids.Figure9(sweep(t, grids.Figure9Config(1)))
 	if len(s.Points) != cpu.NumSteps {
@@ -306,4 +336,45 @@ func TestThresholdSensitivity(t *testing.T) {
 	if !strings.Contains(expt.RenderSensitivity(cells), "bounds") {
 		t.Error("render missing header")
 	}
+}
+
+func TestWeiserOnWorkloads(t *testing.T) {
+	rows, err := grids.Weiser(sweep(t, grids.TraceConfig(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 4 {
+		t.Fatalf("%d rows", len(rows))
+	}
+	for _, r := range rows {
+		// OPT never exceeds FUTURE, and both are clairvoyant (≤ full
+		// speed = 1.0).
+		if r.OptEnergy > r.FutureEnergy+1e-9 {
+			t.Errorf("%s: OPT %.3f above FUTURE %.3f", r.Workload, r.OptEnergy, r.FutureEnergy)
+		}
+		if r.FutureEnergy > 1+1e-9 {
+			t.Errorf("%s: FUTURE energy %.3f above full speed", r.Workload, r.FutureEnergy)
+		}
+		if r.OptEnergy <= 0 {
+			t.Errorf("%s: OPT energy %.3f non-positive", r.Workload, r.OptEnergy)
+		}
+		// PAST misses work on every real workload: the lag is universal.
+		if r.PastMissed <= 0 {
+			t.Errorf("%s: PAST missed no work; the one-interval lag must cost something", r.Workload)
+		}
+	}
+	// The headroom claim: OPT saves drastically on the bursty interactive
+	// workloads (web, chess) where idle time dominates.
+	for _, r := range rows {
+		if r.Workload == "web" || r.Workload == "chess" {
+			if r.OptEnergy > 0.5 {
+				t.Errorf("%s: OPT energy %.3f; bursty idle should allow large stretch savings",
+					r.Workload, r.OptEnergy)
+			}
+		}
+	}
+	if !strings.Contains(expt.RenderWeiser(rows), "OPT") {
+		t.Error("render missing header")
+	}
+	t.Logf("\n%s", expt.RenderWeiser(rows))
 }

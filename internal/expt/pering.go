@@ -1,12 +1,11 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"clocksched/internal/cpu"
-	"clocksched/internal/daq"
-	"clocksched/internal/kernel"
 	"clocksched/internal/sim"
 	"clocksched/internal/workload"
 )
@@ -28,44 +27,25 @@ type PeringRow struct {
 	DropRate float64
 }
 
-// PeringTradeoff sweeps all clock steps with DropLateFrames set over a 30 s
-// clip.
-func PeringTradeoff(seed uint64) ([]PeringRow, error) {
+// PeringTradeoff runs the drop-tolerant player ("mpeg-drop") over a 30 s
+// clip at each clock step, slowest first.
+func PeringTradeoff(ctx context.Context, seed uint64) ([]PeringRow, error) {
 	const length = 30 * sim.Second
+	totalFrames := int(length.Seconds()) * workload.DefaultMPEGConfig().FPS
 	rows := make([]PeringRow, 0, cpu.NumSteps)
 	for s := cpu.MinStep; s <= cpu.MaxStep; s++ {
-		cfg := workload.DefaultMPEGConfig()
-		cfg.Length = length
-		if seed != 0 {
-			cfg.Seed = seed
-		}
-		cfg.DropLateFrames = true
-		m, err := workload.NewMPEG(cfg)
+		out, err := RunContext(ctx, RunSpec{Workload: "mpeg-drop", Seed: seed, Duration: length, InitialStep: s, Stream: true})
 		if err != nil {
 			return nil, err
 		}
-		eng := &sim.Engine{}
-		kcfg := kernel.DefaultConfig()
-		kcfg.InitialStep = s
-		k, err := kernel.New(eng, kcfg)
-		if err != nil {
-			return nil, err
+		m, ok := out.Workload.(*workload.MPEG)
+		if !ok {
+			return nil, fmt.Errorf("pering: workload is %T, not the MPEG player", out.Workload)
 		}
-		if err := m.Install(k); err != nil {
-			return nil, err
-		}
-		if err := k.Run(length); err != nil {
-			return nil, err
-		}
-		cap, err := daq.Sample(k.Recorder(), 0, length, daq.DefaultConfig())
-		if err != nil {
-			return nil, err
-		}
-		totalFrames := int(length.Seconds()) * cfg.FPS
 		shown := totalFrames - m.DroppedFrames()
 		rows = append(rows, PeringRow{
 			Step:      s,
-			EnergyJ:   cap.Energy(),
+			EnergyJ:   out.EnergyJ,
 			FrameRate: float64(shown) / length.Seconds(),
 			DropRate:  float64(m.DroppedFrames()) / float64(totalFrames),
 		})

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -8,7 +9,7 @@ import (
 )
 
 func TestPeringTradeoffShape(t *testing.T) {
-	rows, err := PeringTradeoff(1)
+	rows, err := PeringTradeoff(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,17 +26,18 @@ type Experiment struct {
 }
 
 // Registry lists every experiment this package runs on its own, in the
-// paper's presentation order followed by the extensions. The experiments
-// that are sweeps of clocksched.Config cells (figures 3, 4 and 9, Table 2,
-// deadline, playback, sensitivity, zoo and fleet) live in internal/grids,
-// above the root package, whose Catalogue puts both lists in run order.
+// paper's presentation order followed by the extensions: the analytic ones,
+// and pering, exhaustion and dvs, which simulate through RunContext under
+// the run's context. The experiments that are sweeps of clocksched.Config
+// cells (figures 3, 4, 8 and 9, Table 2, deadline, playback, sensitivity,
+// weiser, zoo and fleet) live in internal/grids, above the root package,
+// whose Catalogue puts both lists in run order.
 func Registry() []Experiment {
 	return []Experiment{
 		{"figure5", "Fig 5: naive window averaging", runFigure5},
 		{"table1", "Table 1: AVG_9 scheduling actions", runTable1},
 		{"figure6", "Fig 6: Fourier transform of decaying exponential", runFigure6},
 		{"figure7", "Fig 7: AVG_3 oscillation on the rect wave", runFigure7},
-		{"figure8", "Fig 8: clock timeline under the best policy", runFigure8},
 		{"table3", "Table 3: memory access cycles", runTable3},
 		{"battery", "§2.1: idle battery lifetime", runBattery},
 		{"transitions", "§5.4: clock/voltage transition costs", runTransitions},
@@ -46,7 +47,6 @@ func Registry() []Experiment {
 		{"exhaustion", "playback to battery exhaustion", runExhaustion},
 		{"sa2", "§2.1: SA-2 voltage-scaling arithmetic", runSA2},
 		{"dvs", "§2.1 projection: policies on an ideal DVS core", runDVS},
-		{"weiser", "§3: Weiser trace-driven OPT/FUTURE/PAST scoring", runWeiser},
 	}
 }
 
@@ -111,19 +111,6 @@ func runFigure7(Env) (string, []Artifact, error) {
 	return summary, arts, nil
 }
 
-func runFigure8(env Env) (string, []Artifact, error) {
-	s, out, err := Figure8(env.Seed)
-	if err != nil {
-		return "", nil, err
-	}
-	summary := fmt.Sprintf("%s\n%s\nclock changes over 30s: %d; deadlines missed: %d\n",
-		s.Name, s.Sparkline(80), out.Kernel.SpeedChanges(),
-		out.Workload.Metrics().MissCount())
-	arts := append([]Artifact{{Name: "figure8.dat", Content: s.Render()}},
-		SVGArtifact("figure8.svg", s)...)
-	return summary, arts, nil
-}
-
 func runTable3(Env) (string, []Artifact, error) {
 	text := RenderTable3(Table3())
 	return text, []Artifact{{Name: "table3.txt", Content: text}}, nil
@@ -166,7 +153,7 @@ func runMartin(Env) (string, []Artifact, error) {
 }
 
 func runPering(env Env) (string, []Artifact, error) {
-	rows, err := PeringTradeoff(env.Seed)
+	rows, err := PeringTradeoff(env.Context(), env.Seed)
 	if err != nil {
 		return "", nil, err
 	}
@@ -175,7 +162,7 @@ func runPering(env Env) (string, []Artifact, error) {
 }
 
 func runExhaustion(env Env) (string, []Artifact, error) {
-	rows, err := PlayUntilExhaustion(env.Seed)
+	rows, err := PlayUntilExhaustion(env.Context(), env.Seed)
 	if err != nil {
 		return "", nil, err
 	}
@@ -189,21 +176,12 @@ func runSA2(Env) (string, []Artifact, error) {
 }
 
 func runDVS(env Env) (string, []Artifact, error) {
-	rows, err := IdealDVSComparison(env.Seed)
+	rows, err := IdealDVSComparison(env.Context(), env.Seed)
 	if err != nil {
 		return "", nil, err
 	}
 	text := RenderIdealDVS(rows)
 	return text, []Artifact{{Name: "dvs.txt", Content: text}}, nil
-}
-
-func runWeiser(env Env) (string, []Artifact, error) {
-	rows, err := WeiserOnWorkloads(env.Seed)
-	if err != nil {
-		return "", nil, err
-	}
-	text := RenderWeiser(rows)
-	return text, []Artifact{{Name: "weiser.txt", Content: text}}, nil
 }
 
 // IndexHTML builds a small results index linking every artifact, with SVG

@@ -4,6 +4,8 @@
 package expt_test
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -70,6 +72,27 @@ func TestRegistryRunsEverything(t *testing.T) {
 				if a.Name == "" || strings.TrimSpace(a.Content) == "" {
 					t.Errorf("empty artifact %q", a.Name)
 				}
+			}
+		})
+	}
+}
+
+// TestCancelledEnvStopsSimulations runs the catalogue entries that
+// simulate outside a sweep under an already-cancelled context: each must
+// return the context's error rather than run its cells.
+func TestCancelledEnvStopsSimulations(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, name := range []string{"dvs", "exhaustion", "pering"} {
+		t.Run(name, func(t *testing.T) {
+			e, ok := expt.Find(grids.Catalogue(), name)
+			if !ok {
+				t.Fatalf("%s not in the catalogue", name)
+			}
+			env := expt.DefaultEnv(1)
+			env.Ctx = ctx
+			if _, _, err := e.Run(env); !errors.Is(err, context.Canceled) {
+				t.Errorf("%s under a cancelled context: err = %v, want context.Canceled", name, err)
 			}
 		})
 	}

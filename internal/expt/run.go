@@ -28,7 +28,8 @@ import (
 // under a clock scaling policy, instrumented by the DAQ.
 type RunSpec struct {
 	// Workload is one of "mpeg", "web", "chess", "editor", "rect", or
-	// "feedback".
+	// "feedback", or "mpeg-drop": the MPEG player under Pering et al.'s
+	// elastic assumption, skipping the frames it cannot show on time.
 	Workload string
 	// Seed drives workload jitter; distinct seeds stand in for the
 	// paper's repeated measurement runs.
@@ -120,8 +121,9 @@ type RunOutcome struct {
 
 func buildWorkload(spec RunSpec) (workload.Workload, error) {
 	switch spec.Workload {
-	case "mpeg":
+	case "mpeg", "mpeg-drop":
 		cfg := workload.DefaultMPEGConfig()
+		cfg.DropLateFrames = spec.Workload == "mpeg-drop"
 		if spec.Seed != 0 {
 			cfg.Seed = spec.Seed
 		}

@@ -47,7 +47,7 @@ type ExhaustionResult struct {
 // a kinetic battery model until the cell gives out, for a constant-speed
 // baseline and the best heuristic. The KiBaM cell is sized like a pair of
 // AAA alkalines (≈1.1 Ah at 3 V).
-func PlayUntilExhaustion(seed uint64) ([]ExhaustionResult, error) {
+func PlayUntilExhaustion(ctx context.Context, seed uint64) ([]ExhaustionResult, error) {
 	type cfg struct {
 		name string
 		spec RunSpec
@@ -62,7 +62,7 @@ func PlayUntilExhaustion(seed uint64) ([]ExhaustionResult, error) {
 	}
 	var out []ExhaustionResult
 	for _, c := range configs {
-		run, err := RunContext(context.TODO(), c.spec)
+		run, err := RunContext(ctx, c.spec)
 		if err != nil {
 			return nil, err
 		}

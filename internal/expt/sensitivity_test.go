@@ -1,13 +1,14 @@
 package expt
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
 )
 
 func TestPlayUntilExhaustion(t *testing.T) {
-	rows, err := PlayUntilExhaustion(1)
+	rows, err := PlayUntilExhaustion(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

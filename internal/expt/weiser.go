@@ -1,24 +1,12 @@
 package expt
 
 import (
-	"context"
 	"fmt"
 	"strings"
-
-	"clocksched/internal/cpu"
-	"clocksched/internal/policy"
-	"clocksched/internal/sim"
 )
 
-// This file applies Weiser et al.'s original trace-driven methodology —
-// which the paper's Related Work section describes and critiques — to this
-// reproduction's workloads: record a per-quantum utilization trace from a
-// full-speed run, then score the offline OPT, FUTURE and PAST schedules on
-// it using Weiser's speed² energy model. The point the paper makes is that
-// only PAST is implementable, and OPT/FUTURE's headroom is exactly the
-// energy the online heuristics fail to collect.
-
-// WeiserRow is one workload's offline-schedule scoring.
+// WeiserRow is one workload's offline-schedule scoring of Weiser et al.'s
+// trace-driven methodology; the cells and the fold are grids.Weiser's.
 type WeiserRow struct {
 	Workload string
 	// Energies are relative (Weiser's Σ work·speed² model), normalized so
@@ -29,67 +17,6 @@ type WeiserRow struct {
 	// PastMissed is the work PAST left undone (fraction of total work) —
 	// the lag cost that shows up as missed deadlines in a live system.
 	PastMissed float64
-}
-
-// WeiserOnWorkloads records utilization traces from full-speed runs of the
-// four applications and scores the offline schedules on each.
-func WeiserOnWorkloads(seed uint64) ([]WeiserRow, error) {
-	const floor = 0.01
-	rows := make([]WeiserRow, 0, len(FigureWorkloads))
-	for _, w := range FigureWorkloads {
-		out, err := RunContext(context.TODO(), RunSpec{
-			Workload: w, Seed: seed,
-			Duration:    30 * sim.Second,
-			InitialStep: cpu.MaxStep,
-		})
-		if err != nil {
-			return nil, err
-		}
-		util := make([]float64, 0, len(out.Kernel.UtilLog()))
-		totalWork := 0.0
-		for _, u := range out.Kernel.UtilLog() {
-			v := float64(u.PP10K) / 10000
-			util = append(util, v)
-			totalWork += v
-		}
-		if totalWork == 0 {
-			return nil, fmt.Errorf("weiser: workload %q recorded no work", w)
-		}
-
-		opt, err := policy.OptSpeeds(util, floor)
-		if err != nil {
-			return nil, err
-		}
-		fut, err := policy.FutureSpeeds(util, floor)
-		if err != nil {
-			return nil, err
-		}
-		pst, err := policy.PastSpeeds(util, floor)
-		if err != nil {
-			return nil, err
-		}
-		eOpt, err := policy.EvaluateSpeeds(util, opt, true)
-		if err != nil {
-			return nil, err
-		}
-		eFut, err := policy.EvaluateSpeeds(util, fut, false)
-		if err != nil {
-			return nil, err
-		}
-		ePst, err := policy.EvaluateSpeeds(util, pst, false)
-		if err != nil {
-			return nil, err
-		}
-		// Normalize by the full-speed energy: Σ work·1².
-		rows = append(rows, WeiserRow{
-			Workload:     w,
-			OptEnergy:    eOpt.Energy / totalWork,
-			FutureEnergy: eFut.Energy / totalWork,
-			PastEnergy:   ePst.Energy / totalWork,
-			PastMissed:   ePst.MissedWork / totalWork,
-		})
-	}
-	return rows, nil
 }
 
 // RenderWeiser prints the scoring.

@@ -29,8 +29,10 @@ func benchExperiment(b *testing.B, name string) {
 
 func BenchmarkFigure3(b *testing.B)              { benchExperiment(b, "figure3") }
 func BenchmarkFigure4(b *testing.B)              { benchExperiment(b, "figure4") }
+func BenchmarkFigure8(b *testing.B)              { benchExperiment(b, "figure8") }
 func BenchmarkFigure9(b *testing.B)              { benchExperiment(b, "figure9") }
 func BenchmarkTable2(b *testing.B)               { benchExperiment(b, "table2") }
 func BenchmarkDeadlineComparison(b *testing.B)   { benchExperiment(b, "deadline") }
 func BenchmarkPlaybackLifetime(b *testing.B)     { benchExperiment(b, "playback") }
 func BenchmarkThresholdSensitivity(b *testing.B) { benchExperiment(b, "sensitivity") }
+func BenchmarkWeiserOnWorkloads(b *testing.B)    { benchExperiment(b, "weiser") }

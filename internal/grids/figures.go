@@ -8,6 +8,7 @@ import (
 	"clocksched/internal/cpu"
 	"clocksched/internal/expt"
 	"clocksched/internal/plot"
+	"clocksched/internal/sim"
 )
 
 // panelTitles are the display names the Figure 3 panels carry, by
@@ -158,4 +159,53 @@ var figure9 = Experiment{Name: "figure9", Paper: "Fig 9: utilization vs clock fr
 		}
 		return summary, arts, nil
 	}, nil
+}}
+
+// Figure8Config is the Figure 8 sweep: the deadline comparison's PAST
+// peg-peg cell, 30 s of MPEG at the run seed under the paper's best policy,
+// with its trace kept. The trace sets it apart from the deadline sweep's
+// cell, whose key does not move, and makes it the zoo's MPEG past-peg-peg
+// cell, whose cache entry it shares.
+func Figure8Config(seed uint64) (clocksched.SweepConfig, error) {
+	best, err := clocksched.NewPolicy("past-peg-peg", nil)
+	return clocksched.SweepConfig{
+		Workloads:    []clocksched.Workload{clocksched.MPEG},
+		Policies:     []clocksched.Policy{best},
+		Seeds:        []uint64{seed},
+		Duration:     30 * time.Second,
+		CaptureTrace: true,
+		FailFast:     true,
+	}, err
+}
+
+// Figure8 folds a Figure8Config sweep into the clock-frequency timeline of
+// MPEG under PAST with peg-peg speed setting and 93%/98% thresholds: the
+// policy slamming between 59 MHz and 206.4 MHz, "changing clock settings
+// frequently".
+func Figure8(res *clocksched.SweepResult) expt.Series {
+	s := expt.Series{
+		Name:   "Figure 8: MPEG clock frequency under PAST, peg-peg, 93%-98%",
+		XLabel: "time (s)",
+		YLabel: "clock (MHz)",
+	}
+	for p := range res.Cells[0].Result.TraceSeq() {
+		// Quanta end on whole simulated microseconds; sim.Time's seconds
+		// are the figure's x values, which time.Duration's differ from
+		// in the last bit.
+		s.Points = append(s.Points, expt.Point{X: sim.Time(p.At / time.Microsecond).Seconds(), Y: p.MHz})
+	}
+	return s
+}
+
+var figure8 = Experiment{Name: "figure8", Paper: "Fig 8: clock timeline under the best policy", Plan: func(seed uint64) (clocksched.SweepConfig, Fold, error) {
+	cfg, err := Figure8Config(seed)
+	return cfg, func(res *clocksched.SweepResult, _ *clocksched.Telemetry) (string, []expt.Artifact, error) {
+		s := Figure8(res)
+		r := res.Cells[0].Result
+		summary := fmt.Sprintf("%s\n%s\nclock changes over 30s: %d; deadlines missed: %d\n",
+			s.Name, s.Sparkline(80), r.ClockChanges, r.Misses)
+		arts := append([]expt.Artifact{{Name: "figure8.dat", Content: s.Render()}},
+			expt.SVGArtifact("figure8.svg", s)...)
+		return summary, arts, nil
+	}, err
 }}

@@ -81,7 +81,7 @@ func Run(env expt.Env, cfg clocksched.SweepConfig) (*clocksched.SweepResult, err
 
 // sweeps lists every sweep-shaped experiment, in catalogue order.
 func sweeps() []Experiment {
-	return []Experiment{figure3, figure4, figure9, table2, deadline, playback, sensitivity, zoo, fleetExperiment}
+	return []Experiment{figure3, figure4, figure8, figure9, table2, deadline, playback, sensitivity, weiser, zoo, fleetExperiment}
 }
 
 // Find returns the named sweep-shaped experiment.

@@ -49,3 +49,36 @@ func TestRunEmptyConfig(t *testing.T) {
 		t.Error("a config with a seed axis reads as empty")
 	}
 }
+
+// TestFigure8AndWeiserReadZooCells checks that figure8's cell and weiser's
+// four are cells of the zoo sweep: after the zoo has run into a cache, both
+// are served from it without simulating anything.
+func TestFigure8AndWeiserReadZooCells(t *testing.T) {
+	cache, err := clocksched.NewSweepCache(0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := expt.DefaultEnv(1)
+	env.Workers, env.Cache = 2, cache
+	zooCfg, err := ZooConfig(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig8Cfg, err := Figure8Config(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(env, zooCfg); err != nil {
+		t.Fatal(err)
+	}
+	for name, cfg := range map[string]clocksched.SweepConfig{"figure8": fig8Cfg, "weiser": TraceConfig(1)} {
+		res, err := Run(env, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Telemetry.Ran != 0 || res.Telemetry.Cached != cfg.GridSize() {
+			t.Errorf("%s: %d of %d cells simulated after the zoo ran, want 0",
+				name, res.Telemetry.Ran, cfg.GridSize())
+		}
+	}
+}

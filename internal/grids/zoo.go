@@ -29,12 +29,11 @@ import (
 // feasible schedule can therefore never score below the oracle, and the
 // table's "×opt" column is a true optimality gap.
 
-// ZooConfig is the optimality-gap sweep: per expt.FigureWorkloads
-// workload, 30 s at the run seed under constant full speed (the trace
-// cell) and then under every registered policy at its defaults, in name
-// order, every cell's trace kept. The registry is read at call time, so
-// policies registered by other packages or tests join the comparison.
-func ZooConfig(seed uint64) (clocksched.SweepConfig, error) {
+// TraceConfig is the full-speed trace sweep: per expt.FigureWorkloads
+// workload, 30 s at the run seed under the zero Policy (constant full
+// speed), its trace kept. The zoo's oracle and the Weiser scoring read the
+// same cells, so they share cache entries.
+func TraceConfig(seed uint64) clocksched.SweepConfig {
 	cfg := clocksched.SweepConfig{
 		Policies:     []clocksched.Policy{{}},
 		Seeds:        []uint64{seed},
@@ -45,6 +44,31 @@ func ZooConfig(seed uint64) (clocksched.SweepConfig, error) {
 	for _, w := range expt.FigureWorkloads {
 		cfg.Workloads = append(cfg.Workloads, clocksched.Workload(w))
 	}
+	return cfg
+}
+
+// traceUtil is one trace cell's per-quantum utilization and its sum, the
+// total work; a trace that recorded no work is an error.
+func traceUtil(workload string, r *clocksched.Result) ([]float64, float64, error) {
+	util := make([]float64, 0, r.TraceLen())
+	totalWork := 0.0
+	for p := range r.TraceSeq() {
+		util = append(util, p.Utilization)
+		totalWork += p.Utilization
+	}
+	if totalWork == 0 {
+		return nil, 0, fmt.Errorf("workload %q recorded no work", workload)
+	}
+	return util, totalWork, nil
+}
+
+// ZooConfig is the optimality-gap sweep: TraceConfig's trace cells, each
+// workload's followed by the same 30 s under every registered policy at its
+// defaults, in name order, every cell's trace kept. The registry is read at
+// call time, so policies registered by other packages or tests join the
+// comparison.
+func ZooConfig(seed uint64) (clocksched.SweepConfig, error) {
+	cfg := TraceConfig(seed)
 	for _, name := range clocksched.RegisteredPolicies() {
 		p, err := clocksched.NewPolicy(name, nil)
 		if err != nil {
@@ -66,15 +90,9 @@ func ZooComparison(cfg clocksched.SweepConfig, res *clocksched.SweepResult) ([]e
 	var rows []expt.ZooRow
 	for wi, w := range expt.FigureWorkloads {
 		group := res.Cells[wi*np : (wi+1)*np]
-		trace := group[0].Result
-		util := make([]float64, 0, trace.TraceLen())
-		totalWork := 0.0
-		for p := range trace.TraceSeq() {
-			util = append(util, p.Utilization)
-			totalWork += p.Utilization
-		}
-		if totalWork == 0 {
-			return nil, fmt.Errorf("zoo: workload %q recorded no work", w)
+		util, totalWork, err := traceUtil(w, group[0].Result)
+		if err != nil {
+			return nil, fmt.Errorf("zoo: %w", err)
 		}
 		jobs := policy.OracleFromTrace(util, expt.ZooSlackQuanta)
 		sched, err := policy.OptimalSchedule(jobs)
@@ -132,4 +150,58 @@ var zoo = Experiment{Name: "zoo", Paper: "optimality gap: every registered polic
 		}
 		return textArtifact("zoo.txt", expt.RenderZoo(rows))
 	}, err
+}}
+
+// weiserSchedules are Weiser's offline OPT, FUTURE and PAST, in row order.
+var weiserSchedules = []func(util []float64, minSpeed float64) ([]float64, error){
+	policy.OptSpeeds, policy.FutureSpeeds, policy.PastSpeeds,
+}
+
+// Weiser folds a TraceConfig sweep into Weiser et al.'s original
+// trace-driven methodology, which the paper's Related Work section
+// describes and critiques: each workload's full-speed utilization trace
+// scores the offline OPT, FUTURE and PAST schedules in Weiser's speed²
+// energy model. Only PAST is implementable; OPT and FUTURE's headroom is
+// exactly the energy the online heuristics fail to collect.
+func Weiser(res *clocksched.SweepResult) ([]expt.WeiserRow, error) {
+	const floor = 0.01
+	rows := make([]expt.WeiserRow, 0, len(res.Cells))
+	for i, c := range res.Cells {
+		w := expt.FigureWorkloads[i]
+		util, totalWork, err := traceUtil(w, c.Result)
+		if err != nil {
+			return nil, fmt.Errorf("weiser: %w", err)
+		}
+		// OPT defers work to the trace end; FUTURE and PAST must finish
+		// each interval's work within it.
+		var e [3]policy.TraceResult
+		for j, sched := range weiserSchedules {
+			speeds, err := sched(util, floor)
+			if err != nil {
+				return nil, err
+			}
+			if e[j], err = policy.EvaluateSpeeds(util, speeds, j == 0); err != nil {
+				return nil, err
+			}
+		}
+		// Normalize by the full-speed energy: Σ work·1².
+		rows = append(rows, expt.WeiserRow{
+			Workload:     w,
+			OptEnergy:    e[0].Energy / totalWork,
+			FutureEnergy: e[1].Energy / totalWork,
+			PastEnergy:   e[2].Energy / totalWork,
+			PastMissed:   e[2].MissedWork / totalWork,
+		})
+	}
+	return rows, nil
+}
+
+var weiser = Experiment{Name: "weiser", Paper: "§3: Weiser trace-driven OPT/FUTURE/PAST scoring", Plan: func(seed uint64) (clocksched.SweepConfig, Fold, error) {
+	return TraceConfig(seed), func(res *clocksched.SweepResult, _ *clocksched.Telemetry) (string, []expt.Artifact, error) {
+		rows, err := Weiser(res)
+		if err != nil {
+			return "", nil, err
+		}
+		return textArtifact("weiser.txt", expt.RenderWeiser(rows))
+	}, nil
 }}
