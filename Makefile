@@ -62,8 +62,10 @@ perfbench:
 
 # Serial-throughput regression guard: BenchmarkSerialGuard times the
 # Table 2 reference grid once on one worker, after a warm-up, and fails
-# below its committed floor in cells/s. Benchmarks never run under
-# `go test ./...`, so the timing stays out of the test tiers.
+# below its committed floor in cells/s. It also prints the allocation per
+# cell (B/cell, allocs/cell), the figure perfbench's alloc_mb_per_cell
+# judges. Benchmarks never run under `go test ./...`, so the timing stays
+# out of the test tiers.
 bench-guard:
 	$(GO) test -run '^$$' -bench '^BenchmarkSerialGuard$$' -benchtime 1x -count 1 .
 

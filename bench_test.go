@@ -256,7 +256,9 @@ const guardFloor = 292.1
 // `make bench-guard` runs once: the Table 2 reference grid on one worker,
 // timed after an untimed warm-up so the figure carries no first-touch
 // costs (heap growth, page faults), failing below guardFloor. It reports
-// the grid's allocation (B/op) beside cells/s.
+// the grid's allocation (B/op) and the allocation per cell (B/cell,
+// allocs/cell), the figure perfbench's alloc_mb_per_cell judges, beside
+// cells/s.
 func BenchmarkSerialGuard(b *testing.B) {
 	if raceEnabled {
 		b.Skip("the race detector slows the simulator far below the floor")
@@ -266,6 +268,8 @@ func BenchmarkSerialGuard(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	cells := 0
 	for i := 0; i < b.N; i++ {
@@ -275,6 +279,10 @@ func BenchmarkSerialGuard(b *testing.B) {
 		}
 		cells += len(res.Cells)
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(cells), "B/cell")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(cells), "allocs/cell")
 	rate := float64(cells) / b.Elapsed().Seconds()
 	b.ReportMetric(rate, "cells/s")
 	if rate < guardFloor {

@@ -688,6 +688,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			InSafeMode:       out.Watchdog.InSafeMode(),
 		}
 	}
+	out.Release()
 	return res, nil
 }
 

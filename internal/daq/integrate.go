@@ -180,14 +180,26 @@ type Fold struct {
 
 // NewFold starts measuring the window [start, end) with the instrument cfg.
 func NewFold(start, end sim.Time, cfg Config) (*Fold, error) {
-	n, err := cfg.readings(start, end)
-	if err != nil {
+	f := new(Fold)
+	if err := f.Reset(start, end, cfg); err != nil {
 		return nil, err
 	}
-	if cfg.SampleFaults() {
-		return nil, errors.New("daq: a fold cannot inject per-sample faults; integrate a retained timeline")
+	return f, nil
+}
+
+// Reset starts f over on the window [start, end) with the instrument cfg,
+// as NewFold would, forgetting every segment added before. On an error f
+// is left as it was.
+func (f *Fold) Reset(start, end sim.Time, cfg Config) error {
+	n, err := cfg.readings(start, end)
+	if err != nil {
+		return err
 	}
-	return &Fold{cfg: cfg, start: start, end: end, n: n}, nil
+	if cfg.SampleFaults() {
+		return errors.New("daq: a fold cannot inject per-sample faults; integrate a retained timeline")
+	}
+	*f = Fold{cfg: cfg, start: start, end: end, n: n}
+	return nil
 }
 
 // Add folds in the segment [segStart, segEnd) during which the system drew

@@ -10,6 +10,7 @@ package expt
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"clocksched/internal/cpu"
 	"clocksched/internal/daq"
@@ -94,6 +95,14 @@ type RunSpec struct {
 const DefaultSlack = 33 * sim.Millisecond
 
 // RunOutcome bundles everything a measurement run produced.
+//
+// A caller done with an outcome may Release it, handing its simulator —
+// engine, kernel, power recorder, DAQ fold and the outcome itself — to the
+// next run instead of the garbage collector. Release must be the outcome's
+// last use: it clears every field, and the next run refills the Kernel
+// this outcome points at. A caller that keeps Kernel, Workload or anything
+// read through them never calls Release; the outcome is then an ordinary
+// garbage-collected value.
 type RunOutcome struct {
 	Spec     RunSpec
 	Workload workload.Workload
@@ -117,6 +126,49 @@ type RunOutcome struct {
 	AvgPowerW float64
 	// MeanUtil is the average per-quantum utilization in [0,1].
 	MeanUtil float64
+
+	// sim is the shell this outcome lives in, when Release may pool it.
+	sim *cellSim
+}
+
+// Release hands the outcome's simulator back for the next run; see
+// RunOutcome. It clears every reference to this run — policy, workload and
+// its programs, telemetry registry, fault injector, cancel hook — so the
+// pooled simulator pins nothing of it. An outcome whose recorder or kernel
+// retained the whole run (no RunSpec.Stream, or a plan with DAQ sample
+// faults) is never pooled, since its timeline would stay pinned: Release
+// then does nothing.
+func (o *RunOutcome) Release() {
+	if c := o.sim; c != nil {
+		c.reset()
+		cellSims.Put(c)
+	}
+}
+
+// cellSim is one run's simulator shell: the engine, the kernel with its
+// power recorder, the DAQ fold with its bound sink, and the outcome. Each
+// run resets and renews them, keeping their allocations: the engine's
+// queue and recycled nodes, the kernel's struct, power table, process and
+// run-queue arrays and bound callbacks. A sync.Pool rather than a shell
+// per sweep worker carries them between runs, so every path to RunContext
+// — sweeps, the fleet, sweepd, fabric peers, a single run — reuses them
+// without plumbing a shell through the layers above.
+type cellSim struct {
+	eng  sim.Engine
+	k    kernel.Kernel
+	fold daq.Fold
+	add  func(from, to sim.Time, watts float64) // fold.Add, bound once
+	out  RunOutcome
+}
+
+var cellSims = sync.Pool{New: func() any { return new(cellSim) }}
+
+// reset drops every reference the shell holds to its last run.
+func (c *cellSim) reset() {
+	c.eng.Reset()
+	c.k.Reset()
+	c.fold = daq.Fold{}
+	c.out = RunOutcome{}
 }
 
 func buildWorkload(spec RunSpec) (workload.Workload, error) {
@@ -173,7 +225,16 @@ func buildWorkload(spec RunSpec) (workload.Workload, error) {
 // observed at quantum boundaries — the simulation's only blocking-free
 // preemption points — so an aborted run stops within one simulated quantum
 // of the cancel and returns an error satisfying errors.Is(err, ctx.Err()).
+// The run takes a pooled simulator when one was released (see
+// RunOutcome.Release); a failed run drops its simulator instead.
 func RunContext(ctx context.Context, spec RunSpec) (*RunOutcome, error) {
+	return cellSims.Get().(*cellSim).run(ctx, spec)
+}
+
+// run executes one measurement run on c, resetting it first: a run on a
+// used shell is identical to one on a new shell, whatever the last run was.
+func (c *cellSim) run(ctx context.Context, spec RunSpec) (*RunOutcome, error) {
+	c.reset()
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -225,7 +286,6 @@ func RunContext(ctx context.Context, spec RunSpec) (*RunOutcome, error) {
 		}
 	}
 
-	eng := &sim.Engine{}
 	cfg := kernel.DefaultConfig()
 	cfg.InitialStep = spec.InitialStep
 	cfg.InitialV = spec.InitialV
@@ -255,8 +315,8 @@ func RunContext(ctx context.Context, spec RunSpec) (*RunOutcome, error) {
 	if spec.Model != nil {
 		cfg.Model = *spec.Model
 	}
-	k, err := kernel.New(eng, cfg)
-	if err != nil {
+	k := &c.k
+	if err := k.Renew(&c.eng, cfg); err != nil {
 		return nil, err
 	}
 	dcfg := daq.DefaultConfig()
@@ -264,10 +324,14 @@ func RunContext(ctx context.Context, spec RunSpec) (*RunOutcome, error) {
 	dcfg.Telemetry = spec.Telemetry
 	var fold *daq.Fold
 	if spec.Stream && !dcfg.SampleFaults() {
-		if fold, err = daq.NewFold(0, length, dcfg); err != nil {
+		if err := c.fold.Reset(0, length, dcfg); err != nil {
 			return nil, err
 		}
-		if err := k.Recorder().Stream(fold.Add); err != nil {
+		fold = &c.fold
+		if c.add == nil {
+			c.add = fold.Add
+		}
+		if err := k.Recorder().Stream(c.add); err != nil {
 			return nil, err
 		}
 	}
@@ -288,7 +352,8 @@ func RunContext(ctx context.Context, spec RunSpec) (*RunOutcome, error) {
 		return nil, err
 	}
 
-	out := &RunOutcome{
+	out := &c.out
+	*out = RunOutcome{
 		Spec:      spec,
 		Workload:  w,
 		Kernel:    k,
@@ -298,6 +363,9 @@ func RunContext(ctx context.Context, spec RunSpec) (*RunOutcome, error) {
 		EnergyJ:   sum.EnergyJ,
 		AvgPowerW: sum.AvgPowerW,
 		MeanUtil:  k.MeanUtil(),
+	}
+	if fold != nil {
+		out.sim = c
 	}
 	if spec.Telemetry != nil {
 		spec.Telemetry.Emit("run.done",

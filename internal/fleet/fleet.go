@@ -346,6 +346,26 @@ func (s Spec) Compile() (*Plan, error) {
 	for i := range p.Devices {
 		p.Devices[i] = s.GenerateDevice(i)
 	}
+	// Size Cells and Refs once: a pairing's feasibility depends only on the
+	// device's workload class and the policy, so count per class first.
+	feasible := make(map[clocksched.Workload]int)
+	cells := 0
+	for _, d := range p.Devices {
+		n, ok := feasible[d.Workload]
+		if !ok {
+			for _, pol := range s.Policies {
+				if !(policyUtil(d.Workload, pol) > bar) {
+					n++
+				}
+			}
+			feasible[d.Workload] = n
+		}
+		cells += n
+	}
+	if cells > 0 {
+		p.Cells = make([]clocksched.Config, 0, cells)
+		p.Refs = make([]CellRef, 0, cells)
+	}
 	for i, d := range p.Devices {
 		sess := d.SessionDuration(s.Duration)
 		for pi, pol := range s.Policies {

@@ -3,6 +3,7 @@ package kernel
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"clocksched/internal/cpu"
 	"clocksched/internal/fault"
@@ -120,18 +121,21 @@ type Kernel struct {
 	cur      *Process
 	nextPID  int
 
-	// Event callbacks bound once in New. The clock interrupt re-arms
-	// itself every quantum; binding the method value once means re-arming
-	// allocates nothing (a `k.tick` method-value expression allocates a
-	// fresh closure at every evaluation).
+	// Event callbacks bound once, by the first Renew. The clock interrupt
+	// re-arms itself every quantum; binding the method value once means
+	// re-arming allocates nothing (a `k.tick` method-value expression
+	// allocates a fresh closure at every evaluation).
 	tickFn       sim.Event
 	stallEndFn   sim.Event
 	voltSettleFn sim.Event
 
 	// powerW memoizes cfg.Model.Power for every (step, voltage, mode)
 	// combination — the state space is tiny (11×2×3) and setPowerState
-	// runs several times per quantum.
-	powerW [cpu.NumSteps][2][3]float64
+	// runs several times per quantum. powerModel is the model it was built
+	// for, so Renew rebuilds it only for another one.
+	powerW     [cpu.NumSteps][2][3]float64
+	powerModel power.Model
+	powerBuilt bool
 
 	step cpu.Step
 	volt cpu.Voltage
@@ -206,56 +210,82 @@ func (k *Kernel) fail(err error) {
 
 // New creates a kernel on the given engine. The engine must be at time 0.
 func New(eng *sim.Engine, cfg Config) (*Kernel, error) {
+	k := new(Kernel)
+	if err := k.Renew(eng, cfg); err != nil {
+		return nil, err
+	}
+	return k, nil
+}
+
+// Renew makes k the kernel New(eng, cfg) would build, whatever k ran
+// before: a finished run, a failed one, or none. The engine must be at
+// time 0 (a fresh or Reset engine). Renew keeps only what holds no run
+// state: the power table (rebuilt when cfg.Model differs from the last
+// one), the recorder, the process and run-queue arrays and the bound
+// event callbacks, so a renewed run allocates less than a new one. On a
+// configuration error k is left as it was.
+func (k *Kernel) Renew(eng *sim.Engine, cfg Config) error {
 	if eng == nil {
-		return nil, errors.New("kernel: nil engine")
+		return errors.New("kernel: nil engine")
 	}
 	if eng.Now() != 0 {
-		return nil, fmt.Errorf("kernel: engine already at %v", eng.Now())
+		return fmt.Errorf("kernel: engine already at %v", eng.Now())
 	}
 	if cfg.Quantum == 0 {
 		cfg.Quantum = sim.Quantum
 	}
 	if cfg.Quantum < 0 {
-		return nil, fmt.Errorf("kernel: negative quantum %v", cfg.Quantum)
+		return fmt.Errorf("kernel: negative quantum %v", cfg.Quantum)
 	}
 	if cfg.SchedOverhead < 0 || cfg.SchedOverhead >= cfg.Quantum {
-		return nil, fmt.Errorf("kernel: scheduler overhead %v out of range", cfg.SchedOverhead)
+		return fmt.Errorf("kernel: scheduler overhead %v out of range", cfg.SchedOverhead)
 	}
 	if !cfg.InitialStep.Valid() {
-		return nil, fmt.Errorf("kernel: invalid initial step %d", int(cfg.InitialStep))
+		return fmt.Errorf("kernel: invalid initial step %d", int(cfg.InitialStep))
 	}
 	if !cpu.VoltageOK(cfg.InitialStep, cfg.InitialV) {
-		return nil, fmt.Errorf("kernel: %v unsafe at %v", cfg.InitialV, cfg.InitialStep)
+		return fmt.Errorf("kernel: %v unsafe at %v", cfg.InitialV, cfg.InitialStep)
 	}
-	k := &Kernel{
-		eng:       eng,
-		cfg:       cfg,
-		nextPID:   1,
-		step:      cfg.InitialStep,
-		volt:      cfg.InitialV,
-		powerVolt: cfg.InitialV,
+	k.Reset()
+	k.eng = eng
+	k.cfg = cfg
+	k.nextPID = 1
+	k.step = cfg.InitialStep
+	k.volt = cfg.InitialV
+	k.powerVolt = cfg.InitialV
+	initial := power.State{Step: k.step, V: k.powerVolt, Mode: power.ModeNap}
+	if k.rec == nil {
+		k.rec = power.NewRecorder(cfg.Model, initial)
+	} else {
+		k.rec.Reset(cfg.Model, initial)
 	}
-	k.rec = power.NewRecorder(cfg.Model, power.State{
-		Step: k.step, V: k.powerVolt, Mode: power.ModeNap,
-	})
-	k.tickFn = k.tick
-	k.stallEndFn = func(t sim.Time) {
-		k.account(t)
-		k.stalling = false
-		k.dispatch(t)
-	}
-	k.voltSettleFn = func(t sim.Time) {
-		if k.volt == cpu.VLow {
-			k.powerVolt = cpu.VLow
-			k.setPowerState(t)
+	if k.tickFn == nil {
+		k.tickFn = k.tick
+		k.stallEndFn = func(t sim.Time) {
+			k.account(t)
+			k.stalling = false
+			k.dispatch(t)
 		}
-	}
-	for s := cpu.MinStep; s <= cpu.MaxStep; s++ {
-		for _, v := range []cpu.Voltage{cpu.VHigh, cpu.VLow} {
-			for _, m := range []power.Mode{power.ModeNap, power.ModeActive, power.ModeStall} {
-				k.powerW[s][v][m] = cfg.Model.Power(power.State{Step: s, V: v, Mode: m})
+		k.voltSettleFn = func(t sim.Time) {
+			if k.volt == cpu.VLow {
+				k.powerVolt = cpu.VLow
+				k.setPowerState(t)
 			}
 		}
+	}
+	if !k.powerBuilt || !k.powerModel.Equal(cfg.Model) {
+		for s := cpu.MinStep; s <= cpu.MaxStep; s++ {
+			for _, v := range []cpu.Voltage{cpu.VHigh, cpu.VLow} {
+				for _, m := range []power.Mode{power.ModeNap, power.ModeActive, power.ModeStall} {
+					k.powerW[s][v][m] = cfg.Model.Power(power.State{Step: s, V: v, Mode: m})
+				}
+			}
+		}
+		// Keep a private copy of the voltage table: a caller editing its
+		// slice in place must not leave the power table looking current.
+		k.powerModel = cfg.Model
+		k.powerModel.DVSVolts = slices.Clone(cfg.Model.DVSVolts)
+		k.powerBuilt = true
 	}
 	reg := cfg.Telemetry
 	k.telQuanta = reg.Counter(telemetry.MKernelQuanta)
@@ -266,7 +296,29 @@ func New(eng *sim.Engine, cfg Config) (*Kernel, error) {
 	k.telVolt = reg.Counter(telemetry.MKernelVoltChanges)
 	k.telStallUs = reg.Counter(telemetry.MKernelStallMicros)
 	eng.Instrument(reg)
-	return k, nil
+	return nil
+}
+
+// Reset drops everything k holds of its last run — engine, configuration
+// (policy, fault injector, cancel hook, telemetry), processes and their
+// programs, logs — and keeps what Renew reuses. A reset kernel must be
+// renewed before any other use.
+func (k *Kernel) Reset() {
+	for _, p := range k.procs {
+		*p = Process{completeFn: p.completeFn, wakeFn: p.wakeFn}
+	}
+	clear(k.runq)
+	*k = Kernel{
+		procs:        k.procs[:0],
+		runq:         k.runq[:0],
+		tickFn:       k.tickFn,
+		stallEndFn:   k.stallEndFn,
+		voltSettleFn: k.voltSettleFn,
+		powerW:       k.powerW,
+		powerModel:   k.powerModel,
+		powerBuilt:   k.powerBuilt,
+		rec:          k.rec,
+	}
 }
 
 // Engine returns the simulation engine, for scheduling external events
@@ -336,15 +388,26 @@ func (k *Kernel) Spawn(prog Program) (*Process, error) {
 	if k.finished {
 		return nil, errors.New("kernel: Spawn after Run completed")
 	}
-	p := &Process{pid: k.nextPID, name: prog.Name(), prog: prog, kind: ActSleepFor}
-	p.completeFn = func(t sim.Time) { k.onCompletion(p, t) }
-	p.wakeFn = func(sim.Time) {
-		if p.state == StateSleeping {
-			k.Wake(p)
+	// A renewed kernel refills the process structs of its earlier runs,
+	// whose callbacks are already bound to this kernel and that struct.
+	n := len(k.procs)
+	var p *Process
+	if n < cap(k.procs) {
+		p = k.procs[:n+1][n]
+	}
+	if p == nil {
+		p = new(Process)
+		p.completeFn = func(t sim.Time) { k.onCompletion(p, t) }
+		p.wakeFn = func(sim.Time) {
+			if p.state == StateSleeping {
+				k.Wake(p)
+			}
 		}
 	}
+	*p = Process{pid: k.nextPID, name: prog.Name(), prog: prog, kind: ActSleepFor,
+		completeFn: p.completeFn, wakeFn: p.wakeFn}
 	k.nextPID++
-	k.procs = append(k.procs, p)
+	k.procs = append(k.procs[:n], p)
 	// The process's first action is fetched when it is first scheduled.
 	p.state = StateRunnable
 	k.runq = append(k.runq, p)

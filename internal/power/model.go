@@ -27,6 +27,7 @@ package power
 
 import (
 	"fmt"
+	"slices"
 
 	"clocksched/internal/cpu"
 )
@@ -88,6 +89,14 @@ type Model struct {
 	// (StrongARM SA-2 class), used by the ideal-DVS projection
 	// experiment; the Itsy itself is modelled with DVSVolts nil.
 	DVSVolts []float64
+}
+
+// Equal reports whether m and o describe the same model, comparing
+// DVSVolts element by element (a nil table is not an empty one).
+func (m Model) Equal(o Model) bool {
+	return m.CoeffA == o.CoeffA && m.CoeffB == o.CoeffB && m.NapRatio == o.NapRatio &&
+		m.PeriphWatts == o.PeriphWatts && (m.DVSVolts == nil) == (o.DVSVolts == nil) &&
+		slices.Equal(m.DVSVolts, o.DVSVolts)
 }
 
 // Reference anchors used by DefaultModel; exported so tests and docs can

@@ -40,6 +40,13 @@ func NewRecorder(m Model, initial State) *Recorder {
 	return r
 }
 
+// Reset starts the recorder over as NewRecorder(m, initial) would, keeping
+// its points array. A recorder that retained a long timeline keeps that
+// array too, so reset only one that streamed or recorded little.
+func (r *Recorder) Reset(m Model, initial State) {
+	*r = Recorder{model: m, points: append(r.points[:0], TimePoint{At: 0, Watts: m.Power(initial)})}
+}
+
 // Model returns the power model in use.
 func (r *Recorder) Model() Model { return r.model }
 

@@ -155,6 +155,22 @@ func (e *Engine) Instrument(reg *telemetry.Registry) {
 	e.telDepth = reg.Gauge(telemetry.MSimQueueDepth)
 }
 
+// Reset returns the engine to its zero state — time zero, nothing queued,
+// reserved or fired, no failure, no event cap, no telemetry — while keeping
+// its queue's backing array and its recycled nodes, so the next run
+// schedules without allocating. Every queued node is recycled, which bumps
+// its generation: a Handle taken before Reset cancels nothing after it.
+// Reset drops every callback the engine held.
+func (e *Engine) Reset() {
+	for _, s := range e.queue {
+		s.index = -1
+		e.recycle(s)
+	}
+	clear(e.queue)
+	clear(e.reserved)
+	*e = Engine{queue: e.queue[:0], free: e.free, reserved: e.reserved[:0]}
+}
+
 // ErrPast is returned when an event is scheduled before the current time.
 var ErrPast = errors.New("sim: event scheduled in the past")
 
