@@ -220,17 +220,18 @@ func TestEncodeSweepResultAllocsPerCell(t *testing.T) {
 
 // TestEventDrivenCellAllocBytes guards an event-driven cell's set-up cost:
 // a 2 s Web session under OA through RunContext must allocate at most
-// 9 KiB, for about 7.1 KiB measured. The session fires a handful of the
+// 5 KiB, for about 4 KiB measured. The session fires a handful of the
 // 190 s trace's events, so replay must schedule the trace lazily; building
 // a closure and an engine node for every event up front, re-growing the
 // zoo's job queue after each retire and hashing the cache key through fmt
-// cost about 37 KiB, and a new simulator per cell about 10 KiB (the limit
-// was then 16 KiB).
+// cost about 37 KiB, a new simulator per cell about 10 KiB (the limit was
+// then 16 KiB), and generating the trace into a new recorder instead of
+// the simulator's own about 7.1 KiB (the limit was then 9 KiB).
 func TestEventDrivenCellAllocBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector instruments allocations")
 	}
-	const runs, limit = 32, 9 << 10
+	const runs, limit = 32, 5 << 10
 	p, err := NewPolicy("oa", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -250,5 +251,49 @@ func TestEventDrivenCellAllocBytes(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if perCell := (after.TotalAlloc - before.TotalAlloc) / runs; perCell > limit {
 		t.Errorf("a 2 s Web cell under OA allocates %d B, want at most %d", perCell, limit)
+	}
+}
+
+// TestTraceCellAllocBytes guards a sweep's per-cell cost on the
+// interactive workloads, whose cells replay an input trace: a cached
+// 2 s sweep over web, chess, editor and feedback cells on one worker,
+// alternating two policies cell by cell, must allocate at most 5300 B per
+// cell, for about 4250 B measured, most of it the cached Result's
+// encoding. Generating each cell's trace into a new recorder, rendering
+// the policy again whenever it differed from the last cell's, and hashing
+// each key on a new hasher cost about 6600 B.
+func TestTraceCellAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments allocations")
+	}
+	const runs, limit = 2, 5300
+	pegs := mustPolicy(t, "past-peg-peg", nil)
+	oa := mustPolicy(t, "oa", nil)
+	var cells []Config
+	for seed := uint64(1); seed <= 4; seed++ {
+		for _, w := range []Workload{Web, Chess, TalkingEditor, Feedback} {
+			for _, p := range []Policy{pegs, oa} {
+				cells = append(cells, Config{Workload: w, Policy: p, Seed: seed, Duration: 2 * time.Second})
+			}
+		}
+	}
+	sweep := func() {
+		cache, err := NewSweepCache(len(cells), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Sweep(context.Background(), SweepConfig{Cells: cells, Workers: 1, Cache: cache}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sweep() // warm up lazily built tables and the simulator pool
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		sweep()
+	}
+	runtime.ReadMemStats(&after)
+	if perCell := (after.TotalAlloc - before.TotalAlloc) / runs / uint64(len(cells)); perCell > limit {
+		t.Errorf("a cached sweep of trace-driven cells allocates %d B per cell, want at most %d", perCell, limit)
 	}
 }

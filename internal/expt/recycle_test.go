@@ -3,6 +3,7 @@ package expt
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -37,7 +38,8 @@ func zoo(algo policy.ZooAlgo) kernel.SpeedPolicy {
 // shellCases spans what a run can leave behind in its simulator: constant
 // and scaled speeds, a retained timeline (a captured trace, a DAQ
 // sample-fault plan), a watchdog, every event-driven workload under a zoo
-// policy, the control loop, the elastic player, and two failed runs.
+// policy and web on a second seed, the control loop, the elastic player,
+// and two failed runs.
 func shellCases() []shellCase {
 	const d = 2 * sim.Second
 	mpeg := func(edit func(*RunSpec)) func() RunSpec {
@@ -63,6 +65,11 @@ func shellCases() []shellCase {
 		}},
 		{"oa-web", func() RunSpec {
 			return RunSpec{Workload: "web", Seed: 7, Duration: d, Policy: zoo(policy.AlgoOA), InitialStep: cpu.MaxStep, Stream: true}
+		}},
+		// Another web seed, long enough to replay scrolls that differ from
+		// seed 7's: a shell that kept its last trace fails here.
+		{"web-seed8", func() RunSpec {
+			return RunSpec{Workload: "web", Seed: 8, Duration: 5 * d, Policy: pastPegPeg(false), InitialStep: cpu.MaxStep, Stream: true}
 		}},
 		{"bkp-chess", func() RunSpec {
 			return RunSpec{Workload: "chess", Seed: 7, Duration: d, Policy: zoo(policy.AlgoBKP), InitialStep: cpu.MaxStep, Stream: true}
@@ -188,6 +195,43 @@ func TestReleaseHoldsNothing(t *testing.T) {
 	}
 	if sh.k.Engine() != nil || len(sh.k.Processes()) != 0 {
 		t.Error("a reset shell's kernel still references the run")
+	}
+}
+
+// TestUnreleasedOutcomeKeepsTrace checks that an outcome never released
+// keeps the input trace its workload replays: the trace lives in the
+// outcome's shell, which later runs through the pool — other seeds, every
+// interactive workload, each released — never take.
+func TestUnreleasedOutcomeKeepsTrace(t *testing.T) {
+	ctx := context.Background()
+	spec := func(w string, seed uint64) RunSpec {
+		return RunSpec{Workload: w, Seed: seed, Duration: 2 * sim.Second, Policy: pastPegPeg(false),
+			InitialStep: cpu.MaxStep, Stream: true}
+	}
+	kept, err := RunContext(ctx, spec("web", 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kept.sim == nil {
+		t.Fatal("a streamed web outcome is not poolable")
+	}
+	tr, err := kept.sim.tr.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Clone(tr.Events)
+	for seed := uint64(8); seed < 11; seed++ {
+		for _, w := range []string{"web", "chess", "editor", "feedback"} {
+			out, err := RunContext(ctx, spec(w, seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out.Release()
+		}
+	}
+	if tr.Name != "web" || !slices.Equal(tr.Events, want) {
+		t.Errorf("later runs rewrote an unreleased outcome's trace: now %q with %d events, was web with %d",
+			tr.Name, len(tr.Events), len(want))
 	}
 }
 

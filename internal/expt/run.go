@@ -22,6 +22,7 @@ import (
 	"clocksched/internal/sim"
 	"clocksched/internal/sweep"
 	"clocksched/internal/telemetry"
+	"clocksched/internal/trace"
 	"clocksched/internal/workload"
 )
 
@@ -97,11 +98,12 @@ const DefaultSlack = 33 * sim.Millisecond
 // RunOutcome bundles everything a measurement run produced.
 //
 // A caller done with an outcome may Release it, handing its simulator —
-// engine, kernel, power recorder, DAQ fold and the outcome itself — to the
-// next run instead of the garbage collector. Release must be the outcome's
-// last use: it clears every field, and the next run refills the Kernel
-// this outcome points at. A caller that keeps Kernel, Workload or anything
-// read through them never calls Release; the outcome is then an ordinary
+// engine, kernel, power recorder, DAQ fold, input trace and the outcome
+// itself — to the next run instead of the garbage collector. Release must
+// be the outcome's last use: it clears every field, and the next run
+// refills the Kernel this outcome points at and the trace its Workload
+// replays. A caller that keeps Kernel, Workload or anything read through
+// them never calls Release; the outcome is then an ordinary
 // garbage-collected value.
 type RunOutcome struct {
 	Spec     RunSpec
@@ -146,18 +148,23 @@ func (o *RunOutcome) Release() {
 }
 
 // cellSim is one run's simulator shell: the engine, the kernel with its
-// power recorder, the DAQ fold with its bound sink, and the outcome. Each
-// run resets and renews them, keeping their allocations: the engine's
-// queue and recycled nodes, the kernel's struct, power table, process and
-// run-queue arrays and bound callbacks. A sync.Pool rather than a shell
-// per sweep worker carries them between runs, so every path to RunContext
-// — sweeps, the fleet, sweepd, fabric peers, a single run — reuses them
-// without plumbing a shell through the layers above.
+// power recorder, the DAQ fold with its bound sink, the input-trace
+// recorder, and the outcome. Each run resets and renews them, keeping
+// their allocations: the engine's queue and recycled nodes, the kernel's
+// struct, power table, process and run-queue arrays and bound callbacks,
+// and the trace's event array. An interactive workload replays the
+// shell's trace, so the trace lives exactly as long as the shell: the
+// next run on a released shell regenerates it, and an outcome that is
+// never released keeps its shell, trace included. A sync.Pool rather than
+// a shell per sweep worker carries them between runs, so every path to
+// RunContext — sweeps, the fleet, sweepd, fabric peers, a single run —
+// reuses them without plumbing a shell through the layers above.
 type cellSim struct {
 	eng  sim.Engine
 	k    kernel.Kernel
 	fold daq.Fold
 	add  func(from, to sim.Time, watts float64) // fold.Add, bound once
+	tr   trace.Recorder
 	out  RunOutcome
 }
 
@@ -171,7 +178,9 @@ func (c *cellSim) reset() {
 	c.out = RunOutcome{}
 }
 
-func buildWorkload(spec RunSpec) (workload.Workload, error) {
+// buildWorkload builds spec's workload, generating an interactive
+// workload's input trace into the shell's recorder.
+func (c *cellSim) buildWorkload(spec RunSpec) (workload.Workload, error) {
 	switch spec.Workload {
 	case "mpeg", "mpeg-drop":
 		cfg := workload.DefaultMPEGConfig()
@@ -191,11 +200,11 @@ func buildWorkload(spec RunSpec) (workload.Workload, error) {
 		}
 		return workload.NewMPEG(cfg)
 	case "web":
-		return workload.NewWeb(workload.DefaultWebTrace(spec.Seed + 1))
+		return workload.NewWeb(workload.DefaultWebTraceInto(&c.tr, spec.Seed+1))
 	case "chess":
-		return workload.NewChess(workload.DefaultChessTrace(spec.Seed + 1))
+		return workload.NewChess(workload.DefaultChessTraceInto(&c.tr, spec.Seed+1))
 	case "editor":
-		return workload.NewTalkingEditor(workload.DefaultEditorTrace(spec.Seed + 1))
+		return workload.NewTalkingEditor(workload.DefaultEditorTraceInto(&c.tr, spec.Seed+1))
 	case "rect":
 		length := spec.Duration
 		if length == 0 {
@@ -210,6 +219,7 @@ func buildWorkload(spec RunSpec) (workload.Workload, error) {
 		if spec.Duration != 0 {
 			cfg.Length = spec.Duration
 		}
+		cfg.Disturbances = workload.DefaultFeedbackTraceInto(&c.tr, cfg.Seed)
 		// Like MPEG, the control loop cooperates with a deadline-consuming
 		// policy by advertising each sample's work and due time.
 		if ds, ok := spec.Policy.(workload.DeadlineSink); ok {
@@ -251,7 +261,7 @@ func (c *cellSim) run(ctx context.Context, spec RunSpec) (*RunOutcome, error) {
 	// spec.Policy for a DeadlineScheduler to cooperate with, and that
 	// check must see through to the real policy, so the watchdog wraps
 	// only afterwards.
-	w, err := buildWorkload(spec)
+	w, err := c.buildWorkload(spec)
 	if err != nil {
 		return nil, err
 	}

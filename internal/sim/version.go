@@ -37,7 +37,8 @@ const Version = "clocksched-sim/4"
 //
 // The encoding is the concatenation of fmt.Sprintf("%s=%v;", name, value)
 // over the fields, streamed into one SHA-256 digest through a fixed
-// scratch array rather than built up as a string first.
+// scratch array rather than built up as a string first. Reset starts a new
+// key on the same digest, so one Hasher can hash key after key.
 type Hasher struct {
 	d       hash.Hash
 	scratch [256]byte // fits a policy or fault-plan rendering
@@ -53,10 +54,18 @@ func NewHasher(domain string) *Hasher {
 // so cache-invalidation tests can prove that a version bump changes every
 // key; production callers use NewHasher.
 func NewHasherAt(domain, version string) *Hasher {
-	h := &Hasher{d: sha256.New()}
-	h.Field("domain", domain)
-	h.Field("version", version)
-	return h
+	return new(Hasher).Reset(domain, version)
+}
+
+// Reset starts a new key, as NewHasherAt(domain, version) would, on h's
+// digest.
+func (h *Hasher) Reset(domain, version string) *Hasher {
+	if h.d == nil {
+		h.d = sha256.New()
+	} else {
+		h.d.Reset()
+	}
+	return h.Str("domain", domain).Str("version", version)
 }
 
 // Field appends one named value. Values must be plain data (numbers,
@@ -64,31 +73,60 @@ func NewHasherAt(domain, version string) *Hasher {
 // pointers and maps have no canonical %v rendering and must be flattened by
 // the caller before hashing.
 func (h *Hasher) Field(name string, v any) *Hasher {
-	b := append(h.scratch[:0], name...)
-	b = append(b, '=')
 	// Exact built-in types render as %v does without fmt's reflection;
 	// everything else, named types and Stringers included, still goes
 	// through fmt.
 	switch x := v.(type) {
 	case string:
-		b = append(b, x...)
+		return h.Str(name, x)
 	case int64:
-		b = strconv.AppendInt(b, x, 10)
+		return h.Int(name, x)
 	case uint64:
-		b = strconv.AppendUint(b, x, 10)
+		return h.Uint(name, x)
 	case int:
-		b = strconv.AppendInt(b, int64(x), 10)
+		return h.Int(name, int64(x))
 	case bool:
-		b = strconv.AppendBool(b, x)
-	default:
-		b = fmt.Append(b, v)
+		return h.Bool(name, x)
 	}
-	b = append(b, ';')
-	h.d.Write(b) // a hash.Hash's Write never fails
+	return h.write(fmt.Append(h.name(name), v))
+}
+
+// Str appends a string field as Field(name, v) does, without boxing v
+// into an interface; Int, Uint and Bool do the same for their types.
+func (h *Hasher) Str(name, v string) *Hasher { return h.write(append(h.name(name), v...)) }
+
+// Int appends an integer field; see Str.
+func (h *Hasher) Int(name string, v int64) *Hasher {
+	return h.write(strconv.AppendInt(h.name(name), v, 10))
+}
+
+// Uint appends an unsigned integer field; see Str.
+func (h *Hasher) Uint(name string, v uint64) *Hasher {
+	return h.write(strconv.AppendUint(h.name(name), v, 10))
+}
+
+// Bool appends a boolean field; see Str.
+func (h *Hasher) Bool(name string, v bool) *Hasher {
+	return h.write(strconv.AppendBool(h.name(name), v))
+}
+
+// name starts a field's encoding, "name=", in the scratch array.
+func (h *Hasher) name(name string) []byte {
+	return append(append(h.scratch[:0], name...), '=')
+}
+
+// write ends a field's encoding with ';' and digests it.
+func (h *Hasher) write(b []byte) *Hasher {
+	h.d.Write(append(b, ';')) // a hash.Hash's Write never fails
 	return h
 }
 
-// Sum returns the hex SHA-256 digest of everything written so far.
+// Sum returns the hex SHA-256 digest of everything written so far. The
+// digest and its hex form are built in the scratch array, so the returned
+// string is Sum's only allocation.
 func (h *Hasher) Sum() string {
-	return hex.EncodeToString(h.d.Sum(h.scratch[:0]))
+	sum := h.d.Sum(h.scratch[:0])
+	hexed := h.scratch[len(sum) : len(sum)+hex.EncodedLen(len(sum))]
+	hex.Encode(hexed, sum)
+	return string(hexed)
 }

@@ -70,7 +70,10 @@ func fuzzFields(data []byte) (names []string, values []any) {
 // FuzzHasherField checks that the Hasher's digest is the SHA-256 of the
 // fmt.Sprintf("%s=%v;") concatenation of its fields, whatever their
 // types: the fmt-free paths for built-in types must render exactly as fmt
-// does, or every cache key and journal record would move.
+// does, or every cache key and journal record would move. It also hashes
+// every input on one Hasher reset after an unrelated key, which must
+// digest alike: nothing of a reset hasher's last key may leak into its
+// next.
 func FuzzHasherField(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 4, 's', 'e', 'e', 'd', 3, 'a', 'b', 'c'})
@@ -90,7 +93,31 @@ func FuzzHasherField(f *testing.F) {
 		if got := h.Sum(); got != hex.EncodeToString(sum[:]) {
 			t.Fatalf("Sum() = %s, want sha256 of %q", got, want.String())
 		}
+		reused := NewHasherAt("other", "v0").Field("seed", int64(len(data))).Field("x", data)
+		reused.Sum()
+		reused.Reset("fuzz", "v1")
+		for i, name := range names {
+			reused.Field(name, values[i])
+		}
+		if got := reused.Sum(); got != hex.EncodeToString(sum[:]) {
+			t.Fatalf("reset hasher's Sum() = %s, want sha256 of %q", got, want.String())
+		}
 	})
+}
+
+// TestHasherSumAllocs checks that hashing a key on a reset Hasher
+// allocates only the key: the digest is reused and Sum hex-encodes in the
+// scratch array, so the 64-byte string is the one allocation.
+func TestHasherSumAllocs(t *testing.T) {
+	h := NewHasher("test")
+	var key string
+	allocs := testing.AllocsPerRun(100, func() {
+		key = h.Reset("test", Version).Str("workload", "web").Uint("seed", 1<<40).
+			Int("duration", -2e9).Bool("trace", true).Sum()
+	})
+	if allocs != 1 || len(key) != 64 {
+		t.Errorf("a key on a reset hasher allocates %v times (key %q), want once", allocs, key)
+	}
 }
 
 func TestHasherSumIsRepeatable(t *testing.T) {

@@ -7,10 +7,11 @@ package trace
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode"
@@ -79,36 +80,44 @@ func (t *Trace) Duration() sim.Duration {
 	return t.Events[len(t.Events)-1].At
 }
 
-// Recorder captures events during a live session.
+// Recorder captures events during a live session. Reset starts it over,
+// keeping its event array, so one recorder can generate trace after trace;
+// each Finish then returns the recorder's own trace, which the next Reset
+// overwrites.
 type Recorder struct {
-	name   string
-	events []Event
+	trace Trace
 }
 
 // NewRecorder starts recording a session under the given name.
-func NewRecorder(name string) *Recorder { return &Recorder{name: name} }
+func NewRecorder(name string) *Recorder { return &Recorder{trace: Trace{Name: name}} }
 
-// NewRecorderCap starts recording a session that is expected to hold at
-// most n events; the trace then grows in one allocation, not by doubling.
-// More than n events is still legal.
-func NewRecorderCap(name string, n int) *Recorder {
-	return &Recorder{name: name, events: make([]Event, 0, n)}
+// Reset starts recording a new session under name that is expected to
+// hold at most n events, so that the trace grows in one allocation, not by
+// doubling; more than n events is still legal. It keeps the recorder's
+// event array when that holds n events and otherwise allocates exactly n.
+// The trace the last Finish returned is overwritten by the new session.
+func (r *Recorder) Reset(name string, n int) {
+	ev := r.trace.Events[:0]
+	if cap(ev) < n {
+		ev = make([]Event, 0, n)
+	}
+	r.trace = Trace{Name: name, Events: ev}
 }
 
 // Add records one event. Events may arrive out of order (from multiple
 // sources); Finish sorts them.
 func (r *Recorder) Add(at sim.Time, kind string, arg int64) {
-	r.events = append(r.events, Event{At: at, Kind: kind, Arg: arg})
+	r.trace.Events = append(r.trace.Events, Event{At: at, Kind: kind, Arg: arg})
 }
 
-// Finish returns the completed, validated trace.
+// Finish returns the completed, validated trace. It is the recorder's own:
+// a later Add or Reset changes it.
 func (r *Recorder) Finish() (*Trace, error) {
-	sort.SliceStable(r.events, func(i, j int) bool { return r.events[i].At < r.events[j].At })
-	t := &Trace{Name: r.name, Events: r.events}
-	if err := t.Validate(); err != nil {
+	slices.SortStableFunc(r.trace.Events, func(a, b Event) int { return cmp.Compare(a.At, b.At) })
+	if err := r.trace.Validate(); err != nil {
 		return nil, err
 	}
-	return t, nil
+	return &r.trace, nil
 }
 
 // WriteTo serializes the trace in a line-oriented text format:

@@ -142,3 +142,38 @@ func TestRecorderRejectsBadEvents(t *testing.T) {
 		t.Error("empty kind accepted by recorder")
 	}
 }
+
+// TestRecorderReset checks that a reset recorder generates a new session
+// into its old event array when that holds the new bound, allocates
+// exactly the bound when it does not, and sorts stably: events at one
+// instant keep the order they were added in.
+func TestRecorderReset(t *testing.T) {
+	r := new(Recorder)
+	r.Reset("first", 4)
+	r.Add(200, "b", 1)
+	r.Add(100, "a", 0)
+	r.Add(200, "b", 2)
+	first, err := r.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(first.Events) != 4 || first.Events[1].Arg != 1 || first.Events[2].Arg != 2 {
+		t.Fatalf("first session: %+v, capacity %d", first.Events, cap(first.Events))
+	}
+	array := &first.Events[:1][0]
+
+	r.Reset("second", 3)
+	r.Add(50, "c", 3)
+	second, err := r.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Name != "second" || len(second.Events) != 1 || &second.Events[0] != array {
+		t.Errorf("a reset within capacity: %q %+v, same array %v", second.Name, second.Events, &second.Events[0] == array)
+	}
+
+	r.Reset("third", 9)
+	if tr, _ := r.Finish(); len(tr.Events) != 0 || cap(tr.Events) != 9 {
+		t.Errorf("a reset past capacity: %d events, capacity %d, want 0 and exactly 9", len(tr.Events), cap(tr.Events))
+	}
+}

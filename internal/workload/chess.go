@@ -36,8 +36,14 @@ const chessTraceMaxEvents = 8 + 39
 // whose Arg is the move number. Early moves come quickly (both sides in
 // book); later ones follow long novice think times.
 func DefaultChessTrace(seed uint64) *trace.Trace {
+	return DefaultChessTraceInto(new(trace.Recorder), seed)
+}
+
+// DefaultChessTraceInto generates DefaultChessTrace(seed) into
+// rec, which it resets, and returns rec's trace.
+func DefaultChessTraceInto(rec *trace.Recorder, seed uint64) *trace.Trace {
 	rng := sim.NewRNG(seed)
-	rec := trace.NewRecorderCap("chess", chessTraceMaxEvents)
+	rec.Reset("chess", chessTraceMaxEvents)
 	now := 2 * sim.Second
 	move := int64(1)
 	for now < 210*sim.Second {

@@ -58,8 +58,14 @@ const editorTraceEvents = 6 + 1 + 4 + 1
 // "ui" (dialogue interaction, arg = weight in tenths) and "openfile"
 // (arg = file length in seconds of speech).
 func DefaultEditorTrace(seed uint64) *trace.Trace {
+	return DefaultEditorTraceInto(new(trace.Recorder), seed)
+}
+
+// DefaultEditorTraceInto generates DefaultEditorTrace(seed) into
+// rec, which it resets, and returns rec's trace.
+func DefaultEditorTraceInto(rec *trace.Recorder, seed uint64) *trace.Trace {
 	rng := sim.NewRNG(seed)
-	rec := trace.NewRecorderCap("talking-editor", editorTraceEvents)
+	rec.Reset("talking-editor", editorTraceEvents)
 	// Phase 1: navigate the file dialogue to the short text file.
 	now := sim.Time(1 * sim.Second)
 	for i := 0; i < 6; i++ {

@@ -110,8 +110,14 @@ const feedbackTraceMaxEvents = 16
 // "spike" events (arg = magnitude in tenths of disturbanceBurst) every few
 // seconds across a 50 s session.
 func DefaultFeedbackTrace(seed uint64) *trace.Trace {
+	return DefaultFeedbackTraceInto(new(trace.Recorder), seed)
+}
+
+// DefaultFeedbackTraceInto generates DefaultFeedbackTrace(seed) into
+// rec, which it resets, and returns rec's trace.
+func DefaultFeedbackTraceInto(rec *trace.Recorder, seed uint64) *trace.Trace {
 	rng := sim.NewRNG(seed)
-	rec := trace.NewRecorderCap("feedback", feedbackTraceMaxEvents)
+	rec.Reset("feedback", feedbackTraceMaxEvents)
 	now := 2 * sim.Second
 	for now < 48*sim.Second {
 		rec.Add(now, "spike", 5+rng.Int63n(11))

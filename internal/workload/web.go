@@ -44,8 +44,14 @@ const webTraceMaxEvents = 1 + 34 + 2 + 49
 // 15 = the table-heavy TN-56), "scroll" (arg = distance weight in tenths),
 // "back".
 func DefaultWebTrace(seed uint64) *trace.Trace {
+	return DefaultWebTraceInto(new(trace.Recorder), seed)
+}
+
+// DefaultWebTraceInto generates DefaultWebTrace(seed) into
+// rec, which it resets, and returns rec's trace.
+func DefaultWebTraceInto(rec *trace.Recorder, seed uint64) *trace.Trace {
 	rng := sim.NewRNG(seed)
-	rec := trace.NewRecorderCap("web", webTraceMaxEvents)
+	rec.Reset("web", webTraceMaxEvents)
 	now := 500 * sim.Millisecond
 	rec.Add(now, "open", 10) // the www.news.com article about the Itsy
 

@@ -382,7 +382,7 @@ func (p Policy) renderSame(q Policy) bool {
 	if p != q || math.Float64bits(p.MHz) != math.Float64bits(q.MHz) {
 		return false
 	}
-	if pr == nil || qr == nil {
+	if pr == qr || pr == nil || qr == nil {
 		return pr == qr
 	}
 	return pr.same(qr)

@@ -425,22 +425,17 @@ func Sweep(ctx context.Context, cfg SweepConfig) (*SweepResult, error) {
 
 	jobs := make([]sweep.Job, len(cells))
 	tel := cfg.Telemetry
-	var prev Policy
-	var prevRendered string
+	// Only the cache and the journal read keys, and Validate refuses a
+	// journal without a cache, so a cacheless sweep leaves them empty.
+	var keys *cellKeys
+	if cfg.Cache != nil {
+		keys = new(cellKeys)
+	}
 	for i := range cells {
 		c := &cells[i]
-		// The cache key hashes named fields only, never the telemetry
-		// registry, so instrumentation can never split the cache. A run of
-		// cells with one policy — the seeds of a grid — renders it once.
-		// Only the cache and the journal read keys, and Validate refuses a
-		// journal without a cache, so a cacheless sweep leaves them empty.
 		var key string
-		if cfg.Cache != nil {
-			d := c.withDefaults()
-			if i == 0 || !d.Policy.renderSame(prev) {
-				prev, prevRendered = d.Policy, d.Policy.cacheString()
-			}
-			key = hashCell(sim.Version, d, prevRendered)
+		if keys != nil {
+			key = keys.key(c)
 		}
 		jobs[i] = sweep.Job{
 			Key: key,
@@ -546,24 +541,94 @@ func cacheKey(cfg Config) string {
 // version; bumping sim.Version therefore invalidates every existing entry.
 func cacheKeyAt(version string, cfg Config) string {
 	cfg = cfg.withDefaults()
-	return hashCell(version, cfg, cfg.Policy.cacheString())
+	return hashCell(new(sim.Hasher), version, cfg, cfg.Policy.cacheString())
+}
+
+// cellKeys computes one sweep's cache keys, each equal to cacheKey of its
+// cell. The cache key hashes named fields only, never the telemetry
+// registry, so instrumentation can never split the cache. Every key is
+// hashed on one Hasher, and each policy is rendered once per sweep: a run
+// of cells with one policy — the seeds of a grid — reuses the last
+// rendering, and a policy met before — the policies of a fleet device,
+// repeated device after device — its memoized one.
+type cellKeys struct {
+	h            sim.Hasher
+	prev         Policy
+	prevRendered string // "" before the first key: no rendering is empty
+	// rendered memoizes renderings by the policy's resolved fields. An
+	// entry serves only a policy that renderSame says renders alike, so
+	// equal refs behind different pointers share one entry, and a policy
+	// that meets it without rendering alike — MHz 0 against -0, which are
+	// equal map keys, or another ref — renders afresh and takes the entry
+	// over. It is built on the sweep's first policy change.
+	rendered map[Policy]renderedPolicy
+}
+
+// renderedPolicy is a policy with its cacheString.
+type renderedPolicy struct {
+	p Policy
+	s string
+}
+
+// key returns cacheKey(*c).
+func (k *cellKeys) key(c *Config) string {
+	d := c.withDefaults()
+	return hashCell(&k.h, sim.Version, d, k.render(d.Policy))
+}
+
+// render returns p.cacheString(), rendering it only if this sweep has not.
+func (k *cellKeys) render(p Policy) string {
+	switch {
+	case k.prevRendered == "":
+		k.prev, k.prevRendered = p, p.cacheString()
+		return k.prevRendered
+	case p.renderSame(k.prev):
+		return k.prevRendered
+	}
+	if k.rendered == nil {
+		// The first policy change: a sweep of one policy never builds the
+		// memo.
+		k.rendered = make(map[Policy]renderedPolicy)
+		k.remember(renderedPolicy{p: k.prev, s: k.prevRendered})
+	}
+	e, ok := k.rendered[flatPolicy(p)]
+	if !ok || !e.p.renderSame(p) {
+		e = renderedPolicy{p: p, s: p.cacheString()}
+		k.remember(e)
+	}
+	k.prev, k.prevRendered = p, e.s
+	return e.s
+}
+
+// remember memoizes e. A NaN MHz is never equal to itself, so its entry
+// could never be found again: it stays out of the map.
+func (k *cellKeys) remember(e renderedPolicy) {
+	if flat := flatPolicy(e.p); flat == flat {
+		k.rendered[flat] = e
+	}
+}
+
+// flatPolicy is p's resolved fields: p without its ref.
+func flatPolicy(p Policy) Policy {
+	p.Ref = nil
+	return p
 }
 
 // hashCell hashes a defaulted cell configuration whose policy is already
-// rendered by cacheString.
-func hashCell(version string, cfg Config, policy string) string {
-	h := sim.NewHasherAt("clocksched.Result", version).
-		Field("workload", cfg.Workload).
-		Field("policy", policy).
-		Field("seed", cfg.Seed).
-		Field("duration", int64(cfg.Duration)).
-		Field("slack", int64(cfg.DeadlineSlack)).
-		Field("trace", cfg.CaptureTrace)
+// rendered by cacheString, on h, which it resets.
+func hashCell(h *sim.Hasher, version string, cfg Config, policy string) string {
+	h.Reset("clocksched.Result", version).
+		Str("workload", string(cfg.Workload)).
+		Str("policy", policy).
+		Uint("seed", cfg.Seed).
+		Int("duration", int64(cfg.Duration)).
+		Int("slack", int64(cfg.DeadlineSlack)).
+		Bool("trace", cfg.CaptureTrace)
 	if cfg.Faults != nil {
-		h.Field("faults", fmt.Sprintf("%+v", *cfg.Faults))
+		h.Str("faults", fmt.Sprintf("%+v", *cfg.Faults))
 	}
 	if cfg.Watchdog != nil {
-		h.Field("watchdog", fmt.Sprintf("%+v", *cfg.Watchdog))
+		h.Str("watchdog", fmt.Sprintf("%+v", *cfg.Watchdog))
 	}
 	return h.Sum()
 }

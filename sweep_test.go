@@ -530,3 +530,39 @@ func TestSweepPolicyKeyMemo(t *testing.T) {
 		})
 	}
 }
+
+// TestCellKeysMatchCacheKey checks the keys Sweep computes through
+// cellKeys — one hasher for every key, each policy rendered once per sweep
+// — against cacheKey, which renders and hashes afresh, over cells that
+// alternate three policies: one registry policy behind two Ref pointers
+// with equal params, a flat constant at MHz 0 and at -0 (equal map keys
+// that render apart), PAST peg-peg, and a NaN MHz, which no map lookup
+// can find and which must not grow the memo. The cells need not be valid:
+// keys are computed before validation runs anything.
+func TestCellKeysMatchCacheKey(t *testing.T) {
+	slow := mustPolicy(t, "constant", map[string]float64{"mhz": 132.7})
+	slowAgain := mustPolicy(t, "constant", map[string]float64{"mhz": 132.7})
+	if slow.Ref == slowAgain.Ref {
+		t.Fatal("two builds share one Ref")
+	}
+	zero := Policy{Constant: true}
+	negZero := Policy{Constant: true, MHz: math.Copysign(0, -1)}
+	nan := Policy{Constant: true, MHz: math.NaN()}
+	pegs := mustPolicy(t, "past-peg-peg", nil)
+	order := []Policy{
+		slow, zero, pegs, slowAgain, negZero, pegs, zero, slow, negZero,
+		nan, pegs, nan, slowAgain, negZero, zero, negZero,
+	}
+	var keys cellKeys
+	for i, p := range order {
+		c := Config{Workload: Web, Policy: p, Seed: uint64(i % 3)}
+		if got, want := keys.key(&c), cacheKey(c); got != want {
+			t.Errorf("cell %d (%s): key %s, want cacheKey %s", i, p.cacheString(), got, want)
+		}
+	}
+	// The memo holds one entry per resolved policy: the constant 132.7,
+	// the constant at ±0 and PAST peg-peg, never a NaN.
+	if n := len(keys.rendered); n != 3 {
+		t.Errorf("the memo holds %d renderings, want 3", n)
+	}
+}
