@@ -594,6 +594,12 @@ func Run(cfg Config) (*Result, error) {
 // observed at quantum boundaries — every 10 ms of simulated time — so the
 // run aborts promptly with an error satisfying errors.Is(err, ctx.Err()).
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
+	return runAttempt(ctx, cfg, 0)
+}
+
+// runAttempt is RunContext for the given zero-based retry attempt of a
+// sweep cell, which salts only the fault injector's cell-abort stream.
+func runAttempt(ctx context.Context, cfg Config, attempt int) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -610,6 +616,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	spec.Watchdog = cfg.Watchdog.internal()
 	spec.Telemetry = cfg.Telemetry.registry()
 	spec.Stream = !cfg.CaptureTrace
+	spec.Attempt = attempt
 
 	out, err := expt.RunContext(ctx, spec)
 	if err != nil {

@@ -171,7 +171,7 @@ func run(o options) int {
 		}
 		env.Cache = cache
 		env.Journal = filepath.Join(o.outDir, "sweep.wal")
-		jr, err := sweep.OpenCellJournal(env.Journal, o.resume)
+		jr, err := sweep.OpenCellJournal(env.Journal, o.resume, nil)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments: journal:", err)
 			return 1

@@ -10,7 +10,6 @@ import (
 
 	"clocksched/internal/cpu"
 	"clocksched/internal/sim"
-	"clocksched/internal/sweep"
 )
 
 // countdownCtx is a context whose deadline "expires" after its Err has been
@@ -78,8 +77,8 @@ func TestRunContextDeadlineBeforeStart(t *testing.T) {
 }
 
 // TestRunContextAttemptSaltsOnlyAbortStream pins the retry contract the
-// sweep layer depends on: the attempt number threaded through the context
-// must not change a successful run's results (attempt salts only the fault
+// sweep layer depends on: the attempt number in RunSpec.Attempt must not
+// change a successful run's results (attempt salts only the fault
 // injector's cell-abort schedule).
 func TestRunContextAttemptSaltsOnlyAbortStream(t *testing.T) {
 	spec := RunSpec{Workload: "rect", Duration: 2 * sim.Second, InitialStep: cpu.MaxStep}
@@ -87,7 +86,8 @@ func TestRunContextAttemptSaltsOnlyAbortStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	retry, err := RunContext(sweep.WithAttempt(context.Background(), 3), spec)
+	spec.Attempt = 3
+	retry, err := RunContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

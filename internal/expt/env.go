@@ -33,8 +33,8 @@ type Env struct {
 	// exponential backoff; zero disables.
 	Retries int
 	// Progress, when non-nil, receives the sweep pool's done/total counts
-	// (see sweep.Options.OnProgress). A resumed run's counts start at the
-	// journal-replayed cell count.
+	// (see clocksched.SweepConfig.Progress). A resumed run's counts start at
+	// the journal-replayed cell count.
 	Progress func(done, total int)
 }
 

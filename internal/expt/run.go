@@ -20,7 +20,6 @@ import (
 	"clocksched/internal/policy"
 	"clocksched/internal/power"
 	"clocksched/internal/sim"
-	"clocksched/internal/sweep"
 	"clocksched/internal/telemetry"
 	"clocksched/internal/trace"
 	"clocksched/internal/workload"
@@ -72,8 +71,6 @@ type RunSpec struct {
 	// It salts only the fault injector's cell-abort stream — attempt 0 is
 	// bit-identical to the pre-retry behaviour, and successful runs are
 	// identical across attempts — so it is excluded from spec hashing.
-	// RunContext fills it from the context when the sweep's retry layer
-	// annotated one.
 	Attempt int
 	// Telemetry, when non-nil, receives live instrumentation from the
 	// engine, kernel, policy, and DAQ. Like Cancel it is observational
@@ -253,9 +250,6 @@ func (c *cellSim) run(ctx context.Context, spec RunSpec) (*RunOutcome, error) {
 	}
 	if spec.Cancel == nil && ctx.Done() != nil {
 		spec.Cancel = ctx.Err
-	}
-	if spec.Attempt == 0 {
-		spec.Attempt = sweep.AttemptFromContext(ctx)
 	}
 	// The workload is built against the unwrapped policy: MPEG inspects
 	// spec.Policy for a DeadlineScheduler to cooperate with, and that

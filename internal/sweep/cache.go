@@ -16,17 +16,6 @@ import (
 	"clocksched/internal/telemetry"
 )
 
-// Codec serializes cached values. The cache stores encoded bytes — in
-// memory and on disk — and decodes on every hit, so a hit can never alias a
-// value another cell is still mutating, and a disk entry written by one
-// process is readable by the next. The cache itself is codec-free: each Get
-// and Put names the codec of its value type, so one cache (and one disk
-// directory) can hold entries of several types under disjoint keys.
-type Codec struct {
-	Encode func(v any) ([]byte, error)
-	Decode func(b []byte) (any, error)
-}
-
 // CacheStats counts cache traffic.
 type CacheStats struct {
 	Hits     int // served from memory or disk
@@ -38,8 +27,11 @@ type CacheStats struct {
 }
 
 // Cache is a content-addressed byte store: a bounded in-memory LRU of
-// encoded entries with an optional on-disk layer. It is safe for concurrent
-// use.
+// encoded entries with an optional on-disk layer. It holds bytes only: Get
+// hands a hit's bytes to the caller's decode and Put stores what the
+// caller's encode returns, so a hit never aliases a value another cell is
+// still mutating, and a disk entry written by one process is readable by
+// the next. It is safe for concurrent use.
 type Cache struct {
 	dir string // "" disables the disk layer
 	// dirPrefix is what precedes a file name in a path under dir: dir
@@ -131,20 +123,20 @@ func NewCache(maxEntries int, dir string) (*Cache, error) {
 	}, nil
 }
 
-// Get looks the key up in memory, then on disk, and decodes the entry with
-// codec. A disk hit is promoted into memory. It returns the decoded value,
-// the entry's encoded bytes — what the journal layer hashes to verify a
-// replayed cell; the cache's own copy, not to be mutated — and a hit flag.
-// A missing entry is (nil, nil, false, nil); a disk entry that fails to
-// decode is quarantined and reported as a miss.
-func (c *Cache) Get(key string, codec Codec) (any, []byte, bool, error) {
+// Get looks the key up in memory, then on disk, and hands the entry's bytes
+// to decode. A disk hit is promoted into memory. It returns the entry's
+// bytes — what the journal layer hashes to verify a replayed cell; the
+// cache's own copy, not to be mutated — and a hit flag. A missing entry is
+// (nil, false, nil); a disk entry that fails to decode is quarantined and
+// reported as a miss.
+func (c *Cache) Get(key string, decode func([]byte) error) ([]byte, bool, error) {
 	var file string
-	return c.get(key, &file, codec)
+	return c.get(key, &file, decode)
 }
 
 // get is Get. *file is key's disk file once get or put has derived it, ""
 // before, so that a cell that misses and is then put derives it once.
-func (c *Cache) get(key string, file *string, codec Codec) (any, []byte, bool, error) {
+func (c *Cache) get(key string, file *string, decode func([]byte) error) ([]byte, bool, error) {
 	tel := c.tel.Load()
 	var t0 time.Time
 	if tel != nil {
@@ -156,30 +148,28 @@ func (c *Cache) get(key string, file *string, codec Codec) (any, []byte, bool, e
 		b := el.Value.(*cacheEntry).b
 		c.stats.Hits++
 		c.mu.Unlock()
-		v, err := codec.Decode(b)
-		if err != nil {
-			return nil, nil, false, err
+		if err := decode(b); err != nil {
+			return nil, false, err
 		}
 		if tel != nil {
 			tel.hits.Inc()
 			tel.getHit.ObserveSince(t0)
 		}
-		return v, b, true, nil
+		return b, true, nil
 	}
 	c.mu.Unlock()
 
 	if c.dir != "" {
 		b, err := os.ReadFile(c.file(key, file))
 		if err == nil {
-			v, derr := codec.Decode(b)
-			if derr == nil {
+			if derr := decode(b); derr == nil {
 				c.insert(key, b, true)
 				if tel != nil {
 					tel.hits.Inc()
 					tel.diskHits.Inc()
 					tel.getDisk.ObserveSince(t0)
 				}
-				return v, b, true, nil
+				return b, true, nil
 			}
 			// A corrupt or truncated entry file (a crashed writer that
 			// predates the atomic rename, a partial copy, bit rot) is
@@ -202,23 +192,23 @@ func (c *Cache) get(key string, file *string, codec Codec) (any, []byte, bool, e
 		tel.misses.Inc()
 		tel.getMiss.ObserveSince(t0)
 	}
-	return nil, nil, false, nil
+	return nil, false, nil
 }
 
-// Put encodes v with codec and stores the bytes under key, in memory and
-// (when configured) on disk. It returns the encoded bytes — what the
-// journal layer hashes when committing the cell.
-func (c *Cache) Put(key string, v any, codec Codec) ([]byte, error) {
+// Put stores the bytes encode returns under key, in memory and (when
+// configured) on disk. It returns them — what the journal layer hashes when
+// committing the cell.
+func (c *Cache) Put(key string, encode func() ([]byte, error)) ([]byte, error) {
 	var file string
-	return c.put(key, &file, v, codec)
+	return c.put(key, &file, encode)
 }
 
 // put is Put, with file as for get.
-func (c *Cache) put(key string, file *string, v any, codec Codec) ([]byte, error) {
+func (c *Cache) put(key string, file *string, encode func() ([]byte, error)) ([]byte, error) {
 	if tel := c.tel.Load(); tel != nil {
 		defer tel.putH.ObserveSince(time.Now())
 	}
-	b, err := codec.Encode(v)
+	b, err := encode()
 	if err != nil {
 		return nil, fmt.Errorf("sweep: encoding cache entry: %w", err)
 	}

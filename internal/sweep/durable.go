@@ -19,7 +19,7 @@ package sweep
 //     is missing or corrupt is re-run. Since every run is a deterministic
 //     simulation, a re-run reproduces the identical bytes — resume
 //     correctness never depends on cache durability.
-//   - Backoff is seeded. Retry delays derive from (seed, cell index,
+//   - Backoff is deterministic. Retry delays derive from (cell index,
 //     attempt), not from a global RNG or the clock, so a sweep's retry
 //     schedule is reproducible regardless of worker interleaving.
 
@@ -39,25 +39,6 @@ import (
 	"clocksched/internal/telemetry"
 )
 
-// attemptKey carries the zero-based retry attempt through the context into
-// the cell closure, so a deterministic simulation can salt its
-// fault-injection streams per attempt — giving each retry an independent
-// abort schedule while leaving the successful run bit-identical.
-type attemptKey struct{}
-
-// WithAttempt returns ctx annotated with the cell's zero-based attempt
-// number.
-func WithAttempt(ctx context.Context, attempt int) context.Context {
-	return context.WithValue(ctx, attemptKey{}, attempt)
-}
-
-// AttemptFromContext reports the cell's zero-based attempt number, zero if
-// the context carries none (a first attempt, or a run outside the sweep).
-func AttemptFromContext(ctx context.Context) int {
-	n, _ := ctx.Value(attemptKey{}).(int)
-	return n
-}
-
 // IsTransient reports whether err declares itself retryable by exposing a
 // `Transient() bool` method anywhere in its chain. The sweep engine retries
 // only transient failures: a deterministic simulation that failed on bad
@@ -74,38 +55,28 @@ type RetryPolicy struct {
 	// disables retries.
 	Max int
 	// Base is the first backoff delay; non-positive selects 100ms. The
-	// delay doubles per attempt.
+	// delay doubles per attempt, up to retryCap.
 	Base time.Duration
-	// Cap bounds the grown delay; non-positive selects 5s.
-	Cap time.Duration
-	// Seed keys the jitter stream. The same (Seed, cell, attempt) triple
-	// always yields the same delay.
-	Seed uint64
 }
 
-// retryDefaults returns the policy with zero fields resolved.
-func (p RetryPolicy) retryDefaults() RetryPolicy {
-	if p.Base <= 0 {
-		p.Base = 100 * time.Millisecond
-	}
-	if p.Cap <= 0 {
-		p.Cap = 5 * time.Second
-	}
-	return p
-}
+// retryCap bounds a grown backoff delay.
+const retryCap = 5 * time.Second
 
 // delay computes the backoff before retry number attempt (zero-based) of
-// the given cell: exponential growth clamped at Cap, jittered into
-// [d/2, d] by a stream keyed on (Seed, cell, attempt) so the schedule is
+// the given cell: exponential growth clamped at retryCap, jittered into
+// [d/2, d] by a stream keyed on (cell, attempt) so the schedule is
 // deterministic however workers interleave.
 func (p RetryPolicy) delay(cell, attempt int) time.Duration {
-	p = p.retryDefaults()
-	d := p.Cap
-	// Grow by doubling, watching for overflow past the cap.
-	if shift := uint(attempt); shift < 62 && p.Base<<shift > 0 && p.Base<<shift < p.Cap {
-		d = p.Base << shift
+	base := p.Base
+	if base <= 0 {
+		base = 100 * time.Millisecond
 	}
-	rng := sim.NewRNGStream(p.Seed^(uint64(cell)*0x9e3779b97f4a7c15+0xd1b54a32d192ed03), uint64(attempt))
+	d := retryCap
+	// Grow by doubling, watching for overflow past the cap.
+	if shift := uint(attempt); shift < 62 && base<<shift > 0 && base<<shift < retryCap {
+		d = base << shift
+	}
+	rng := sim.NewRNGStream(uint64(cell)*0x9e3779b97f4a7c15+0xd1b54a32d192ed03, uint64(attempt))
 	half := d / 2
 	return half + time.Duration(rng.Uint64()%uint64(half+1))
 }
@@ -152,12 +123,7 @@ type journalTel struct {
 	commits, errs *telemetry.Counter
 }
 
-// OpenCellJournal opens the cell journal at path; see OpenCellJournalFS.
-func OpenCellJournal(path string, resume bool) (*CellJournal, error) {
-	return OpenCellJournalFS(path, resume, nil)
-}
-
-// OpenCellJournalFS opens (resume=false: truncates) the cell journal at path,
+// OpenCellJournal opens (resume=false: truncates) the cell journal at path,
 // routing its durable writes — appends, fsyncs, and the compaction rewrite —
 // through fs (nil selects the real filesystem; chaos tests inject faults).
 // With resume, previously committed records are recovered — a torn tail
@@ -175,7 +141,7 @@ func OpenCellJournal(path string, resume bool) (*CellJournal, error) {
 // the fsynced copy. Compaction preserves exactly the recovered cell set —
 // it changes the file, never the semantics — and Compacted reports that it
 // happened.
-func OpenCellJournalFS(path string, resume bool, fs journal.FS) (*CellJournal, error) {
+func OpenCellJournal(path string, resume bool, fs journal.FS) (*CellJournal, error) {
 	done := map[string]string{}
 	var order []string // first-commit order of distinct keys
 	parse := func(p []byte) error {
@@ -341,11 +307,12 @@ func (jr *CellJournal) Close() error {
 	return jr.w.Close()
 }
 
-// cellRunner is the per-sweep execution environment for one cell: cache,
-// journal, deadline budget, retry policy, and the pre-resolved instruments.
+// cellRunner is the per-sweep execution environment for one cell: the
+// grid, cache, journal, deadline budget, retry policy, and the
+// pre-resolved instruments.
 type cellRunner struct {
+	cells       Cells
 	cache       *Cache
-	codec       Codec
 	journal     *CellJournal
 	timeout     time.Duration
 	retry       RetryPolicy
@@ -358,40 +325,42 @@ type cellRunner struct {
 // committed comes back as a plain cache hit, never as Replayed. Cache and
 // journal failures are swallowed — durability accelerates and protects, it
 // never gates a result.
-func (cr *cellRunner) run(ctx context.Context, i int, j Job) Outcome {
+func (cr *cellRunner) run(ctx context.Context, i int) Outcome {
 	if err := ctx.Err(); err != nil {
 		return Outcome{Err: err}
 	}
 
-	var file string // j.Key's cache file, once the cache has derived it
-	if cr.cache != nil && j.Key != "" {
-		if v, enc, hit, err := cr.cache.get(j.Key, &file, cr.codec); err == nil && hit {
+	var key, file string // the cell's cache key, and its file once the cache has derived it
+	if cr.cache != nil {
+		key = cr.cells.Key(i)
+	}
+	if key != "" {
+		decode := func(b []byte) error { return cr.cells.Decode(i, b) }
+		if enc, hit, err := cr.cache.get(key, &file, decode); err == nil && hit {
 			// A plain cache hit also completes the cell; journal it so a
 			// later resume replays instead of depending on cache policy.
-			_ = cr.journal.Commit(j.Key, enc)
-			return Outcome{Value: v, Cached: true}
+			_ = cr.journal.Commit(key, enc)
+			return Outcome{Cached: true}
 		}
 	}
 
 	attempts := 0
 	for {
 		attempts++
-		cellCtx := WithAttempt(ctx, attempts-1)
-		var cancel context.CancelFunc
+		cellCtx, cancel := ctx, func() {}
 		if cr.timeout > 0 {
-			cellCtx, cancel = context.WithTimeout(cellCtx, cr.timeout)
+			cellCtx, cancel = context.WithTimeout(ctx, cr.timeout)
 		}
-		v, err := j.Run(cellCtx)
-		if cancel != nil {
-			cancel()
-		}
+		err := cr.cells.Run(cellCtx, i, attempts-1)
+		cancel()
 		if err == nil {
-			if cr.cache != nil && j.Key != "" {
-				if enc, perr := cr.cache.put(j.Key, &file, v, cr.codec); perr == nil {
-					_ = cr.journal.Commit(j.Key, enc)
+			if key != "" {
+				encode := func() ([]byte, error) { return cr.cells.Encode(i) }
+				if enc, perr := cr.cache.put(key, &file, encode); perr == nil {
+					_ = cr.journal.Commit(key, enc)
 				}
 			}
-			return Outcome{Value: v, Attempts: attempts}
+			return Outcome{Attempts: attempts}
 		}
 		// A blown per-cell deadline (with the sweep itself still healthy)
 		// is terminal, not transient: the same budget would expire the same

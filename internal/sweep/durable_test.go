@@ -23,7 +23,7 @@ func (f flakyErr) Transient() bool { return true }
 
 // fastRetry keeps test backoffs in the microsecond range.
 func fastRetry(max int) RetryPolicy {
-	return RetryPolicy{Max: max, Base: time.Microsecond, Cap: 10 * time.Microsecond}
+	return RetryPolicy{Max: max, Base: time.Microsecond}
 }
 
 func TestIsTransient(t *testing.T) {
@@ -41,18 +41,12 @@ func TestIsTransient(t *testing.T) {
 	}
 }
 
-func TestWithAttemptRoundTrip(t *testing.T) {
-	ctx := context.Background()
-	if got := AttemptFromContext(ctx); got != 0 {
-		t.Fatalf("bare context attempt = %d, want 0", got)
-	}
-	if got := AttemptFromContext(WithAttempt(ctx, 3)); got != 3 {
-		t.Fatalf("attempt = %d, want 3", got)
-	}
-}
-
+// TestRetryDelayDeterministicAndBounded: a delay is a function of (cell,
+// attempt) alone, jittered into [d/2, d] of the doubled base capped at
+// retryCap, and the schedule is the one the jitter stream has always
+// drawn.
 func TestRetryDelayDeterministicAndBounded(t *testing.T) {
-	p := RetryPolicy{Max: 5, Base: 100 * time.Millisecond, Cap: 5 * time.Second, Seed: 7}
+	p := RetryPolicy{Max: 5, Base: 100 * time.Millisecond}
 	for cell := 0; cell < 4; cell++ {
 		for attempt := 0; attempt < 8; attempt++ {
 			d1 := p.delay(cell, attempt)
@@ -60,8 +54,8 @@ func TestRetryDelayDeterministicAndBounded(t *testing.T) {
 			if d1 != d2 {
 				t.Fatalf("delay(%d,%d) nondeterministic: %v vs %v", cell, attempt, d1, d2)
 			}
-			grown := p.Cap
-			if attempt < 6 && p.Base<<uint(attempt) < p.Cap {
+			grown := retryCap
+			if attempt < 6 && p.Base<<uint(attempt) < retryCap {
 				grown = p.Base << uint(attempt)
 			}
 			if d1 < grown/2 || d1 > grown {
@@ -69,43 +63,44 @@ func TestRetryDelayDeterministicAndBounded(t *testing.T) {
 			}
 		}
 	}
-	// Different seeds must produce different schedules somewhere.
-	q := p
-	q.Seed = 8
-	same := true
-	for attempt := 0; attempt < 8 && same; attempt++ {
-		same = p.delay(0, attempt) == q.delay(0, attempt)
-	}
-	if same {
-		t.Error("seed does not influence the backoff schedule")
+	// Delays of cells 0 and 1, attempts 0 through 7: the schedule every
+	// sweep has drawn, pinned so that rekeying the stream shows.
+	for cell, want := range [][]time.Duration{
+		{85783712, 116476183, 233366898, 507059140, 1526584465, 2933800001, 3304712077, 4805710677},
+		{70106868, 190630103, 242783451, 547351965, 1114590497, 2705642628, 3799803491, 2658676560},
+	} {
+		for attempt, d := range want {
+			if got := p.delay(cell, attempt); got != d {
+				t.Errorf("delay(%d,%d) = %d, want %d", cell, attempt, got, d)
+			}
+		}
 	}
 }
 
 func TestRetryTransientThenSucceed(t *testing.T) {
 	reg := telemetry.New()
 	var calls atomic.Int64
-	jobs := []Job{{Run: func(ctx context.Context) (any, error) {
+	cells := newIntCells(1, func(_ context.Context, _, attempt int) (int, error) {
 		n := calls.Add(1)
-		if AttemptFromContext(ctx) != int(n-1) {
-			t.Errorf("call %d saw attempt %d", n, AttemptFromContext(ctx))
+		if attempt != int(n-1) {
+			t.Errorf("call %d saw attempt %d", n, attempt)
 		}
 		if n < 3 {
-			return nil, flakyErr{"injected"}
+			return 0, flakyErr{"injected"}
 		}
 		return 42, nil
-	}}}
-	var stats PoolStats
-	out, err := Run(context.Background(), jobs, Options{
-		Workers: 1, Retry: fastRetry(5), Telemetry: reg, Stats: &stats,
+	})
+	stats, err := cells.sweep(context.Background(), Options{
+		Workers: 1, Retry: fastRetry(5), Telemetry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out[0].Value.(int) != 42 || out[0].Attempts != 3 {
-		t.Fatalf("outcome %+v, want value 42 after 3 attempts", out[0])
+	if cells.vals[0] != 42 || cells.outs[0].Attempts != 3 {
+		t.Fatalf("outcome %+v value %d, want value 42 after 3 attempts", cells.outs[0], cells.vals[0])
 	}
-	if stats.Retries != 2 {
-		t.Errorf("stats.Retries = %d, want 2", stats.Retries)
+	if stats.Retried != 2 {
+		t.Errorf("stats.Retried = %d, want 2", stats.Retried)
 	}
 	if got := reg.Snapshot().Counters[telemetry.MSweepCellRetries]; got != 2 {
 		t.Errorf("%s = %v, want 2", telemetry.MSweepCellRetries, got)
@@ -114,11 +109,12 @@ func TestRetryTransientThenSucceed(t *testing.T) {
 
 func TestRetryBudgetExhaustedDegradesToError(t *testing.T) {
 	var calls atomic.Int64
-	jobs := []Job{{Run: func(context.Context) (any, error) {
+	cells := newIntCells(1, func(context.Context, int, int) (int, error) {
 		calls.Add(1)
-		return nil, flakyErr{"always"}
-	}}}
-	out, err := Run(context.Background(), jobs, Options{Workers: 1, Retry: fastRetry(2)})
+		return 0, flakyErr{"always"}
+	})
+	_, err := cells.sweep(context.Background(), Options{Workers: 1, Retry: fastRetry(2)})
+	out := cells.outs
 	if err == nil {
 		t.Fatal("exhausted retries should surface an error")
 	}
@@ -136,11 +132,12 @@ func TestRetryBudgetExhaustedDegradesToError(t *testing.T) {
 func TestNonTransientNotRetried(t *testing.T) {
 	var calls atomic.Int64
 	boom := errors.New("deterministic failure")
-	jobs := []Job{{Run: func(context.Context) (any, error) {
+	cells := newIntCells(1, func(context.Context, int, int) (int, error) {
 		calls.Add(1)
-		return nil, boom
-	}}}
-	out, err := Run(context.Background(), jobs, Options{Workers: 1, Retry: fastRetry(5)})
+		return 0, boom
+	})
+	_, err := cells.sweep(context.Background(), Options{Workers: 1, Retry: fastRetry(5)})
+	out := cells.outs
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
@@ -152,17 +149,18 @@ func TestNonTransientNotRetried(t *testing.T) {
 func TestCellTimeoutIsTerminal(t *testing.T) {
 	reg := telemetry.New()
 	var calls atomic.Int64
-	jobs := []Job{{Run: func(ctx context.Context) (any, error) {
+	cells := newIntCells(1, func(ctx context.Context, _, _ int) (int, error) {
 		calls.Add(1)
 		<-ctx.Done() // a well-behaved cell observes cancellation
-		return nil, ctx.Err()
-	}}}
-	out, err := Run(context.Background(), jobs, Options{
+		return 0, ctx.Err()
+	})
+	_, err := cells.sweep(context.Background(), Options{
 		Workers:     1,
 		CellTimeout: 10 * time.Millisecond,
 		Retry:       fastRetry(5), // must NOT rescue a blown deadline
 		Telemetry:   reg,
 	})
+	out := cells.outs
 	if err == nil || !errors.Is(out[0].Err, context.DeadlineExceeded) {
 		t.Fatalf("err=%v cell=%v, want DeadlineExceeded", err, out[0].Err)
 	}
@@ -183,20 +181,13 @@ func TestJournalCommitAndResumeReplays(t *testing.T) {
 	cacheDir := filepath.Join(dir, "cache")
 	reg := telemetry.New()
 
-	mk := func(mustRun bool) []Job {
-		jobs := make([]Job, 4)
-		for i := range jobs {
-			jobs[i] = Job{
-				Key: fmt.Sprintf("cell-%d", i),
-				Run: func(context.Context) (any, error) {
-					if !mustRun {
-						t.Errorf("cell %d re-ran after journal commit", i)
-					}
-					return i * 11, nil
-				},
+	mk := func(mustRun bool) *intCells {
+		return newIntCells(4, func(_ context.Context, i, _ int) (int, error) {
+			if !mustRun {
+				t.Errorf("cell %d re-ran after journal commit", i)
 			}
-		}
-		return jobs
+			return i * 11, nil
+		}).keyed("cell-%d")
 	}
 
 	// First run: everything simulates and commits.
@@ -204,12 +195,12 @@ func TestJournalCommitAndResumeReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jr1, err := OpenCellJournal(wal, false)
+	jr1, err := OpenCellJournal(wal, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var s1 PoolStats
-	out1, err := Run(context.Background(), mk(true), Options{Workers: 2, Cache: c1, Codec: jsonCodec(), Journal: jr1, Stats: &s1})
+	first := mk(true)
+	s1, err := first.sweep(context.Background(), Options{Workers: 2, Cache: c1, Journal: jr1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,12 +212,12 @@ func TestJournalCommitAndResumeReplays(t *testing.T) {
 	}
 
 	// Second process: resume replays every cell from the journal + cache
-	// without invoking a single closure.
+	// without running a single cell.
 	c2, err := NewCache(8, cacheDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jr2, err := OpenCellJournal(wal, true)
+	jr2, err := OpenCellJournal(wal, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,16 +225,16 @@ func TestJournalCommitAndResumeReplays(t *testing.T) {
 	if jr2.Recovered() != 4 || jr2.Torn() {
 		t.Fatalf("recovered %d torn %v, want 4/false", jr2.Recovered(), jr2.Torn())
 	}
-	var s2 PoolStats
-	out2, err := Run(context.Background(), mk(false), Options{
-		Workers: 2, Cache: c2, Codec: jsonCodec(), Journal: jr2, Telemetry: reg, Stats: &s2,
+	second := mk(false)
+	s2, err := second.sweep(context.Background(), Options{
+		Workers: 2, Cache: c2, Journal: jr2, Telemetry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range out2 {
-		if !out2[i].Replayed || !out2[i].Cached || out2[i].Value.(int) != out1[i].Value.(int) {
-			t.Fatalf("cell %d = %+v, want replayed %v", i, out2[i], out1[i].Value)
+	for i, o := range second.outs {
+		if !o.Replayed || !o.Cached || second.vals[i] != first.vals[i] {
+			t.Fatalf("cell %d = %+v value %d, want replayed %d", i, o, second.vals[i], first.vals[i])
 		}
 	}
 	if s2.Replayed != 4 || s2.Cached != 4 || s2.Ran != 0 {
@@ -267,15 +258,8 @@ func TestResumeProgressStartsAtReplayedCount(t *testing.T) {
 	wal := filepath.Join(dir, "sweep.wal")
 	cacheDir := filepath.Join(dir, "cache")
 
-	mk := func() []Job {
-		jobs := make([]Job, 6)
-		for i := range jobs {
-			jobs[i] = Job{
-				Key: fmt.Sprintf("cell-%d", i),
-				Run: func(context.Context) (any, error) { return i * 7, nil },
-			}
-		}
-		return jobs
+	mk := func(n int) *intCells {
+		return newIntCells(n, func(_ context.Context, i, _ int) (int, error) { return i * 7, nil }).keyed("cell-%d")
 	}
 
 	// First process: run only the first four cells (a truncated grid), as
@@ -284,11 +268,11 @@ func TestResumeProgressStartsAtReplayedCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jr1, err := OpenCellJournal(wal, false)
+	jr1, err := OpenCellJournal(wal, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(context.Background(), mk()[:4], Options{Workers: 2, Cache: c1, Codec: jsonCodec(), Journal: jr1}); err != nil {
+	if _, err := mk(4).sweep(context.Background(), Options{Workers: 2, Cache: c1, Journal: jr1}); err != nil {
 		t.Fatal(err)
 	}
 	jr1.Close()
@@ -298,7 +282,7 @@ func TestResumeProgressStartsAtReplayedCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jr2, err := OpenCellJournal(wal, true)
+	jr2, err := OpenCellJournal(wal, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,8 +290,8 @@ func TestResumeProgressStartsAtReplayedCount(t *testing.T) {
 
 	var mu sync.Mutex
 	var calls [][2]int
-	_, err = Run(context.Background(), mk(), Options{
-		Workers: 2, Cache: c2, Codec: jsonCodec(), Journal: jr2,
+	_, err = mk(6).sweep(context.Background(), Options{
+		Workers: 2, Cache: c2, Journal: jr2,
 		OnProgress: func(done, total int) {
 			mu.Lock()
 			calls = append(calls, [2]int{done, total})
@@ -347,12 +331,13 @@ func TestJournalHashMismatchReruns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jr1, err := OpenCellJournal(wal, false)
+	jr1, err := OpenCellJournal(wal, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := []Job{{Key: "k", Run: func(context.Context) (any, error) { return 7, nil }}}
-	if _, err := Run(context.Background(), jobs, Options{Workers: 1, Cache: c1, Codec: jsonCodec(), Journal: jr1}); err != nil {
+	cells := newIntCells(1, func(context.Context, int, int) (int, error) { return 7, nil })
+	cells.keys = []string{"k"}
+	if _, err := cells.sweep(context.Background(), Options{Workers: 1, Cache: c1, Journal: jr1}); err != nil {
 		t.Fatal(err)
 	}
 	jr1.Close()
@@ -372,25 +357,25 @@ func TestJournalHashMismatchReruns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jr2, err := OpenCellJournal(wal, true)
+	jr2, err := OpenCellJournal(wal, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer jr2.Close()
 	var ran atomic.Bool
-	jobs2 := []Job{{Key: "k", Run: func(context.Context) (any, error) { ran.Store(true); return 7, nil }}}
-	out, err := Run(context.Background(), jobs2, Options{Workers: 1, Cache: c2, Codec: jsonCodec(), Journal: jr2})
-	if err != nil {
+	again := newIntCells(1, func(context.Context, int, int) (int, error) { ran.Store(true); return 7, nil })
+	again.keys = []string{"k"}
+	if _, err := again.sweep(context.Background(), Options{Workers: 1, Cache: c2, Journal: jr2}); err != nil {
 		t.Fatal(err)
 	}
-	if out[0].Replayed {
+	if again.outs[0].Replayed {
 		t.Error("hash-mismatched cell was replayed")
 	}
 	// The tampered entry is a valid cache hit for the plain-cache path, so the
 	// defining property is only: no replay without hash verification. If the
 	// cache served the tampered value, Replayed must still be false.
-	if !ran.Load() && out[0].Value.(int) != 999 {
-		t.Fatalf("outcome %+v: expected either a re-run or an honest cache hit", out[0])
+	if !ran.Load() && again.vals[0] != 999 {
+		t.Fatalf("outcome %+v value %d: expected either a re-run or an honest cache hit", again.outs[0], again.vals[0])
 	}
 }
 
@@ -401,24 +386,24 @@ func TestPlainCacheHitIsJournalled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Put("warm", 5, jsonCodec()); err != nil {
+	if err := putInt(c, "warm", 5); err != nil {
 		t.Fatal(err)
 	}
-	jr, err := OpenCellJournal(wal, false)
+	jr, err := OpenCellJournal(wal, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer jr.Close()
-	jobs := []Job{{Key: "warm", Run: func(context.Context) (any, error) {
+	cells := newIntCells(1, func(context.Context, int, int) (int, error) {
 		t.Error("warm cell ran")
-		return nil, nil
-	}}}
-	out, err := Run(context.Background(), jobs, Options{Workers: 1, Cache: c, Codec: jsonCodec(), Journal: jr})
-	if err != nil {
+		return 0, nil
+	})
+	cells.keys = []string{"warm"}
+	if _, err := cells.sweep(context.Background(), Options{Workers: 1, Cache: c, Journal: jr}); err != nil {
 		t.Fatal(err)
 	}
-	if !out[0].Cached || out[0].Replayed {
-		t.Fatalf("outcome %+v, want plain cache hit", out[0])
+	if o := cells.outs[0]; !o.Cached || o.Replayed || cells.vals[0] != 5 {
+		t.Fatalf("outcome %+v value %d, want plain cache hit of 5", o, cells.vals[0])
 	}
 	if _, ok := jr.Completed("warm"); !ok {
 		t.Error("cache hit was not committed to the journal")
@@ -428,7 +413,7 @@ func TestPlainCacheHitIsJournalled(t *testing.T) {
 func TestCellJournalTornTailRecovery(t *testing.T) {
 	dir := t.TempDir()
 	wal := filepath.Join(dir, "sweep.wal")
-	jr, err := OpenCellJournal(wal, false)
+	jr, err := OpenCellJournal(wal, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +434,7 @@ func TestCellJournalTornTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := OpenCellJournal(wal, true)
+	re, err := OpenCellJournal(wal, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +463,7 @@ func TestCellJournalCompactionRoundTrip(t *testing.T) {
 
 	dir := t.TempDir()
 	wal := filepath.Join(dir, "sweep.wal")
-	jr, err := OpenCellJournal(wal, false)
+	jr, err := OpenCellJournal(wal, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +499,7 @@ func TestCellJournalCompactionRoundTrip(t *testing.T) {
 
 	// Resume over the threshold: torn tail dropped, log rewritten.
 	CompactThreshold = 64
-	re, err := OpenCellJournal(wal, true)
+	re, err := OpenCellJournal(wal, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,7 +528,7 @@ func TestCellJournalCompactionRoundTrip(t *testing.T) {
 	// Round trip: a small compacted log resumes clean — no tear, no
 	// re-compaction — with every cell intact.
 	CompactThreshold = 1 << 20
-	again, err := OpenCellJournal(wal, true)
+	again, err := OpenCellJournal(wal, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -577,7 +562,7 @@ func TestCellJournalCompactsOnlyDuplicates(t *testing.T) {
 		{[]string{"k0", "k1", "k2", "k3", "k4", "k0"}, true},
 	} {
 		wal := filepath.Join(t.TempDir(), "sweep.wal")
-		jr, err := OpenCellJournal(wal, false)
+		jr, err := OpenCellJournal(wal, false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -591,7 +576,7 @@ func TestCellJournalCompactsOnlyDuplicates(t *testing.T) {
 		if err != nil || before.Size() <= CompactThreshold {
 			t.Fatalf("journal not over the threshold: %v", err)
 		}
-		jr, err = OpenCellJournal(wal, true)
+		jr, err = OpenCellJournal(wal, true, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -622,34 +607,26 @@ func TestOpenCellJournalRejectsForeignRecords(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenCellJournal(wal, true); err == nil {
+	if _, err := OpenCellJournal(wal, true, nil); err == nil {
 		t.Fatal("foreign journal resumed without error")
 	}
 }
 
 func TestFailFastErrorIsDeterministic(t *testing.T) {
-	mkJobs := func() []Job {
-		jobs := make([]Job, 16)
-		for i := range jobs {
-			switch i {
-			case 5, 11:
-				jobs[i] = Job{Run: func(context.Context) (any, error) {
-					return nil, fmt.Errorf("cell failure %d", i)
-				}}
-			default:
-				jobs[i] = Job{Run: func(context.Context) (any, error) {
-					time.Sleep(time.Duration(i%3) * time.Millisecond)
-					return i, nil
-				}}
+	mkCells := func() *intCells {
+		return newIntCells(16, func(_ context.Context, i, _ int) (int, error) {
+			if i == 5 || i == 11 {
+				return 0, fmt.Errorf("cell failure %d", i)
 			}
-		}
-		return jobs
+			time.Sleep(time.Duration(i%3) * time.Millisecond)
+			return i, nil
+		})
 	}
 
 	// Serial: cell 5 always fails first and is always the reported error —
 	// fully deterministic.
 	for trial := 0; trial < 5; trial++ {
-		_, err := Run(context.Background(), mkJobs(), Options{Workers: 1, FailFast: true})
+		_, err := mkCells().sweep(context.Background(), Options{Workers: 1, FailFast: true})
 		if err == nil || !contains(err.Error(), "cell 5:") {
 			t.Fatalf("serial trial %d: err %q, want cell 5", trial, err)
 		}
@@ -661,7 +638,9 @@ func TestFailFastErrorIsDeterministic(t *testing.T) {
 	// cell, and never whichever-worker-finished-first arbitrariness beyond
 	// the failing set.
 	for trial := 0; trial < 10; trial++ {
-		out, err := Run(context.Background(), mkJobs(), Options{Workers: 8, FailFast: true})
+		cells := mkCells()
+		_, err := cells.sweep(context.Background(), Options{Workers: 8, FailFast: true})
+		out := cells.outs
 		if err == nil {
 			t.Fatal("fail-fast sweep succeeded")
 		}

@@ -1,15 +1,15 @@
-// Package sweep executes grids of independent measurement runs across a
+// Package sweep executes a grid of independent measurement runs across a
 // bounded worker pool with a deterministic merge: however the cells
-// interleave at runtime, the returned slice is ordered by grid index and
+// interleave at runtime, each outcome lands at its cell's grid index and
 // each cell's value is bit-identical to what a serial loop would have
 // produced, because every run is a self-contained deterministic simulation.
 //
-// The package is deliberately generic — a job is just a cache key and a
-// closure — so both the public clocksched batch API and the internal
-// experiment harness can fan their grids through the same engine. An
-// optional content-addressed cache (in-memory LRU plus an on-disk layer)
-// lets repeated regenerations of the paper's tables and figures skip cells
-// that have already been measured.
+// The pool moves grid indices only; the caller's Cells holds the
+// configurations and values. clocksched.Sweep, which runs every grid the
+// repo measures, is its one production caller. An optional
+// content-addressed cache (in-memory LRU plus an on-disk layer) lets
+// repeated regenerations of the paper's tables and figures skip cells that
+// have already been measured.
 package sweep
 
 import (
@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,16 +25,26 @@ import (
 	"clocksched/internal/telemetry"
 )
 
-// Job is one cell of a sweep grid.
-type Job struct {
-	// Key is the cell's content-addressed cache key; empty disables
-	// caching for this cell. Keys must fully determine the cell's output
-	// (spec, seed, and module version), or the cache will serve stale
-	// results.
-	Key string
-	// Run executes the cell. The context is cancelled when the sweep is
-	// aborted; long cells should observe it.
-	Run func(ctx context.Context) (any, error)
+// Cells is the grid a sweep runs, addressed by grid index 0..n-1: it holds
+// each cell's configuration and value, so the pool moves indices only. Run
+// calls its methods for distinct cells concurrently but for one cell from
+// one goroutine at a time.
+type Cells interface {
+	// Key is cell i's content-addressed cache key; "" disables caching for
+	// the cell. Keys must fully determine the cell's output (spec, seed,
+	// and module version), or the cache will serve stale results. The pool
+	// asks for keys only when it has a Cache.
+	Key(i int) string
+	// Run executes cell i's zero-based attempt and keeps its value. The
+	// context is cancelled when the sweep is aborted or the attempt's
+	// deadline passes; long cells should observe it.
+	Run(ctx context.Context, i, attempt int) error
+	// Encode serializes cell i's value for the cache; Decode sets cell i's
+	// value from cached bytes.
+	Encode(i int) ([]byte, error)
+	Decode(i int, b []byte) error
+	// Done receives cell i's outcome, once per sweep.
+	Done(i int, o Outcome)
 }
 
 // Options tunes one sweep.
@@ -44,13 +55,10 @@ type Options struct {
 	// outstanding cells. The default runs every cell and collects all
 	// errors.
 	FailFast bool
-	// Cache, when non-nil, consults and fills the result cache for jobs
+	// Cache, when non-nil, consults and fills the result cache for cells
 	// with non-empty keys. Cache failures are never fatal: a broken entry
 	// just re-runs the cell.
 	Cache *Cache
-	// Codec encodes and decodes the jobs' values for Cache; Run rejects a
-	// Cache given without one.
-	Codec Codec
 	// OnProgress, when non-nil, is called after each cell completes (hit,
 	// run, or failed) with the number done and the grid total. A resumed
 	// sweep reports its journal-replayed cells in one initial call before
@@ -67,9 +75,6 @@ type Options struct {
 	// counters/latencies, and (together with Cache) cache traffic. Nil
 	// disables instrumentation.
 	Telemetry *telemetry.Registry
-	// Stats, when non-nil, is filled with the sweep's pool statistics
-	// before Run returns.
-	Stats *PoolStats
 	// CellTimeout, when positive, bounds each cell attempt's wall time. A
 	// cell that blows the budget fails with a wrapped
 	// context.DeadlineExceeded; deadlines are terminal, never retried.
@@ -84,32 +89,31 @@ type Options struct {
 	Journal *CellJournal
 }
 
-// PoolStats summarizes one sweep's worker-pool behaviour.
+// PoolStats summarizes one sweep's worker-pool behaviour. Its fields are
+// clocksched.SweepTelemetry's, which converts from it.
 type PoolStats struct {
 	Workers  int // pool size actually used
 	PeakBusy int // most cells observed running concurrently
 	Ran      int // cells executed fresh
 	Cached   int // cells served from the cache
-	Replayed int // subset of Cached committed by a previous run's journal
 	Failed   int // cells that returned an error
 	Skipped  int // cells never started (cancellation or FailFast)
-	Retries  int // extra attempts spent on transient failures
+	Replayed int // subset of Cached committed by a previous run's journal
+	Retried  int // extra attempts spent on transient failures
 }
 
-// Outcome is one cell's result, in grid order.
+// Outcome is how one cell of a sweep ended.
 type Outcome struct {
-	// Value is the cell's result; nil when Err is non-nil.
-	Value any
 	// Err is the cell's failure, ErrSkipped if the sweep aborted before
 	// the cell ran, or nil.
 	Err error
-	// Cached reports that Value was served from the cache.
+	// Cached reports that the cell's value was decoded from the cache.
 	Cached bool
 	// Replayed reports that the cell was journalled complete by a previous
 	// run and served from the cache after hash verification (implies
 	// Cached).
 	Replayed bool
-	// Attempts counts how many times the cell's Run closure executed; zero
+	// Attempts counts how many times the cell's Run executed; zero
 	// for cached/replayed/skipped cells, above one when transient failures
 	// were retried.
 	Attempts int
@@ -119,33 +123,26 @@ type Outcome struct {
 // aborted by FailFast.
 var ErrSkipped = errors.New("sweep: cell skipped")
 
-// Run executes every job across the worker pool and returns the outcomes
-// ordered by grid index regardless of completion order.
+// Run executes the n cells across the worker pool, reporting each one's
+// outcome to cells.Done, and returns the pool statistics.
 //
 // The returned error is nil when every cell succeeded; the first failure
 // (wrapped with its grid index) under FailFast; otherwise the errors.Join
 // of every cell failure. Context cancellation is joined in as well, so
-// errors.Is(err, context.Canceled) works. The outcome slice is always
-// complete and indexable, even on error — except when a Cache comes
-// without a Codec, a misconfiguration Run reports before running anything.
-func Run(ctx context.Context, jobs []Job, opts Options) ([]Outcome, error) {
-	if opts.Cache != nil && (opts.Codec.Encode == nil || opts.Codec.Decode == nil) {
-		return nil, errors.New("sweep: Cache needs a Codec with both halves")
-	}
+// errors.Is(err, context.Canceled) works. Every cell gets its outcome, even
+// on error.
+func Run(ctx context.Context, n int, cells Cells, opts Options) (PoolStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	out := make([]Outcome, len(jobs))
-	if len(jobs) == 0 {
-		return out, nil
+	if n == 0 {
+		return PoolStats{}, nil
 	}
 	workers := opts.Workers
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
+	workers = min(workers, n)
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -162,8 +159,8 @@ func Run(ctx context.Context, jobs []Job, opts Options) ([]Outcome, error) {
 	opts.Journal.Instrument(tel)
 
 	runner := &cellRunner{
+		cells:       cells,
 		cache:       opts.Cache,
-		codec:       opts.Codec,
 		journal:     opts.Journal,
 		timeout:     opts.CellTimeout,
 		retry:       opts.Retry,
@@ -172,9 +169,10 @@ func Run(ctx context.Context, jobs []Job, opts Options) ([]Outcome, error) {
 	}
 
 	var (
-		mu   sync.Mutex
-		done int
-		ran  = make([]bool, len(jobs))
+		mu       sync.Mutex
+		done     int
+		stats    = PoolStats{Workers: workers}
+		failures []failure
 
 		busy, peak atomic.Int64
 	)
@@ -185,45 +183,53 @@ func Run(ctx context.Context, jobs []Job, opts Options) ([]Outcome, error) {
 	// therefore begins at the replayed-cell count instead of rediscovering
 	// finished work one worker pull at a time, and the workers only ever
 	// touch cells with real work left.
-	skip := make([]bool, len(jobs))
+	var replayed []bool // nil unless the sweep resumes through a journal
 	if opts.Journal != nil && opts.Cache != nil {
-		for i, j := range jobs {
-			if j.Key == "" {
-				continue
-			}
-			h, ok := opts.Journal.Completed(j.Key)
+		replayed = make([]bool, n)
+		for i := range n {
+			key := cells.Key(i)
+			h, ok := opts.Journal.Completed(key)
 			if !ok {
 				continue
 			}
-			if v, enc, hit, err := opts.Cache.Get(j.Key, opts.Codec); err == nil && hit && hashBytes(enc) == h {
-				out[i] = Outcome{Value: v, Cached: true, Replayed: true}
-				ran[i], skip[i] = true, true
+			decode := func(b []byte) error { return cells.Decode(i, b) }
+			if enc, hit, err := opts.Cache.Get(key, decode); err == nil && hit && hashBytes(enc) == h {
+				cells.Done(i, Outcome{Cached: true, Replayed: true})
+				replayed[i] = true
 				done++
+				stats.Cached++
+				stats.Replayed++
 				telReplayed.Inc()
 			}
 		}
 		if done > 0 && opts.OnProgress != nil {
-			opts.OnProgress(done, len(jobs))
+			opts.OnProgress(done, n)
 		}
 	}
 
+	// The feeder hands out cells in grid order until the pool aborts; stop
+	// is the first cell it did not hand out. Its close of idx, the
+	// workers' ranges over it and wg.Wait order its write before Run
+	// reads it.
 	idx := make(chan int)
+	stop := n
 	go func() {
 		defer close(idx)
-		for i := range jobs {
-			if skip[i] {
+		for i := range n {
+			if replayed != nil && replayed[i] {
 				continue
 			}
 			select {
 			case idx <- i:
 			case <-runCtx.Done():
+				stop = i
 				return
 			}
 		}
 	}()
 
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -234,96 +240,84 @@ func Run(ctx context.Context, jobs []Job, opts Options) ([]Outcome, error) {
 				for p := peak.Load(); b > p && !peak.CompareAndSwap(p, b); p = peak.Load() {
 				}
 				span := telCell.Start()
-				o := runner.run(runCtx, i, jobs[i])
+				o := runner.run(runCtx, i)
 				span.Stop()
 				telBusy.Set(float64(busy.Add(-1)))
+				cells.Done(i, o)
+
+				mu.Lock()
 				switch {
 				case o.Err != nil:
 					telFailed.Inc()
+					stats.Failed++
+					failures = append(failures, failure{i, o.Err})
+					if opts.FailFast {
+						cancel()
+					}
 				case o.Cached:
 					telCached.Inc()
+					stats.Cached++
 				default:
 					telRun.Inc()
+					stats.Ran++
 				}
-
-				mu.Lock()
-				out[i] = o
-				ran[i] = true
+				stats.Retried += max(0, o.Attempts-1)
 				done++
 				d := done
-				if o.Err != nil && opts.FailFast {
-					cancel()
-				}
 				mu.Unlock()
 				// The callback runs outside the pool lock: a slow or
 				// re-entrant observer stalls only its own worker instead of
 				// serializing (or deadlocking) the whole pool.
 				if opts.OnProgress != nil {
-					opts.OnProgress(d, len(jobs))
+					opts.OnProgress(d, n)
 				}
 			}
 		}()
 	}
 	wg.Wait()
 
+	for i := stop; i < n; i++ {
+		if replayed == nil || !replayed[i] {
+			cells.Done(i, Outcome{Err: ErrSkipped})
+			stats.Skipped++
+		}
+	}
+	stats.PeakBusy = int(peak.Load())
+
 	var errs []error
 	if err := ctx.Err(); err != nil {
 		errs = append(errs, err)
 	}
-	stats := PoolStats{Workers: workers, PeakBusy: int(peak.Load())}
-	for i := range jobs {
-		if !ran[i] {
-			out[i] = Outcome{Err: ErrSkipped}
-			stats.Skipped++
-			continue
+	slices.SortFunc(failures, func(a, b failure) int { return a.i - b.i })
+	if !opts.FailFast {
+		for _, f := range failures {
+			errs = append(errs, fmt.Errorf("cell %d: %w", f.i, f.err))
 		}
-		switch {
-		case out[i].Err != nil:
-			stats.Failed++
-		case out[i].Replayed:
-			stats.Replayed++
-			stats.Cached++
-		case out[i].Cached:
-			stats.Cached++
-		default:
-			stats.Ran++
-		}
-		if out[i].Attempts > 1 {
-			stats.Retries += out[i].Attempts - 1
-		}
-		if out[i].Err != nil && !opts.FailFast {
-			errs = append(errs, fmt.Errorf("cell %d: %w", i, out[i].Err))
+	} else if f, ok := firstFailure(failures); ok {
+		errs = append(errs, fmt.Errorf("cell %d: %w", f.i, f.err))
+	}
+	return stats, errors.Join(errs...)
+}
+
+// failure is a cell that ran and failed.
+type failure struct {
+	i   int
+	err error
+}
+
+// firstFailure picks the failure a fail-fast sweep reports from failures,
+// in grid order: the lowest-index genuine failure, not whichever worker
+// happened to finish first, so the error is deterministic whenever the
+// failing cell set is. A cell that died of the abort itself (cancelled) is
+// reported only when nothing better exists.
+func firstFailure(failures []failure) (failure, bool) {
+	if len(failures) == 0 {
+		return failure{}, false
+	}
+	for _, f := range failures {
+		if !errors.Is(f.err, context.Canceled) {
+			return f, true
 		}
 	}
-	if opts.FailFast {
-		// Report the lowest-grid-index genuine failure, not whichever
-		// worker happened to finish first: the error is deterministic
-		// whenever the failing cell set is. Cells that died of the abort
-		// itself (cancelled or never started) are only reported when
-		// nothing better exists.
-		first := -1
-		for i := range jobs {
-			err := out[i].Err
-			if err == nil || errors.Is(err, ErrSkipped) || errors.Is(err, context.Canceled) {
-				continue
-			}
-			first = i
-			break
-		}
-		if first < 0 {
-			for i := range jobs {
-				if out[i].Err != nil && !errors.Is(out[i].Err, ErrSkipped) {
-					first = i
-					break
-				}
-			}
-		}
-		if first >= 0 {
-			errs = append(errs, fmt.Errorf("cell %d: %w", first, out[first].Err))
-		}
-	}
-	if opts.Stats != nil {
-		*opts.Stats = stats
-	}
-	return out, errors.Join(errs...)
+	return failures[0], true
 }

@@ -19,59 +19,95 @@ import (
 	"clocksched/internal/telemetry"
 )
 
-// jsonCodec round-trips int values for cache tests.
-func jsonCodec() Codec {
-	return Codec{
-		Encode: func(v any) ([]byte, error) { return json.Marshal(v) },
-		Decode: func(b []byte) (any, error) {
-			var v int
-			if err := json.Unmarshal(b, &v); err != nil {
-				return nil, err
-			}
-			return v, nil
-		},
+// intCells is a test grid of int-valued cells: cell i runs run(ctx, i,
+// attempt), keeps the value it returns, caches it as JSON under keys[i]
+// (no keys: no caching), and records its outcome.
+type intCells struct {
+	keys []string
+	run  func(ctx context.Context, i, attempt int) (int, error)
+	vals []int
+	outs []Outcome
+}
+
+// newIntCells is an n-cell grid whose cells run run.
+func newIntCells(n int, run func(ctx context.Context, i, attempt int) (int, error)) *intCells {
+	return &intCells{run: run, vals: make([]int, n), outs: make([]Outcome, n)}
+}
+
+// keyed gives cell i the key fmt.Sprintf(format, i).
+func (c *intCells) keyed(format string) *intCells {
+	c.keys = make([]string, len(c.vals))
+	for i := range c.keys {
+		c.keys[i] = fmt.Sprintf(format, i)
 	}
+	return c
+}
+
+func (c *intCells) Key(i int) string {
+	if c.keys == nil {
+		return ""
+	}
+	return c.keys[i]
+}
+
+func (c *intCells) Run(ctx context.Context, i, attempt int) (err error) {
+	c.vals[i], err = c.run(ctx, i, attempt)
+	return err
+}
+
+func (c *intCells) Encode(i int) ([]byte, error) { return json.Marshal(c.vals[i]) }
+func (c *intCells) Decode(i int, b []byte) error { return json.Unmarshal(b, &c.vals[i]) }
+func (c *intCells) Done(i int, o Outcome)        { c.outs[i] = o }
+
+// sweep runs the grid through Run.
+func (c *intCells) sweep(ctx context.Context, opts Options) (PoolStats, error) {
+	return Run(ctx, len(c.vals), c, opts)
+}
+
+// putInt stores v under key as JSON.
+func putInt(c *Cache, key string, v int) error {
+	_, err := c.Put(key, func() ([]byte, error) { return json.Marshal(v) })
+	return err
+}
+
+// getInt reads key's entry back as an int.
+func getInt(c *Cache, key string) (v int, ok bool, err error) {
+	_, ok, err = c.Get(key, func(b []byte) error { return json.Unmarshal(b, &v) })
+	return v, ok, err
 }
 
 func TestRunMergesInGridOrder(t *testing.T) {
 	const n = 64
-	jobs := make([]Job, n)
-	for i := range jobs {
-		jobs[i] = Job{Run: func(context.Context) (any, error) {
-			// Stagger completions so late-index cells often finish first.
-			time.Sleep(time.Duration((n-i)%7) * time.Millisecond)
-			return i * 10, nil
-		}}
-	}
-	out, err := Run(context.Background(), jobs, Options{Workers: 8})
-	if err != nil {
+	cells := newIntCells(n, func(_ context.Context, i, _ int) (int, error) {
+		// Stagger completions so late-index cells often finish first.
+		time.Sleep(time.Duration((n-i)%7) * time.Millisecond)
+		return i * 10, nil
+	})
+	if _, err := cells.sweep(context.Background(), Options{Workers: 8}); err != nil {
 		t.Fatal(err)
 	}
-	for i, o := range out {
-		if o.Err != nil || o.Value.(int) != i*10 {
-			t.Fatalf("cell %d = %+v", i, o)
+	for i, o := range cells.outs {
+		if o.Err != nil || cells.vals[i] != i*10 {
+			t.Fatalf("cell %d = %+v, value %d", i, o, cells.vals[i])
 		}
 	}
 }
 
 func TestRunBoundsConcurrency(t *testing.T) {
 	var cur, peak atomic.Int64
-	jobs := make([]Job, 32)
-	for i := range jobs {
-		jobs[i] = Job{Run: func(context.Context) (any, error) {
-			n := cur.Add(1)
-			for {
-				p := peak.Load()
-				if n <= p || peak.CompareAndSwap(p, n) {
-					break
-				}
+	cells := newIntCells(32, func(context.Context, int, int) (int, error) {
+		n := cur.Add(1)
+		for {
+			p := peak.Load()
+			if n <= p || peak.CompareAndSwap(p, n) {
+				break
 			}
-			time.Sleep(2 * time.Millisecond)
-			cur.Add(-1)
-			return nil, nil
-		}}
-	}
-	if _, err := Run(context.Background(), jobs, Options{Workers: 3}); err != nil {
+		}
+		time.Sleep(2 * time.Millisecond)
+		cur.Add(-1)
+		return 0, nil
+	})
+	if _, err := cells.sweep(context.Background(), Options{Workers: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if p := peak.Load(); p > 3 {
@@ -81,20 +117,23 @@ func TestRunBoundsConcurrency(t *testing.T) {
 
 func TestRunCollectsAllErrors(t *testing.T) {
 	boom := errors.New("boom")
-	jobs := []Job{
-		{Run: func(context.Context) (any, error) { return 1, nil }},
-		{Run: func(context.Context) (any, error) { return nil, boom }},
-		{Run: func(context.Context) (any, error) { return nil, fmt.Errorf("other") }},
-		{Run: func(context.Context) (any, error) { return 4, nil }},
-	}
-	out, err := Run(context.Background(), jobs, Options{Workers: 2})
+	cells := newIntCells(4, func(_ context.Context, i, _ int) (int, error) {
+		switch i {
+		case 1:
+			return 0, boom
+		case 2:
+			return 0, fmt.Errorf("other")
+		}
+		return i + 1, nil
+	})
+	_, err := cells.sweep(context.Background(), Options{Workers: 2})
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("joined error %v should include boom", err)
 	}
-	if out[0].Value.(int) != 1 || out[3].Value.(int) != 4 {
+	if cells.vals[0] != 1 || cells.vals[3] != 4 || cells.outs[0].Err != nil || cells.outs[3].Err != nil {
 		t.Error("healthy cells missing")
 	}
-	if out[1].Err == nil || out[2].Err == nil {
+	if cells.outs[1].Err == nil || cells.outs[2].Err == nil {
 		t.Error("failed cells lost their errors")
 	}
 }
@@ -102,27 +141,22 @@ func TestRunCollectsAllErrors(t *testing.T) {
 func TestRunFailFast(t *testing.T) {
 	boom := errors.New("boom")
 	var ranLater atomic.Bool
-	jobs := make([]Job, 40)
-	for i := range jobs {
-		switch {
-		case i == 0:
-			jobs[i] = Job{Run: func(context.Context) (any, error) { return nil, boom }}
-		default:
-			jobs[i] = Job{Run: func(ctx context.Context) (any, error) {
-				time.Sleep(time.Millisecond)
-				if i > 20 {
-					ranLater.Store(true)
-				}
-				return i, nil
-			}}
+	cells := newIntCells(40, func(_ context.Context, i, _ int) (int, error) {
+		if i == 0 {
+			return 0, boom
 		}
-	}
-	out, err := Run(context.Background(), jobs, Options{Workers: 1, FailFast: true})
+		time.Sleep(time.Millisecond)
+		if i > 20 {
+			ranLater.Store(true)
+		}
+		return i, nil
+	})
+	_, err := cells.sweep(context.Background(), Options{Workers: 1, FailFast: true})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 	skipped := 0
-	for _, o := range out {
+	for _, o := range cells.outs {
 		if errors.Is(o.Err, ErrSkipped) {
 			skipped++
 		}
@@ -138,17 +172,13 @@ func TestRunFailFast(t *testing.T) {
 func TestRunContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	jobs := make([]Job, 30)
-	for i := range jobs {
-		jobs[i] = Job{Run: func(context.Context) (any, error) {
-			if i == 2 {
-				cancel()
-			}
-			return i, nil
-		}}
-	}
-	_, err := Run(ctx, jobs, Options{Workers: 1})
-	if !errors.Is(err, context.Canceled) {
+	cells := newIntCells(30, func(_ context.Context, i, _ int) (int, error) {
+		if i == 2 {
+			cancel()
+		}
+		return i, nil
+	})
+	if _, err := cells.sweep(ctx, Options{Workers: 1}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -158,11 +188,8 @@ func TestRunProgress(t *testing.T) {
 	// must be reported exactly once with the right total.
 	var mu sync.Mutex
 	seen := map[int]int{}
-	jobs := make([]Job, 9)
-	for i := range jobs {
-		jobs[i] = Job{Run: func(context.Context) (any, error) { return i, nil }}
-	}
-	_, err := Run(context.Background(), jobs, Options{
+	cells := newIntCells(9, func(_ context.Context, i, _ int) (int, error) { return i, nil })
+	_, err := cells.sweep(context.Background(), Options{
 		Workers: 4,
 		OnProgress: func(done, total int) {
 			if total != 9 {
@@ -198,11 +225,8 @@ func TestRunProgressOutsideLock(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		jobs := make([]Job, 8)
-		for i := range jobs {
-			jobs[i] = Job{Run: func(context.Context) (any, error) { return i, nil }}
-		}
-		_, err := Run(context.Background(), jobs, Options{
+		cells := newIntCells(8, func(_ context.Context, i, _ int) (int, error) { return i, nil })
+		_, err := cells.sweep(context.Background(), Options{
 			Workers: 4,
 			OnProgress: func(d, total int) {
 				// The first callback to arrive parks until some other
@@ -241,26 +265,30 @@ func TestRunTelemetryAndStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Put("warm", 7, jsonCodec()); err != nil {
+	if err := putInt(c, "warm", 7); err != nil {
 		t.Fatal(err)
 	}
 	boom := errors.New("boom")
-	jobs := []Job{
-		{Key: "warm", Run: func(context.Context) (any, error) { t.Error("warm cell ran"); return nil, nil }},
-		{Key: "cold-a", Run: func(context.Context) (any, error) { return 1, nil }},
-		{Key: "cold-b", Run: func(context.Context) (any, error) { return 2, nil }},
-		{Run: func(context.Context) (any, error) { return nil, boom }},
-	}
-	var stats PoolStats
-	_, err = Run(context.Background(), jobs, Options{
+	cells := newIntCells(4, func(_ context.Context, i, _ int) (int, error) {
+		switch i {
+		case 0:
+			t.Error("warm cell ran")
+		case 3:
+			return 0, boom
+		}
+		return i, nil
+	})
+	cells.keys = []string{"warm", "cold-a", "cold-b", ""}
+	stats, err := cells.sweep(context.Background(), Options{
 		Workers:   3,
 		Cache:     c,
-		Codec:     jsonCodec(),
 		Telemetry: reg,
-		Stats:     &stats,
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
+	}
+	if cells.vals[0] != 7 {
+		t.Errorf("warm cell decoded %d, want 7", cells.vals[0])
 	}
 	want := PoolStats{Workers: 3, PeakBusy: stats.PeakBusy, Ran: 2, Cached: 1, Failed: 1}
 	if stats.PeakBusy < 1 || stats.PeakBusy > 3 {
@@ -292,9 +320,9 @@ func TestRunTelemetryAndStats(t *testing.T) {
 }
 
 func TestRunEmptyGrid(t *testing.T) {
-	out, err := Run(context.Background(), nil, Options{})
-	if err != nil || len(out) != 0 {
-		t.Fatalf("out=%v err=%v", out, err)
+	stats, err := Run(context.Background(), 0, newIntCells(0, nil), Options{})
+	if err != nil || stats != (PoolStats{}) {
+		t.Fatalf("stats=%+v err=%v", stats, err)
 	}
 }
 
@@ -304,16 +332,16 @@ func TestCacheHitsAndLRU(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := c.Put(fmt.Sprintf("k%d", i), i, jsonCodec()); err != nil {
+		if err := putInt(c, fmt.Sprintf("k%d", i), i); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// k0 is evicted (capacity 2), k1 and k2 live.
-	if _, _, ok, _ := c.Get("k0", jsonCodec()); ok {
+	if _, ok, _ := getInt(c, "k0"); ok {
 		t.Error("k0 survived eviction")
 	}
-	v, _, ok, err := c.Get("k2", jsonCodec())
-	if err != nil || !ok || v.(int) != 2 {
+	v, ok, err := getInt(c, "k2")
+	if err != nil || !ok || v != 2 {
 		t.Fatalf("k2 = %v/%v/%v", v, ok, err)
 	}
 	s := c.Stats()
@@ -328,7 +356,7 @@ func TestCacheDiskLayer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c1.Put("answer", 42, jsonCodec()); err != nil {
+	if err := putInt(c1, "answer", 42); err != nil {
 		t.Fatal(err)
 	}
 	// A fresh cache over the same directory — a later process — hits disk.
@@ -336,15 +364,15 @@ func TestCacheDiskLayer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, _, ok, err := c2.Get("answer", jsonCodec())
-	if err != nil || !ok || v.(int) != 42 {
+	v, ok, err := getInt(c2, "answer")
+	if err != nil || !ok || v != 42 {
 		t.Fatalf("disk layer: %v/%v/%v", v, ok, err)
 	}
 	if s := c2.Stats(); s.DiskHits != 1 {
 		t.Errorf("stats %+v", s)
 	}
 	// Second read is a memory hit.
-	if _, _, ok, _ := c2.Get("answer", jsonCodec()); !ok {
+	if _, ok, _ := getInt(c2, "answer"); !ok {
 		t.Error("promotion to memory failed")
 	}
 	if s := c2.Stats(); s.DiskHits != 1 || s.Hits != 2 {
@@ -374,11 +402,11 @@ func TestCachePath(t *testing.T) {
 		t.Errorf("path makes %v allocations, want 1", n)
 	}
 	var file string
-	if _, _, hit, err := c.get(key, &file, jsonCodec()); err != nil || hit || file != c.path(key) {
+	if _, hit, err := c.get(key, &file, func([]byte) error { return nil }); err != nil || hit || file != c.path(key) {
 		t.Fatalf("a miss: hit %v, err %v, file %q, want %q", hit, err, file, c.path(key))
 	}
 	derived := file
-	if _, err := c.put(key, &file, 7, jsonCodec()); err != nil {
+	if _, err := c.put(key, &file, func() ([]byte, error) { return []byte("7"), nil }); err != nil {
 		t.Fatal(err)
 	}
 	if unsafe.StringData(file) != unsafe.StringData(derived) {
@@ -395,7 +423,7 @@ func TestCacheCorruptDiskEntryIsAMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Put("k", 7, jsonCodec()); err != nil {
+	if err := putInt(c, "k", 7); err != nil {
 		t.Fatal(err)
 	}
 	// Find the entry file and corrupt it, then read through a cold cache.
@@ -412,7 +440,7 @@ func TestCacheCorruptDiskEntryIsAMiss(t *testing.T) {
 	}
 	reg := telemetry.New()
 	cold.Instrument(reg)
-	if _, _, ok, err := cold.Get("k", jsonCodec()); ok || err != nil {
+	if _, ok, err := getInt(cold, "k"); ok || err != nil {
 		t.Fatalf("corrupt entry: ok=%v err=%v", ok, err)
 	}
 	// The corrupt file is quarantined — deleted so it cannot shadow a fresh
@@ -427,10 +455,10 @@ func TestCacheCorruptDiskEntryIsAMiss(t *testing.T) {
 		t.Errorf("%s = %v, want 1", telemetry.MCacheCorrupt, got)
 	}
 	// After quarantine the key re-Puts cleanly and reads back.
-	if _, err := cold.Put("k", 8, jsonCodec()); err != nil {
+	if err := putInt(cold, "k", 8); err != nil {
 		t.Fatal(err)
 	}
-	if v, _, ok, err := cold.Get("k", jsonCodec()); err != nil || !ok || v.(int) != 8 {
+	if v, ok, err := getInt(cold, "k"); err != nil || !ok || v != 8 {
 		t.Fatalf("post-quarantine readback: %v/%v/%v", v, ok, err)
 	}
 }
@@ -441,48 +469,28 @@ func TestRunUsesCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	var runs atomic.Int64
-	mk := func() []Job {
-		jobs := make([]Job, 4)
-		for i := range jobs {
-			jobs[i] = Job{
-				Key: fmt.Sprintf("cell-%d", i),
-				Run: func(context.Context) (any, error) {
-					runs.Add(1)
-					return i, nil
-				},
-			}
-		}
-		return jobs
+	mk := func() *intCells {
+		return newIntCells(4, func(_ context.Context, i, _ int) (int, error) {
+			runs.Add(1)
+			return i, nil
+		}).keyed("cell-%d")
 	}
-	if _, err := Run(context.Background(), mk(), Options{Workers: 2, Cache: c, Codec: jsonCodec()}); err != nil {
+	if _, err := mk().sweep(context.Background(), Options{Workers: 2, Cache: c}); err != nil {
 		t.Fatal(err)
 	}
 	if runs.Load() != 4 {
 		t.Fatalf("cold sweep ran %d cells", runs.Load())
 	}
-	out, err := Run(context.Background(), mk(), Options{Workers: 2, Cache: c, Codec: jsonCodec()})
-	if err != nil {
+	warm := mk()
+	if _, err := warm.sweep(context.Background(), Options{Workers: 2, Cache: c}); err != nil {
 		t.Fatal(err)
 	}
 	if runs.Load() != 4 {
 		t.Fatalf("warm sweep re-ran cells: %d total runs", runs.Load())
 	}
-	for i, o := range out {
-		if !o.Cached || o.Value.(int) != i {
-			t.Fatalf("cell %d = %+v", i, o)
+	for i, o := range warm.outs {
+		if !o.Cached || warm.vals[i] != i {
+			t.Fatalf("cell %d = %+v, value %d", i, o, warm.vals[i])
 		}
-	}
-}
-
-// TestRunRejectsCacheWithoutCodec: the cache stores bytes only, so a sweep
-// handing Run a cache must say how its values encode.
-func TestRunRejectsCacheWithoutCodec(t *testing.T) {
-	c, err := NewCache(8, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := []Job{{Key: "k", Run: func(context.Context) (any, error) { t.Error("cell ran"); return 1, nil }}}
-	if _, err := Run(context.Background(), jobs, Options{Cache: c}); err == nil {
-		t.Fatal("Run accepted a Cache without a Codec")
 	}
 }

@@ -80,7 +80,13 @@ func gridOf(t *testing.T, spec SweepSpec) []Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells, _, _, _ := cfg.grid()
+	return cellsOf(cfg)
+}
+
+// cellsOf expands cfg's grid into its cells, in grid order.
+func cellsOf(cfg SweepConfig) []Config {
+	var cells []Config
+	cfg.eachCell(func(c Config) { cells = append(cells, c) })
 	return cells
 }
 
@@ -167,7 +173,7 @@ func TestSpecDefaultAxes(t *testing.T) {
 }
 
 // TestSpecShardMatchesGrid: sharding a whole spec and mapping its cells
-// back to Configs reproduces SweepConfig.grid exactly, for axis-built and
+// back to Configs reproduces the grid's cells exactly, for axis-built and
 // explicit specs, and NumCells agrees with GridSize.
 func TestSpecShardMatchesGrid(t *testing.T) {
 	pol, faults, wd := mustPolicy(t, "past-peg-peg", nil), &FaultPlan{ClockChangeFailProb: 0.01}, &WatchdogConfig{Window: 30}
@@ -177,7 +183,7 @@ func TestSpecShardMatchesGrid(t *testing.T) {
 		{Policies: []Policy{pol}, Duration: time.Second},
 		{Cells: []Config{{Workload: Web, Policy: pol, Seed: 4}, {Workload: MPEG, Seed: 9, Faults: faults, Watchdog: wd}}},
 	} {
-		want, _, _, _ := cfg.grid()
+		want := cellsOf(cfg)
 		spec := NewSweepSpec(cfg)
 		if n, g := spec.NumCells(), cfg.GridSize(); n != g || n != len(want) {
 			t.Fatalf("NumCells = %d, GridSize = %d, grid has %d cells", n, g, len(want))

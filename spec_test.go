@@ -58,8 +58,7 @@ func TestSweepSpecJSONRoundTrip(t *testing.T) {
 	// The round-tripped config must describe the same measurement: every
 	// cell's cache key — which hashes exactly the semantic fields — must
 	// survive unchanged.
-	wantCells, _, _, _ := cfg.grid()
-	gotCells, _, _, _ := got.grid()
+	wantCells, gotCells := cellsOf(cfg), cellsOf(got)
 	for i := range wantCells {
 		if cacheKey(gotCells[i]) != cacheKey(wantCells[i]) {
 			t.Fatalf("cell %d cache key changed across JSON round trip", i)

@@ -309,13 +309,6 @@ func (cfg SweepConfig) axisCell(i, np, ns int) Config {
 	return c
 }
 
-// grid expands the configuration into its cell list and axis dimensions.
-func (cfg SweepConfig) grid() ([]Config, int, int, int) {
-	cells := make([]Config, 0, cfg.GridSize())
-	nw, np, ns := cfg.eachCell(func(c Config) { cells = append(cells, c) })
-	return cells, nw, np, ns
-}
-
 // GridSize reports how many cells the sweep will run: the axis cross
 // product, or the explicit Cells length. Zero means an empty (invalid)
 // grid.
@@ -411,52 +404,38 @@ func Sweep(ctx context.Context, cfg SweepConfig) (*SweepResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cells, nw, np, ns := cfg.grid()
-
 	var jr *sweep.CellJournal
 	if cfg.Journal != "" {
 		var err error
-		jr, err = sweep.OpenCellJournalFS(cfg.Journal, cfg.Resume, cfg.FS)
+		jr, err = sweep.OpenCellJournal(cfg.Journal, cfg.Resume, cfg.FS)
 		if err != nil {
 			return nil, err
 		}
 		defer jr.Close()
 	}
 
-	jobs := make([]sweep.Job, len(cells))
-	tel := cfg.Telemetry
+	res := &SweepResult{Cells: make([]SweepCell, cfg.GridSize())}
+	i := 0
+	res.nw, res.np, res.ns = cfg.eachCell(func(c Config) {
+		res.Cells[i].Config = c.withDefaults()
+		i++
+	})
+	cells := sweepCells{res: res, tel: cfg.Telemetry}
 	// Only the cache and the journal read keys, and Validate refuses a
-	// journal without a cache, so a cacheless sweep leaves them empty.
-	var keys *cellKeys
+	// journal without a cache, so a cacheless sweep hashes none.
 	if cfg.Cache != nil {
-		keys = new(cellKeys)
-	}
-	for i := range cells {
-		c := &cells[i]
-		var key string
-		if keys != nil {
-			key = keys.key(c)
-		}
-		jobs[i] = sweep.Job{
-			Key: key,
-			Run: func(ctx context.Context) (any, error) {
-				run := *c
-				if run.Telemetry == nil {
-					run.Telemetry = tel
-				}
-				return RunContext(ctx, run)
-			},
+		var keys cellKeys
+		cells.keys = make([]string, len(res.Cells))
+		for i := range res.Cells {
+			cells.keys[i] = keys.key(&res.Cells[i].Config)
 		}
 	}
-	var pstats sweep.PoolStats
-	outs, err := sweep.Run(ctx, jobs, sweep.Options{
+	stats, err := sweep.Run(ctx, len(res.Cells), &cells, sweep.Options{
 		Workers:     cfg.Workers,
 		FailFast:    cfg.FailFast,
 		Cache:       cfg.Cache,
-		Codec:       resultCacheCodec,
 		OnProgress:  cfg.Progress,
 		Telemetry:   cfg.Telemetry.registry(),
-		Stats:       &pstats,
 		CellTimeout: cfg.CellTimeout,
 		Retry:       sweep.RetryPolicy{Max: cfg.Retries, Base: cfg.RetryBase},
 		Journal:     jr,
@@ -464,39 +443,48 @@ func Sweep(ctx context.Context, cfg SweepConfig) (*SweepResult, error) {
 	if cfg.FailFast && err != nil {
 		return nil, err
 	}
-	res := &SweepResult{
-		Cells: make([]SweepCell, len(cells)),
-		Telemetry: SweepTelemetry{
-			Workers:  pstats.Workers,
-			PeakBusy: pstats.PeakBusy,
-			Ran:      pstats.Ran,
-			Cached:   pstats.Cached,
-			Failed:   pstats.Failed,
-			Skipped:  pstats.Skipped,
-			Replayed: pstats.Replayed,
-			Retried:  pstats.Retries,
-		},
-		nw: nw, np: np, ns: ns,
-	}
-	for i, o := range outs {
-		cell := SweepCell{
-			Config:   cells[i].withDefaults(),
-			Err:      o.Err,
-			Cached:   o.Cached,
-			Replayed: o.Replayed,
-			Attempts: o.Attempts,
-		}
-		if o.Err == nil {
-			r, ok := o.Value.(*Result)
-			if !ok {
-				cell.Err = fmt.Errorf("clocksched: sweep cell %d returned %T", i, o.Value)
-			} else {
-				cell.Result = r
-			}
-		}
-		res.Cells[i] = cell
-	}
+	res.Telemetry = SweepTelemetry(stats)
 	return res, err
+}
+
+// sweepCells is the grid Sweep hands the worker pool: cell i runs from
+// res.Cells[i].Config, and its Result, decoded from the cache or simulated,
+// and its outcome land in res.Cells[i].
+type sweepCells struct {
+	res  *SweepResult
+	keys []string // cache keys; nil for a cacheless sweep, which asks for none
+	tel  *Telemetry
+}
+
+func (s *sweepCells) Key(i int) string { return s.keys[i] }
+
+func (s *sweepCells) Run(ctx context.Context, i, attempt int) error {
+	c := &s.res.Cells[i]
+	run := c.Config
+	if run.Telemetry == nil {
+		run.Telemetry = s.tel
+	}
+	var err error
+	c.Result, err = runAttempt(ctx, run, attempt)
+	return err
+}
+
+func (s *sweepCells) Encode(i int) ([]byte, error) { return encodeResult(s.res.Cells[i].Result) }
+
+func (s *sweepCells) Decode(i int, b []byte) (err error) {
+	s.res.Cells[i].Result, err = decodeResult(b)
+	return err
+}
+
+// Done records cell i's outcome. A failed or skipped cell keeps no Result,
+// not even one a resume decoded from the cache and then refused for its
+// hash.
+func (s *sweepCells) Done(i int, o sweep.Outcome) {
+	c := &s.res.Cells[i]
+	c.Err, c.Cached, c.Replayed, c.Attempts = o.Err, o.Cached, o.Replayed, o.Attempts
+	if o.Err != nil {
+		c.Result = nil
+	}
 }
 
 // SweepCache is a content-addressed cache of sweep cell results: a bounded
@@ -504,8 +492,9 @@ func Sweep(ctx context.Context, cfg SweepConfig) (*SweepResult, error) {
 // full cell configuration together with the simulation version, so any
 // change to the simulation (a sim.Version bump) or to the cell spec misses
 // cleanly rather than serving stale results. It is safe for concurrent use
-// and can be shared across sweeps — and with the experiment harness's grid
-// cells, whose keys live in a disjoint hash domain.
+// and can be shared across sweeps: cmd/experiments keeps one for every
+// sweep-shaped experiment, so equal cells of two experiments share an
+// entry.
 type SweepCache = sweep.Cache
 
 // SweepCacheStats counts cache traffic.
@@ -517,18 +506,6 @@ type SweepCacheStats = sweep.CacheStats
 // so repeated sweeps across process restarts skip already-measured cells.
 func NewSweepCache(maxEntries int, dir string) (*SweepCache, error) {
 	return sweep.NewCache(maxEntries, dir)
-}
-
-// resultCacheCodec is how Sweep stores a cell's *Result in a SweepCache.
-var resultCacheCodec = sweep.Codec{
-	Encode: func(v any) ([]byte, error) {
-		r, ok := v.(*Result)
-		if !ok {
-			return nil, fmt.Errorf("clocksched: caching %T, want *Result", v)
-		}
-		return encodeResult(r)
-	},
-	Decode: func(b []byte) (any, error) { return decodeResult(b) },
 }
 
 // cacheKey is the content address of one cell's Result under the current

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -62,6 +63,94 @@ func TestSweepDeterministicMerge(t *testing.T) {
 			if !bytes.Equal(a, b) {
 				t.Fatalf("cell %d (%s seed %d) differs between 1 and %d workers",
 					i, serial.Cells[i].Config.Policy.Name(), serial.Cells[i].Config.Seed, workers)
+			}
+		}
+	}
+}
+
+// TestSweepPermutedGridMerge is a metamorphic test of the pool's merge: an
+// explicit grid of mixed workloads, policies, fault plans and watchdogs,
+// and a seeded permutation of it, each on 1 and 4 workers, with no cache,
+// with a fresh cache, and again over that cache once it is warm. Every
+// cell must land where its Config says: its Result bytes equal those of
+// the cell it was permuted from in the serial, uncached, in-order sweep,
+// and its Config matches that cell's spec.
+func TestSweepPermutedGridMerge(t *testing.T) {
+	faults := &FaultPlan{ClockChangeFailProb: 0.02, TimerJitterProb: 0.05}
+	var cells []Config
+	for _, w := range []Workload{MPEG, Web, Chess, RectWave} {
+		for pi, p := range []Policy{
+			mustPolicy(t, "constant", map[string]float64{"mhz": 132.7}),
+			mustPolicy(t, "past-peg-peg", nil),
+			mustPolicy(t, "oa", nil),
+		} {
+			for seed := uint64(1); seed <= 2; seed++ {
+				c := Config{Workload: w, Policy: p, Seed: seed, Duration: time.Second}
+				if pi == 1 && seed == 2 {
+					c.Faults, c.Watchdog = faults, &WatchdogConfig{Window: 30}
+				}
+				cells = append(cells, c)
+			}
+		}
+	}
+	perm := rand.New(rand.NewPCG(3, 5)).Perm(len(cells))
+	permuted := make([]Config, len(cells))
+	for i, j := range perm {
+		permuted[i] = cells[j]
+	}
+	encode := func(res *SweepResult) [][]byte {
+		out := make([][]byte, len(res.Cells))
+		for i, c := range res.Cells {
+			b, err := encodeResult(c.Result)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = b
+		}
+		return out
+	}
+	sweep := func(cells []Config, workers int, cache *SweepCache) *SweepResult {
+		res, err := Sweep(context.Background(), SweepConfig{Cells: cells, Workers: workers, Cache: cache, FailFast: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want := encode(sweep(cells, 1, nil))
+	for _, order := range []struct {
+		name  string
+		cells []Config
+		from  func(i int) int // the in-order cell that cell i is
+	}{
+		{"in order", cells, func(i int) int { return i }},
+		{"permuted", permuted, func(i int) int { return perm[i] }},
+	} {
+		for _, workers := range []int{1, 4} {
+			cache, err := NewSweepCache(0, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, run := range []struct {
+				name   string
+				cache  *SweepCache
+				cached bool
+			}{{"no cache", nil, false}, {"fresh cache", cache, false}, {"warm cache", cache, true}} {
+				res := sweep(order.cells, workers, run.cache)
+				got := encode(res)
+				for i, c := range res.Cells {
+					j := order.from(i)
+					if !bytes.Equal(got[i], want[j]) {
+						t.Errorf("%s, %d workers, %s: cell %d (%s, %s, seed %d) differs from in-order cell %d",
+							order.name, workers, run.name, i, c.Config.Workload, c.Config.Policy.Name(), c.Config.Seed, j)
+					}
+					if !newCellSpec(cells[j]).Matches(c.Config) {
+						t.Errorf("%s, %d workers, %s: cell %d has Config %+v, want in-order cell %d's",
+							order.name, workers, run.name, i, c.Config, j)
+					}
+					if c.Cached != run.cached {
+						t.Errorf("%s, %d workers, %s: cell %d Cached = %v", order.name, workers, run.name, i, c.Cached)
+					}
+				}
 			}
 		}
 	}
@@ -510,7 +599,7 @@ func TestSweepPolicyKeyMemo(t *testing.T) {
 			for i, cell := range res.Cells {
 				key := cacheKey(cell.Config)
 				keys[key] = true
-				_, b, ok, err := cache.Get(key, resultCacheCodec)
+				b, ok, err := cache.Get(key, func(b []byte) error { _, err := decodeResult(b); return err })
 				if err != nil || !ok {
 					t.Fatalf("cell %d (%s, seed %d): no cache entry under its key (err %v)",
 						i, cell.Config.Policy.cacheString(), cell.Config.Seed, err)
