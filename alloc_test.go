@@ -67,6 +67,34 @@ func TestTable2SlowCellAllocBytes(t *testing.T) {
 	}
 }
 
+// TestDeadlineCellAllocBytes guards the deadline-driven cells, whose
+// policy keeps a job queue fed by the application: a 2 s cell at seed 7
+// through RunContext must allocate at most about 1.25 times what it was
+// measured at. Under deadline the MPEG and Feedback cells measure 1048 and
+// 1240 B, under oa 1056 and 1248 B. The deadline scheduler kept a queue of
+// its own, with a smaller job, before it became the zoo's OA rule on
+// application deadlines: 968 and 1160 B.
+func TestDeadlineCellAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments allocations")
+	}
+	for _, c := range []struct {
+		policy   string
+		workload Workload
+		limit    uint64
+	}{
+		{"deadline", MPEG, 1310},
+		{"deadline", Feedback, 1550},
+		{"oa", MPEG, 1320},
+		{"oa", Feedback, 1560},
+	} {
+		cfg := Config{Workload: c.workload, Policy: mustPolicy(t, c.policy, nil), Seed: 7, Duration: 2 * time.Second}
+		if perCell := cellAllocBytes(t, cfg, 32); perCell > c.limit {
+			t.Errorf("a 2 s %s cell under %s allocates %d B, want at most %d", c.workload, c.policy, perCell, c.limit)
+		}
+	}
+}
+
 // TestSweepCellAllocBytes guards a sweep's cost per cell beyond the run
 // itself: a 20-seed Table 2 Sweep on one worker must allocate at most
 // 1520 B per cell, for about 1210 B measured. Copying the grid into a cell

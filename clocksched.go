@@ -246,16 +246,12 @@ func (p Policy) build() (spec expt.RunSpec, err error) {
 		spec.InitialV = v
 		return spec, nil
 	}
-	if p.Deadline {
-		d := policy.NewDeadlineScheduler()
-		d.VoltageScale = p.VoltageScale
-		spec.Policy = d
-		spec.InitialStep = cpu.MaxStep
-		spec.InitialV = cpu.VHigh
-		return spec, nil
-	}
-	if p.Zoo != "" {
-		z, err := policy.NewZooScheduler(policy.ZooAlgo(strings.ToUpper(p.Zoo)), p.slackQuanta())
+	if p.Deadline || p.Zoo != "" {
+		algo := policy.AlgoDeadline
+		if p.Zoo != "" {
+			algo = policy.ZooAlgo(strings.ToUpper(p.Zoo))
+		}
+		z, err := policy.NewZooScheduler(algo, p.slackQuanta())
 		if err != nil {
 			return spec, fmt.Errorf("clocksched: %w", err)
 		}

@@ -188,8 +188,8 @@ func (c *cellSim) buildWorkload(spec RunSpec) (workload.Workload, error) {
 		if spec.Duration != 0 {
 			cfg.Length = spec.Duration
 		}
-		// A deadline-consuming policy — DeadlineScheduler or any of the
-		// zoo schedulers — gets the cooperative application model of the
+		// A deadline-consuming policy — the deadline scheduler or any
+		// other zoo rule — gets the cooperative application model of the
 		// paper's future-work section: the player advertises each frame's
 		// work and due time through the DeadlineSink interface.
 		if ds, ok := spec.Policy.(workload.DeadlineSink); ok {
@@ -252,7 +252,7 @@ func (c *cellSim) run(ctx context.Context, spec RunSpec) (*RunOutcome, error) {
 		spec.Cancel = ctx.Err
 	}
 	// The workload is built against the unwrapped policy: MPEG inspects
-	// spec.Policy for a DeadlineScheduler to cooperate with, and that
+	// spec.Policy for a DeadlineSink to cooperate with, and that
 	// check must see through to the real policy, so the watchdog wraps
 	// only afterwards.
 	w, err := c.buildWorkload(spec)

@@ -16,7 +16,7 @@ func TestDeadlineSubmitOrdering(t *testing.T) {
 	if d.Pending() != 3 {
 		t.Fatalf("pending = %d", d.Pending())
 	}
-	if d.jobs[0].Due != 100 || d.jobs[1].Due != 200 || d.jobs[2].Due != 300 {
+	if d.jobs[0].due != 100 || d.jobs[1].due != 200 || d.jobs[2].due != 300 {
 		t.Errorf("jobs not sorted by due: %+v", d.jobs)
 	}
 }
@@ -41,7 +41,7 @@ func TestDeadlineComplete(t *testing.T) {
 	a := d.Submit(100, 100)
 	b := d.Submit(100, 200)
 	d.Complete(a)
-	if d.Pending() != 1 || d.jobs[0].ID != b {
+	if d.Pending() != 1 || d.jobs[0].id != b {
 		t.Errorf("after complete: %+v", d.jobs)
 	}
 	d.Complete(9999) // unknown id: no-op
@@ -54,15 +54,15 @@ func TestDeadlineRequiredKHz(t *testing.T) {
 	d := NewDeadlineScheduler()
 	// 59,000 kcycles due in 1 s needs exactly 59 MHz.
 	d.Submit(59_000_000, sim.Second)
-	if got := d.RequiredKHz(0); got != 59_000 {
-		t.Errorf("RequiredKHz = %d, want 59000", got)
+	if got := d.requiredKHz(0); got != 59_000 {
+		t.Errorf("requiredKHz = %d, want 59000", got)
 	}
 	// Add a tighter job: 103,200 kcycles more due at 500 ms: by then
 	// 103.2M+0 (the 1s job is later)... cumulative ordering: the 500ms
 	// job comes first, needing 103.2M/0.5s = 206.4 MHz.
 	d.Submit(103_200_000, 500*sim.Millisecond)
-	if got := d.RequiredKHz(0); got != 206_400 {
-		t.Errorf("RequiredKHz = %d, want 206400", got)
+	if got := d.requiredKHz(0); got != 206_400 {
+		t.Errorf("requiredKHz = %d, want 206400", got)
 	}
 }
 
@@ -73,8 +73,8 @@ func TestDeadlineRequiredKHzCumulative(t *testing.T) {
 	d.Submit(59_000_000, sim.Second)    // 59 MHz alone
 	d.Submit(118_000_000, 2*sim.Second) // 59 MHz alone
 	// Together: by t=2s we owe 177M cycles → 88.5 MHz.
-	if got := d.RequiredKHz(0); got != 88_500 {
-		t.Errorf("RequiredKHz = %d, want 88500", got)
+	if got := d.requiredKHz(0); got != 88_500 {
+		t.Errorf("requiredKHz = %d, want 88500", got)
 	}
 }
 
@@ -122,7 +122,7 @@ func TestDeadlineRetire(t *testing.T) {
 	if d.Pending() != 1 {
 		t.Fatalf("pending = %d", d.Pending())
 	}
-	if got := d.jobs[0].Cycles; got != 3_000_000-2_064_000 {
+	if got := d.jobs[0].cycles; got != 3_000_000-2_064_000 {
 		t.Errorf("remaining cycles = %d, want 936000", got)
 	}
 	// Another fully-busy quantum finishes it.
@@ -141,7 +141,7 @@ func TestDeadlineRetireSpansJobs(t *testing.T) {
 	if d.Pending() != 1 {
 		t.Fatalf("pending = %d, want 1", d.Pending())
 	}
-	if got := d.jobs[0].Cycles; got != 1_500_000-(2_064_000-1_000_000) {
+	if got := d.jobs[0].cycles; got != 1_500_000-(2_064_000-1_000_000) {
 		t.Errorf("second job remaining = %d, want 436000", got)
 	}
 }
@@ -178,8 +178,8 @@ func TestDeadlinePastDuePegsMax(t *testing.T) {
 	d := NewDeadlineScheduler()
 	d.Submit(1000, 100)
 	// now beyond due but before dropExpired is consulted.
-	if got := d.RequiredKHz(100); got != cpu.MaxStep.KHz() {
-		t.Errorf("RequiredKHz at due = %d, want max", got)
+	if got := d.requiredKHz(100); got != cpu.MaxStep.KHz() {
+		t.Errorf("requiredKHz at due = %d, want max", got)
 	}
 }
 

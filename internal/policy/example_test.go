@@ -40,10 +40,10 @@ func ExampleGovernor() {
 
 // The future-work deadline scheduler runs at the slowest speed that still
 // meets every registered obligation.
-func ExampleDeadlineScheduler() {
+func ExampleNewDeadlineScheduler() {
 	ds := policy.NewDeadlineScheduler()
-	// 120 million (worst-case) cycles due in one second: 132.7 MHz is the
-	// slowest sufficient step.
+	// 120 million cycles due in one second: 132.7 MHz is the slowest
+	// sufficient step.
 	ds.Submit(120_000_000, 1_000_000)
 	step, _ := ds.OnQuantum(0, 0, cpu.MaxStep, cpu.VHigh)
 	fmt.Println(step)

@@ -5,24 +5,12 @@ import (
 	"sort"
 )
 
-// This file ports the deadline-feasible online speed-scaling family that
-// Abousamra, Bunde and Pruhs compare experimentally — Average Rate (AVR,
-// Yao–Demers–Shenker), Optimal Available (OA, Bansal–Kimbrel–Pruhs's name
-// for the YDS-on-remaining-work heuristic), and BKP (Bansal–Kimbrel–Pruhs)
-// — at the trace level: job instances on a unit-interval grid, per-interval
-// speeds out. Unlike the Weiser heuristics in offline.go these algorithms
-// carry worst-case deadline guarantees, which the randomized differential
-// suite checks against the Li–Yao–Yuan oracle: they never miss a deadline
-// and never beat the oracle's energy.
-//
-// The algorithms are defined in continuous time with unbounded speed. Here
-// speed is recomputed at each interval boundary and held for the interval
-// (releases and deadlines are integral, so nothing changes mid-interval),
-// and each interval's speed additionally gets a criticality clamp — at
-// least the remaining work due at the next boundary — so discretization
-// can never turn a guaranteed-feasible schedule into a near miss. Speeds
-// are uncapped (may exceed 1); capping is the caller's concern and voids
-// the feasibility guarantee.
+// This file scores per-interval speed schedules at the trace level: job
+// instances on a unit-interval grid, served earliest-deadline-first. The
+// zoo experiment scores each policy's chosen steps with it, and the
+// differential suite (differential_test.go) scores the trace-level
+// replicas of the deadline-feasible family — AVR, OA and BKP — against
+// the Li–Yao–Yuan oracle.
 
 // feasibleJob is the mutable per-run view of an OracleJob.
 type feasibleJob struct {
@@ -47,122 +35,6 @@ func liveJobs(jobs []OracleJob) []feasibleJob {
 		return live[a].release < live[b].release
 	})
 	return live
-}
-
-// runFeasible drives the shared quantum loop: at each interval boundary i
-// the algorithm callback proposes a speed from the released-and-unfinished
-// job set, the criticality clamp raises it to at least the work due by
-// i+1, and earliest-deadline-first service consumes the capacity.
-func runFeasible(jobs []OracleJob, n int,
-	propose func(i int, live []feasibleJob) float64) []float64 {
-	live := liveJobs(jobs)
-	speeds := make([]float64, n)
-	for i := 0; i < n; i++ {
-		t := float64(i)
-		s := propose(i, live)
-		// Criticality clamp: everything released and due by the next
-		// boundary must fit in this interval.
-		urgent := 0.0
-		for _, j := range live {
-			if j.left > 0 && j.release <= t && j.due <= t+1 {
-				urgent += j.left
-			}
-		}
-		if urgent > s {
-			s = urgent
-		}
-		speeds[i] = s
-		// EDF service (live is due-sorted).
-		cap := s
-		for k := range live {
-			if cap <= 0 {
-				break
-			}
-			j := &live[k]
-			if j.left <= 0 || j.release > t {
-				continue
-			}
-			amt := math.Min(cap, j.left)
-			j.left -= amt
-			cap -= amt
-		}
-	}
-	return speeds
-}
-
-// AVRSpeeds computes the Average Rate schedule: every job is run at its
-// own density Work/(Due−Release) for its whole window, and the processor
-// speed is the sum of the active densities. Feasible with EDF dispatch;
-// at most 2^α-competitive in energy.
-func AVRSpeeds(jobs []OracleJob, n int) []float64 {
-	return runFeasible(jobs, n, func(i int, live []feasibleJob) float64 {
-		t := float64(i)
-		s := 0.0
-		for _, j := range live {
-			if j.release <= t && t < j.due {
-				s += j.work / (j.due - j.release)
-			}
-		}
-		return s
-	})
-}
-
-// OASpeeds computes Optimal Available: at each boundary, run at the speed
-// the optimal schedule would use if no further work ever arrived — the
-// maximum density of remaining released work over any deadline horizon,
-// max over deadlines d > t of (remaining work due by d)/(d − t). This is
-// the same rule DeadlineScheduler.RequiredKHz applies to kernel cycles.
-func OASpeeds(jobs []OracleJob, n int) []float64 {
-	return runFeasible(jobs, n, func(i int, live []feasibleJob) float64 {
-		t := float64(i)
-		s, cum := 0.0, 0.0
-		for _, j := range live { // due-sorted: prefixes are horizons
-			if j.left <= 0 || j.release > t {
-				continue
-			}
-			cum += j.left
-			if j.due > t {
-				if d := cum / (j.due - t); d > s {
-					s = d
-				}
-			}
-		}
-		return s
-	})
-}
-
-// BKPSpeeds computes the Bansal–Kimbrel–Pruhs schedule: speed e·v(t),
-// where v(t) is the maximum over look-ahead horizons t' > t of
-// w(t, et−(e−1)t', t')/(e(t'−t)) and w(t, t₁, t₂) is the original work of
-// jobs released in [t₁, t] with deadlines ≤ t₂ — a windowed density that
-// remembers recently released work whether or not it has been served,
-// which is what buys the constant competitive ratio. Only deadlines are
-// candidate horizons (the maximum is attained there).
-func BKPSpeeds(jobs []OracleJob, n int) []float64 {
-	const e = math.E
-	all := liveJobs(jobs)
-	return runFeasible(jobs, n, func(i int, _ []feasibleJob) float64 {
-		t := float64(i)
-		best := 0.0
-		for _, h := range all {
-			if h.due <= t {
-				continue
-			}
-			delta := h.due - t
-			lo := t - (e-1)*delta
-			w := 0.0
-			for _, j := range all {
-				if j.release <= t && j.release >= lo && j.due <= h.due {
-					w += j.work
-				}
-			}
-			// e · w/(e·Δ) = w/Δ.
-			if d := w / delta; d > best {
-				best = d
-			}
-		}
-		return best
-	})
 }
 
 // TraceScore is a deadline-aware schedule score on a job instance.

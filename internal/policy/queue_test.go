@@ -9,8 +9,7 @@ import (
 	"clocksched/internal/sim"
 )
 
-// refJob is one job of refQueue, the common shape of DeadlineJob and
-// zooJob as far as queue bookkeeping goes.
+// refJob is one job of refQueue: zooJob as far as queue bookkeeping goes.
 type refJob struct {
 	id          int
 	cycles      int64
@@ -19,9 +18,9 @@ type refJob struct {
 	synthesized bool
 }
 
-// refQueue is a reference for the deadline and zoo job queues written the
+// refQueue is a reference for the zoo job queue written the
 // straightforward way: retire re-slices past drained jobs, which sheds
-// capacity from the front of the slice. The schedulers compact in place
+// capacity from the front of the slice. The scheduler compacts in place
 // instead and must keep exactly the same jobs.
 type refQueue struct {
 	jobs    []refJob
@@ -110,62 +109,26 @@ func (tr *queueTracker) check(t *testing.T, what string) {
 
 const longRunQuanta = 2500
 
-func TestDeadlineQueueLongRunMatchesReference(t *testing.T) {
-	rng := sim.NewRNG(15)
-	d := NewDeadlineScheduler()
-	var ref refQueue
-	var tr queueTracker
-	for q := 1; q <= longRunQuanta; q++ {
-		now := sim.Time(q) * sim.Time(sim.Quantum)
-		for n := rng.Int63n(3); n > 0; n-- {
-			cycles := 20_000 + rng.Int63n(800_000)
-			due := now + sim.Time(1+rng.Int63n(30))*sim.Time(sim.Quantum)
-			id := d.Submit(cycles, due)
-			ref.insert(refJob{id: id, cycles: cycles, due: due})
-		}
-		if d.nextID > 0 && rng.Bool(0.2) {
-			id := d.nextID - int(rng.Int63n(4))
-			d.Complete(id)
-			ref.complete(id)
-		}
-		util := int(rng.Int63n(FullUtil + 1))
-		step := cpu.Step(rng.Int63n(cpu.NumSteps))
-		d.OnQuantum(now, util, step, cpu.VHigh)
-		ref.retire(int64(util) * int64(d.Quantum) / FullUtil * step.KHz() / 1000)
-		ref.markExpired(now)
-		trackQueue(&tr, d.jobs)
-
-		if d.Pending() != len(ref.jobs) || d.Expired != ref.expired {
-			t.Fatalf("quantum %d: pending %d expired %d, reference %d and %d",
-				q, d.Pending(), d.Expired, len(ref.jobs), ref.expired)
-		}
-		for i, j := range d.jobs {
-			if r := ref.jobs[i]; j.ID != r.id || j.Cycles != r.cycles || j.Due != r.due || j.Overdue != r.overdue {
-				t.Fatalf("quantum %d: job %d = %+v, reference %+v", q, i, j, r)
-			}
-		}
-	}
-	if ref.expired == 0 || tr.maxLen < 4 {
-		t.Fatalf("run too gentle to exercise the queue: %d expired, peak %d pending", ref.expired, tr.maxLen)
-	}
-	tr.check(t, "deadline")
-}
-
 func TestZooQueueLongRunMatchesReference(t *testing.T) {
 	for _, algo := range []ZooAlgo{AlgoOA, AlgoAVR, AlgoBKP} {
 		for _, app := range []bool{false, true} {
+			appFrom := 0
+			if app {
+				appFrom = longRunQuanta/3 + 1
+			}
 			t.Run(fmt.Sprintf("%s/app=%v", algo, app), func(t *testing.T) {
-				zooLongRun(t, algo, app)
+				zooLongRun(t, algo, appFrom)
 			})
 		}
 	}
+	t.Run("DEADLINE/app=true", func(t *testing.T) { zooLongRun(t, AlgoDeadline, 1) })
 }
 
 // zooLongRun drives a zoo scheduler for longRunQuanta quanta of random
-// utilization and clock steps, with application submissions switching on
-// a third of the way in when app is set, and checks its queue against
-// refQueue after every quantum.
-func zooLongRun(t *testing.T, algo ZooAlgo, app bool) {
+// utilization and clock steps, with application submissions and
+// completions from quantum appFrom on (never when appFrom is 0), and
+// checks its queue against refQueue after every quantum.
+func zooLongRun(t *testing.T, algo ZooAlgo, appFrom int) {
 	rng := sim.NewRNG(15)
 	z, err := NewZooScheduler(algo, 5)
 	if err != nil {
@@ -175,7 +138,7 @@ func zooLongRun(t *testing.T, algo ZooAlgo, app bool) {
 	var tr queueTracker
 	for q := 1; q <= longRunQuanta; q++ {
 		now := sim.Time(q) * sim.Time(sim.Quantum)
-		if app && q > longRunQuanta/3 {
+		if appFrom > 0 && q >= appFrom {
 			for n := rng.Int63n(3); n > 0; n-- {
 				cycles := 20_000 + rng.Int63n(800_000)
 				due := now + sim.Time(1+rng.Int63n(30))*sim.Time(sim.Quantum)
@@ -196,7 +159,7 @@ func zooLongRun(t *testing.T, algo ZooAlgo, app bool) {
 		z.OnQuantum(now, util, step, cpu.VHigh)
 		cycles := int64(util) * int64(z.Quantum) / FullUtil * step.KHz() / 1000
 		ref.retire(cycles)
-		if !z.sawApp && cycles > 0 {
+		if algo != AlgoDeadline && !z.sawApp && cycles > 0 {
 			ref.insert(refJob{id: z.nextID, cycles: cycles, due: now + sim.Time(5*int64(z.Quantum)), synthesized: true})
 		}
 		ref.markExpired(now)
@@ -213,8 +176,8 @@ func zooLongRun(t *testing.T, algo ZooAlgo, app bool) {
 			}
 		}
 	}
-	if tr.maxLen < 2 {
-		t.Fatalf("run too gentle to exercise the queue: peak %d pending", tr.maxLen)
+	if tr.maxLen < 2 || appFrom > 0 && (ref.expired == 0 || tr.maxLen < 4) {
+		t.Fatalf("run too gentle to exercise the queue: %d expired, peak %d pending", ref.expired, tr.maxLen)
 	}
 	tr.check(t, string(algo))
 }

@@ -10,7 +10,7 @@ import (
 
 // QuantumPolicy is the per-quantum decision interface the watchdog
 // supervises. It is structurally identical to the kernel's SpeedPolicy, so
-// any installable policy (Governor, Proportional, DeadlineScheduler,
+// any installable policy (Governor, Proportional, ZooScheduler,
 // Constant) can be wrapped without this package importing the kernel.
 type QuantumPolicy interface {
 	OnQuantum(now sim.Time, utilPP10K int, s cpu.Step, v cpu.Voltage) (cpu.Step, cpu.Voltage)

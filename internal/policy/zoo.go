@@ -9,26 +9,42 @@ import (
 	"clocksched/internal/sim"
 )
 
-// This file adapts the deadline-feasible family of feasible.go — AVR, OA,
-// BKP — into online kernel speed policies with the same shape as
-// DeadlineScheduler: per-quantum OnQuantum, application-submitted
-// deadlines, and a retire estimate that drains work by observed busy
-// cycles. Two sources feed the job set:
+// This file holds the kernel's deadline-driven speed policies. The first
+// is the direction the paper's Conclusions point to as future work: "Our
+// immediate future work is to provide 'deadline' mechanisms in Linux.
+// These deadlines are not precisely the same mechanism needed in a true
+// real-time O/S – in a RTOS, the application does not care if the
+// deadline is reached early, while energy scheduling would prefer for the
+// deadline to be met as late as possible." Applications submit (work,
+// due-time) jobs, and at every quantum the scheduler picks the slowest
+// clock step that still finishes every job by its deadline. That rule is
+// Optimal Available (OA, YDS on the remaining work) of the speed-scaling
+// literature, so the deadline mechanism is AlgoDeadline: OA fed by
+// application deadlines only.
+//
+// The others are the deadline-feasible online family — OA, AVR, BKP —
+// whose trace-level replicas the differential suite checks against the
+// oracle. All of them share one job queue: per-quantum OnQuantum,
+// application-submitted deadlines, and a retire estimate that drains work
+// by observed busy cycles. Two sources feed the queue:
 //
 //   - Applications that advertise deadlines (the MPEG player) submit jobs
-//     directly through the workload.DeadlineSink interface, exactly as
-//     they do for DeadlineScheduler.
-//   - On workloads with no deadline stream, each quantum's observed busy
-//     cycles become a synthesized job due SlackQuanta quanta later — the
-//     interval-scheduling assumption (recent demand predicts imminent
-//     demand, and latency past a few quanta is user-visible) expressed in
-//     the job vocabulary these algorithms need. The first application
-//     submission permanently switches the scheduler to the app stream and
-//     discards synthesized jobs, so MPEG work is never double-counted.
+//     directly through the workload.DeadlineSink interface.
+//   - On workloads with no deadline stream, OA, AVR and BKP turn each
+//     quantum's observed busy cycles into a synthesized job due
+//     SlackQuanta quanta later — the interval-scheduling assumption
+//     (recent demand predicts imminent demand, and latency past a few
+//     quanta is user-visible) expressed in the job vocabulary these
+//     algorithms need. The first application submission permanently
+//     switches the scheduler to the app stream and discards synthesized
+//     jobs, so MPEG work is never double-counted. AlgoDeadline never
+//     synthesizes: without an app stream it idles at the bottom step.
 //
 // The hardware's bounded step ladder voids the unbounded-speed feasibility
-// theorem, so like DeadlineScheduler these policies pin the top step while
-// any overdue job is pending.
+// theorem, so every rule pins the top step while any overdue job is
+// pending: the work still has to be done (the application keeps computing
+// it), and dropping it would leave no demand signal and strand the clock at
+// the bottom while the application ran ever later.
 
 // zooJob is one obligation tracked by a ZooScheduler.
 type zooJob struct {
@@ -47,18 +63,22 @@ const (
 	AlgoOA  ZooAlgo = "OA"
 	AlgoAVR ZooAlgo = "AVR"
 	AlgoBKP ZooAlgo = "BKP"
+	// AlgoDeadline is OA on application deadlines alone: the paper's
+	// future-work deadline mechanism.
+	AlgoDeadline ZooAlgo = "DEADLINE"
 )
 
-// ZooScheduler runs one of the deadline-feasible online algorithms as a
-// kernel speed policy. It satisfies the kernel SpeedPolicy interface and
-// the workload DeadlineSink interface.
+// ZooScheduler runs one of the deadline-driven rules as a kernel speed
+// policy. It satisfies the kernel SpeedPolicy interface and the workload
+// DeadlineSink interface.
 type ZooScheduler struct {
 	algo ZooAlgo
 	// VoltageScale drops the core to 1.23 V when the chosen step allows.
 	VoltageScale bool
 	// Quantum must match the kernel's scheduling quantum.
 	Quantum sim.Duration
-	// SlackQuanta is the deadline slack granted to synthesized jobs.
+	// SlackQuanta is the deadline slack granted to synthesized jobs
+	// (unused by AlgoDeadline, which synthesizes none).
 	SlackQuanta int
 
 	jobs    []zooJob // sorted by due
@@ -72,9 +92,12 @@ type ZooScheduler struct {
 }
 
 // NewZooScheduler builds a scheduler for the given algorithm with the
-// standard 10 ms quantum. slackQuanta must be positive.
+// standard 10 ms quantum. slackQuanta must be positive; AlgoDeadline
+// ignores it.
 func NewZooScheduler(algo ZooAlgo, slackQuanta int) (*ZooScheduler, error) {
 	switch algo {
+	case AlgoDeadline:
+		return NewDeadlineScheduler(), nil
 	case AlgoOA, AlgoAVR, AlgoBKP:
 	default:
 		return nil, fmt.Errorf("policy: unknown zoo algorithm %q", algo)
@@ -83,6 +106,12 @@ func NewZooScheduler(algo ZooAlgo, slackQuanta int) (*ZooScheduler, error) {
 		return nil, fmt.Errorf("policy: zoo slack must be positive quanta, got %d", slackQuanta)
 	}
 	return &ZooScheduler{algo: algo, Quantum: sim.Quantum, SlackQuanta: slackQuanta}, nil
+}
+
+// NewDeadlineScheduler returns the AlgoDeadline scheduler for the standard
+// 10 ms quantum.
+func NewDeadlineScheduler() *ZooScheduler {
+	return &ZooScheduler{algo: AlgoDeadline, Quantum: sim.Quantum}
 }
 
 // Algo reports which rule the scheduler runs.
@@ -102,8 +131,10 @@ func (z *ZooScheduler) insert(j zooJob) {
 }
 
 // Submit registers application work due at the given time (the
-// workload.DeadlineSink interface). The first submission switches the
-// scheduler to the application's deadline stream for good.
+// workload.DeadlineSink interface) and returns a job id. A non-positive
+// cycle count is legal and never constrains the speed. The first
+// submission switches the scheduler to the application's deadline stream
+// for good.
 func (z *ZooScheduler) Submit(cycles int64, due sim.Time) int {
 	if !z.sawApp {
 		z.sawApp = true
@@ -135,9 +166,11 @@ func (z *ZooScheduler) Complete(id int) {
 	}
 }
 
-// retire deducts the cycles executed during the last quantum from the
-// earliest-due jobs, exactly as DeadlineScheduler does, and compacts the
-// drained prefix away in place so the queue keeps its capacity.
+// retire deducts an estimate of the cycles executed during the last
+// quantum from the earliest-due jobs: busy time × the clock rate that was
+// in effect. The drained prefix is compacted away in place: re-slicing
+// past it would shed capacity from the front and make every later insert
+// reallocate the queue.
 func (z *ZooScheduler) retire(utilPP10K int, s cpu.Step) {
 	busyMicros := int64(utilPP10K) * int64(z.Quantum) / FullUtil
 	cycles := busyMicros * s.KHz() / 1000
@@ -156,9 +189,10 @@ func (z *ZooScheduler) retire(utilPP10K int, s cpu.Step) {
 }
 
 // synthesize turns the last quantum's observed busy cycles into a job due
-// SlackQuanta quanta out. Only runs before any application submission.
+// SlackQuanta quanta out. Only runs before any application submission,
+// and never for AlgoDeadline.
 func (z *ZooScheduler) synthesize(now sim.Time, utilPP10K int, s cpu.Step) {
-	if z.sawApp || utilPP10K <= 0 {
+	if z.algo == AlgoDeadline || z.sawApp || utilPP10K <= 0 {
 		return
 	}
 	busyMicros := int64(utilPP10K) * int64(z.Quantum) / FullUtil
@@ -177,8 +211,9 @@ func (z *ZooScheduler) synthesize(now sim.Time, utilPP10K int, s cpu.Step) {
 	})
 }
 
-// markExpired flags jobs whose deadlines have passed; they pin the clock
-// until drained, like DeadlineScheduler's.
+// markExpired flags jobs whose deadlines have passed. They stay pending —
+// and pin the clock — until the application completes them or the retire
+// estimate drains them.
 func (z *ZooScheduler) markExpired(now sim.Time) {
 	for i := range z.jobs {
 		if z.jobs[i].due > now {
@@ -196,8 +231,10 @@ func (z *ZooScheduler) markExpired(now sim.Time) {
 func (z *ZooScheduler) requiredKHz(now sim.Time) int64 {
 	var need int64
 	switch z.algo {
-	case AlgoOA:
-		// Max density of remaining work over any deadline horizon.
+	case AlgoOA, AlgoDeadline:
+		// Max density of remaining work over any deadline horizon: the
+		// slowest rate that finishes every pending job, run back to
+		// back, by its deadline.
 		var cum int64
 		for _, j := range z.jobs {
 			cum += j.cycles
@@ -283,6 +320,9 @@ func (z *ZooScheduler) Name() string {
 	vs := ""
 	if z.VoltageScale {
 		vs = ", voltage scaling"
+	}
+	if z.algo == AlgoDeadline {
+		return "DEADLINE" + vs
 	}
 	return fmt.Sprintf("%s(slack=%d)%s", z.algo, z.SlackQuanta, vs)
 }

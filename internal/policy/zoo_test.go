@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -8,11 +9,9 @@ import (
 	"clocksched/internal/sim"
 )
 
-// --- ISSUE 8 satellite: DeadlineScheduler due-exactly-now boundary. The
-// audit found markExpired/RequiredKHz correct at due == now — the job is
-// marked overdue exactly once (the !Overdue guard) and RequiredKHz's
-// horizon <= 0 early return pins the top step, so it still contributes.
-// These boundary-value tests pin that behavior against regression.
+// Boundary values of the deadline rule at due == now: the job is marked
+// overdue exactly once (the !overdue guard), and requiredKHz's horizon <= 0
+// early return pins the top step, so it still contributes.
 
 func TestDeadlineDueExactlyNowContributes(t *testing.T) {
 	d := NewDeadlineScheduler()
@@ -20,8 +19,8 @@ func TestDeadlineDueExactlyNowContributes(t *testing.T) {
 	d.Submit(1, now) // one cycle due exactly at the boundary
 	// Even a 1-cycle job due at now demands the top step: there is no
 	// horizon left to amortize it over.
-	if got := d.RequiredKHz(now); got != cpu.MaxStep.KHz() {
-		t.Fatalf("RequiredKHz(due==now) = %d, want top step %d", got, cpu.MaxStep.KHz())
+	if got := d.requiredKHz(now); got != cpu.MaxStep.KHz() {
+		t.Fatalf("requiredKHz(due==now) = %d, want top step %d", got, cpu.MaxStep.KHz())
 	}
 	step, _ := d.OnQuantum(now, 0, cpu.MinStep, cpu.VHigh)
 	if step != cpu.MaxStep {
@@ -62,9 +61,9 @@ func TestDeadlineDueOneMicrosecondLater(t *testing.T) {
 	d := NewDeadlineScheduler()
 	now := sim.Time(10 * sim.Quantum)
 	d.Submit(1, now+1) // due 1 µs past the boundary: finite horizon
-	if got := d.RequiredKHz(now); got != 1000 {
+	if got := d.requiredKHz(now); got != 1000 {
 		// 1 cycle in 1 µs = 1000 kHz, rounded up.
-		t.Fatalf("RequiredKHz = %d, want 1000", got)
+		t.Fatalf("requiredKHz = %d, want 1000", got)
 	}
 	d.OnQuantum(now, 0, cpu.MinStep, cpu.VHigh)
 	if d.Expired != 0 {
@@ -83,27 +82,56 @@ func TestZooRejectsBadConfig(t *testing.T) {
 	}
 }
 
-func TestZooOAMatchesDeadlineRequiredKHz(t *testing.T) {
-	// OA's rule is DeadlineScheduler's RequiredKHz; with the same app
-	// stream the two must demand the same step.
-	z, err := NewZooScheduler(AlgoOA, 3)
+// TestZooDeadlineIsOAOnAppDeadlines checks that the deadline rule is OA
+// fed by application deadlines alone: with an application stream from
+// before the first quantum the two make the same decisions and keep the
+// same queue, and without one the deadline rule never synthesizes a job.
+func TestZooDeadlineIsOAOnAppDeadlines(t *testing.T) {
+	oa, err := NewZooScheduler(AlgoOA, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := NewDeadlineScheduler()
-	for _, j := range []struct {
-		cycles int64
-		due    sim.Time
-	}{
-		{59_000_000, sim.Second},
-		{10_000_000, 300 * sim.Millisecond},
-		{2_000_000, 40 * sim.Millisecond},
-	} {
-		z.Submit(j.cycles, j.due)
-		d.Submit(j.cycles, j.due)
+	oa.VoltageScale, d.VoltageScale = true, true
+	oa.Submit(1_000_000, sim.Second)
+	d.Submit(1_000_000, sim.Second)
+	rng := sim.NewRNG(3)
+	for q := 0; q < 400; q++ {
+		now := sim.Time(q) * sim.Time(sim.Quantum)
+		for n := rng.Int63n(3); n > 0; n-- {
+			cycles := rng.Int63n(900_000)
+			due := now + sim.Time(rng.Int63n(20))*sim.Time(sim.Quantum)
+			if a, b := oa.Submit(cycles, due), d.Submit(cycles, due); a != b {
+				t.Fatalf("quantum %d: job ids %d and %d", q, a, b)
+			}
+		}
+		if rng.Bool(0.2) {
+			id := d.nextID - int(rng.Int63n(4))
+			oa.Complete(id)
+			d.Complete(id)
+		}
+		util := int(rng.Int63n(FullUtil + 1))
+		step := cpu.Step(rng.Int63n(cpu.NumSteps))
+		oaStep, oaV := oa.OnQuantum(now, util, step, cpu.VHigh)
+		dStep, dV := d.OnQuantum(now, util, step, cpu.VHigh)
+		if oaStep != dStep || oaV != dV {
+			t.Fatalf("quantum %d: OA chose %v @ %v, deadline %v @ %v", q, oaStep, oaV, dStep, dV)
+		}
+		if !slices.Equal(oa.jobs, d.jobs) || oa.Expired != d.Expired {
+			t.Fatalf("quantum %d: queues differ:\nOA       %+v (%d expired)\ndeadline %+v (%d expired)",
+				q, oa.jobs, oa.Expired, d.jobs, d.Expired)
+		}
 	}
-	if zk, dk := z.requiredKHz(0), d.RequiredKHz(0); zk != dk {
-		t.Fatalf("OA requires %d kHz, DeadlineScheduler %d", zk, dk)
+	if d.Expired == 0 {
+		t.Fatal("no job expired: the run never reached the overdue path")
+	}
+
+	idle := NewDeadlineScheduler()
+	for q := 1; q <= 50; q++ {
+		step, _ := idle.OnQuantum(sim.Time(q)*sim.Time(sim.Quantum), FullUtil, cpu.MaxStep, cpu.VHigh)
+		if idle.Pending() != 0 || step != cpu.MinStep {
+			t.Fatalf("quantum %d: busy quanta with no application left %d pending at %v", q, idle.Pending(), step)
+		}
 	}
 }
 

@@ -49,7 +49,7 @@ type FeedbackConfig struct {
 	Seed uint64
 	// Deadlines, when non-nil, makes the loop advertise each sample's
 	// work and due time to a deadline-based clock scheduler, like the
-	// MPEG player does. *policy.DeadlineScheduler satisfies this.
+	// MPEG player does. *policy.ZooScheduler satisfies this.
 	Deadlines DeadlineSink
 	// Disturbances is the load-disturbance input trace; nil selects
 	// DefaultFeedbackTrace(Seed).

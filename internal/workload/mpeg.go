@@ -40,7 +40,8 @@ type MPEGConfig struct {
 	// work and due time to a deadline-based clock scheduler before
 	// decoding it, and report completion afterwards — the cooperative
 	// application model of the paper's future-work section.
-	// *policy.DeadlineScheduler satisfies this interface.
+	// *policy.ZooScheduler (the deadline scheduler among its rules)
+	// satisfies this interface.
 	Deadlines DeadlineSink
 	// DropLateFrames switches the player to Pering et al.'s elastic
 	// assumption: a frame whose display time has already passed when
@@ -54,8 +55,9 @@ type MPEGConfig struct {
 // DeadlineSink is where a deadline-aware application registers its timing
 // obligations.
 type DeadlineSink interface {
-	// Submit registers work (worst-case cycles) due at an absolute time
-	// and returns a job id.
+	// Submit registers work due at an absolute time and returns a job id.
+	// The work is in cycles at cpu.MaxStep, where a burst's memory
+	// cycles cost the most; the players pass each job's realised burst.
 	Submit(cycles int64, due sim.Time) int
 	// Complete reports that the job finished.
 	Complete(id int)
@@ -195,8 +197,8 @@ func (v *mpegVideo) Next(now sim.Time) kernel.Action {
 		v.decoded = true
 		burst := v.frameBurst()
 		if v.cfg.Deadlines != nil {
-			// Advertise the frame's worst-case work to the deadline
-			// scheduler before starting to decode it.
+			// Advertise the frame's realised work, in cycles at the top
+			// step, to the deadline scheduler before decoding it.
 			v.job = v.cfg.Deadlines.Submit(burst.Cycles(cpu.MaxStep), deadline)
 		}
 		return kernel.Compute(burst)
