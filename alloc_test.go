@@ -3,6 +3,7 @@ package clocksched
 import (
 	"context"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -91,6 +92,45 @@ func TestDeadlineCellAllocBytes(t *testing.T) {
 		cfg := Config{Workload: c.workload, Policy: mustPolicy(t, c.policy, nil), Seed: 7, Duration: 2 * time.Second}
 		if perCell := cellAllocBytes(t, cfg, 32); perCell > c.limit {
 			t.Errorf("a 2 s %s cell under %s allocates %d B, want at most %d", c.workload, c.policy, perCell, c.limit)
+		}
+	}
+}
+
+// TestFaultedCellAllocBytes guards the DAQ fold's sample-fault walk: a
+// streamed MPEG cell at seed 7 whose plan drops and glitches readings
+// must allocate at most about 1.25 times what it was measured at, 1392 B
+// for both a 2 s and a 60 s cell. The fold keeps one entry per power
+// segment in a buffer that its pooled shell carries from cell to cell.
+// While such a cell retained its whole power timeline for a post-hoc walk
+// and was never pooled, it allocated 8448 B at 2 s and 181760 B at 60 s.
+// The figure is the median run, not the mean: a run that misses the pool
+// regrows the buffer, hundreds of KiB for a 60 s cell, which one miss in
+// the mean of 32 runs would turn into several KiB per cell.
+func TestFaultedCellAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments allocations")
+	}
+	const limit = 1740
+	faults := &FaultPlan{SampleDropProb: 0.01, SampleGlitchProb: 0.01}
+	for _, d := range []time.Duration{2 * time.Second, 60 * time.Second} {
+		cfg := Config{Workload: MPEG, Policy: mustPolicy(t, "past-peg-peg", nil), Seed: 7, Duration: d, Faults: faults}
+		run := func() {
+			if _, err := RunContext(context.Background(), cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm up lazily built tables and the pooled fold's buffer
+		perRun := make([]uint64, 33)
+		var before, after runtime.MemStats
+		for i := range perRun {
+			runtime.ReadMemStats(&before)
+			run()
+			runtime.ReadMemStats(&after)
+			perRun[i] = after.TotalAlloc - before.TotalAlloc
+		}
+		slices.Sort(perRun)
+		if perCell := perRun[len(perRun)/2]; perCell > limit {
+			t.Errorf("a %v MPEG cell with sample faults allocates %d B, want at most %d", d, perCell, limit)
 		}
 	}
 }

@@ -621,10 +621,10 @@ func runAttempt(ctx context.Context, cfg Config, attempt int) (*Result, error) {
 
 	col := out.Workload.Metrics()
 	res := &Result{
-		EnergyJoules:    out.EnergyJ,
-		AvgPowerWatts:   out.AvgPowerW,
+		EnergyJoules:    out.DAQ.EnergyJ,
+		AvgPowerWatts:   out.DAQ.AvgPowerW,
 		PeakPowerWatts:  out.DAQ.PeakW,
-		MeanUtilization: out.MeanUtil,
+		MeanUtilization: out.Kernel.MeanUtil(),
 		Deadlines:       col.Count(),
 		Misses:          col.MissCount(),
 		MaxLateness:     col.MaxLateness().Std(),

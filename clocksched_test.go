@@ -1,6 +1,7 @@
 package clocksched
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"strings"
@@ -46,6 +47,55 @@ func TestRunDefaults(t *testing.T) {
 	}
 	if lean.TraceLen() != 0 {
 		t.Errorf("trace captured without opt-in: %d points", lean.TraceLen())
+	}
+}
+
+// TestFaultedCellStreamedMatchesRetained checks that a cell whose plan
+// mixes kernel and DAQ faults (clock failures, sample drops and glitches)
+// gives the same Result bytes measured online, through the run's DAQ fold,
+// as with its timeline retained and integrated after the run. The fold
+// draws its sample faults after the run, as Integrate does; a fold that
+// drew them as segments arrived would interleave them with the kernel's
+// clock-failure draws from the same injector, and the bytes would differ.
+func TestFaultedCellStreamedMatchesRetained(t *testing.T) {
+	faults := &FaultPlan{ClockChangeFailProb: 0.2, SampleDropProb: 0.01, SampleGlitchProb: 0.01}
+	for _, c := range []struct {
+		workload Workload
+		policy   string
+	}{
+		{MPEG, "past-peg-peg"},
+		{Chess, "past-peg-peg"},
+		{Feedback, "deadline"},
+	} {
+		cfg := Config{Workload: c.workload, Policy: mustPolicy(t, c.policy, nil), Seed: 3,
+			Duration: 5 * time.Second, Faults: faults}
+		streamed, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.CaptureTrace = true
+		retained, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f := streamed.Faults; f.ClockChangeFails == 0 || f.SamplesDropped == 0 || f.SamplesGlitched == 0 {
+			t.Fatalf("%s/%s: the plan did not inject every fault kind: %+v", c.workload, c.policy, f)
+		}
+		if retained.TraceLen() == 0 {
+			t.Fatalf("%s/%s: a CaptureTrace cell kept no trace", c.workload, c.policy)
+		}
+		retained.trace = nil
+		a, err := encodeResult(streamed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := encodeResult(retained)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s/%s: streamed result differs from retained:\n got %+v\nwant %+v", c.workload, c.policy, streamed, retained)
+		}
 	}
 }
 

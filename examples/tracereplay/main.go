@@ -85,12 +85,12 @@ func measure(tr *trace.Trace) (measurement, error) {
 	if err := k.Run(length); err != nil {
 		return measurement{}, err
 	}
-	cap, err := daq.Sample(k.Recorder(), 0, length, daq.DefaultConfig())
+	sum, err := daq.Integrate(k.Recorder(), 0, length, daq.DefaultConfig())
 	if err != nil {
 		return measurement{}, err
 	}
 	return measurement{
-		energy:  cap.Energy(),
+		energy:  sum.EnergyJ,
 		util:    k.MeanUtil(),
 		changes: k.SpeedChanges(),
 	}, nil

@@ -4,9 +4,9 @@
 // each reading to 16 bits, and begins recording when the device under test
 // toggles a GPIO pin.
 //
-// Every energy number an experiment reports flows through this package, so
-// results carry the same sampling and quantization structure as the paper's:
-// E = Σ pᵢ · 0.0002 J, where pᵢ are the captured power readings.
+// Every energy number an experiment reports flows through one instrument,
+// Fold, so results carry the same sampling and quantization structure as
+// the paper's: E = Σ pᵢ · 0.0002 J, where pᵢ are the captured power readings.
 package daq
 
 import (
@@ -15,7 +15,6 @@ import (
 	"math"
 
 	"clocksched/internal/fault"
-	"clocksched/internal/power"
 	"clocksched/internal/sim"
 	"clocksched/internal/telemetry"
 )
@@ -80,124 +79,4 @@ func (c Config) quantize(w float64) float64 {
 	codes := float64(int64(1)<<uint(c.Bits) - 1)
 	lsb := c.FullScaleWatts / codes
 	return math.Round(w/lsb) * lsb
-}
-
-// Capture is one recorded measurement window.
-type Capture struct {
-	Config Config
-	Start  sim.Time
-	// Window is the requested capture span (end − start). When it is not a
-	// whole number of sample intervals the final reading stands for a
-	// shortened interval; Duration and Energy account for that. A zero
-	// Window (captures built before the field existed, or literals in
-	// tests) means exactly len(Samples) whole intervals.
-	Window  sim.Duration
-	Samples []float64 // quantized power readings, watts
-}
-
-// Sample records power readings from rec over [start, end), beginning at the
-// trigger instant start, one reading every SampleInterval. A window that is
-// not a whole number of sample intervals is still covered in full: the
-// instrument takes one extra reading at the start of the trailing partial
-// interval, and Energy weights it by the partial interval's length.
-func Sample(rec *power.Recorder, start, end sim.Time, cfg Config) (Capture, error) {
-	if err := cfg.validate(); err != nil {
-		return Capture{}, err
-	}
-	if start < 0 || end <= start {
-		return Capture{}, fmt.Errorf("daq: bad capture window [%v, %v)", start, end)
-	}
-	if end > rec.End() {
-		return Capture{}, fmt.Errorf("daq: capture window ends at %v but timeline ends at %v",
-			end, rec.End())
-	}
-	window := end - start
-	// Ceiling division: a trailing partial interval gets its own reading
-	// rather than being silently dropped from the energy integral.
-	n := int((window + cfg.SampleInterval - 1) / cfg.SampleInterval)
-	cap := Capture{Config: cfg, Start: start, Window: window, Samples: make([]float64, 0, n)}
-	tel := cfg.Telemetry
-	telDropped := tel.Counter(telemetry.MDAQSamplesDropped)
-	telGlitched := tel.Counter(telemetry.MDAQSamplesGlitched)
-	held := 0.0 // last good quantized reading, for sample-and-hold drops
-	for i := 0; i < n; i++ {
-		t := start + sim.Time(i)*cfg.SampleInterval
-		if cfg.Faults.DropSample() {
-			// Conversion lost: the instrument repeats its previous
-			// reading (zero before the first good conversion).
-			telDropped.Inc()
-			cap.Samples = append(cap.Samples, held)
-			continue
-		}
-		w, err := rec.PowerAt(t)
-		if err != nil {
-			return Capture{}, err
-		}
-		if g, ok := cfg.Faults.GlitchWatts(); ok {
-			telGlitched.Inc()
-			w += g // quantize clips the result to [0, full scale]
-		}
-		held = cfg.quantize(w)
-		cap.Samples = append(cap.Samples, held)
-	}
-	tel.Counter(telemetry.MDAQCaptures).Inc()
-	tel.Counter(telemetry.MDAQSamples).Add(int64(len(cap.Samples)))
-	return cap, nil
-}
-
-// Duration returns the time span the capture covers.
-func (c Capture) Duration() sim.Duration {
-	if c.Window > 0 {
-		return c.Window
-	}
-	return sim.Duration(len(c.Samples)) * c.Config.SampleInterval
-}
-
-// Energy computes total energy exactly as the paper does: each reading
-// stands for the average power over the following sample interval. When the
-// capture window ends inside the final interval, that reading is weighted by
-// the partial interval it actually covers.
-func (c Capture) Energy() float64 {
-	dt := c.Config.SampleInterval.Seconds()
-	sum := 0.0
-	for _, p := range c.Samples {
-		sum += p * dt
-	}
-	if covered := sim.Duration(len(c.Samples)) * c.Config.SampleInterval; c.Window > 0 && c.Window < covered {
-		// The last reading overhangs the window; refund the overhang.
-		sum -= c.Samples[len(c.Samples)-1] * (covered - c.Window).Seconds()
-	}
-	return sum
-}
-
-// AveragePower returns the mean of the captured readings, in watts.
-func (c Capture) AveragePower() float64 {
-	if len(c.Samples) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, p := range c.Samples {
-		sum += p
-	}
-	return sum / float64(len(c.Samples))
-}
-
-// PeakPower returns the largest captured reading, in watts.
-func (c Capture) PeakPower() float64 {
-	peak := 0.0
-	for _, p := range c.Samples {
-		if p > peak {
-			peak = p
-		}
-	}
-	return peak
-}
-
-// MeanCurrent returns the average supply current implied by the capture, in
-// amperes, as the instrument operator would compute it from the shunt.
-func (c Capture) MeanCurrent() float64 {
-	if c.Config.SupplyVolts <= 0 {
-		return 0
-	}
-	return c.AveragePower() / c.Config.SupplyVolts
 }

@@ -1,7 +1,6 @@
 package daq
 
 import (
-	"errors"
 	"fmt"
 
 	"clocksched/internal/power"
@@ -10,8 +9,8 @@ import (
 )
 
 // Summary is the digest of one measurement window: everything the
-// experiment harnesses report (energy, average, peak, sample count)
-// without the materialized per-sample array a Capture carries.
+// experiment harnesses report (energy, average, peak, sample count),
+// without the readings themselves.
 type Summary struct {
 	Config Config
 	Start  sim.Time
@@ -20,8 +19,7 @@ type Summary struct {
 	Window sim.Duration
 	// Samples is how many readings the instrument took.
 	Samples int
-	// EnergyJ is Σ pᵢ·Δt with the partial-window overhang refunded —
-	// the same integral Capture.Energy computes.
+	// EnergyJ is Σ pᵢ·Δt with the partial-window overhang refunded.
 	EnergyJ float64
 	// AvgPowerW is the mean of the readings, in watts.
 	AvgPowerW float64
@@ -46,24 +44,12 @@ func (s Summary) MeanCurrent() float64 {
 	return s.AvgPowerW / s.Config.SupplyVolts
 }
 
-// Integrate measures rec over [start, end) the way Sample does — one
-// reading every SampleInterval, quantized to the ADC grid — but folds the
-// readings into a Summary as it goes instead of materializing them.
-//
-// On a fault-free instrument it feeds the recorder's piecewise-constant
-// segments to a Fold, the same accumulator a streaming run feeds online, so
-// post-hoc and online measurement sum in the same order and agree bit for
-// bit. The segment-ordered energy accumulation sums in a different order
-// than the sample-ordered loop in Capture.Energy, so totals may differ from
-// Sample at ULP scale — the clocksched-sim/4 measurement-path bump.
-//
-// With sample faults enabled (drops or glitches) every reading needs its
-// own RNG draw, so Integrate falls back to a per-sample walk that makes
-// draws in exactly the order Sample does, keeping fault schedules
-// bit-identical between the two paths.
+// Integrate measures rec's retained timeline over [start, end) by feeding
+// its segments to a Fold, the instrument a streaming run feeds online, so
+// post-hoc and online measurement are one computation and agree bit for bit.
 func Integrate(rec *power.Recorder, start, end sim.Time, cfg Config) (Summary, error) {
-	n, err := cfg.readings(start, end)
-	if err != nil {
+	var f Fold
+	if err := f.Reset(start, end, cfg); err != nil {
 		return Summary{}, err
 	}
 	if end > rec.End() {
@@ -74,67 +60,19 @@ func Integrate(rec *power.Recorder, start, end sim.Time, cfg Config) (Summary, e
 	if err != nil {
 		return Summary{}, err
 	}
-	if !cfg.SampleFaults() {
-		f := &Fold{cfg: cfg, start: start, end: end, n: n}
-		for i, p := range points {
-			segEnd := end
-			if i+1 < len(points) {
-				segEnd = points[i+1].At
-			}
-			f.Add(p.At, segEnd, p.Watts)
+	for i, p := range points {
+		segEnd := end
+		if i+1 < len(points) {
+			segEnd = points[i+1].At
 		}
-		return f.Summary()
+		f.Add(p.At, segEnd, p.Watts)
 	}
-
-	// Per-sample fallback: identical draw order to Sample.
-	interval := cfg.SampleInterval
-	tel := cfg.Telemetry
-	telDropped := tel.Counter(telemetry.MDAQSamplesDropped)
-	telGlitched := tel.Counter(telemetry.MDAQSamplesGlitched)
-	var total, psum, peak, held float64
-	seg := 0
-	for i := int64(0); i < n; i++ {
-		t := start + sim.Time(i)*interval
-		for seg+1 < len(points) && points[seg+1].At <= t {
-			seg++
-		}
-		if cfg.Faults.DropSample() {
-			telDropped.Inc()
-		} else {
-			w := points[seg].Watts
-			if g, ok := cfg.Faults.GlitchWatts(); ok {
-				telGlitched.Inc()
-				w += g
-			}
-			held = cfg.quantize(w)
-		}
-		total += held * interval.Seconds()
-		// psum accumulates Σp: bit-identity with Capture.AveragePower
-		// (which divides Σp by n) is promised on this path.
-		psum += held
-		if held > peak {
-			peak = held
-		}
-	}
-	window := end - start
-	if covered := sim.Duration(n) * interval; window < covered {
-		// The last reading overhangs the window; refund the overhang.
-		total -= held * (covered - window).Seconds()
-	}
-	sum := Summary{Config: cfg, Start: start, Window: window, Samples: int(n),
-		EnergyJ: total, PeakW: peak}
-	if n > 0 {
-		sum.AvgPowerW = psum / float64(n)
-	}
-	cfg.countCapture(n)
-	return sum, nil
+	return f.Summary()
 }
 
-// SampleFaults reports whether the instrument injects per-sample faults
-// (drops or glitches). Such a capture needs one RNG draw per reading, in
-// reading order, so it cannot be folded segment by segment and must be
-// measured post hoc by Integrate over a retained timeline.
-func (c Config) SampleFaults() bool {
+// sampleFaults reports whether the instrument injects per-sample faults
+// (drops or glitches), each of which needs one RNG draw per reading.
+func (c Config) sampleFaults() bool {
 	if c.Faults == nil {
 		return false
 	}
@@ -162,20 +100,41 @@ func (c Config) countCapture(n int64) {
 	c.Telemetry.Counter(telemetry.MDAQSamples).Add(n)
 }
 
-// Fold measures a capture window online from a stream of power-timeline
-// segments, the way a streaming power.Recorder emits them: each segment is
-// quantized once and weighted by how many readings land inside it, so a
-// run's measurement needs O(1) memory instead of a retained timeline.
-// Segments must arrive in time order and together cover the window. A Fold
-// cannot inject per-sample faults; see Config.SampleFaults.
+// Fold is the DAQ: it measures a capture window from a stream of
+// power-timeline segments, the way a streaming power.Recorder emits them.
+// Segments must arrive in time order and together cover the window.
+//
+// On a perfect instrument each segment is quantized once and weighted by
+// how many readings land inside it, so a run's measurement needs O(1)
+// memory. The segment-ordered sum adds the same addends as a
+// reading-by-reading walk in a different order, so totals may differ
+// from one at ULP scale — the clocksched-sim/4 measurement-path bump.
+//
+// An instrument that injects sample faults (drops or glitches) needs one
+// RNG draw per reading, in reading order. Add then only notes each
+// segment's first reading and raw power, and Summary walks the readings.
+// The draws happen in Summary, after the run that fed the fold, so they
+// never interleave with the draws a run makes from the same injector.
 type Fold struct {
 	cfg        Config
+	faulty     bool // cfg injects sample faults: Summary walks levels
 	start, end sim.Time
 	n          int64 // readings in the window
 	reached    sim.Time
 	// total is Σ quantized power × reading interval; last is the final
 	// reading's power, whose overhang past end Summary refunds.
 	total, peak, last float64
+	// levels holds, on a faulty instrument, every segment that carries a
+	// reading. It keeps its capacity across Reset and Clear.
+	levels []level
+}
+
+// level is one segment of the timeline as the per-reading walk sees it:
+// the index of its first reading and the raw power drawn, before any
+// glitch is added or the ADC clips and quantizes.
+type level struct {
+	first int64
+	watts float64
 }
 
 // NewFold starts measuring the window [start, end) with the instrument cfg.
@@ -195,11 +154,15 @@ func (f *Fold) Reset(start, end sim.Time, cfg Config) error {
 	if err != nil {
 		return err
 	}
-	if cfg.SampleFaults() {
-		return errors.New("daq: a fold cannot inject per-sample faults; integrate a retained timeline")
-	}
-	*f = Fold{cfg: cfg, start: start, end: end, n: n}
+	*f = Fold{cfg: cfg, faulty: cfg.sampleFaults(), start: start, end: end, n: n, levels: f.levels[:0]}
 	return nil
+}
+
+// Clear forgets f's window, instrument and segments, keeping only the
+// capacity of its segment buffer, so a pooled fold references nothing of
+// its last capture. Reset f before adding to it again.
+func (f *Fold) Clear() {
+	*f = Fold{levels: f.levels[:0]}
 }
 
 // Add folds in the segment [segStart, segEnd) during which the system drew
@@ -228,6 +191,10 @@ func (f *Fold) Add(segStart, segEnd sim.Time, w float64) {
 	if i1 <= i0 {
 		return
 	}
+	if f.faulty {
+		f.levels = append(f.levels, level{first: i0, watts: w})
+		return
+	}
 	q := f.cfg.quantize(w)
 	f.total += q * float64(i1-i0) * f.cfg.SampleInterval.Seconds()
 	if q > f.peak {
@@ -239,12 +206,17 @@ func (f *Fold) Add(segStart, segEnd sim.Time, w float64) {
 }
 
 // Summary returns the capture's digest. It fails if the segments added so
-// far do not reach the end of the window. Call it once: it also counts the
-// capture in the instrument's telemetry.
+// far do not reach the end of the window. Call it once: it counts the
+// capture in the instrument's telemetry and, on a faulty instrument, draws
+// every reading's faults.
 func (f *Fold) Summary() (Summary, error) {
 	if f.reached < f.end {
 		return Summary{}, fmt.Errorf("daq: capture window ends at %v but timeline ends at %v",
 			f.end, f.reached)
+	}
+	var psum float64 // Σp over the readings, on a faulty instrument
+	if f.faulty {
+		psum = f.walk()
 	}
 	window := f.end - f.start
 	covered := sim.Duration(f.n) * f.cfg.SampleInterval
@@ -256,26 +228,52 @@ func (f *Fold) Summary() (Summary, error) {
 	sum := Summary{Config: f.cfg, Start: f.start, Window: window, Samples: int(f.n),
 		EnergyJ: total, PeakW: f.peak}
 	if f.n > 0 {
-		// Mean of the readings: each reading contributed interval·p to the
-		// pre-refund total, so dividing by the full covered span recovers
-		// Σp/n up to summation order.
-		sum.AvgPowerW = (total + f.last*(covered-window).Seconds()) / covered.Seconds()
+		if f.faulty {
+			sum.AvgPowerW = psum / float64(f.n)
+		} else {
+			// Mean of the readings: each reading contributed interval·p to
+			// the pre-refund total, so dividing by the full covered span
+			// recovers Σp/n up to summation order.
+			sum.AvgPowerW = (total + f.last*(covered-window).Seconds()) / covered.Seconds()
+		}
 	}
 	f.cfg.countCapture(f.n)
 	return sum, nil
 }
 
-// Summarize folds an already-materialized capture into the same digest
-// Integrate produces, for callers that need both the raw samples and the
-// summary quantities.
-func Summarize(c Capture) Summary {
-	return Summary{
-		Config:    c.Config,
-		Start:     c.Start,
-		Window:    c.Window,
-		Samples:   len(c.Samples),
-		EnergyJ:   c.Energy(),
-		AvgPowerW: c.AveragePower(),
-		PeakW:     c.PeakPower(),
+// walk takes the faulty instrument's readings one by one, drawing each
+// one's drop and glitch in reading order. A dropped conversion holds the
+// previous reading (zero before the first good one), as a sample-and-hold
+// front end would; a glitch adds to the raw power before the ADC clips and
+// quantizes it. walk leaves the pre-refund total, the peak and the final
+// reading in f, as Add does on a perfect instrument, and returns Σp.
+func (f *Fold) walk() (psum float64) {
+	interval := f.cfg.SampleInterval
+	tel := f.cfg.Telemetry
+	telDropped := tel.Counter(telemetry.MDAQSamplesDropped)
+	telGlitched := tel.Counter(telemetry.MDAQSamplesGlitched)
+	var total, peak, held float64
+	seg := 0
+	for i := int64(0); i < f.n; i++ {
+		for seg+1 < len(f.levels) && f.levels[seg+1].first <= i {
+			seg++
+		}
+		if f.cfg.Faults.DropSample() {
+			telDropped.Inc()
+		} else {
+			w := f.levels[seg].watts
+			if g, ok := f.cfg.Faults.GlitchWatts(); ok {
+				telGlitched.Inc()
+				w += g
+			}
+			held = f.cfg.quantize(w)
+		}
+		total += held * interval.Seconds()
+		psum += held
+		if held > peak {
+			peak = held
+		}
 	}
+	f.total, f.peak, f.last = total, peak, held
+	return psum
 }

@@ -58,7 +58,7 @@ func TestIntegrateMatchesSampleRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: Sample: %v", trial, err)
 		}
-		want := Summarize(cap)
+		want := cap.summary()
 		got, err := Integrate(rec, start, stop, cfg)
 		if err != nil {
 			t.Fatalf("trial %d: Integrate: %v", trial, err)
@@ -86,10 +86,10 @@ func TestIntegrateMatchesSampleRandomized(t *testing.T) {
 	}
 }
 
-// TestIntegrateMatchesSampleWithFaults pins the fallback path: with sample
-// drops and glitches active, Integrate must make RNG draws in exactly the
-// order Sample does, so two injectors built from the same seed produce
-// bit-identical summaries.
+// TestIntegrateMatchesSampleWithFaults pins the Fold's per-reading walk:
+// with sample drops and glitches active, Integrate must make RNG draws in
+// exactly the order Sample does, so two injectors built from the same seed
+// produce bit-identical summaries.
 func TestIntegrateMatchesSampleWithFaults(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	plan := &fault.Plan{SampleDropProb: 0.1, SampleGlitchProb: 0.05}
@@ -113,7 +113,7 @@ func TestIntegrateMatchesSampleWithFaults(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: Sample: %v", trial, err)
 		}
-		want := Summarize(cap)
+		want := cap.summary()
 
 		cfgB := DefaultConfig()
 		cfgB.Faults = injB

@@ -2,6 +2,7 @@ package daq
 
 import (
 	"errors"
+	"hash/fnv"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -43,8 +44,14 @@ func (s *byteSource) next() int {
 // sample interval from data and records the timeline twice: retained, then
 // measured post hoc by Integrate, and streamed into a Fold. The streamed
 // segments must be exactly the retained timeline's, and the two summaries
-// must be equal with ==, not within a tolerance.
+// must be equal with ==, not within a tolerance. The stream also feeds a
+// Fold on a faulty instrument (drops and glitches), which must equal the
+// reference walk Sample takes over the retained timeline with an injector
+// of the same seed.
 func checkStreamMatchesRetained(t testing.TB, data []byte, cov *streamCoverage) {
+	seed := fnv.New64a()
+	seed.Write(data)
+	faultSeed := seed.Sum64()
 	src := byteSource(data)
 	cfg := DefaultConfig()
 	cfg.SampleInterval = sim.Duration(1 + src.next()<<8 | src.next())
@@ -78,10 +85,25 @@ func checkStreamMatchesRetained(t testing.TB, data []byte, cov *streamCoverage) 
 	if err != nil {
 		t.Fatal(err)
 	}
+	faultyCfg := func() Config {
+		inj, err := fault.NewInjector(&fault.Plan{SampleDropProb: 0.2, SampleGlitchProb: 0.2}, faultSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := cfg
+		c.Faults = inj
+		return c
+	}
+	streamedCfg := faultyCfg()
+	faulty, err := NewFold(start, end, streamedCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var got []segment
 	sink := func(from, to sim.Time, w float64) {
 		got = append(got, segment{from, to, w})
 		fold.Add(from, to, w)
+		faulty.Add(from, to, w)
 	}
 	streamAfter %= len(changes) + 1
 	if streamAfter > 0 {
@@ -153,6 +175,24 @@ func checkStreamMatchesRetained(t testing.TB, data []byte, cov *streamCoverage) 
 	if gotSum != wantSum {
 		t.Fatalf("window [%v,%v) @%v: fold %+v, integrate %+v", start, end, cfg.SampleInterval, gotSum, wantSum)
 	}
+
+	refCfg := faultyCfg()
+	ref, err := Sample(kept, start, end, refCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFaulty := ref.summary()
+	gotFaulty, err := faulty.Summary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := streamedCfg.Faults.Counts(), refCfg.Faults.Counts(); a != b {
+		t.Fatalf("window [%v,%v) @%v: faulty fold injected %+v, reference walk %+v", start, end, cfg.SampleInterval, a, b)
+	}
+	gotFaulty.Config.Faults, wantFaulty.Config.Faults = nil, nil
+	if gotFaulty != wantFaulty {
+		t.Fatalf("window [%v,%v) @%v: faulty fold %+v, reference walk %+v", start, end, cfg.SampleInterval, gotFaulty, wantFaulty)
+	}
 }
 
 // TestRecorderStreamMatchesRetained runs the stream check on random
@@ -181,38 +221,81 @@ func FuzzRecorderStream(f *testing.F) {
 	})
 }
 
-// TestFoldRefusesSampleFaultsAndShortTimelines pins the Fold's structured
-// errors: a faulty instrument needs the per-sample walk, and a summary of a
-// timeline that stops short of the window is refused rather than reported.
-func TestFoldRefusesSampleFaultsAndShortTimelines(t *testing.T) {
+// TestFoldRefusesShortTimelines pins the Fold's structured errors: an
+// empty window is refused, and so is a summary of a timeline that stops
+// short of the window, on a perfect and on a faulty instrument.
+func TestFoldRefusesShortTimelines(t *testing.T) {
 	cfg := DefaultConfig()
 	if _, err := NewFold(10, 10, cfg); err == nil {
 		t.Error("empty window accepted")
 	}
-	for _, tc := range []struct {
-		plan   fault.Plan
-		refuse bool
-	}{
-		{fault.Plan{SampleDropProb: 0.1}, true},
-		{fault.Plan{SampleGlitchProb: 0.1}, true},
-		{fault.Plan{ClockChangeFailProb: 0.1}, false},
-	} {
-		inj, err := fault.NewInjector(&tc.plan, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		faulty := cfg
-		faulty.Faults = inj
-		if _, err := NewFold(0, sim.Second, faulty); (err != nil) != tc.refuse {
-			t.Errorf("plan %+v: NewFold err %v, want refusal %v", tc.plan, err, tc.refuse)
-		}
-	}
-	fold, err := NewFold(0, sim.Second, cfg)
+	inj, err := fault.NewInjector(&fault.Plan{SampleDropProb: 0.1, SampleGlitchProb: 0.1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fold.Add(0, sim.Second/2, 1)
-	if _, err := fold.Summary(); err == nil {
-		t.Error("summary of a half-covered window accepted")
+	faulty := cfg
+	faulty.Faults = inj
+	for _, c := range []Config{cfg, faulty} {
+		fold, err := NewFold(0, sim.Second, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fold.Add(0, sim.Second/2, 1)
+		if _, err := fold.Summary(); err == nil {
+			t.Errorf("faults %v: summary of a half-covered window accepted", c.Faults != nil)
+		}
+	}
+}
+
+// TestFoldReuseMatchesFresh checks that a faulty fold reused through Clear
+// and Reset measures a window as a new fold does, and without allocating:
+// its segment buffer keeps its capacity.
+func TestFoldReuseMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	rec := randomRecorder(rng, 200, sim.Second)
+	points, err := rec.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulty := func() Config {
+		inj, err := fault.NewInjector(&fault.Plan{SampleDropProb: 0.1, SampleGlitchProb: 0.1}, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig()
+		cfg.Faults = inj
+		return cfg
+	}
+	measure := func(f *Fold, cfg Config) Summary {
+		if err := f.Reset(0, sim.Second, cfg); err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range points {
+			end := sim.Second
+			if i+1 < len(points) {
+				end = points[i+1].At
+			}
+			f.Add(p.At, end, p.Watts)
+		}
+		sum, err := f.Summary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum.Config.Faults = nil
+		return sum
+	}
+	want := measure(new(Fold), faulty())
+	var reused Fold
+	measure(&reused, faulty())
+	reused.Clear()
+	if got := measure(&reused, faulty()); got != want {
+		t.Fatalf("reused fold %+v, new fold %+v", got, want)
+	}
+	cfg := faulty()
+	if allocs := testing.AllocsPerRun(10, func() {
+		reused.Clear()
+		measure(&reused, cfg)
+	}); allocs != 0 {
+		t.Errorf("a reused faulty fold allocates %.1f objects per window, want 0", allocs)
 	}
 }

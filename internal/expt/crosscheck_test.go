@@ -186,7 +186,7 @@ func TestSynthesizedDeadlinesStillLose(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return result{name, out.EnergyJ, out.Workload.Metrics().MissCount()}
+		return result{name, out.DAQ.EnergyJ, out.Workload.Metrics().MissCount()}
 	}
 	mkProp := func(pred policy.Predictor, target int) kernel.SpeedPolicy {
 		p, err := policy.NewProportional(pred, target, false)

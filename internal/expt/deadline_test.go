@@ -91,8 +91,8 @@ func TestRunContextAttemptSaltsOnlyAbortStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.EnergyJ != retry.EnergyJ || base.MeanUtil != retry.MeanUtil {
+	if base.DAQ.EnergyJ != retry.DAQ.EnergyJ || base.Kernel.MeanUtil() != retry.Kernel.MeanUtil() {
 		t.Errorf("attempt changed a fault-free run: energy %v vs %v, util %v vs %v",
-			base.EnergyJ, retry.EnergyJ, base.MeanUtil, retry.MeanUtil)
+			base.DAQ.EnergyJ, retry.DAQ.EnergyJ, base.Kernel.MeanUtil(), retry.Kernel.MeanUtil())
 	}
 }

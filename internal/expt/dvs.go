@@ -68,16 +68,18 @@ func IdealDVSComparison(ctx context.Context, seed uint64) ([]DVSRow, error) {
 			spec.Seed = seed
 			spec.Duration = 30 * sim.Second
 			spec.Model = m
+			spec.Stream = true
 			out, err := RunContext(ctx, spec)
 			if err != nil {
 				return nil, fmt.Errorf("ideal DVS %q: %w", c.name, err)
 			}
-			misses := out.Workload.Metrics().MissCount()
+			energy, misses := out.DAQ.EnergyJ, out.Workload.Metrics().MissCount()
+			out.Release()
 			if i == 0 {
-				row.ItsyJ, row.Misses = out.EnergyJ, misses
+				row.ItsyJ, row.Misses = energy, misses
 				continue
 			}
-			row.DVSJ = out.EnergyJ
+			row.DVSJ = energy
 			if misses != row.Misses {
 				return nil, fmt.Errorf("ideal DVS %q: %d missed deadlines on the Itsy but %d on the DVS core",
 					c.name, row.Misses, misses)

@@ -21,14 +21,14 @@ func TestRunProducesEnergy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.EnergyJ <= 0 || out.AvgPowerW <= 0 {
-		t.Errorf("energy %v, power %v", out.EnergyJ, out.AvgPowerW)
+	if out.DAQ.EnergyJ <= 0 || out.DAQ.AvgPowerW <= 0 {
+		t.Errorf("energy %v, power %v", out.DAQ.EnergyJ, out.DAQ.AvgPowerW)
 	}
-	if out.MeanUtil < 0.85 || out.MeanUtil > 0.95 {
-		t.Errorf("rect wave utilization = %v, want ≈0.9", out.MeanUtil)
+	if out.Kernel.MeanUtil() < 0.85 || out.Kernel.MeanUtil() > 0.95 {
+		t.Errorf("rect wave utilization = %v, want ≈0.9", out.Kernel.MeanUtil())
 	}
 	// Energy equals average power times duration.
-	if rel := math.Abs(out.EnergyJ-out.AvgPowerW*5) / out.EnergyJ; rel > 0.001 {
+	if rel := math.Abs(out.DAQ.EnergyJ-out.DAQ.AvgPowerW*5) / out.DAQ.EnergyJ; rel > 0.001 {
 		t.Errorf("energy/power inconsistency: %v", rel)
 	}
 }

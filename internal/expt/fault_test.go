@@ -37,8 +37,8 @@ func TestFaultedMPEGCompletesGracefully(t *testing.T) {
 		t.Errorf("kernel counted %d failed changes, injector %d",
 			got, out.Faults.ClockChangeFails)
 	}
-	if out.EnergyJ <= 0 {
-		t.Errorf("energy = %v", out.EnergyJ)
+	if out.DAQ.EnergyJ <= 0 {
+		t.Errorf("energy = %v", out.DAQ.EnergyJ)
 	}
 }
 
@@ -77,9 +77,9 @@ func TestFaultedRunIsDeterministic(t *testing.T) {
 		if a.Faults != b.Faults {
 			t.Errorf("stream=%v: same seed+plan, different fault schedules:\n%+v\n%+v", stream, a.Faults, b.Faults)
 		}
-		if a.EnergyJ != b.EnergyJ || a.AvgPowerW != b.AvgPowerW || a.MeanUtil != b.MeanUtil {
+		if a.DAQ.EnergyJ != b.DAQ.EnergyJ || a.DAQ.AvgPowerW != b.DAQ.AvgPowerW || a.Kernel.MeanUtil() != b.Kernel.MeanUtil() {
 			t.Errorf("stream=%v: same seed+plan, different measurements: %v/%v/%v vs %v/%v/%v", stream,
-				a.EnergyJ, a.AvgPowerW, a.MeanUtil, b.EnergyJ, b.AvgPowerW, b.MeanUtil)
+				a.DAQ.EnergyJ, a.DAQ.AvgPowerW, a.Kernel.MeanUtil(), b.DAQ.EnergyJ, b.DAQ.AvgPowerW, b.Kernel.MeanUtil())
 		}
 		if a.DAQ.EnergyJ != b.DAQ.EnergyJ || a.DAQ.PeakW != b.DAQ.PeakW || a.DAQ.Samples != b.DAQ.Samples {
 			t.Errorf("stream=%v: same seed+plan, different DAQ captures", stream)
@@ -106,8 +106,8 @@ func TestNilPlanMatchesNoFaultLayer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if outNil.EnergyJ != outZero.EnergyJ {
-		t.Errorf("nil plan %v J, zero plan %v J", outNil.EnergyJ, outZero.EnergyJ)
+	if outNil.DAQ.EnergyJ != outZero.DAQ.EnergyJ {
+		t.Errorf("nil plan %v J, zero plan %v J", outNil.DAQ.EnergyJ, outZero.DAQ.EnergyJ)
 	}
 	if outNil.DAQ != outZero.DAQ {
 		t.Error("nil and zero plans produced different captures")

@@ -77,15 +77,15 @@ func TestWorkloadPolicyMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if out.EnergyJ <= 0 {
+				if out.DAQ.EnergyJ <= 0 {
 					t.Error("non-positive energy")
 				}
-				wantAvg := out.EnergyJ / length.Seconds()
-				if math.Abs(out.AvgPowerW-wantAvg)/wantAvg > 0.001 {
-					t.Errorf("power %v inconsistent with energy %v", out.AvgPowerW, out.EnergyJ)
+				wantAvg := out.DAQ.EnergyJ / length.Seconds()
+				if math.Abs(out.DAQ.AvgPowerW-wantAvg)/wantAvg > 0.001 {
+					t.Errorf("power %v inconsistent with energy %v", out.DAQ.AvgPowerW, out.DAQ.EnergyJ)
 				}
-				if out.MeanUtil < 0 || out.MeanUtil > 1 {
-					t.Errorf("utilization %v out of range", out.MeanUtil)
+				if out.Kernel.MeanUtil() < 0 || out.Kernel.MeanUtil() > 1 {
+					t.Errorf("utilization %v out of range", out.Kernel.MeanUtil())
 				}
 				var res sim.Duration
 				for _, d := range out.Kernel.Residency() {
@@ -111,8 +111,8 @@ func TestWorkloadPolicyMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if again.EnergyJ != out.EnergyJ {
-					t.Errorf("rerun energy %v != %v", again.EnergyJ, out.EnergyJ)
+				if again.DAQ.EnergyJ != out.DAQ.EnergyJ {
+					t.Errorf("rerun energy %v != %v", again.DAQ.EnergyJ, out.DAQ.EnergyJ)
 				}
 			})
 		}
@@ -150,12 +150,12 @@ func TestPredictorZooOnMPEG(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		misses := out.Workload.Metrics().MissCount()
-		if misses == 0 && out.EnergyJ <= ideal.EnergyJ {
+		if misses == 0 && out.DAQ.EnergyJ <= ideal.DAQ.EnergyJ {
 			t.Errorf("%s beat the ideal constant setting (%.2f ≤ %.2f J) with no misses — "+
 				"that contradicts the paper's central finding; check the harness",
-				name, out.EnergyJ, ideal.EnergyJ)
+				name, out.DAQ.EnergyJ, ideal.DAQ.EnergyJ)
 		}
 		t.Logf("%-12s energy %6.2f J, misses %3d (ideal constant: %.2f J)",
-			name, out.EnergyJ, misses, ideal.EnergyJ)
+			name, out.DAQ.EnergyJ, misses, ideal.DAQ.EnergyJ)
 	}
 }

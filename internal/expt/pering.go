@@ -45,7 +45,7 @@ func PeringTradeoff(ctx context.Context, seed uint64) ([]PeringRow, error) {
 		shown := totalFrames - m.DroppedFrames()
 		rows = append(rows, PeringRow{
 			Step:      s,
-			EnergyJ:   out.EnergyJ,
+			EnergyJ:   out.DAQ.EnergyJ,
 			FrameRate: float64(shown) / length.Seconds(),
 			DropRate:  float64(m.DroppedFrames()) / float64(totalFrames),
 		})

@@ -3,12 +3,12 @@ package expt
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
 
 	"clocksched/internal/cpu"
-	"clocksched/internal/daq"
 	"clocksched/internal/fault"
 	"clocksched/internal/kernel"
 	"clocksched/internal/policy"
@@ -149,53 +149,78 @@ func TestRecycledShellMatchesFresh(t *testing.T) {
 }
 
 // TestReleaseHoldsNothing checks what Release leaves in the pool. An
-// outcome whose run retained its whole timeline — a 60 s captured trace,
-// or a DAQ sample-fault plan — is never pooled, so Release leaves it
-// whole. A streamed outcome is pooled, and resetting its shell drops every
+// outcome whose run retained its whole timeline — a 60 s captured trace —
+// is never pooled, so Release leaves it whole. A streamed outcome is
+// pooled, DAQ sample faults or not, and resetting its shell drops every
 // reference to the run.
 func TestReleaseHoldsNothing(t *testing.T) {
 	ctx := context.Background()
-	for _, spec := range []RunSpec{
-		{Workload: "mpeg", Seed: 1, Duration: 60 * sim.Second, Policy: pastPegPeg(false), InitialStep: cpu.MaxStep},
-		{Workload: "mpeg", Seed: 1, Duration: 60 * sim.Second, Policy: pastPegPeg(false), InitialStep: cpu.MaxStep,
-			Stream: true, Faults: &fault.Plan{SampleDropProb: 0.01}},
-	} {
-		out, err := RunContext(ctx, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pts, err := out.Kernel.Recorder().Points()
-		if err != nil || len(pts) < 1000 {
-			t.Fatalf("a 60 s retained run kept %d points (err %v)", len(pts), err)
-		}
-		out.Release()
-		if out.Kernel == nil || out.Workload == nil {
-			t.Errorf("Release pooled a simulator holding a %d-point timeline", len(pts))
-		}
+	out, err := RunContext(ctx, RunSpec{Workload: "mpeg", Seed: 1, Duration: 60 * sim.Second,
+		Policy: pastPegPeg(false), InitialStep: cpu.MaxStep})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := out.Kernel.Recorder().Points()
+	if err != nil || len(pts) < 1000 {
+		t.Fatalf("a 60 s retained run kept %d points (err %v)", len(pts), err)
+	}
+	out.Release()
+	if out.Kernel == nil || out.Workload == nil {
+		t.Errorf("Release pooled a simulator holding a %d-point timeline", len(pts))
 	}
 
 	sh := new(cellSim)
 	reg := telemetry.New()
-	out, err := sh.run(ctx, RunSpec{Workload: "mpeg", Seed: 1, Duration: 2 * sim.Second, Policy: pastPegPeg(false),
+	out, err = sh.run(ctx, RunSpec{Workload: "mpeg", Seed: 1, Duration: 2 * sim.Second, Policy: pastPegPeg(false),
 		InitialStep: cpu.MaxStep, Stream: true, Telemetry: reg, Cancel: func() error { return nil },
-		Faults: &fault.Plan{ClockChangeFailProb: 0.01}})
+		Faults: &fault.Plan{ClockChangeFailProb: 0.01, SampleDropProb: 0.01, SampleGlitchProb: 0.01}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.sim != sh {
-		t.Fatal("a streamed outcome is not poolable")
+		t.Fatal("a streamed outcome with DAQ sample faults is not poolable")
+	}
+	if out.Faults.SamplesDropped == 0 || out.Faults.SamplesGlitched == 0 {
+		t.Fatalf("the plan injected no sample faults: %+v", out.Faults)
 	}
 	sh.reset()
 	if sh.out.Kernel != nil || sh.out.Workload != nil || sh.out.Spec.Policy != nil || sh.out.Spec.Cancel != nil ||
 		sh.out.Spec.Telemetry != nil || sh.out.Spec.Faults != nil || sh.out.sim != nil {
 		t.Error("a reset shell's outcome still references the run")
 	}
-	if sh.fold != (daq.Fold{}) {
+	if !holdsNoReference(reflect.ValueOf(sh.fold)) {
 		t.Error("a reset shell's DAQ fold still references the run")
 	}
 	if sh.k.Engine() != nil || len(sh.k.Processes()) != 0 {
 		t.Error("a reset shell's kernel still references the run")
 	}
+}
+
+// holdsNoReference reports whether v holds no non-nil pointer, interface,
+// map, func or channel, walking structs field by field and slices element
+// by element up to their capacity: nothing that could keep another object
+// alive, apart from a slice's own backing array.
+func holdsNoReference(v reflect.Value) bool {
+	switch v.Kind() {
+	case reflect.Pointer, reflect.Interface, reflect.Map, reflect.Func, reflect.Chan, reflect.UnsafePointer:
+		return v.IsNil()
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if !holdsNoReference(v.Field(i)) {
+				return false
+			}
+		}
+	case reflect.Slice, reflect.Array:
+		if v.Kind() == reflect.Slice {
+			v = v.Slice(0, v.Cap())
+		}
+		for i := 0; i < v.Len(); i++ {
+			if !holdsNoReference(v.Index(i)) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // TestUnreleasedOutcomeKeepsTrace checks that an outcome never released

@@ -78,11 +78,11 @@ type RunSpec struct {
 	// spec hashing.
 	Telemetry *telemetry.Registry
 	// Stream measures the run online instead of keeping its raw records:
-	// the power timeline goes straight into a daq.Fold, and the kernel
-	// keeps no per-quantum utilization log. The digest is bit-identical
-	// either way, but the outcome's Kernel.Recorder() and Kernel.UtilLog()
-	// then hold nothing to query. A plan with per-sample DAQ faults still
-	// retains the timeline, since its readings must be drawn after the run.
+	// the power timeline goes straight into the shell's daq.Fold, and the
+	// kernel keeps no per-quantum utilization log. The digest is
+	// bit-identical either way, DAQ sample faults included (the fold draws
+	// them after the run, as Integrate does), but the outcome's
+	// Kernel.Recorder() and Kernel.UtilLog() then hold nothing to query.
 	// Like Telemetry it never changes results and is excluded from spec
 	// hashing.
 	Stream bool
@@ -106,10 +106,8 @@ type RunOutcome struct {
 	Spec     RunSpec
 	Workload workload.Workload
 	Kernel   *kernel.Kernel
-	// DAQ is the instrument's digest of the run: sample count, energy,
-	// average and peak power. The per-sample array is no longer
-	// materialized on this path (daq.Sample remains available for callers
-	// that need raw readings).
+	// DAQ is the instrument's digest of the run: sample count, energy
+	// (the quantity Table 2 reports), average and peak power.
 	DAQ daq.Summary
 
 	// Faults tallies what the injector actually did (zero when no plan
@@ -118,14 +116,6 @@ type RunOutcome struct {
 	// Watchdog is the supervisory wrapper, when one was requested.
 	Watchdog *policy.Watchdog
 
-	// EnergyJ is the DAQ-integrated energy of the whole run, the
-	// quantity Table 2 reports.
-	EnergyJ float64
-	// AvgPowerW is the mean sampled power.
-	AvgPowerW float64
-	// MeanUtil is the average per-quantum utilization in [0,1].
-	MeanUtil float64
-
 	// sim is the shell this outcome lives in, when Release may pool it.
 	sim *cellSim
 }
@@ -133,10 +123,9 @@ type RunOutcome struct {
 // Release hands the outcome's simulator back for the next run; see
 // RunOutcome. It clears every reference to this run — policy, workload and
 // its programs, telemetry registry, fault injector, cancel hook — so the
-// pooled simulator pins nothing of it. An outcome whose recorder or kernel
-// retained the whole run (no RunSpec.Stream, or a plan with DAQ sample
-// faults) is never pooled, since its timeline would stay pinned: Release
-// then does nothing.
+// pooled simulator pins nothing of it. An outcome whose recorder and kernel
+// retained the whole run (no RunSpec.Stream) is never pooled, since its
+// timeline would stay pinned: Release then does nothing.
 func (o *RunOutcome) Release() {
 	if c := o.sim; c != nil {
 		c.reset()
@@ -149,7 +138,8 @@ func (o *RunOutcome) Release() {
 // recorder, and the outcome. Each run resets and renews them, keeping
 // their allocations: the engine's queue and recycled nodes, the kernel's
 // struct, power table, process and run-queue arrays and bound callbacks,
-// and the trace's event array. An interactive workload replays the
+// the fold's segment buffer (used when the DAQ injects sample faults), and
+// the trace's event array. An interactive workload replays the
 // shell's trace, so the trace lives exactly as long as the shell: the
 // next run on a released shell regenerates it, and an outcome that is
 // never released keeps its shell, trace included. A sync.Pool rather than
@@ -171,7 +161,7 @@ var cellSims = sync.Pool{New: func() any { return new(cellSim) }}
 func (c *cellSim) reset() {
 	c.eng.Reset()
 	c.k.Reset()
-	c.fold = daq.Fold{}
+	c.fold.Clear()
 	c.out = RunOutcome{}
 }
 
@@ -327,7 +317,7 @@ func (c *cellSim) run(ctx context.Context, spec RunSpec) (*RunOutcome, error) {
 	dcfg.Faults = inj
 	dcfg.Telemetry = spec.Telemetry
 	var fold *daq.Fold
-	if spec.Stream && !dcfg.SampleFaults() {
+	if spec.Stream {
 		if err := c.fold.Reset(0, length, dcfg); err != nil {
 			return nil, err
 		}
@@ -358,15 +348,12 @@ func (c *cellSim) run(ctx context.Context, spec RunSpec) (*RunOutcome, error) {
 
 	out := &c.out
 	*out = RunOutcome{
-		Spec:      spec,
-		Workload:  w,
-		Kernel:    k,
-		DAQ:       sum,
-		Faults:    inj.Counts(),
-		Watchdog:  wd,
-		EnergyJ:   sum.EnergyJ,
-		AvgPowerW: sum.AvgPowerW,
-		MeanUtil:  k.MeanUtil(),
+		Spec:     spec,
+		Workload: w,
+		Kernel:   k,
+		DAQ:      sum,
+		Faults:   inj.Counts(),
+		Watchdog: wd,
 	}
 	if fold != nil {
 		out.sim = c
@@ -375,7 +362,7 @@ func (c *cellSim) run(ctx context.Context, spec RunSpec) (*RunOutcome, error) {
 		spec.Telemetry.Emit("run.done",
 			telemetry.F("workload", spec.Workload),
 			telemetry.F("seed", fmt.Sprint(spec.Seed)),
-			telemetry.F("energy_j", fmt.Sprintf("%.4f", out.EnergyJ)))
+			telemetry.F("energy_j", fmt.Sprintf("%.4f", sum.EnergyJ)))
 	}
 	return out, nil
 }

@@ -93,7 +93,7 @@ func PlayUntilExhaustion(ctx context.Context, seed uint64) ([]ExhaustionResult, 
 		out = append(out, ExhaustionResult{
 			Policy:    c.name,
 			Played:    life,
-			AvgPowerW: run.AvgPowerW,
+			AvgPowerW: run.DAQ.AvgPowerW,
 		})
 	}
 	return out, nil

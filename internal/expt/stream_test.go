@@ -16,8 +16,8 @@ import (
 // TestStreamedRunMatchesRetained checks that measuring a run online gives
 // the same digest, bit for bit, as retaining its records and reducing them
 // afterwards — across every workload, with and without a policy, under a
-// watchdog, and under a fault plan whose DAQ faults force the retained
-// fallback.
+// watchdog, and under a fault plan that mixes kernel and DAQ faults, whose
+// sample faults the streamed run's fold draws after the run.
 func TestStreamedRunMatchesRetained(t *testing.T) {
 	policies := map[string]func() kernel.SpeedPolicy{
 		"none": func() kernel.SpeedPolicy { return nil },
@@ -77,8 +77,8 @@ func digest(out *RunOutcome) string {
 			fmt.Fprintf(&streams, " %s=%d/%d", s, n, col.MaxLatenessFor(s))
 		}
 	}
-	return fmt.Sprintf("E=%b P=%b U=%b daq=%d/%b/%b/%b faults=%+v deadlines=%d misses=%d max=%d%s speed=%d/%d",
-		out.EnergyJ, out.AvgPowerW, out.MeanUtil, d.Samples, d.EnergyJ, d.AvgPowerW, d.PeakW, out.Faults,
+	return fmt.Sprintf("U=%b daq=%d/%b/%b/%b faults=%+v deadlines=%d misses=%d max=%d%s speed=%d/%d",
+		out.Kernel.MeanUtil(), d.Samples, d.EnergyJ, d.AvgPowerW, d.PeakW, out.Faults,
 		col.Count(), col.MissCount(), col.MaxLateness(), streams.String(),
 		out.Kernel.SpeedChanges(), out.Kernel.Quanta())
 }

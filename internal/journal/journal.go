@@ -1,5 +1,5 @@
 // Package journal is the crash-safe append-only record log underneath
-// durable sweeps and the telemetry event spill. A journal file is a magic
+// durable sweeps. A journal file is a magic
 // header followed by length-prefixed, CRC32-checksummed records; appends go
 // through one writer that can fsync on demand, so a caller gets a real
 // write-ahead commit point, and Replay recovers exactly the prefix of
@@ -7,8 +7,7 @@
 // by the checksum and ignored, never replayed.
 //
 // The payload is opaque bytes: the sweep layer stores JSON cell-commit
-// records, the telemetry layer stores JSON run events. The framing layer
-// guarantees only integrity and ordering.
+// records. The framing layer guarantees only integrity and ordering.
 package journal
 
 import (
@@ -45,7 +44,7 @@ type ReplayStats struct {
 	// Records is the number of intact records replayed.
 	Records int
 	// ValidBytes is the byte length of the valid prefix — header plus every
-	// intact record. Open truncates a resumed journal to this offset.
+	// intact record. OpenFS truncates a resumed journal to this offset.
 	ValidBytes int64
 	// Torn reports that damage was found past the valid prefix: a missing
 	// or wrong magic header, a truncated frame, an oversized length, or a
@@ -174,7 +173,7 @@ func (w fileWriter) Write(p []byte) (int, error) { return fsWrite(w.fs, w.f, p) 
 
 // writeThrough is how many framed bytes a Writer holds before Append
 // writes them out without waiting for Sync, so a writer that is never
-// synced, such as the telemetry spill, holds at most this plus one record.
+// synced holds at most this plus one record.
 const writeThrough = 4096
 
 // Writer appends records to one journal file. It is safe for concurrent
@@ -189,18 +188,6 @@ type Writer struct {
 	fs  FS
 	buf []byte // framed records not yet written
 	err error  // first write failure; sticky, so a bad disk fails loudly once
-}
-
-// Create opens a fresh journal at path, truncating anything already there,
-// and writes the format header.
-func Create(path string) (*Writer, error) {
-	w, _, err := Open(path, false, nil)
-	return w, err
-}
-
-// Open opens the journal at path for appending; see OpenFS.
-func Open(path string, resume bool, fn func(payload []byte) error) (*Writer, ReplayStats, error) {
-	return OpenFS(path, resume, fn, nil)
 }
 
 // OpenFS opens the journal at path for appending, routing durable writes

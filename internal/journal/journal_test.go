@@ -27,9 +27,9 @@ func collect(t *testing.T, path string) ([][]byte, ReplayStats) {
 
 func TestRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.wal")
-	w, err := Create(path)
+	w, _, err := OpenFS(path, false, nil, nil)
 	if err != nil {
-		t.Fatalf("Create: %v", err)
+		t.Fatalf("OpenFS: %v", err)
 	}
 	want := [][]byte{[]byte("alpha"), {}, []byte("gamma with\x00binary"), bytes.Repeat([]byte{0xAB}, 4096)}
 	for _, p := range want {
@@ -80,7 +80,7 @@ func TestRoundTrip(t *testing.T) {
 func TestRewrite(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "j.wal")
-	w, err := Create(path)
+	w, _, err := OpenFS(path, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestRewrite(t *testing.T) {
 
 	// Byte-identical to a journal built by appending the same payloads.
 	fresh := filepath.Join(dir, "fresh.wal")
-	fw, err := Create(fresh)
+	fw, _, err := OpenFS(fresh, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestRewrite(t *testing.T) {
 	}
 
 	// The rewritten log keeps accepting appends.
-	w2, stats, err := Open(path, true, nil)
+	w2, stats, err := OpenFS(path, true, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestEmptyAndMissing(t *testing.T) {
 
 func TestResumeAppends(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.wal")
-	w, err := Create(path)
+	w, _, err := OpenFS(path, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,12 +197,12 @@ func TestResumeAppends(t *testing.T) {
 	}
 
 	var replayed [][]byte
-	w, stats, err := Open(path, true, func(p []byte) error {
+	w, stats, err := OpenFS(path, true, func(p []byte) error {
 		replayed = append(replayed, append([]byte(nil), p...))
 		return nil
-	})
+	}, nil)
 	if err != nil {
-		t.Fatalf("Open resume: %v", err)
+		t.Fatalf("OpenFS resume: %v", err)
 	}
 	if stats.Records != 1 || stats.Torn {
 		t.Fatalf("resume stats = %+v", stats)
@@ -225,7 +225,7 @@ func TestResumeAppends(t *testing.T) {
 
 func TestTornTailTruncatedOnResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.wal")
-	w, err := Create(path)
+	w, _, err := OpenFS(path, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,9 +247,9 @@ func TestTornTailTruncatedOnResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w, stats, err := Open(path, true, nil)
+	w, stats, err := OpenFS(path, true, nil, nil)
 	if err != nil {
-		t.Fatalf("Open resume over torn tail: %v", err)
+		t.Fatalf("OpenFS resume over torn tail: %v", err)
 	}
 	if !stats.Torn || stats.Records != 2 {
 		t.Fatalf("resume stats = %+v, want Torn with 2 records", stats)
@@ -281,9 +281,9 @@ func TestBadMagicStartsFresh(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not a journal at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w, stats, err := Open(path, true, func([]byte) error { t.Fatal("fn called"); return nil })
+	w, stats, err := OpenFS(path, true, func([]byte) error { t.Fatal("fn called"); return nil }, nil)
 	if err != nil {
-		t.Fatalf("Open: %v", err)
+		t.Fatalf("OpenFS: %v", err)
 	}
 	if !stats.Torn || stats.Records != 0 {
 		t.Fatalf("stats = %+v, want torn, 0 records", stats)
@@ -350,7 +350,7 @@ func TestChecksumMismatchIsTorn(t *testing.T) {
 
 func TestFnErrorAborts(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.wal")
-	w, err := Create(path)
+	w, _, err := OpenFS(path, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestFnErrorAborts(t *testing.T) {
 
 func TestAppendTooLarge(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.wal")
-	w, err := Create(path)
+	w, _, err := OpenFS(path, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,8 +459,7 @@ func TestWriterMatchesRewrite(t *testing.T) {
 	}
 }
 
-// TestWriterPendingBounded appends without ever syncing, as the telemetry
-// spill does: the writer holds at most writeThrough bytes plus one record,
+// TestWriterPendingBounded appends without ever syncing: the writer holds at most writeThrough bytes plus one record,
 // and writes them out as one write.
 func TestWriterPendingBounded(t *testing.T) {
 	fs := &recordingFS{}

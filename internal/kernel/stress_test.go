@@ -60,7 +60,7 @@ func (p *chaosPolicy) OnQuantum(_ sim.Time, _ int, cur cpu.Step, _ cpu.Voltage) 
 // and the run is deterministic.
 func TestKernelChaos(t *testing.T) {
 	const wall = 20 * sim.Second
-	run := func(seed uint64) (total sim.Duration, energy float64) {
+	run := func(seed uint64) (total sim.Duration, joules float64) {
 		eng := &sim.Engine{}
 		cfg := utilConfig()
 		cfg.Policy = &chaosPolicy{rng: sim.NewRNG(seed + 1000)}
@@ -106,10 +106,7 @@ func TestKernelChaos(t *testing.T) {
 		if res != wall {
 			t.Fatalf("residency %v != wall %v", res, wall)
 		}
-		e, err := k.Recorder().Energy(0, wall)
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := energy(t, k, wall)
 		if e <= 0 {
 			t.Fatal("non-positive energy")
 		}

@@ -3,7 +3,6 @@ package power
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"clocksched/internal/sim"
 )
@@ -16,9 +15,8 @@ type TimePoint struct {
 }
 
 // Recorder accumulates the exact piecewise-constant power timeline of a run.
-// The kernel reports every state change; energy integrals over the recorded
-// span are then exact, and the simulated DAQ samples the same timeline at
-// 5 kHz the way the real instrument sampled the shunt resistor.
+// The kernel reports every state change, and the simulated DAQ samples the
+// timeline at 5 kHz the way the real instrument sampled the shunt resistor.
 //
 // A recorder either retains the whole timeline (the default) or, after
 // Stream, hands each final segment to a sink and keeps only the last two
@@ -56,8 +54,8 @@ var ErrClosed = errors.New("power: state change after Finish")
 // ErrOrder is returned for state changes that move backwards in time.
 var ErrOrder = errors.New("power: state change out of time order")
 
-// ErrStreamed is returned by timeline queries on a streaming recorder: its
-// segments went to the sink, so it cannot answer for the past.
+// ErrStreamed is returned by Points on a streaming recorder: its segments
+// went to the sink, so it cannot answer for the past.
 var ErrStreamed = errors.New("power: timeline was streamed, not retained")
 
 // SetState records that the system entered st at time now. Calls must be in
@@ -107,8 +105,7 @@ func (r *Recorder) setWatts(now sim.Time, w float64) error {
 // the timeline — its start, end and power — goes to sink, in time order, as
 // soon as no later state change can alter it, and Finish flushes the rest.
 // Segments already final when Stream is called are flushed at once. The
-// recorder then keeps O(1) state, and Points, PowerAt and Energy return
-// ErrStreamed.
+// recorder then keeps O(1) state, and Points returns ErrStreamed.
 func (r *Recorder) Stream(sink func(from, to sim.Time, watts float64)) error {
 	if r.closed {
 		return ErrClosed
@@ -134,8 +131,9 @@ func (r *Recorder) flush(keep int) {
 }
 
 // Finish marks the timeline complete at time end. Further SetState calls
-// return ErrClosed. Energy and PowerAt remain usable up to end; a streaming
-// recorder hands its remaining segments to the sink instead.
+// return ErrClosed. A retaining recorder's Points then describe the
+// timeline up to end; a streaming recorder hands its remaining segments to
+// the sink instead.
 func (r *Recorder) Finish(end sim.Time) error {
 	if r.closed && r.sink != nil {
 		return fmt.Errorf("%w: streamed timeline already flushed", ErrClosed)
@@ -163,54 +161,4 @@ func (r *Recorder) Points() ([]TimePoint, error) {
 		return nil, ErrStreamed
 	}
 	return r.points, nil
-}
-
-// ErrRange is returned for queries outside the recorded timeline.
-var ErrRange = errors.New("power: query outside recorded timeline")
-
-// PowerAt returns the instantaneous power at time t.
-func (r *Recorder) PowerAt(t sim.Time) (float64, error) {
-	if r.sink != nil {
-		return 0, ErrStreamed
-	}
-	if t < 0 || t > r.last {
-		return 0, ErrRange
-	}
-	// Binary search for the last point with At <= t.
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].At > t })
-	return r.points[i-1].Watts, nil
-}
-
-// Energy integrates power over [from, to] exactly, returning joules.
-func (r *Recorder) Energy(from, to sim.Time) (float64, error) {
-	if r.sink != nil {
-		return 0, ErrStreamed
-	}
-	if from < 0 || to > r.last || from > to {
-		return 0, ErrRange
-	}
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].At > from }) - 1
-	total := 0.0
-	for t := from; t < to; {
-		segEnd := to
-		if i+1 < len(r.points) && r.points[i+1].At < to {
-			segEnd = r.points[i+1].At
-		}
-		total += r.points[i].Watts * (segEnd - t).Seconds()
-		t = segEnd
-		i++
-	}
-	return total, nil
-}
-
-// AveragePower returns the mean power over [from, to] in watts.
-func (r *Recorder) AveragePower(from, to sim.Time) (float64, error) {
-	if to <= from {
-		return 0, ErrRange
-	}
-	e, err := r.Energy(from, to)
-	if err != nil {
-		return 0, err
-	}
-	return e / (to - from).Seconds(), nil
 }

@@ -597,7 +597,7 @@ func TestOpenCellJournalRejectsForeignRecords(t *testing.T) {
 	// A frame that passes the CRC but is not a cell record means the file
 	// belongs to something else; resuming from it must fail loudly.
 	wal := filepath.Join(t.TempDir(), "other.wal")
-	w, err := journal.Create(wal)
+	w, _, err := journal.OpenFS(wal, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,8 +28,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"clocksched/internal/journal"
 )
 
 // Canonical metric names. Instrumentation sites and the pre-registration
@@ -73,13 +71,10 @@ const (
 	MJournalRecovered   = "sweep_journal_recovered_cells"
 	MJournalTornTail    = "sweep_journal_torn_tail"
 	MJournalCompacted   = "sweep_journal_compacted"
-	// event spill (spill.go)
-	MEventsSpilled    = "telemetry_events_spilled_total"
-	MEventSpillErrors = "telemetry_event_spill_errors_total"
-	MCacheGetHitSecs  = `sweep_cache_get_seconds{result="hit"}`
-	MCacheGetMissSecs = `sweep_cache_get_seconds{result="miss"}`
-	MCacheGetDiskSecs = `sweep_cache_get_seconds{result="disk"}`
-	MCachePutSecs     = "sweep_cache_put_seconds"
+	MCacheGetHitSecs    = `sweep_cache_get_seconds{result="hit"}`
+	MCacheGetMissSecs   = `sweep_cache_get_seconds{result="miss"}`
+	MCacheGetDiskSecs   = `sweep_cache_get_seconds{result="disk"}`
+	MCachePutSecs       = "sweep_cache_put_seconds"
 	// internal/daq
 	MDAQCaptures        = "daq_captures_total"
 	MDAQSamples         = "daq_samples_total"
@@ -320,12 +315,6 @@ type Registry struct {
 	events []Event // ring, capacity EventCap
 	head   int     // index of the oldest event once the ring wrapped
 	full   bool
-
-	// Optional spill-to-disk event log (spill.go). The counters are
-	// resolved in SpillEvents — never inside Emit, which already holds mu.
-	spill     *journal.Writer
-	spilled   *Counter
-	spillErrs *Counter
 }
 
 // New creates an empty registry.
@@ -406,7 +395,6 @@ func (r *Registry) Emit(name string, fields ...Field) {
 	defer r.mu.Unlock()
 	r.seq++
 	e := Event{Seq: r.seq, Wall: time.Now(), Name: name, Fields: fields}
-	r.spillLocked(e)
 	if len(r.events) < EventCap {
 		r.events = append(r.events, e)
 		return

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestCounterGaugeHistogram(t *testing.T) {
@@ -294,5 +296,29 @@ func TestServeEndpoints(t *testing.T) {
 	}
 	if body := get("/debug/pprof/"); !strings.Contains(body, "profile") {
 		t.Errorf("/debug/pprof/ unexpected:\n%s", body)
+	}
+}
+
+func TestServerShutdownGraceful(t *testing.T) {
+	r := New()
+	r.Counter("x").Inc()
+	s, err := Serve("127.0.0.1:0", r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get("http://" + s.Addr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("graceful shutdown: %v", err)
+	}
+	// The listener is gone: a new scrape must fail.
+	if _, err := http.Get("http://" + s.Addr() + "/metrics"); err == nil {
+		t.Error("server still accepting after Shutdown")
 	}
 }

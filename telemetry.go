@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
-	"clocksched/internal/journal"
 	"clocksched/internal/telemetry"
 )
 
@@ -28,9 +26,8 @@ import (
 //	res, err := clocksched.Sweep(ctx, clocksched.SweepConfig{..., Telemetry: tel})
 //	// http://localhost:8080/metrics while the sweep runs
 type Telemetry struct {
-	reg   *telemetry.Registry
-	srv   *telemetry.Server
-	spill *journal.Writer
+	reg *telemetry.Registry
+	srv *telemetry.Server
 }
 
 // NewTelemetry creates an enabled telemetry registry. The stable metric set
@@ -69,8 +66,6 @@ func NewTelemetry() *Telemetry {
 		telemetry.MCacheCorrupt,
 		telemetry.MJournalCommits,
 		telemetry.MJournalErrors,
-		telemetry.MEventsSpilled,
-		telemetry.MEventSpillErrors,
 		telemetry.MDAQCaptures,
 		telemetry.MDAQSamples,
 		telemetry.MDAQSamplesDropped,
@@ -149,111 +144,28 @@ func (t *Telemetry) Addr() string {
 }
 
 // Close stops the HTTP listener (if Serve started one) immediately,
-// dropping in-flight scrapes, and closes the event spill log (if
-// SpillEvents opened one). Prefer Shutdown when a bounded graceful drain is
-// wanted. The registry itself keeps accepting instrumentation; only the
-// exporter and the spill go away.
+// dropping in-flight scrapes. Prefer Shutdown when a bounded graceful drain
+// is wanted. The registry itself keeps accepting instrumentation; only the
+// exporter goes away.
 func (t *Telemetry) Close() error {
-	if t == nil {
+	if t == nil || t.srv == nil {
 		return nil
 	}
-	var err error
-	if t.srv != nil {
-		err = t.srv.Close()
-		t.srv = nil
-	}
-	if cerr := t.closeSpill(); err == nil {
-		err = cerr
-	}
+	err := t.srv.Close()
+	t.srv = nil
 	return err
 }
 
 // Shutdown drains the HTTP listener gracefully: no new scrapes are
-// accepted, in-flight requests finish or run out of ctx, then the spill log
-// is synced and closed. Safe on a nil Telemetry and when nothing is
-// serving.
+// accepted, and in-flight requests finish or run out of ctx. Safe on a nil
+// Telemetry and when nothing is serving.
 func (t *Telemetry) Shutdown(ctx context.Context) error {
-	if t == nil {
+	if t == nil || t.srv == nil {
 		return nil
 	}
-	var err error
-	if t.srv != nil {
-		err = t.srv.Shutdown(ctx)
-		t.srv = nil
-	}
-	if cerr := t.closeSpill(); err == nil {
-		err = cerr
-	}
+	err := t.srv.Shutdown(ctx)
+	t.srv = nil
 	return err
-}
-
-// SpillEvents opens (or truncates) an on-disk event log at path and streams
-// every subsequent run event into it, lifting the in-memory ring's
-// 1024-event retention bound for long sweeps. The log uses the same
-// crash-safe journal format as a durable sweep's checkpoint file; read it
-// back with ReadSpilledEvents. Close/Shutdown sync and close it.
-func (t *Telemetry) SpillEvents(path string) error {
-	if t == nil {
-		return fmt.Errorf("clocksched: SpillEvents on nil Telemetry")
-	}
-	if t.spill != nil {
-		return fmt.Errorf("clocksched: telemetry already spilling")
-	}
-	w, err := journal.Create(path)
-	if err != nil {
-		return err
-	}
-	t.spill = w
-	t.reg.SpillEvents(w)
-	return nil
-}
-
-// closeSpill detaches and closes the spill journal, if one is open.
-func (t *Telemetry) closeSpill() error {
-	if t.spill == nil {
-		return nil
-	}
-	t.reg.SpillEvents(nil)
-	err := t.spill.Close()
-	t.spill = nil
-	return err
-}
-
-// SpilledEvent is one run event read back from a spill log.
-type SpilledEvent struct {
-	// Seq is the event's 1-based sequence number within its registry.
-	Seq uint64
-	// Wall is the wall-clock emission time.
-	Wall time.Time
-	// Name is the event name, e.g. "run.start".
-	Name string
-	// Fields holds the event's key/value annotations in emission order.
-	Fields []SpilledField
-}
-
-// SpilledField is one key/value annotation of a spilled event.
-type SpilledField struct {
-	Key   string
-	Value string
-}
-
-// ReadSpilledEvents replays a spill log written by SpillEvents, oldest
-// first. A torn tail — the process was killed mid-write — is silently
-// dropped, never misread.
-func ReadSpilledEvents(path string) ([]SpilledEvent, error) {
-	evs, err := telemetry.ReadSpill(path)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]SpilledEvent, len(evs))
-	for i, e := range evs {
-		fields := make([]SpilledField, len(e.Fields))
-		for j, f := range e.Fields {
-			fields[j] = SpilledField{Key: f.Key, Value: f.Value}
-		}
-		out[i] = SpilledEvent{Seq: e.Seq, Wall: e.Wall, Name: e.Name, Fields: fields}
-	}
-	return out, nil
 }
 
 // WritePrometheus writes a point-in-time snapshot in the Prometheus text

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -242,55 +241,6 @@ func TestTelemetryPreRegistered(t *testing.T) {
 	}
 }
 
-// TestTelemetrySpillEvents covers the public spill-to-disk event log: attach,
-// run, shutdown, read back.
-func TestTelemetrySpillEvents(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "events.wal")
-	tel := NewTelemetry()
-	if err := tel.SpillEvents(path); err != nil {
-		t.Fatal(err)
-	}
-	if err := tel.SpillEvents(path); err == nil {
-		t.Error("double SpillEvents accepted")
-	}
-	if _, err := Run(Config{Workload: RectWave, Duration: time.Second, Telemetry: tel}); err != nil {
-		t.Fatal(err)
-	}
-	// Shutdown (nothing serving) syncs and closes the spill.
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	if err := tel.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-	evs, err := ReadSpilledEvents(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, e := range evs {
-		names = append(names, e.Name)
-	}
-	if len(evs) < 2 || names[0] != "run.start" || names[len(names)-1] != "run.done" {
-		t.Fatalf("spilled events %v, want run.start .. run.done", names)
-	}
-	for i, e := range evs {
-		if e.Seq != uint64(i+1) || e.Wall.IsZero() {
-			t.Errorf("event %d = %+v", i, e)
-		}
-	}
-	if evs[0].Fields[0].Key != "workload" || evs[0].Fields[0].Value != string(RectWave) {
-		t.Errorf("run.start fields %+v", evs[0].Fields)
-	}
-	// Nil receiver stays a no-op.
-	var nilTel *Telemetry
-	if err := nilTel.SpillEvents(path); err == nil {
-		t.Error("nil Telemetry accepted a spill")
-	}
-	if err := nilTel.Shutdown(context.Background()); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestTelemetryServeShutdown drains the public HTTP listener gracefully.
 func TestTelemetryServeShutdown(t *testing.T) {
 	tel := NewTelemetry()
@@ -320,5 +270,10 @@ func TestTelemetryServeShutdown(t *testing.T) {
 	defer tel.Close()
 	if addr2 == "" {
 		t.Error("re-serve returned empty address")
+	}
+	// Nil receiver stays a no-op.
+	var nilTel *Telemetry
+	if err := nilTel.Shutdown(ctx); err != nil {
+		t.Error(err)
 	}
 }
