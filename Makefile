@@ -64,10 +64,13 @@ perfbench:
 # Table 2 reference grid once on one worker, after a warm-up, and fails
 # below its committed floor in cells/s. It also prints the allocation per
 # cell (B/cell, allocs/cell), the figure perfbench's alloc_mb_per_cell
-# judges. Benchmarks never run under `go test ./...`, so the timing stays
-# out of the test tiers.
+# judges, and BenchmarkFleetSweep, run once after its own warm-up, prints
+# the same two figures for a 200-device fleet of the whole policy mix on
+# every core. Benchmarks never run under `go test ./...`, so the timing
+# stays out of the test tiers.
 bench-guard:
 	$(GO) test -run '^$$' -bench '^BenchmarkSerialGuard$$' -benchtime 1x -count 1 .
+	$(GO) test -run '^$$' -bench '^BenchmarkFleetSweep$$' -benchtime 1x -count 1 ./internal/fleet/
 
 check: fmt vet race alloc fuzz-smoke perfbench bench-guard
 	@echo "check: all tiers passed"

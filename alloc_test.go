@@ -30,7 +30,9 @@ func cellAllocBytes(t *testing.T, cfg Config, runs int) uint64 {
 // TestTable2CellAllocBytes guards the streaming measurement path end to end,
 // as internal/kernel's TestQuantumStepAllocs guards the quantum step: one
 // 60 s MPEG cell of Table 2 through RunContext must allocate at most
-// 1250 B, for about 1000 B measured. The cell's power timeline,
+// 640 B, for about 512 B measured. Building the player and its processes
+// for every cell instead of renewing the simulator shell's took it to
+// about 1000 B (the limit was then 1250 B). The cell's power timeline,
 // per-quantum utilization and deadline misses are folded as the run goes;
 // retaining any of them again costs hundreds of KiB per cell (0.49 MB when
 // all three were kept) and fails here. Keeping each late deadline's
@@ -43,7 +45,7 @@ func TestTable2CellAllocBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector instruments allocations")
 	}
-	const limit = 1250
+	const limit = 640
 	cfg := Config{Workload: MPEG, Policy: mustPolicy(t, "past-peg-peg", nil), Seed: 1, Duration: 60 * time.Second}
 	if perCell := cellAllocBytes(t, cfg, 32); perCell > limit {
 		t.Errorf("a 60 s MPEG cell allocates %d B, want at most %d", perCell, limit)
@@ -52,15 +54,17 @@ func TestTable2CellAllocBytes(t *testing.T) {
 
 // TestTable2SlowCellAllocBytes guards the online miss count: of Table 2's
 // cells, a 60 s MPEG cell at a constant 132.7 MHz has the most late
-// deadlines, and it must allocate at most 1100 B, for about 870 B
-// measured. Keeping the lateness of every late deadline, so that misses
-// could be counted at any slack after the run, cost about 8.2 KiB, and a
-// new simulator per cell about 3.8 KiB (the limit was then 6 KiB).
+// deadlines, and it must allocate at most 480 B, for about 384 B
+// measured. Building the player anew for every cell cost about 870 B (the
+// limit was then 1100 B). Keeping the lateness of every late deadline, so
+// that misses could be counted at any slack after the run, cost about
+// 8.2 KiB, and a new simulator per cell about 3.8 KiB (the limit was then
+// 6 KiB).
 func TestTable2SlowCellAllocBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector instruments allocations")
 	}
-	const limit = 1100
+	const limit = 480
 	cfg := Config{Workload: MPEG, Policy: mustPolicy(t, "constant", map[string]float64{"mhz": 132.7}),
 		Seed: 1, Duration: 60 * time.Second}
 	if perCell := cellAllocBytes(t, cfg, 32); perCell > limit {
@@ -71,9 +75,12 @@ func TestTable2SlowCellAllocBytes(t *testing.T) {
 // TestDeadlineCellAllocBytes guards the deadline-driven cells, whose
 // policy keeps a job queue fed by the application: a 2 s cell at seed 7
 // through RunContext must allocate at most about 1.25 times what it was
-// measured at. Under deadline the MPEG and Feedback cells measure 1048 and
-// 1240 B, under oa 1056 and 1248 B. The deadline scheduler kept a queue of
-// its own, with a smaller job, before it became the zoo's OA rule on
+// measured at. Under deadline the MPEG and Feedback cells measure 512 and
+// 536 B, under oa 520 and 544 B. While each cell's scheduler grew its job
+// queue from empty and each cell built its workload anew, they measured
+// 1048 and 1240 B under deadline and 1056 and 1248 B under oa (the limits
+// were then 1310 to 1560 B). The deadline scheduler kept a queue of its
+// own, with a smaller job, before it became the zoo's OA rule on
 // application deadlines: 968 and 1160 B.
 func TestDeadlineCellAllocBytes(t *testing.T) {
 	if raceEnabled {
@@ -84,10 +91,10 @@ func TestDeadlineCellAllocBytes(t *testing.T) {
 		workload Workload
 		limit    uint64
 	}{
-		{"deadline", MPEG, 1310},
-		{"deadline", Feedback, 1550},
-		{"oa", MPEG, 1320},
-		{"oa", Feedback, 1560},
+		{"deadline", MPEG, 640},
+		{"deadline", Feedback, 670},
+		{"oa", MPEG, 650},
+		{"oa", Feedback, 680},
 	} {
 		cfg := Config{Workload: c.workload, Policy: mustPolicy(t, c.policy, nil), Seed: 7, Duration: 2 * time.Second}
 		if perCell := cellAllocBytes(t, cfg, 32); perCell > c.limit {
@@ -96,11 +103,37 @@ func TestDeadlineCellAllocBytes(t *testing.T) {
 	}
 }
 
+// TestInteractiveZooCellAllocBytes guards the zoo rules on the interactive
+// workloads, where OA, AVR and BKP synthesize a job from every busy
+// quantum and BKP keeps a history of them: a 2 s Web, Chess or
+// TalkingEditor cell at seed 7 under oa, avr or bkp through RunContext
+// must allocate at most 680 B, for 544 B measured in each of the nine.
+// While each cell's scheduler grew its queue and BKP history from empty
+// and each cell built its workload anew, the oa and avr cells measured
+// 4048 B on Web, 1824 B on Chess and 2704 B on TalkingEditor, and the bkp
+// cells 16288, 3312 and 16480 B.
+func TestInteractiveZooCellAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments allocations")
+	}
+	const limit = 680
+	for _, w := range []Workload{Web, Chess, TalkingEditor} {
+		for _, policy := range []string{"oa", "avr", "bkp"} {
+			cfg := Config{Workload: w, Policy: mustPolicy(t, policy, nil), Seed: 7, Duration: 2 * time.Second}
+			if perCell := cellAllocBytes(t, cfg, 32); perCell > limit {
+				t.Errorf("a 2 s %s cell under %s allocates %d B, want at most %d", w, policy, perCell, limit)
+			}
+		}
+	}
+}
+
 // TestFaultedCellAllocBytes guards the DAQ fold's sample-fault walk: a
 // streamed MPEG cell at seed 7 whose plan drops and glitches readings
-// must allocate at most about 1.25 times what it was measured at, 1392 B
-// for both a 2 s and a 60 s cell. The fold keeps one entry per power
-// segment in a buffer that its pooled shell carries from cell to cell.
+// must allocate at most about 1.25 times what it was measured at, 896 B
+// for both a 2 s and a 60 s cell, and 1392 B while each cell built its
+// player anew (the limit was then 1740 B). The fold keeps one entry per
+// power segment in a buffer that its pooled shell carries from cell to
+// cell.
 // While such a cell retained its whole power timeline for a post-hoc walk
 // and was never pooled, it allocated 8448 B at 2 s and 181760 B at 60 s.
 // The figure is the median run, not the mean: a run that misses the pool
@@ -110,7 +143,7 @@ func TestFaultedCellAllocBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector instruments allocations")
 	}
-	const limit = 1740
+	const limit = 1120
 	faults := &FaultPlan{SampleDropProb: 0.01, SampleGlitchProb: 0.01}
 	for _, d := range []time.Duration{2 * time.Second, 60 * time.Second} {
 		cfg := Config{Workload: MPEG, Policy: mustPolicy(t, "past-peg-peg", nil), Seed: 7, Duration: d, Faults: faults}
@@ -137,7 +170,9 @@ func TestFaultedCellAllocBytes(t *testing.T) {
 
 // TestSweepCellAllocBytes guards a sweep's cost per cell beyond the run
 // itself: a 20-seed Table 2 Sweep on one worker must allocate at most
-// 1520 B per cell, for about 1210 B measured. Copying the grid into a cell
+// 900 B per cell, for about 720 B measured. Building each cell's player
+// and its processes anew instead of renewing the simulator shell's took
+// it to about 1210 B (the limit was then 1520 B). Copying the grid into a cell
 // list, building a job with a closure per cell, collecting the pool's
 // outcomes in a slice of its own and carrying each attempt in a context
 // value took it to about 1560 B (the limit was then 1960 B). Rendering each
@@ -148,7 +183,7 @@ func TestSweepCellAllocBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector instruments allocations")
 	}
-	const runs, limit = 2, 1520
+	const runs, limit = 2, 900
 	cfg, err := Table2Config(1, 20)
 	if err != nil {
 		t.Fatal(err)
@@ -291,18 +326,21 @@ func TestEncodeSweepResultAllocsPerCell(t *testing.T) {
 
 // TestEventDrivenCellAllocBytes guards an event-driven cell's set-up cost:
 // a 2 s Web session under OA through RunContext must allocate at most
-// 5 KiB, for about 4 KiB measured. The session fires a handful of the
-// 190 s trace's events, so replay must schedule the trace lazily; building
-// a closure and an engine node for every event up front, re-growing the
-// zoo's job queue after each retire and hashing the cache key through fmt
-// cost about 37 KiB, a new simulator per cell about 10 KiB (the limit was
-// then 16 KiB), and generating the trace into a new recorder instead of
-// the simulator's own about 7.1 KiB (the limit was then 9 KiB).
+// 680 B, for about 544 B measured. Growing the zoo's job queue from empty
+// and building the browser, its processes and its replay cursor anew in
+// every cell cost about 4 KiB (the limit was then 5 KiB). The session
+// fires a handful of the 190 s trace's events, so replay must schedule
+// the trace lazily; building a closure and an engine node for every event
+// up front, re-growing the zoo's job queue after each retire and hashing
+// the cache key through fmt cost about 37 KiB, a new simulator per cell
+// about 10 KiB (the limit was then 16 KiB), and generating the trace into
+// a new recorder instead of the simulator's own about 7.1 KiB (the limit
+// was then 9 KiB).
 func TestEventDrivenCellAllocBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector instruments allocations")
 	}
-	const runs, limit = 32, 5 << 10
+	const runs, limit = 32, 680
 	p, err := NewPolicy("oa", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -328,9 +366,11 @@ func TestEventDrivenCellAllocBytes(t *testing.T) {
 // TestTraceCellAllocBytes guards a sweep's per-cell cost on the
 // interactive workloads, whose cells replay an input trace: a cached
 // 2 s sweep over web, chess, editor and feedback cells on one worker,
-// alternating two policies cell by cell, must allocate at most 4730 B per
-// cell, for about 3790 B measured, most of it the cached Result's
-// encoding. The grid copy, the per-cell jobs and closures, the outcome
+// alternating two policies cell by cell, must allocate at most 3170 B per
+// cell, for about 2540 B measured, most of it the cached Result's
+// encoding. Growing each OA cell's job queue from empty and building each
+// cell's workload anew cost about 3815 B (the limit was then 4730 B). The
+// grid copy, the per-cell jobs and closures, the outcome
 // slice and the per-attempt context value cost about 4150 B (the limit was
 // then 5300 B). Generating each cell's trace into a new recorder,
 // rendering the policy again whenever it differed from the last cell's,
@@ -339,7 +379,7 @@ func TestTraceCellAllocBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector instruments allocations")
 	}
-	const runs, limit = 2, 4730
+	const runs, limit = 2, 3170
 	pegs := mustPolicy(t, "past-peg-peg", nil)
 	oa := mustPolicy(t, "oa", nil)
 	var cells []Config

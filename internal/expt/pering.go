@@ -42,13 +42,14 @@ func PeringTradeoff(ctx context.Context, seed uint64) ([]PeringRow, error) {
 		if !ok {
 			return nil, fmt.Errorf("pering: workload is %T, not the MPEG player", out.Workload)
 		}
-		shown := totalFrames - m.DroppedFrames()
+		dropped := m.DroppedFrames()
 		rows = append(rows, PeringRow{
 			Step:      s,
 			EnergyJ:   out.DAQ.EnergyJ,
-			FrameRate: float64(shown) / length.Seconds(),
-			DropRate:  float64(m.DroppedFrames()) / float64(totalFrames),
+			FrameRate: float64(totalFrames-dropped) / length.Seconds(),
+			DropRate:  float64(dropped) / float64(totalFrames),
 		})
+		out.Release()
 	}
 	return rows, nil
 }

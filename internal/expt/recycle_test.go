@@ -30,7 +30,7 @@ func pastPegPeg(vs bool) kernel.SpeedPolicy {
 func zoo(algo policy.ZooAlgo) kernel.SpeedPolicy {
 	z, err := policy.NewZooScheduler(algo, 5)
 	if err != nil {
-		panic(err) // the three algorithms and slack are constants
+		panic(err) // the algorithms and slack are constants
 	}
 	return z
 }
@@ -38,8 +38,9 @@ func zoo(algo policy.ZooAlgo) kernel.SpeedPolicy {
 // shellCases spans what a run can leave behind in its simulator: constant
 // and scaled speeds, a retained timeline (a captured trace, a DAQ
 // sample-fault plan), a watchdog, every event-driven workload under a zoo
-// policy and web on a second seed, the control loop, the elastic player,
-// and two failed runs.
+// policy and web on a second seed, the player on a second seed, the
+// control loop, the deadline rule fed by the player and by the control
+// loop, OA on the wave, the elastic player, and two failed runs.
 func shellCases() []shellCase {
 	const d = 2 * sim.Second
 	mpeg := func(edit func(*RunSpec)) func() RunSpec {
@@ -54,6 +55,12 @@ func shellCases() []shellCase {
 	}
 	return []shellCase{
 		{"constant-132.7", mpeg(func(s *RunSpec) { s.Policy, s.InitialStep = nil, cpu.NearestStep(132700) })},
+		// The player's frame costs on another seed: a recycled player
+		// that kept its last run's RNG fails here.
+		{"mpeg-seed4", mpeg(func(s *RunSpec) { s.Seed = 4 })},
+		// The player submits every frame to the deadline rule, which
+		// switches the scheduler to the application's stream.
+		{"deadline-mpeg", mpeg(func(s *RunSpec) { s.Policy = zoo(policy.AlgoDeadline) })},
 		{"past-peg-peg-vs", mpeg(func(s *RunSpec) { s.Policy = pastPegPeg(true) })},
 		{"capture-trace", mpeg(func(s *RunSpec) { s.Stream = false })},
 		{"daq-sample-faults", mpeg(func(s *RunSpec) {
@@ -79,6 +86,12 @@ func shellCases() []shellCase {
 		}},
 		{"feedback", func() RunSpec {
 			return RunSpec{Workload: "feedback", Seed: 5, Duration: d, Policy: pastPegPeg(false), InitialStep: cpu.MaxStep, Stream: true}
+		}},
+		{"deadline-feedback", func() RunSpec {
+			return RunSpec{Workload: "feedback", Seed: 5, Duration: d, Policy: zoo(policy.AlgoDeadline), InitialStep: cpu.MaxStep, Stream: true}
+		}},
+		{"oa-rect", func() RunSpec {
+			return RunSpec{Workload: "rect", Seed: 1, Duration: d, Policy: zoo(policy.AlgoOA), InitialStep: cpu.MaxStep, Stream: true}
 		}},
 		{"mpeg-drop", mpeg(func(s *RunSpec) { s.Workload, s.Policy, s.InitialStep = "mpeg-drop", nil, cpu.Step(3) })},
 		{"cancelled", mpeg(func(s *RunSpec) {
@@ -152,7 +165,9 @@ func TestRecycledShellMatchesFresh(t *testing.T) {
 // outcome whose run retained its whole timeline — a 60 s captured trace —
 // is never pooled, so Release leaves it whole. A streamed outcome is
 // pooled, DAQ sample faults or not, and resetting its shell drops every
-// reference to the run.
+// reference to the run. So does resetting a shell whose workload
+// instances have all run and whose zoo queue arrays a BKP scheduler still
+// holds: the shell keeps the arrays, and the scheduler is left with none.
 func TestReleaseHoldsNothing(t *testing.T) {
 	ctx := context.Background()
 	out, err := RunContext(ctx, RunSpec{Workload: "mpeg", Seed: 1, Duration: 60 * sim.Second,
@@ -193,6 +208,33 @@ func TestReleaseHoldsNothing(t *testing.T) {
 	}
 	if sh.k.Engine() != nil || len(sh.k.Processes()) != 0 {
 		t.Error("a reset shell's kernel still references the run")
+	}
+
+	for _, c := range shellCases() {
+		sh.run(ctx, c.spec())
+	}
+	bkp := zoo(policy.AlgoBKP).(*policy.ZooScheduler)
+	if _, err := sh.run(ctx, RunSpec{Workload: "chess", Seed: 7, Duration: 2 * sim.Second, Policy: bkp,
+		InitialStep: cpu.MaxStep, Stream: true}); err != nil {
+		t.Fatal(err)
+	}
+	sh.reset()
+	if bkp.Pending() != 0 {
+		t.Errorf("a reset shell left its BKP scheduler %d jobs in the shell's arrays", bkp.Pending())
+	}
+	zq := reflect.ValueOf(sh.zoo)
+	if !holdsNoReference(zq) {
+		t.Error("a reset shell's zoo queue still references the run")
+	}
+	if zq.FieldByName("jobs").Cap() == 0 || zq.FieldByName("history").Cap() == 0 {
+		t.Error("a reset shell dropped its zoo queue arrays")
+	}
+	wl := reflect.ValueOf(sh.wl)
+	if !holdsNoReference(wl) {
+		t.Error("a reset shell's workload instances still reference the run")
+	}
+	if wl.FieldByName("web").FieldByName("col").FieldByName("streams").Cap() == 0 {
+		t.Error("a reset shell dropped its workloads' deadline streams")
 	}
 }
 

@@ -95,13 +95,13 @@ const DefaultSlack = 33 * sim.Millisecond
 // RunOutcome bundles everything a measurement run produced.
 //
 // A caller done with an outcome may Release it, handing its simulator —
-// engine, kernel, power recorder, DAQ fold, input trace and the outcome
-// itself — to the next run instead of the garbage collector. Release must
-// be the outcome's last use: it clears every field, and the next run
-// refills the Kernel this outcome points at and the trace its Workload
-// replays. A caller that keeps Kernel, Workload or anything read through
-// them never calls Release; the outcome is then an ordinary
-// garbage-collected value.
+// engine, kernel, power recorder, DAQ fold, input trace, workload, zoo job
+// queue and the outcome itself — to the next run instead of the garbage
+// collector. Release must be the outcome's last use: it clears every
+// field, empties a zoo policy's job queue, and the next run refills the
+// Kernel this outcome points at, its Workload and the trace that replays.
+// A caller that keeps Kernel, Workload or anything read through them never
+// calls Release; the outcome is then an ordinary garbage-collected value.
 type RunOutcome struct {
 	Spec     RunSpec
 	Workload workload.Workload
@@ -135,23 +135,29 @@ func (o *RunOutcome) Release() {
 
 // cellSim is one run's simulator shell: the engine, the kernel with its
 // power recorder, the DAQ fold with its bound sink, the input-trace
-// recorder, and the outcome. Each run resets and renews them, keeping
+// recorder, one workload instance per kind, the arrays of a zoo policy's
+// job queue, and the outcome. Each run resets and renews them, keeping
 // their allocations: the engine's queue and recycled nodes, the kernel's
 // struct, power table, process and run-queue arrays and bound callbacks,
-// the fold's segment buffer (used when the DAQ injects sample faults), and
-// the trace's event array. An interactive workload replays the
+// the fold's segment buffer (used when the DAQ injects sample faults), the
+// trace's event array, the workload's programs, replay cursor, event queue
+// and deadline streams, and the zoo scheduler's jobs and BKP history,
+// which the run's scheduler borrows. An interactive workload replays the
 // shell's trace, so the trace lives exactly as long as the shell: the
 // next run on a released shell regenerates it, and an outcome that is
-// never released keeps its shell, trace included. A sync.Pool rather than
-// a shell per sweep worker carries them between runs, so every path to
-// RunContext — sweeps, the fleet, sweepd, fabric peers, a single run —
-// reuses them without plumbing a shell through the layers above.
+// never released keeps its shell, trace and workload included. A
+// sync.Pool rather than a shell per sweep worker carries them between
+// runs, so every path to RunContext — sweeps, the fleet, sweepd, fabric
+// peers, a single run — reuses them without plumbing a shell through the
+// layers above.
 type cellSim struct {
 	eng  sim.Engine
 	k    kernel.Kernel
 	fold daq.Fold
 	add  func(from, to sim.Time, watts float64) // fold.Add, bound once
 	tr   trace.Recorder
+	wl   workload.Instances
+	zoo  policy.ZooQueue
 	out  RunOutcome
 }
 
@@ -162,11 +168,13 @@ func (c *cellSim) reset() {
 	c.eng.Reset()
 	c.k.Reset()
 	c.fold.Clear()
+	c.wl.Clear()
+	c.zoo.Reclaim()
 	c.out = RunOutcome{}
 }
 
-// buildWorkload builds spec's workload, generating an interactive
-// workload's input trace into the shell's recorder.
+// buildWorkload renews the shell's instance of spec's workload, generating
+// an interactive workload's input trace into the shell's recorder.
 func (c *cellSim) buildWorkload(spec RunSpec) (workload.Workload, error) {
 	switch spec.Workload {
 	case "mpeg", "mpeg-drop":
@@ -185,19 +193,19 @@ func (c *cellSim) buildWorkload(spec RunSpec) (workload.Workload, error) {
 		if ds, ok := spec.Policy.(workload.DeadlineSink); ok {
 			cfg.Deadlines = ds
 		}
-		return workload.NewMPEG(cfg)
+		return c.wl.MPEG(cfg)
 	case "web":
-		return workload.NewWeb(workload.DefaultWebTraceInto(&c.tr, spec.Seed+1))
+		return c.wl.Web(workload.DefaultWebTraceInto(&c.tr, spec.Seed+1))
 	case "chess":
-		return workload.NewChess(workload.DefaultChessTraceInto(&c.tr, spec.Seed+1))
+		return c.wl.Chess(workload.DefaultChessTraceInto(&c.tr, spec.Seed+1))
 	case "editor":
-		return workload.NewTalkingEditor(workload.DefaultEditorTraceInto(&c.tr, spec.Seed+1))
+		return c.wl.TalkingEditor(workload.DefaultEditorTraceInto(&c.tr, spec.Seed+1))
 	case "rect":
 		length := spec.Duration
 		if length == 0 {
 			length = 60 * sim.Second
 		}
-		return workload.NewRectWave(9, 1, length)
+		return c.wl.RectWave(9, 1, length)
 	case "feedback":
 		cfg := workload.DefaultFeedbackConfig()
 		if spec.Seed != 0 {
@@ -212,7 +220,7 @@ func (c *cellSim) buildWorkload(spec RunSpec) (workload.Workload, error) {
 		if ds, ok := spec.Policy.(workload.DeadlineSink); ok {
 			cfg.Deadlines = ds
 		}
-		return workload.NewFeedback(cfg)
+		return c.wl.Feedback(cfg)
 	default:
 		return nil, fmt.Errorf("expt: unknown workload %q", spec.Workload)
 	}
@@ -328,6 +336,14 @@ func (c *cellSim) run(ctx context.Context, spec RunSpec) (*RunOutcome, error) {
 		if err := k.Recorder().Stream(c.add); err != nil {
 			return nil, err
 		}
+	}
+	// A zoo policy, wrapped or not, queues its jobs in the shell's arrays.
+	zp := spec.Policy
+	if wd, ok := zp.(*policy.Watchdog); ok {
+		zp = wd.Inner()
+	}
+	if z, ok := zp.(*policy.ZooScheduler); ok {
+		c.zoo.Lend(z)
 	}
 	if err := w.Install(k); err != nil {
 		return nil, err

@@ -105,6 +105,14 @@ func (c *Collector) tally(stream string) *streamTally {
 	return &c.streams[len(c.streams)-1]
 }
 
+// Reset empties the collector for another run, as the zero value it was,
+// but keeps its stream array, so a recycled workload records its streams
+// without growing it again.
+func (c *Collector) Reset() {
+	clear(c.streams)
+	*c = Collector{streams: c.streams[:0]}
+}
+
 // Count returns the number of recorded deadlines.
 func (c *Collector) Count() int { return c.count }
 

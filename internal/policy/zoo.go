@@ -114,6 +114,44 @@ func NewDeadlineScheduler() *ZooScheduler {
 	return &ZooScheduler{algo: AlgoDeadline, Quantum: sim.Quantum}
 }
 
+// ZooQueue keeps the arrays of a ZooScheduler's job queue and BKP history
+// from one scheduler to the next. A caller that runs many schedulers one
+// after another, like the simulator shell a sweep's cells run in, lends
+// each new scheduler the arrays the last one grew, so its queue starts
+// with their capacity instead of growing from empty. The zero value holds
+// no arrays and is ready to use.
+type ZooQueue struct {
+	jobs, history []zooJob
+	lent          *ZooScheduler
+}
+
+// Lend reclaims the arrays from the scheduler they were last lent to and
+// hands them, emptied, to z. Only a scheduler with no arrays of its own —
+// one that has never queued a job — borrows; any other keeps its own. The
+// loan changes nothing z does: an empty queue with capacity behaves as the
+// nil one a new scheduler starts with.
+func (q *ZooQueue) Lend(z *ZooScheduler) {
+	q.Reclaim()
+	if z.jobs != nil || z.history != nil {
+		return
+	}
+	z.jobs, z.history = q.jobs[:0], q.history[:0]
+	q.jobs, q.history, q.lent = nil, nil, z
+}
+
+// Reclaim takes the arrays back, at the capacity the borrower grew them
+// to. The borrower's run is over: it is left with an empty queue and no
+// arrays, and q no longer references it.
+func (q *ZooQueue) Reclaim() {
+	z := q.lent
+	if z == nil {
+		return
+	}
+	q.jobs, q.history = z.jobs[:0], z.history[:0]
+	z.jobs, z.history = nil, nil
+	q.lent = nil
+}
+
 // Algo reports which rule the scheduler runs.
 func (z *ZooScheduler) Algo() ZooAlgo { return z.algo }
 

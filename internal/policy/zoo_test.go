@@ -272,3 +272,44 @@ func TestZooNames(t *testing.T) {
 		t.Errorf("String() = %q", s)
 	}
 }
+
+// TestZooQueueLend checks the loan of queue arrays between schedulers: a
+// borrower decides every quantum exactly as a scheduler with its own
+// queue, starts with the arrays the last borrower grew, and is left with
+// no arrays once they are reclaimed; a scheduler that already queued jobs
+// keeps its own.
+func TestZooQueueLend(t *testing.T) {
+	run := func(z *ZooScheduler) []cpu.Step {
+		var steps []cpu.Step
+		for q := 1; q <= 40; q++ {
+			util := FullUtil * (q % 4) / 3
+			step, _ := z.OnQuantum(sim.Time(q)*sim.Time(sim.Quantum), util, cpu.Step(q%cpu.NumSteps), cpu.VHigh)
+			steps = append(steps, step)
+		}
+		return steps
+	}
+	var q ZooQueue
+	for _, algo := range []ZooAlgo{AlgoBKP, AlgoOA, AlgoBKP} {
+		own, _ := NewZooScheduler(algo, 5)
+		want := run(own)
+		z, _ := NewZooScheduler(algo, 5)
+		q.Lend(z)
+		if got := run(z); !slices.Equal(got, want) {
+			t.Errorf("%s on a lent queue chose %v, on its own %v", algo, got, want)
+		}
+		q.Reclaim()
+		if z.Pending() != 0 || z.jobs != nil || z.history != nil {
+			t.Errorf("%s kept %d jobs and arrays after Reclaim", algo, z.Pending())
+		}
+		if cap(q.jobs) == 0 || (algo == AlgoBKP && cap(q.history) == 0) {
+			t.Errorf("%s: Reclaim kept no arrays (jobs %d, history %d)", algo, cap(q.jobs), cap(q.history))
+		}
+	}
+	busy, _ := NewZooScheduler(AlgoOA, 5)
+	run(busy)
+	pending, jobs := busy.Pending(), cap(q.jobs)
+	q.Lend(busy)
+	if busy.Pending() != pending || cap(q.jobs) != jobs || q.lent != nil {
+		t.Errorf("a scheduler with a queue of its own borrowed: pending %d → %d", pending, busy.Pending())
+	}
+}

@@ -82,16 +82,31 @@ func (p RetryPolicy) delay(cell, attempt int) time.Duration {
 }
 
 // cellRecord is one journal entry: a completed cell's cache key and the
-// sha256 of its encoded result bytes.
+// hex sha256 of its encoded result bytes.
 type cellRecord struct {
 	K string `json:"k"`
 	H string `json:"h"`
 }
 
 // hashBytes returns the journal's content hash of encoded result bytes.
-func hashBytes(b []byte) string {
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+func hashBytes(b []byte) [sha256.Size]byte { return sha256.Sum256(b) }
+
+// appendCellRecord appends the JSON of cellRecord{K: key, H: hex of h} to
+// dst, byte for byte what json.Marshal writes. A key of printable ASCII
+// that JSON leaves unescaped is copied and the hash hex-encoded in place;
+// any other key goes through json.Marshal.
+func appendCellRecord(dst []byte, key string, h [sha256.Size]byte) ([]byte, error) {
+	for i := 0; i < len(key); i++ {
+		if c := key[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			rec, err := json.Marshal(cellRecord{K: key, H: hex.EncodeToString(h[:])})
+			return append(dst, rec...), err
+		}
+	}
+	dst = append(dst, `{"k":"`...)
+	dst = append(dst, key...)
+	dst = append(dst, `","h":"`...)
+	dst = hex.AppendEncode(dst, h[:])
+	return append(dst, `"}`...), nil
 }
 
 // CellJournal is the sweep's write-ahead completion log: one fsynced record
@@ -102,10 +117,11 @@ func hashBytes(b []byte) string {
 type CellJournal struct {
 	mu        sync.Mutex
 	w         *journal.Writer
-	done      map[string]string // cache key → result hash
-	recovered int               // records recovered at open
-	torn      bool              // open found (and truncated) a torn tail
-	compacted bool              // open rewrote the log down to live records
+	done      map[string][sha256.Size]byte // cache key → result hash
+	rec       []byte                       // the record Commit appends, reused
+	recovered int                          // records recovered at open
+	torn      bool                         // open found (and truncated) a torn tail
+	compacted bool                         // open rewrote the log down to live records
 
 	tel atomic.Pointer[journalTel]
 }
@@ -142,7 +158,7 @@ type journalTel struct {
 // it changes the file, never the semantics — and Compacted reports that it
 // happened.
 func OpenCellJournal(path string, resume bool, fs journal.FS) (*CellJournal, error) {
-	done := map[string]string{}
+	done := map[string][sha256.Size]byte{}
 	var order []string // first-commit order of distinct keys
 	parse := func(p []byte) error {
 		var rec cellRecord
@@ -152,10 +168,14 @@ func OpenCellJournal(path string, resume bool, fs journal.FS) (*CellJournal, err
 		if rec.K == "" || rec.H == "" {
 			return fmt.Errorf("sweep: journal %s: cell record missing key or hash", path)
 		}
+		sum, err := hex.DecodeString(rec.H)
+		if err != nil || len(sum) != sha256.Size {
+			return fmt.Errorf("sweep: journal %s: cell record hash %q is not a hex sha256", path, rec.H)
+		}
 		if _, seen := done[rec.K]; !seen {
 			order = append(order, rec.K)
 		}
-		done[rec.K] = rec.H
+		done[rec.K] = [sha256.Size]byte(sum)
 		return nil
 	}
 
@@ -169,7 +189,7 @@ func OpenCellJournal(path string, resume bool, fs journal.FS) (*CellJournal, err
 		if stats.ValidBytes > CompactThreshold && stats.Records > len(order) {
 			payloads := make([][]byte, 0, len(order))
 			for _, k := range order {
-				rec, err := json.Marshal(cellRecord{K: k, H: done[k]})
+				rec, err := appendCellRecord(nil, k, done[k])
 				if err != nil {
 					return nil, fmt.Errorf("sweep: journal %s: %w", path, err)
 				}
@@ -254,9 +274,9 @@ func (jr *CellJournal) Compacted() bool {
 
 // Completed reports the recorded result hash for a cache key, if the cell
 // has been committed (in this process or a resumed one).
-func (jr *CellJournal) Completed(key string) (hash string, ok bool) {
+func (jr *CellJournal) Completed(key string) (hash [sha256.Size]byte, ok bool) {
 	if jr == nil || key == "" {
-		return "", false
+		return hash, false
 	}
 	jr.mu.Lock()
 	defer jr.mu.Unlock()
@@ -279,17 +299,21 @@ func (jr *CellJournal) Commit(key string, enc []byte) error {
 		return nil
 	}
 	jr.done[key] = h
+	// The writer copies the record, so the buffer is free again once
+	// Append returns.
+	rec, err := appendCellRecord(jr.rec[:0], key, h)
+	if err == nil {
+		jr.rec = rec
+		err = jr.w.Append(rec)
+	}
 	jr.mu.Unlock()
 
 	var commits, errsC *telemetry.Counter
 	if t := jr.tel.Load(); t != nil {
 		commits, errsC = t.commits, t.errs
 	}
-	rec, err := json.Marshal(cellRecord{K: key, H: h})
 	if err == nil {
-		if err = jr.w.Append(rec); err == nil {
-			err = jr.w.Sync()
-		}
+		err = jr.w.Sync()
 	}
 	if err != nil {
 		errsC.Inc()

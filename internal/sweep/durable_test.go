@@ -1,17 +1,23 @@
 package sweep
 
 import (
+	"bytes"
 	"context"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"clocksched/internal/journal"
+	"clocksched/internal/sim"
 	"clocksched/internal/telemetry"
 )
 
@@ -684,4 +690,127 @@ func contains(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+// journalKeys are cell keys of every shape a commit record can hold: the
+// hex digests a sweep keys its cells by, plain text, and keys that JSON
+// escapes — HTML-sensitive bytes, a quote, a backslash, control bytes,
+// non-ASCII text, U+2028 and invalid UTF-8.
+func journalKeys() []string {
+	keys := []string{"k", "table2/seed-1", "sp ace~"}
+	for i := range 3 {
+		keys = append(keys, sim.NewHasher("clocksched.Result").Int("cell", int64(i)).Sum())
+	}
+	return append(keys, "a<b", "a>b", "a&b", `say "hi"`, `back\slash`, "tab\there", "nl\n", "\x7f",
+		"énergie", "line\u2028sep", "bad\xffutf8")
+}
+
+// TestCellRecordMatchesMarshal checks that the commit record Commit
+// appends in place is byte for byte json.Marshal of the cellRecord, for
+// every key shape, into an empty and into a used buffer.
+func TestCellRecordMatchesMarshal(t *testing.T) {
+	buf := []byte("left over from the last record")
+	for i, key := range journalKeys() {
+		h := hashBytes([]byte(fmt.Sprint("payload-", i)))
+		want, err := json.Marshal(cellRecord{K: key, H: hex.EncodeToString(h[:])})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := appendCellRecord(nil, key, h)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("key %q: record %s (err %v), json.Marshal %s", key, got, err, want)
+		}
+		if buf, err = appendCellRecord(buf[:0], key, h); err != nil || !bytes.Equal(buf, want) {
+			t.Errorf("key %q: record in a used buffer %s (err %v), json.Marshal %s", key, buf, err, want)
+		}
+	}
+}
+
+// TestJournalWrittenByMarshalReplays checks that a journal whose records
+// were written by json.Marshal, as every journal was before Commit
+// appended them in place, resumes with every cell and hash, treats a
+// re-commit of the same bytes as a no-op, and compacts to the records
+// json.Marshal writes. A record whose hash is not a hex sha256 fails the
+// open. Invalid UTF-8 is left out: JSON writes it as U+FFFD, so such a key
+// never replays as itself.
+func TestJournalWrittenByMarshalReplays(t *testing.T) {
+	defer func(v int64) { CompactThreshold = v }(CompactThreshold)
+	wal := filepath.Join(t.TempDir(), "cells.wal")
+	w, _, err := journal.OpenFS(wal, false, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := slices.DeleteFunc(journalKeys(), func(k string) bool { return !utf8.ValidString(k) })
+	var want [][]byte     // the live records, in first-commit order
+	for pass := range 2 { // the second pass re-commits every cell under a new hash
+		for i, key := range keys {
+			h := hashBytes([]byte(fmt.Sprint("payload-", pass, "-", i)))
+			rec, err := json.Marshal(cellRecord{K: key, H: hex.EncodeToString(h[:])})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+			if pass == 1 {
+				want = append(want, rec)
+			}
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	CompactThreshold = 64
+	jr, err := OpenCellJournal(wal, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !jr.Compacted() || jr.Recovered() != len(keys) {
+		t.Fatalf("compacted %v, recovered %d, want true and %d", jr.Compacted(), jr.Recovered(), len(keys))
+	}
+	for i, key := range keys {
+		payload := []byte(fmt.Sprint("payload-1-", i))
+		if h, ok := jr.Completed(key); !ok || h != hashBytes(payload) {
+			t.Errorf("key %q: recovered hash %x (ok %v), want the latest", key, h, ok)
+		}
+		if err := jr.Commit(key, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var got [][]byte
+	if _, err := journal.ReplayFile(wal, func(p []byte) error {
+		got = append(got, bytes.Clone(p))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("compacted log holds %d records after no-op re-commits, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Errorf("compacted record %d is %s, json.Marshal wrote %s", i, got[i], want[i])
+		}
+	}
+
+	for _, bad := range []string{"abc", "zz" + hex.EncodeToString(make([]byte, 31)), hex.EncodeToString(make([]byte, 33))} {
+		path := filepath.Join(t.TempDir(), "bad.wal")
+		w, _, err := journal.OpenFS(path, false, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, _ := json.Marshal(cellRecord{K: "k", H: bad})
+		if err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		w.Close()
+		if jr, err := OpenCellJournal(path, true, nil); err == nil {
+			jr.Close()
+			t.Errorf("a record with hash %q opened", bad)
+		}
+	}
 }

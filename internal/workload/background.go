@@ -20,15 +20,12 @@ var javaPollBurst = cpu.Burst{Core: 180_000, Mem: 1_200, Cache: 200}
 
 // JavaPoll is the background polling process that every Java workload
 // carries; it is the periodic disturbance the paper blames for part of the
-// clock-setting instability.
+// clock-setting instability. It exits after length.
 type JavaPoll struct {
 	length  sim.Duration
 	working bool
 	tick    int
 }
-
-// NewJavaPoll returns a polling process that exits after length.
-func NewJavaPoll(length sim.Duration) *JavaPoll { return &JavaPoll{length: length} }
 
 // Name implements kernel.Program.
 func (j *JavaPoll) Name() string { return "kaffe-poll" }
@@ -57,19 +54,34 @@ type RectWave struct {
 	Length     sim.Duration
 
 	col       metrics.Collector
+	prog      rectProgram
 	installed bool
 }
 
 // NewRectWave builds the wave workload; the paper's example is 9 busy, 1
 // idle.
 func NewRectWave(busy, idle int, length sim.Duration) (*RectWave, error) {
+	return new(RectWave).renew(busy, idle, length)
+}
+
+// renew makes r what NewRectWave(busy, idle, length) returns, keeping its
+// collector's streams.
+func (r *RectWave) renew(busy, idle int, length sim.Duration) (*RectWave, error) {
 	if busy < 1 || idle < 1 {
 		return nil, fmt.Errorf("workload: rect wave needs positive phases, got %d/%d", busy, idle)
 	}
 	if length <= 0 {
 		return nil, fmt.Errorf("workload: bad length %v", length)
 	}
-	return &RectWave{BusyQuanta: busy, IdleQuanta: idle, Length: length}, nil
+	r.clear()
+	r.BusyQuanta, r.IdleQuanta, r.Length = busy, idle, length
+	return r, nil
+}
+
+// clear drops every reference r holds to its last run.
+func (r *RectWave) clear() {
+	r.col.Reset()
+	*r = RectWave{col: r.col}
 }
 
 // Name implements Workload.
@@ -88,7 +100,8 @@ func (r *RectWave) Install(k *kernel.Kernel) error {
 		return errReinstall
 	}
 	r.installed = true
-	_, err := k.Spawn(&rectProgram{wave: r})
+	r.prog = rectProgram{wave: r}
+	_, err := k.Spawn(&r.prog)
 	return err
 }
 

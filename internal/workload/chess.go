@@ -18,6 +18,9 @@ import (
 type Chess struct {
 	tr        *trace.Trace
 	col       metrics.Collector
+	ui        eventDriven
+	poll      JavaPoll
+	rng       sim.RNG // Crafty's plan-time jitter
 	installed bool
 }
 
@@ -78,14 +81,26 @@ func craftyPlanTime(move int64, rng *sim.RNG) sim.Duration {
 
 // NewChess builds the workload from an input trace; nil selects
 // DefaultChessTrace(1).
-func NewChess(tr *trace.Trace) (*Chess, error) {
+func NewChess(tr *trace.Trace) (*Chess, error) { return new(Chess).renew(tr) }
+
+// renew makes c what NewChess(tr) returns, keeping its arrays.
+func (c *Chess) renew(tr *trace.Trace) (*Chess, error) {
 	if tr == nil {
 		tr = DefaultChessTrace(1)
 	}
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
-	return &Chess{tr: tr}, nil
+	c.clear()
+	c.tr = tr
+	return c, nil
+}
+
+// clear drops every reference c holds to its last run.
+func (c *Chess) clear() {
+	c.col.Reset()
+	c.ui.renew("", nil, nil)
+	*c = Chess{col: c.col, ui: c.ui}
 }
 
 // Name implements Workload.
@@ -103,36 +118,37 @@ func (c *Chess) Install(k *kernel.Kernel) error {
 		return errReinstall
 	}
 	c.installed = true
-	rng := sim.NewRNG(7) // plan-time jitter, independent of the trace seed
-	prog := &eventDriven{
-		name: "crafty",
-		col:  &c.col,
-		handle: func(now sim.Time, e trace.Event) response {
-			if e.Kind != "usermove" {
-				return response{}
-			}
-			plan := craftyPlanTime(e.Arg, rng)
-			return response{
-				actions: []kernel.Action{
-					kernel.Compute(chessBoardBurst), // render the user's move
-					kernel.ComputeFor(plan),         // Crafty searches in wall time
-					kernel.Compute(chessBoardBurst), // render the reply
-				},
-				// The reply should appear promptly once the search's time
-				// allotment expires.
-				stream: "reply",
-				seq:    int(e.Arg),
-				due:    e.At + plan + 500*sim.Millisecond,
-			}
-		},
-	}
-	proc, err := k.Spawn(prog)
+	c.rng = *sim.NewRNG(7) // plan-time jitter, independent of the trace seed
+	c.ui.renew("crafty", &c.col, c)
+	proc, err := k.Spawn(&c.ui)
 	if err != nil {
 		return err
 	}
-	if err := installTrace(k, prog, proc, c.tr); err != nil {
+	if err := installTrace(k, &c.ui, proc, c.tr); err != nil {
 		return err
 	}
-	_, err = k.Spawn(NewJavaPoll(c.Duration()))
+	c.poll = JavaPoll{length: c.Duration()}
+	_, err = k.Spawn(&c.poll)
 	return err
+}
+
+// respond renders the user's move, lets Crafty search and renders its
+// reply.
+func (c *Chess) respond(now sim.Time, e trace.Event, buf []kernel.Action) response {
+	if e.Kind != "usermove" {
+		return response{}
+	}
+	plan := craftyPlanTime(e.Arg, &c.rng)
+	return response{
+		actions: append(buf,
+			kernel.Compute(chessBoardBurst), // render the user's move
+			kernel.ComputeFor(plan),         // Crafty searches in wall time
+			kernel.Compute(chessBoardBurst), // render the reply
+		),
+		// The reply should appear promptly once the search's time
+		// allotment expires.
+		stream: "reply",
+		seq:    int(e.Arg),
+		due:    e.At + plan + 500*sim.Millisecond,
+	}
 }

@@ -203,7 +203,7 @@ func TestMPEGDroppedFramesBeforeInstall(t *testing.T) {
 func TestJavaPollStopsAtLength(t *testing.T) {
 	eng := &sim.Engine{}
 	k, _ := kernel.New(eng, kernel.DefaultConfig())
-	p, _ := k.Spawn(NewJavaPoll(100 * sim.Millisecond))
+	p, _ := k.Spawn(&JavaPoll{length: 100 * sim.Millisecond})
 	if err := k.Run(sim.Second); err != nil {
 		t.Fatal(err)
 	}

@@ -19,6 +19,11 @@ import (
 type TalkingEditor struct {
 	tr        *trace.Trace
 	col       metrics.Collector
+	synth     dectalk
+	sound     soundDriver
+	ui        eventDriven
+	poll      JavaPoll
+	passage   int // files opened
 	installed bool
 }
 
@@ -90,14 +95,26 @@ func DefaultEditorTraceInto(rec *trace.Recorder, seed uint64) *trace.Trace {
 
 // NewTalkingEditor builds the workload from an input trace; nil selects
 // DefaultEditorTrace(1).
-func NewTalkingEditor(tr *trace.Trace) (*TalkingEditor, error) {
+func NewTalkingEditor(tr *trace.Trace) (*TalkingEditor, error) { return new(TalkingEditor).renew(tr) }
+
+// renew makes e what NewTalkingEditor(tr) returns, keeping its arrays.
+func (e *TalkingEditor) renew(tr *trace.Trace) (*TalkingEditor, error) {
 	if tr == nil {
 		tr = DefaultEditorTrace(1)
 	}
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
-	return &TalkingEditor{tr: tr}, nil
+	e.clear()
+	e.tr = tr
+	return e, nil
+}
+
+// clear drops every reference e holds to its last run.
+func (e *TalkingEditor) clear() {
+	e.col.Reset()
+	e.ui.renew("", nil, nil)
+	*e = TalkingEditor{col: e.col, ui: e.ui}
 }
 
 // Name implements Workload.
@@ -116,65 +133,59 @@ func (e *TalkingEditor) Install(k *kernel.Kernel) error {
 	}
 	e.installed = true
 
-	synth := &dectalk{col: &e.col}
-	synthProc, err := k.Spawn(synth)
-	if err != nil {
+	e.synth = dectalk{k: k, col: &e.col, sound: &e.sound}
+	var err error
+	if e.synth.proc, err = k.Spawn(&e.synth); err != nil {
 		return err
 	}
-	driver := &soundDriver{}
-	driverProc, err := k.Spawn(driver)
-	if err != nil {
+	e.sound = soundDriver{k: k}
+	if e.sound.proc, err = k.Spawn(&e.sound); err != nil {
 		return err
-	}
-	synth.startPlayback = func(start, end sim.Time) {
-		driver.enqueue(start, end)
-		k.Wake(driverProc)
 	}
 
-	passage := 0
-	ui := &eventDriven{
-		name: "mpedit",
-		col:  &e.col,
-		handle: func(now sim.Time, ev trace.Event) response {
-			switch ev.Kind {
-			case "ui":
-				return response{
-					actions: []kernel.Action{kernel.Compute(editorUIBurst.Scale(float64(ev.Arg) / 10))},
-					stream:  "ui",
-					seq:     int(ev.At / 1000),
-					due:     ev.At + editorUIDeadline,
-				}
-			case "openfile":
-				passage++
-				chunks := int(ev.Arg * int64(sim.Second) / int64(speechChunk))
-				p := passage
-				return response{
-					actions: []kernel.Action{
-						kernel.Compute(editorOpenFile),
-						// Hand the text to DECtalk once the file is read.
-						handoff(func(handNow sim.Time) {
-							synth.enqueue(p, handNow, chunks)
-							k.Wake(synthProc)
-						}),
-					},
-					stream: "open",
-					seq:    passage,
-					due:    ev.At + editorUIDeadline,
-				}
-			default:
-				return response{}
-			}
-		},
-	}
-	uiProc, err := k.Spawn(ui)
+	e.ui.renew("mpedit", &e.col, e)
+	uiProc, err := k.Spawn(&e.ui)
 	if err != nil {
 		return err
 	}
-	if err := installTrace(k, ui, uiProc, e.tr); err != nil {
+	if err := installTrace(k, &e.ui, uiProc, e.tr); err != nil {
 		return err
 	}
-	_, err = k.Spawn(NewJavaPoll(e.Duration()))
+	e.poll = JavaPoll{length: e.Duration()}
+	_, err = k.Spawn(&e.poll)
 	return err
+}
+
+// respond does the dialogue work of an event; opening a file hands its
+// text to DECtalk once the file is read.
+func (e *TalkingEditor) respond(now sim.Time, ev trace.Event, buf []kernel.Action) response {
+	switch ev.Kind {
+	case "ui":
+		return response{
+			actions: append(buf, kernel.Compute(editorUIBurst.Scale(float64(ev.Arg)/10))),
+			stream:  "ui",
+			seq:     int(ev.At / 1000),
+			due:     ev.At + editorUIDeadline,
+		}
+	case "openfile":
+		e.passage++
+		chunks := int(ev.Arg * int64(sim.Second) / int64(speechChunk))
+		p := e.passage
+		return response{
+			actions: append(buf,
+				kernel.Compute(editorOpenFile),
+				// Hand the text to DECtalk once the file is read.
+				handoff(func(handNow sim.Time) {
+					e.synth.enqueue(p, handNow, chunks)
+				}),
+			),
+			stream: "open",
+			seq:    e.passage,
+			due:    ev.At + editorUIDeadline,
+		}
+	default:
+		return response{}
+	}
 }
 
 // handoff is a zero-length action whose only purpose is its side effect:
@@ -195,8 +206,10 @@ type speechJob struct {
 // throttled by the audio buffer, and records a deadline for every chunk —
 // the chunk must be synthesized before playback needs it.
 type dectalk struct {
-	col           *metrics.Collector
-	startPlayback func(start, end sim.Time)
+	k     *kernel.Kernel
+	proc  *kernel.Process
+	col   *metrics.Collector
+	sound *soundDriver // plays what is synthesized
 
 	queue []speechJob
 	job   *speechJob
@@ -206,9 +219,10 @@ type dectalk struct {
 	playStart    sim.Time
 }
 
-// enqueue adds a passage; the caller wakes the process.
+// enqueue adds a passage and wakes the process.
 func (d *dectalk) enqueue(passage int, now sim.Time, chunks int) {
 	d.queue = append(d.queue, speechJob{passage: passage, start: now, chunks: chunks})
+	d.k.Wake(d.proc)
 }
 
 // Name implements kernel.Program.
@@ -228,9 +242,7 @@ func (d *dectalk) Next(now sim.Time) kernel.Action {
 			d.synthesizing = false
 			// Playback begins one chunk after synthesis starts.
 			d.playStart = j.start + speechChunk
-			if d.startPlayback != nil {
-				d.startPlayback(d.playStart, d.playStart+sim.Time(j.chunks)*speechChunk)
-			}
+			d.sound.play(d.playStart, d.playStart+sim.Time(j.chunks)*speechChunk)
 		}
 		if d.chunk >= d.job.chunks {
 			d.job = nil
@@ -256,15 +268,18 @@ func (d *dectalk) Next(now sim.Time) kernel.Action {
 
 // soundDriver feeds the audio device during playback windows.
 type soundDriver struct {
+	k       *kernel.Kernel
+	proc    *kernel.Process
 	windows [][2]sim.Time
 	cur     *[2]sim.Time
 	next    sim.Time
 	working bool
 }
 
-// enqueue adds a playback window; the caller wakes the process.
-func (s *soundDriver) enqueue(start, end sim.Time) {
+// play adds a playback window and wakes the process.
+func (s *soundDriver) play(start, end sim.Time) {
 	s.windows = append(s.windows, [2]sim.Time{start, end})
+	s.k.Wake(s.proc)
 }
 
 // Name implements kernel.Program.

@@ -27,7 +27,9 @@ import (
 type Feedback struct {
 	cfg       FeedbackConfig
 	col       metrics.Collector
-	loop      *feedbackLoop
+	loop      feedbackLoop
+	disturb   eventDriven
+	seq       int // disturbances absorbed
 	installed bool
 }
 
@@ -131,7 +133,10 @@ func DefaultFeedbackTraceInto(rec *trace.Recorder, seed uint64) *trace.Trace {
 }
 
 // NewFeedback builds the workload.
-func NewFeedback(cfg FeedbackConfig) (*Feedback, error) {
+func NewFeedback(cfg FeedbackConfig) (*Feedback, error) { return new(Feedback).renew(cfg) }
+
+// renew makes f what NewFeedback(cfg) returns, keeping its arrays.
+func (f *Feedback) renew(cfg FeedbackConfig) (*Feedback, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -141,7 +146,16 @@ func NewFeedback(cfg FeedbackConfig) (*Feedback, error) {
 	if err := cfg.Disturbances.Validate(); err != nil {
 		return nil, err
 	}
-	return &Feedback{cfg: cfg}, nil
+	f.clear()
+	f.cfg = cfg
+	return f, nil
+}
+
+// clear drops every reference f holds to its last run.
+func (f *Feedback) clear() {
+	f.col.Reset()
+	f.disturb.renew("", nil, nil)
+	*f = Feedback{col: f.col, disturb: f.disturb}
 }
 
 // Name implements Workload.
@@ -155,12 +169,7 @@ func (f *Feedback) Metrics() *metrics.Collector { return &f.col }
 
 // FinalPeriod reports the sampling period the loop converged to; valid
 // after the run. Zero before installation.
-func (f *Feedback) FinalPeriod() sim.Duration {
-	if f.loop == nil {
-		return 0
-	}
-	return f.loop.period
-}
+func (f *Feedback) FinalPeriod() sim.Duration { return f.loop.period }
 
 // Install implements Workload: it spawns the control loop and the
 // disturbance injector.
@@ -169,46 +178,42 @@ func (f *Feedback) Install(k *kernel.Kernel) error {
 		return errReinstall
 	}
 	f.installed = true
-	f.loop = &feedbackLoop{
+	f.loop = feedbackLoop{
 		cfg:    f.cfg,
 		col:    &f.col,
-		rng:    sim.NewRNG(f.cfg.Seed),
+		rng:    *sim.NewRNG(f.cfg.Seed),
 		period: f.cfg.Period,
 	}
-	if _, err := k.Spawn(f.loop); err != nil {
+	if _, err := k.Spawn(&f.loop); err != nil {
 		return err
 	}
-	seq := 0
-	prog := &eventDriven{
-		name: "fb_disturb",
-		col:  &f.col,
-		handle: func(now sim.Time, e trace.Event) response {
-			if e.Kind != "spike" {
-				return response{} // unknown events are ignored
-			}
-			seq++
-			return response{
-				actions: []kernel.Action{
-					kernel.Compute(disturbanceBurst.Scale(float64(e.Arg) / 10)),
-				},
-				stream: "spike",
-				seq:    seq,
-				due:    e.At + disturbanceDeadline,
-			}
-		},
-	}
-	proc, err := k.Spawn(prog)
+	f.disturb.renew("fb_disturb", &f.col, f)
+	proc, err := k.Spawn(&f.disturb)
 	if err != nil {
 		return err
 	}
-	return installTrace(k, prog, proc, f.cfg.Disturbances)
+	return installTrace(k, &f.disturb, proc, f.cfg.Disturbances)
+}
+
+// respond absorbs a load disturbance.
+func (f *Feedback) respond(now sim.Time, e trace.Event, buf []kernel.Action) response {
+	if e.Kind != "spike" {
+		return response{} // unknown events are ignored
+	}
+	f.seq++
+	return response{
+		actions: append(buf, kernel.Compute(disturbanceBurst.Scale(float64(e.Arg)/10))),
+		stream:  "spike",
+		seq:     f.seq,
+		due:     e.At + disturbanceDeadline,
+	}
 }
 
 // feedbackLoop is the adaptive control task.
 type feedbackLoop struct {
 	cfg     FeedbackConfig
 	col     *metrics.Collector
-	rng     *sim.RNG
+	rng     sim.RNG
 	period  sim.Duration
 	release sim.Time
 	due     sim.Time

@@ -105,16 +105,29 @@ func (c MPEGConfig) validate() error {
 type MPEG struct {
 	cfg       MPEGConfig
 	col       metrics.Collector
-	video     *mpegVideo
+	video     mpegVideo
+	audio     mpegAudio
 	installed bool
 }
 
 // NewMPEG builds the workload.
-func NewMPEG(cfg MPEGConfig) (*MPEG, error) {
+func NewMPEG(cfg MPEGConfig) (*MPEG, error) { return new(MPEG).renew(cfg) }
+
+// renew makes m what NewMPEG(cfg) returns, keeping its collector's
+// streams.
+func (m *MPEG) renew(cfg MPEGConfig) (*MPEG, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &MPEG{cfg: cfg}, nil
+	m.clear()
+	m.cfg = cfg
+	return m, nil
+}
+
+// clear drops every reference m holds to its last run.
+func (m *MPEG) clear() {
+	m.col.Reset()
+	*m = MPEG{col: m.col}
 }
 
 // Name implements Workload.
@@ -128,12 +141,7 @@ func (m *MPEG) Metrics() *metrics.Collector { return &m.col }
 
 // DroppedFrames reports how many frames the player skipped; always zero
 // unless DropLateFrames is set. Valid after the run.
-func (m *MPEG) DroppedFrames() int {
-	if m.video == nil {
-		return 0
-	}
-	return m.video.dropped
-}
+func (m *MPEG) DroppedFrames() int { return m.video.dropped }
 
 // Install implements Workload: it spawns the video player and the forked
 // audio player.
@@ -142,13 +150,14 @@ func (m *MPEG) Install(k *kernel.Kernel) error {
 		return errReinstall
 	}
 	m.installed = true
-	m.video = &mpegVideo{cfg: m.cfg, col: &m.col, rng: sim.NewRNG(m.cfg.Seed)}
-	if _, err := k.Spawn(m.video); err != nil {
+	m.video = mpegVideo{cfg: m.cfg, col: &m.col, rng: *sim.NewRNG(m.cfg.Seed)}
+	if _, err := k.Spawn(&m.video); err != nil {
 		return err
 	}
 	// Audio runs as a separate process fed from the WAV stream: cheap,
 	// periodic chunks, one per 100 ms of sound.
-	if _, err := k.Spawn(&mpegAudio{length: m.cfg.Length, col: &m.col}); err != nil {
+	m.audio = mpegAudio{length: m.cfg.Length, col: &m.col}
+	if _, err := k.Spawn(&m.audio); err != nil {
 		return err
 	}
 	return nil
@@ -166,7 +175,7 @@ func frameDeadline(i int, fps int) sim.Time {
 type mpegVideo struct {
 	cfg   MPEGConfig
 	col   *metrics.Collector
-	rng   *sim.RNG
+	rng   sim.RNG
 	frame int
 	// decoded marks that the current frame's burst completed and the
 	// player is deciding how to wait.

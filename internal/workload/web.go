@@ -16,6 +16,9 @@ import (
 type Web struct {
 	tr        *trace.Trace
 	col       metrics.Collector
+	ui        eventDriven
+	poll      JavaPoll
+	seq       int // events handled
 	installed bool
 }
 
@@ -79,14 +82,26 @@ func DefaultWebTraceInto(rec *trace.Recorder, seed uint64) *trace.Trace {
 
 // NewWeb builds the workload from an input trace; nil selects
 // DefaultWebTrace(1).
-func NewWeb(tr *trace.Trace) (*Web, error) {
+func NewWeb(tr *trace.Trace) (*Web, error) { return new(Web).renew(tr) }
+
+// renew makes w what NewWeb(tr) returns, keeping its arrays.
+func (w *Web) renew(tr *trace.Trace) (*Web, error) {
 	if tr == nil {
 		tr = DefaultWebTrace(1)
 	}
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
-	return &Web{tr: tr}, nil
+	w.clear()
+	w.tr = tr
+	return w, nil
+}
+
+// clear drops every reference w holds to its last run.
+func (w *Web) clear() {
+	w.col.Reset()
+	w.ui.renew("", nil, nil)
+	*w = Web{col: w.col, ui: w.ui}
 }
 
 // Name implements Workload.
@@ -104,46 +119,45 @@ func (w *Web) Install(k *kernel.Kernel) error {
 		return errReinstall
 	}
 	w.installed = true
-	seq := 0
-	prog := &eventDriven{
-		name: "iceweb",
-		col:  &w.col,
-		handle: func(now sim.Time, e trace.Event) response {
-			seq++
-			switch e.Kind {
-			case "open":
-				return response{
-					actions: []kernel.Action{kernel.Compute(webOpenBurst.Scale(float64(e.Arg) / 10))},
-					stream:  "open",
-					seq:     seq,
-					due:     e.At + webOpenDeadline,
-				}
-			case "scroll":
-				return response{
-					actions: []kernel.Action{kernel.Compute(webScrollBurst.Scale(float64(e.Arg) / 10))},
-					stream:  "scroll",
-					seq:     seq,
-					due:     e.At + webScrollDeadline,
-				}
-			case "back":
-				return response{
-					actions: []kernel.Action{kernel.Compute(webBackBurst)},
-					stream:  "back",
-					seq:     seq,
-					due:     e.At + webScrollDeadline,
-				}
-			default:
-				return response{} // unknown events are ignored
-			}
-		},
-	}
-	proc, err := k.Spawn(prog)
+	w.ui.renew("iceweb", &w.col, w)
+	proc, err := k.Spawn(&w.ui)
 	if err != nil {
 		return err
 	}
-	if err := installTrace(k, prog, proc, w.tr); err != nil {
+	if err := installTrace(k, &w.ui, proc, w.tr); err != nil {
 		return err
 	}
-	_, err = k.Spawn(NewJavaPoll(w.Duration()))
+	w.poll = JavaPoll{length: w.Duration()}
+	_, err = k.Spawn(&w.poll)
 	return err
+}
+
+// respond renders the page an event opens, scrolls to or returns to.
+func (w *Web) respond(now sim.Time, e trace.Event, buf []kernel.Action) response {
+	w.seq++
+	switch e.Kind {
+	case "open":
+		return response{
+			actions: append(buf, kernel.Compute(webOpenBurst.Scale(float64(e.Arg)/10))),
+			stream:  "open",
+			seq:     w.seq,
+			due:     e.At + webOpenDeadline,
+		}
+	case "scroll":
+		return response{
+			actions: append(buf, kernel.Compute(webScrollBurst.Scale(float64(e.Arg)/10))),
+			stream:  "scroll",
+			seq:     w.seq,
+			due:     e.At + webScrollDeadline,
+		}
+	case "back":
+		return response{
+			actions: append(buf, kernel.Compute(webBackBurst)),
+			stream:  "back",
+			seq:     w.seq,
+			due:     e.At + webScrollDeadline,
+		}
+	default:
+		return response{} // unknown events are ignored
+	}
 }

@@ -38,6 +38,58 @@ type Workload interface {
 	Metrics() *metrics.Collector
 }
 
+// Instances keeps one instance of each workload kind for a caller that
+// runs workloads one after another, like the simulator shell a sweep's
+// cells run in. Each method re-initialises its kind's instance exactly as
+// the matching New function builds one, every RNG seeded as New seeds it,
+// but keeps what the instance's last run grew: its processes, its trace
+// replay cursor and event queue, and its deadline collector's streams. A
+// workload it returns is valid until the next call for its kind or Clear.
+// The zero value is ready to use.
+type Instances struct {
+	mpeg     MPEG
+	web      Web
+	chess    Chess
+	editor   TalkingEditor
+	feedback Feedback
+	rect     RectWave
+}
+
+// MPEG returns the kept player as NewMPEG(cfg) builds it.
+func (in *Instances) MPEG(cfg MPEGConfig) (*MPEG, error) { return in.mpeg.renew(cfg) }
+
+// Web returns the kept browser as NewWeb(tr) builds it.
+func (in *Instances) Web(tr *trace.Trace) (*Web, error) { return in.web.renew(tr) }
+
+// Chess returns the kept game as NewChess(tr) builds it.
+func (in *Instances) Chess(tr *trace.Trace) (*Chess, error) { return in.chess.renew(tr) }
+
+// TalkingEditor returns the kept editor as NewTalkingEditor(tr) builds it.
+func (in *Instances) TalkingEditor(tr *trace.Trace) (*TalkingEditor, error) {
+	return in.editor.renew(tr)
+}
+
+// Feedback returns the kept control loop as NewFeedback(cfg) builds it.
+func (in *Instances) Feedback(cfg FeedbackConfig) (*Feedback, error) { return in.feedback.renew(cfg) }
+
+// RectWave returns the kept wave as NewRectWave(busy, idle, length) builds
+// it.
+func (in *Instances) RectWave(busy, idle int, length sim.Duration) (*RectWave, error) {
+	return in.rect.renew(busy, idle, length)
+}
+
+// Clear drops every reference the instances hold to their last runs —
+// kernel, processes, input trace, deadline sink, collector hook — and
+// keeps their arrays.
+func (in *Instances) Clear() {
+	in.mpeg.clear()
+	in.web.clear()
+	in.chess.clear()
+	in.editor.clear()
+	in.feedback.clear()
+	in.rect.clear()
+}
+
 // response is what an eventDriven handler produces for one input event: a
 // sequence of actions and, optionally, a deadline to record once the
 // actions have all completed (the user-visible response to the event).
@@ -50,6 +102,13 @@ type response struct {
 	due    sim.Time
 }
 
+// eventHandler answers one input event of an eventDriven process. Its
+// response's actions are appended to buf, an empty slice whose array the
+// process reuses once they have run.
+type eventHandler interface {
+	respond(now sim.Time, e trace.Event, buf []kernel.Action) response
+}
+
 // eventDriven is a process that sleeps until input events arrive (delivered
 // by the trace installer through Wake) and runs a queue of actions in
 // response to each, like the paper's traced interactive applications. When
@@ -58,12 +117,23 @@ type response struct {
 type eventDriven struct {
 	name    string
 	col     *metrics.Collector
-	handle  func(now sim.Time, e trace.Event) response
-	pending []trace.Event
+	h       eventHandler
+	pending []trace.Event // events pending[head:] await handling
+	head    int
 	actions []kernel.Action
+	buf     []kernel.Action // the array responses append their actions to
 	cur     response
 	inEvent bool
-	done    bool
+	replay  replay // the cursor of the trace installTrace replays into p
+}
+
+// renew readies p to run as name, recording into col and answered by h,
+// keeping its event and action arrays. renew("", nil, nil) leaves p
+// referencing nothing.
+func (p *eventDriven) renew(name string, col *metrics.Collector, h eventHandler) {
+	clear(p.pending[:cap(p.pending)])
+	clear(p.buf[:cap(p.buf)])
+	*p = eventDriven{name: name, col: col, h: h, pending: p.pending[:0], buf: p.buf[:0]}
 }
 
 // Next implements kernel.Program.
@@ -80,15 +150,17 @@ func (p *eventDriven) Next(now sim.Time) kernel.Action {
 				p.col.Record(p.cur.stream, p.cur.seq, p.cur.due, now)
 			}
 		}
-		if len(p.pending) == 0 {
-			if p.done {
-				return kernel.Exit()
-			}
+		if p.head == len(p.pending) {
 			return kernel.WaitEvent()
 		}
-		e := p.pending[0]
-		p.pending = p.pending[1:]
-		p.cur = p.handle(now, e)
+		e := p.pending[p.head]
+		if p.head++; p.head == len(p.pending) {
+			p.pending, p.head = p.pending[:0], 0
+		}
+		p.cur = p.h.respond(now, e, p.buf[:0])
+		if cap(p.cur.actions) > cap(p.buf) {
+			p.buf = p.cur.actions[:0]
+		}
 		p.actions = p.cur.actions
 		p.inEvent = true
 	}
@@ -122,7 +194,8 @@ func installTrace(k *kernel.Kernel, p *eventDriven, proc *kernel.Process, tr *tr
 		return nil
 	}
 	eng := k.Engine()
-	r := &replay{k: k, p: p, proc: proc, events: tr.Events, base: eng.Reserve(len(tr.Events))}
+	r := &p.replay
+	*r = replay{k: k, p: p, proc: proc, events: tr.Events, base: eng.Reserve(len(tr.Events))}
 	r.fire = r.step
 	_, err := eng.AtReserved(tr.Events[0].At, r.base, r.fire)
 	return err

@@ -383,7 +383,7 @@ func TestRectWaveValidation(t *testing.T) {
 func TestJavaPollShape(t *testing.T) {
 	eng := &sim.Engine{}
 	k, _ := kernel.New(eng, kernel.DefaultConfig())
-	if _, err := k.Spawn(NewJavaPoll(sim.Second)); err != nil {
+	if _, err := k.Spawn(&JavaPoll{length: sim.Second}); err != nil {
 		t.Fatal(err)
 	}
 	if err := k.Run(sim.Second); err != nil {
