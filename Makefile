@@ -6,7 +6,7 @@
 # subprocess kill-and-resume tests), the allocation guards without it
 # (they skip themselves under the race detector), short fuzz smokes of the trace parser,
 # the journal replayer, the job-spec decoder, the client's SSE event-stream
-# parser, the policy-registry wire form, the result codec, the sweep-result envelope codec, the fabric
+# parser, the policy-registry wire and text forms, the result codec, the sweep-result envelope codec, the fabric
 # shard-plan ledger, and the cache-key hasher against its fmt reference,
 # the benchmark's own tests, which check its output against committed
 # digests, and the serial-throughput guard, a root-package Go benchmark.
@@ -47,6 +47,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzTokenFileParse -fuzztime=10s ./internal/service/
 	$(GO) test -run=^$$ -fuzz=FuzzEventStream -fuzztime=10s ./internal/service/
 	$(GO) test -run=^$$ -fuzz=FuzzParamsDecode -fuzztime=10s .
+	$(GO) test -run=^$$ -fuzz=FuzzPolicyRefText -fuzztime=10s .
 	$(GO) test -run=^$$ -fuzz=FuzzResultCodec -fuzztime=10s .
 	$(GO) test -run=^$$ -fuzz=FuzzSweepResultCodec -fuzztime=10s .
 	$(GO) test -run=^$$ -fuzz=FuzzShardPlanDecode -fuzztime=10s ./internal/fabric/

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"math"
 	"strings"
 	"time"
 
@@ -187,10 +188,12 @@ func (p Policy) Validate() error {
 			errs = append(errs, fmt.Errorf("clocksched: negative zoo slack %d quanta", p.SlackQuanta))
 		}
 	case p.Constant:
-		if p.MHz <= 0 {
+		switch {
+		case !(p.MHz > 0): // NaN too
 			errs = append(errs, fmt.Errorf("clocksched: constant policy needs a positive MHz, got %g", p.MHz))
-		}
-		if p.LowVoltage && p.MHz > 0 {
+		case p.MHz*1000 >= math.MaxInt64: // +Inf too; build converts to int64 kHz
+			errs = append(errs, fmt.Errorf("clocksched: constant %g MHz overflows an int64 kHz clock", p.MHz))
+		case p.LowVoltage:
 			if step := cpu.NearestStep(int64(p.MHz * 1000)); !cpu.VoltageOK(step, cpu.VLow) {
 				errs = append(errs, fmt.Errorf("clocksched: 1.23V is unsafe at %s", step))
 			}

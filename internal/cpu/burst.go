@@ -79,14 +79,6 @@ func StartExecution(b Burst) Execution {
 // Done reports whether the burst has fully retired.
 func (e *Execution) Done() bool { return e.remaining <= 0 || e.burst.Zero() }
 
-// Remaining returns the fraction of the burst still to run.
-func (e *Execution) Remaining() float64 {
-	if e.remaining < 0 {
-		return 0
-	}
-	return e.remaining
-}
-
 // Burst returns the burst being executed.
 func (e *Execution) Burst() Burst { return e.burst }
 

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -14,10 +16,11 @@ import (
 
 // This file is the extensible policy registry, the one way to name a
 // policy. A policy is named by a PolicyRef — a registry name plus a flat
-// numeric parameter map — and materialized through the builder registered
-// under that name. The five paper policies and the deadline-feasible zoo
-// (OA, AVR, BKP) are pre-registered below; further families plug in with
-// RegisterPolicy and need no changes to clocksched.go.
+// numeric parameter map, written as text "name:key=value,..." — and
+// materialized through the builder registered under that name. The five
+// paper policies and the deadline-feasible zoo (OA, AVR, BKP) are
+// pre-registered below; further families plug in with RegisterPolicy and
+// need no changes to clocksched.go.
 //
 // A Policy built from a ref keeps the ref alongside its resolved fields, so
 // it serializes in the compact {"name": ..., "params": ...} wire form
@@ -45,6 +48,65 @@ type PolicyRef struct {
 // Build materializes the referenced policy through the registry.
 func (r PolicyRef) Build() (Policy, error) { return NewPolicy(r.Name, r.Params) }
 
+// String writes the ref's text form: the name alone, or
+// name:key=value,key=value,... with keys sorted and each value in the
+// shortest form that parses back to the same float64 bits.
+// ParsePolicyRef reverses it exactly.
+func (r PolicyRef) String() string {
+	var b strings.Builder
+	b.WriteString(r.Name)
+	sep := byte(':')
+	for _, k := range slices.Sorted(maps.Keys(r.Params)) {
+		b.WriteByte(sep)
+		b.WriteString(k)
+		b.WriteByte('=')
+		b.WriteString(strconv.FormatFloat(r.Params[k], 'g', -1, 64))
+		sep = ','
+	}
+	return b.String()
+}
+
+// ParsePolicyRef reads the text form String writes, "name" or
+// "name:key=value,key=value,...", in any key order. It rejects an empty
+// name, an empty or repeated key, a key containing ':', ',' or '=', and a
+// value that is not a finite float. It checks syntax only: Build resolves
+// the name and parameters against the registry.
+func ParsePolicyRef(s string) (PolicyRef, error) {
+	bad := func(format string, args ...any) (PolicyRef, error) {
+		return PolicyRef{}, fmt.Errorf("clocksched: policy %q: %s (want name or name:key=value,...)",
+			s, fmt.Sprintf(format, args...))
+	}
+	name, list, hasParams := strings.Cut(s, ":")
+	if name == "" {
+		return bad("empty name")
+	}
+	r := PolicyRef{Name: name}
+	if !hasParams {
+		return r, nil
+	}
+	r.Params = map[string]float64{}
+	for _, pair := range strings.Split(list, ",") {
+		k, v, ok := strings.Cut(pair, "=")
+		switch {
+		case !ok:
+			return bad("parameter %q is not key=value", pair)
+		case k == "":
+			return bad("empty parameter key")
+		case strings.ContainsAny(k, ":,="):
+			return bad("parameter key %q contains ':', ',' or '='", k)
+		}
+		if _, dup := r.Params[k]; dup {
+			return bad("parameter %q given twice", k)
+		}
+		f, err := strconv.ParseFloat(v, 64)
+		if err != nil || math.IsInf(f, 0) || math.IsNaN(f) {
+			return bad("parameter %q value %q is not a finite number", k, v)
+		}
+		r.Params[k] = f
+	}
+	return r, nil
+}
+
 // PolicyBuilder materializes a Policy from a parameter map. Builders must
 // be deterministic and must reject parameters they do not understand — a
 // misspelled key silently meaning "default" would corrupt a sweep grid.
@@ -57,11 +119,15 @@ var policyReg = struct {
 }{m: map[string]PolicyBuilder{}}
 
 // RegisterPolicy adds a named policy builder to the registry. Registering
-// an empty name, a nil builder, or a name already taken returns an error;
-// names are case-sensitive and conventionally lower-kebab-case.
+// an empty name, a name containing ':' (which the text form could not
+// write), a nil builder, or a name already taken returns an error; names
+// are case-sensitive and conventionally lower-kebab-case.
 func RegisterPolicy(name string, build PolicyBuilder) error {
 	if name == "" {
 		return fmt.Errorf("clocksched: RegisterPolicy with empty name")
+	}
+	if strings.Contains(name, ":") {
+		return fmt.Errorf("clocksched: RegisterPolicy(%q): a name containing ':' has no text form", name)
 	}
 	if build == nil {
 		return fmt.Errorf("clocksched: RegisterPolicy(%q) with nil builder", name)
@@ -208,17 +274,20 @@ func setterFromCode(code int) (SpeedSetter, error) {
 	}
 }
 
-// The five paper policies plus the deadline-feasible zoo. Parameter
-// documentation:
+// The five paper policies plus the deadline-feasible zoo, with each
+// parameter's default. Flags are 0/1; setter codes are 0 one, 1 double,
+// 2 peg; n is the AVG_N decay, 0 for PAST.
 //
-//	constant       mhz (default 206.4), low_voltage (0/1)
-//	past-peg-peg   lo_percent (93), hi_percent (98) [policy.BestBounds], voltage_scale
-//	pering-avg-n   n (12), up (2), down (2) [setter codes], voltage_scale
-//	deadline       voltage_scale (0/1)
-//	proportional   n (12), target_percent (80)
-//	oa             slack_quanta (3), voltage_scale (0/1)
-//	avr            slack_quanta (3), voltage_scale (0/1)
-//	bkp            slack_quanta (3), voltage_scale (0/1)
+//	constant       mhz (206.4), low_voltage (0)
+//	past-peg-peg   lo_percent (93), hi_percent (98) [policy.BestBounds], voltage_scale (0)
+//	pering-avg-n   n (12), up (2), down (2), lo_percent (50), hi_percent (70), voltage_scale (0)
+//	deadline       voltage_scale (0)
+//	proportional   n (12), target_percent (80), voltage_scale (0)
+//	oa, avr, bkp   slack_quanta (3), voltage_scale (0)
+//
+// In the text form, PAST with one-up, double-down setters and 55%-98%
+// bounds is pering-avg-n:down=1,hi_percent=98,lo_percent=55,n=0,up=0, and
+// a 132.7 MHz clock at 1.23 V is constant:low_voltage=1,mhz=132.7.
 func init() {
 	zoo := func(name string) {
 		mustRegister(name, func(ps Params) (Policy, error) {
@@ -248,15 +317,16 @@ func init() {
 		if err != nil {
 			return Policy{}, fmt.Errorf("down: %w", err)
 		}
-		// Pering et al.'s 50%/70% hysteresis bounds.
-		return Policy{AvgN: ps.Int("n", 12), Up: up, Down: down, LoPercent: 50, HiPercent: 70,
-			VoltageScale: ps.Bool("voltage_scale", false)}, nil
+		// Pering et al.'s 50%/70% hysteresis bounds by default.
+		return Policy{AvgN: ps.Int("n", 12), Up: up, Down: down, LoPercent: ps.Int("lo_percent", 50),
+			HiPercent: ps.Int("hi_percent", 70), VoltageScale: ps.Bool("voltage_scale", false)}, nil
 	})
 	mustRegister("deadline", func(ps Params) (Policy, error) {
 		return Policy{Deadline: true, VoltageScale: ps.Bool("voltage_scale", false)}, nil
 	})
 	mustRegister("proportional", func(ps Params) (Policy, error) {
-		return Policy{Proportional: true, AvgN: ps.Int("n", 12), TargetPercent: ps.Int("target_percent", 80)}, nil
+		return Policy{Proportional: true, AvgN: ps.Int("n", 12), TargetPercent: ps.Int("target_percent", 80),
+			VoltageScale: ps.Bool("voltage_scale", false)}, nil
 	})
 }
 

@@ -49,3 +49,51 @@ func FuzzParamsDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzPolicyRefText hammers the policy text form. For any string
+// ParsePolicyRef accepts, String must write a form that parses back to the
+// same ref, name and parameter bits alike (so -0 stays -0), and that String
+// writes again unchanged; and the ref must either fail to build or build a
+// policy that passes Validate.
+func FuzzPolicyRefText(f *testing.F) {
+	for _, s := range []string{
+		"oa",
+		"avr:slack_quanta=5",
+		"constant:mhz=132.7,low_voltage=1",
+		"constant:mhz=-0",
+		"constant:mhz=0x1p-2",
+		"constant:mhz=1e300",
+		"constant:mhz=NaN",
+		"pering-avg-n:n=9,up=0,down=1,lo_percent=55,hi_percent=98",
+		"proportional:voltage_scale=1,n=0",
+		"past-peg-peg:93:98",
+		"deadline:",
+		"x:a=1,a=2",
+		"x:=1",
+		":a=1",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		r, err := ParsePolicyRef(s)
+		if err != nil {
+			return // rejected: nothing to hold invariants on
+		}
+		text := r.String()
+		q, err := ParsePolicyRef(text)
+		if err != nil {
+			t.Fatalf("%q parsed, but its text form %q does not: %v", s, text, err)
+		}
+		if !r.same(&q) {
+			t.Fatalf("%q -> %q -> %+v, want %+v", s, text, q, r)
+		}
+		if again := q.String(); again != text {
+			t.Fatalf("text form of %q is not canonical: %q, then %q", s, text, again)
+		}
+		if p, err := r.Build(); err == nil {
+			if err := p.Validate(); err != nil {
+				t.Fatalf("%q built a policy that fails Validate: %v", s, err)
+			}
+		}
+	})
+}

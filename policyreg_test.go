@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -100,6 +102,8 @@ func TestNewPolicyAllocs(t *testing.T) {
 		max    float64
 	}{
 		{"past-peg-peg", nil, 3},
+		{"pering-avg-n", nil, 3},
+		{"proportional", nil, 3},
 		{"constant", map[string]float64{"mhz": 132.7, "low_voltage": 1}, 5},
 		{"bkp", map[string]float64{"slack_quanta": 5}, 5},
 	} {
@@ -128,6 +132,11 @@ func TestNewPolicyRejectsBadInput(t *testing.T) {
 		{PolicyRef{Name: "pering-avg-n", Params: map[string]float64{"n": 2.5}}, "must be an integer"},
 		{PolicyRef{Name: "pering-avg-n", Params: map[string]float64{"up": 7}}, "speed-setter code"},
 		{PolicyRef{Name: "constant", Params: map[string]float64{"mhz": -5}}, "positive MHz"},
+		{PolicyRef{Name: "constant", Params: map[string]float64{"mhz": math.NaN()}}, "positive MHz"},
+		{PolicyRef{Name: "constant", Params: map[string]float64{"mhz": math.Inf(-1)}}, "positive MHz"},
+		{PolicyRef{Name: "constant", Params: map[string]float64{"mhz": math.Inf(1)}}, "overflows an int64 kHz clock"},
+		{PolicyRef{Name: "constant", Params: map[string]float64{"mhz": 1e300, "low_voltage": 1}}, "overflows an int64 kHz clock"},
+		{PolicyRef{Name: "constant", Params: map[string]float64{"mhz": 9.3e15}}, "overflows an int64 kHz clock"},
 		{PolicyRef{Name: "past-peg-peg", Params: map[string]float64{"lo_percent": 99, "hi_percent": 10}}, "bounds 99%-10%"},
 		{PolicyRef{Name: "pering-avg-n", Params: map[string]float64{"n": -1}}, "negative AVG_N"},
 		{PolicyRef{Name: "deadline", Params: map[string]float64{"voltage_scale": 2}}, `"voltage_scale" must be 0 or 1`},
@@ -140,6 +149,10 @@ func TestNewPolicyRejectsBadInput(t *testing.T) {
 			t.Errorf("NewPolicy(%q, %v): err = %v, want %q", c.ref.Name, c.ref.Params, err, c.want)
 		}
 		ref, err := json.Marshal(c.ref)
+		var unsupported *json.UnsupportedValueError
+		if errors.As(err, &unsupported) {
+			continue // NaN and ±Inf have no JSON form, so no spec carries them
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,11 +164,50 @@ func TestNewPolicyRejectsBadInput(t *testing.T) {
 	if err := RegisterPolicy("", func(Params) (Policy, error) { return Policy{}, nil }); err == nil {
 		t.Error("empty name registered")
 	}
+	if err := RegisterPolicy("x:colon", func(Params) (Policy, error) { return Policy{}, nil }); err == nil {
+		t.Error("name with ':' registered")
+	}
 	if err := RegisterPolicy("x-nil-builder", nil); err == nil {
 		t.Error("nil builder registered")
 	}
 	if err := RegisterPolicy("constant", func(Params) (Policy, error) { return Policy{}, nil }); err == nil {
 		t.Error("duplicate registration accepted")
+	}
+}
+
+// TestPolicyRefText pins the text form: String sorts keys and writes the
+// shortest exact float, ParsePolicyRef reads any key order back to the same
+// bits (-0 included), and each malformed form is refused with the form to use.
+func TestPolicyRefText(t *testing.T) {
+	for _, c := range []struct{ in, canon string }{
+		{"oa", "oa"},
+		{"avr:slack_quanta=5", "avr:slack_quanta=5"},
+		{"constant:mhz=132.7,low_voltage=1", "constant:low_voltage=1,mhz=132.7"},
+		{"constant:mhz=-0", "constant:mhz=-0"},
+		{"constant:mhz=1e+02", "constant:mhz=100"},
+		{"constant:mhz=0.1", "constant:mhz=0.1"},
+	} {
+		r, err := ParsePolicyRef(c.in)
+		if err != nil {
+			t.Errorf("ParsePolicyRef(%q): %v", c.in, err)
+			continue
+		}
+		if got := r.String(); got != c.canon {
+			t.Errorf("ParsePolicyRef(%q).String() = %q, want %q", c.in, got, c.canon)
+		}
+	}
+	negZero := PolicyRef{Name: "constant", Params: map[string]float64{"mhz": math.Copysign(0, -1)}}
+	if back, err := ParsePolicyRef(negZero.String()); err != nil || !math.Signbit(back.Params["mhz"]) {
+		t.Errorf("-0 round trip: %+v, %v", back, err)
+	}
+	for _, bad := range []string{
+		"", ":mhz=1", "constant:", "constant:mhz", "constant:=1", "constant:mhz=1,",
+		"constant:mhz=1,mhz=2", "x:a:b=1", "constant:mhz=1=2", "constant:mhz=NaN",
+		"constant:mhz=Inf", "constant:mhz=1e999", "constant:mhz=abc", "past-peg-peg:93:98",
+	} {
+		if r, err := ParsePolicyRef(bad); err == nil || !strings.Contains(err.Error(), "name:key=value") {
+			t.Errorf("ParsePolicyRef(%q) = %+v, %v; want an error naming the form", bad, r, err)
+		}
 	}
 }
 
